@@ -52,8 +52,8 @@ detv2-test:
 # (internal/ga, internal/islands), the core kill-and-resume matrix at
 # 1/2/4 islands × 1/8 farm workers under both determinism contracts with
 # surrogate screening on and off (internal/core), and the daemon surface —
-# fleet 0/2-node agreement, island job submission, /api/v1 vs legacy
-# /metrics alias consistency (cmd/dstressd). The suite then repeats once
+# fleet 0/2-node agreement, island job submission and the islands/eval
+# sections of /api/v1/metrics (cmd/dstressd). The suite then repeats once
 # under the race detector: island evaluation fans out one goroutine per
 # island over shared farm pools.
 islands-test:
@@ -89,8 +89,9 @@ batch-test:
 	$(GO) test -race -count 1 -run 'Batch|LeaseContext|AdvertisesCachedContexts' \
 		./internal/dram ./internal/core ./internal/fleet
 
-# The multi-tenant service matrix: bearer auth (401 envelope, open debug
-# surface, fleet worker pass-through), per-tenant quotas (429 + accounting),
+# The multi-tenant service matrix: bearer auth (401 envelope, open pprof
+# surface, fleet worker pass-through), the job guard (another tenant's live
+# or evicted job is a 404), per-tenant quotas (429 + accounting),
 # SSE progress streaming, admission-queue ordering (priority bands, FIFO,
 # anti-starvation, cancel-from-queue), the scheduler-leak regressions
 # (context-per-timed-job, bounded terminal retention, Drain timer), and
@@ -110,9 +111,9 @@ service-test:
 # gofmt-checked by explicit file list: their kernel files carry intentional
 # manual alignment that predates this check.
 LINT_PKGS  = ./internal/islands ./internal/predict ./internal/seglog \
-	./internal/fleet ./internal/ga ./cmd/benchjson ./cmd/loadgen
+	./internal/fleet ./internal/ga ./cmd/benchjson ./cmd/loadgen ./cmd/dstressd
 LINT_DIRS  = internal/islands internal/predict internal/seglog \
-	internal/fleet internal/ga cmd/benchjson cmd/loadgen
+	internal/fleet internal/ga cmd/benchjson cmd/loadgen cmd/dstressd
 LINT_FILES = internal/dram/batch.go internal/dram/metrics.go \
 	internal/farm/pool.go internal/farm/metrics.go internal/farm/scheduler.go \
 	internal/farm/tenant.go internal/farm/journal.go internal/core/parallel.go
@@ -172,11 +173,13 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/experiments -ext -markdown results.md
 
-# Short fuzzing pass over the two parsers and the interpreter.
+# Short fuzzing pass over the two parsers, the interpreter and the daemon's
+# job-request parser (its -run skips the daemon's subprocess tests).
 fuzz:
 	$(GO) test -fuzz=FuzzParseStmts -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/vpl
+	$(GO) test -run=FuzzJobRequest -fuzz=FuzzJobRequest -fuzztime=30s ./cmd/dstressd
 
 clean:
 	rm -f results.md viruses.json

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -44,8 +43,7 @@ func doRaw(t *testing.T, method, url, body string) (int, string, errorBody) {
 
 // TestErrorEnvelopeEverywhere drives every endpoint of the surface into an
 // error and asserts the one true envelope: HTTP status, a machine-readable
-// code, a human message and a JSON content type — on the /api/v1 spelling
-// and, where one exists, the legacy alias.
+// code, a human message and a JSON content type.
 func TestErrorEnvelopeEverywhere(t *testing.T) {
 	_, tsNoDB := testDaemon(t, 2, false) // virusdb 404s without a database
 	_, tsDB := testDaemon(t, 2, true)
@@ -68,8 +66,6 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		{"virusdb without db", tsNoDB.URL, "GET", "/api/v1/virusdb", "", 404, "not_found"},
 		{"virusdb bad limit", tsDB.URL, "GET", "/api/v1/virusdb?experiment=e&limit=x",
 			"", 400, "bad_request"},
-		{"virusdb bad top", tsDB.URL, "GET", "/api/v1/virusdb?experiment=e&top=0",
-			"", 400, "bad_request"},
 		{"virusdb bad offset", tsDB.URL, "GET", "/api/v1/virusdb?experiment=e&offset=-1",
 			"", 400, "bad_request"},
 		{"virusdb bad min_fitness", tsDB.URL, "GET",
@@ -81,66 +77,24 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 			`{"worker_id":"ghost"}`, 404, "unknown_worker"},
 	}
 	for _, c := range cases {
-		paths := []string{c.path}
-		if strings.HasPrefix(c.path, "/api/v1/") && !strings.Contains(c.path, "/no/such") {
-			paths = append(paths, "/api"+strings.TrimPrefix(c.path, "/api/v1"))
+		status, ctype, eb := doRaw(t, c.method, c.ts+c.path, c.body)
+		if status != c.status {
+			t.Errorf("%s: HTTP %d, want %d", c.name, status, c.status)
 		}
-		for _, path := range paths {
-			status, ctype, eb := doRaw(t, c.method, c.ts+path, c.body)
-			if status != c.status {
-				t.Errorf("%s (%s): HTTP %d, want %d", c.name, path, status, c.status)
-			}
-			if !strings.HasPrefix(ctype, "application/json") {
-				t.Errorf("%s (%s): Content-Type %q", c.name, path, ctype)
-			}
-			if eb.Error.Code != c.code {
-				t.Errorf("%s (%s): code %q, want %q", c.name, path, eb.Error.Code, c.code)
-			}
-			if eb.Error.Message == "" {
-				t.Errorf("%s (%s): empty error message", c.name, path)
-			}
+		if !strings.HasPrefix(ctype, "application/json") {
+			t.Errorf("%s: Content-Type %q", c.name, ctype)
 		}
-	}
-}
-
-// TestVersionedAndLegacyRoutesAnswer: the read-only surface answers 200 on
-// both spellings, with identical bodies — the alias really is the same
-// handler, not a second implementation.
-func TestVersionedAndLegacyRoutesAnswer(t *testing.T) {
-	_, ts := testDaemon(t, 2, true)
-	pairs := []struct {
-		v1, legacy string
-		compare    bool // metrics carry live counters; only check they answer
-	}{
-		{"/api/v1/jobs", "/api/jobs", true},
-		{"/api/v1/virusdb", "/api/virusdb", true},
-		{"/api/v1/metrics", "/metrics", false},
-	}
-	for _, pair := range pairs {
-		var bodies [2]string
-		for i, path := range []string{pair.v1, pair.legacy} {
-			resp, err := http.Get(ts.URL + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
-			}
-			bodies[i] = string(data)
+		if eb.Error.Code != c.code {
+			t.Errorf("%s: code %q, want %q", c.name, eb.Error.Code, c.code)
 		}
-		if pair.compare && bodies[0] != bodies[1] {
-			t.Errorf("%s and %s answer differently", pair.v1, pair.legacy)
+		if eb.Error.Message == "" {
+			t.Errorf("%s: empty error message", c.name)
 		}
 	}
 }
 
 // TestVirusDBPaging: limit/offset/min_fitness slice the strongest-first
-// record list deterministically, and the pre-v1 "top" spelling still works.
+// record list deterministically.
 func TestVirusDBPaging(t *testing.T) {
 	d, ts := testDaemon(t, 2, true)
 	for i, fit := range []float64{3, 1, 5, 2, 4} {
@@ -169,7 +123,6 @@ func TestVirusDBPaging(t *testing.T) {
 	}{
 		{"", []float64{5, 4, 3, 2, 1}},
 		{"&limit=2", []float64{5, 4}},
-		{"&top=2", []float64{5, 4}}, // legacy alias of limit
 		{"&limit=2&offset=1", []float64{4, 3}},
 		{"&offset=4", []float64{1}},
 		{"&offset=99", []float64{}},

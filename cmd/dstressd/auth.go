@@ -101,18 +101,17 @@ func (a *authConfig) authenticate(r *http.Request) (string, error) {
 }
 
 // withAuth gates the API surface behind bearer-token auth: every /api/...
-// route (v1, the legacy aliases, and the fleet worker protocol) plus the
-// legacy /metrics spelling requires a known token, and the resolved tenant
-// rides the request context into submit-side quota accounting. The debug
-// surface (/debug/vars, pprof) stays open — it is an operator loopback
-// surface, not the tenant API. A nil config is auth-off: everything passes
-// as the anonymous tenant.
+// route (the fleet worker protocol included) requires a known token, and the
+// resolved tenant rides the request context into quota accounting and job
+// visibility. The pprof surface stays open — it is an operator loopback, not
+// the tenant API, and names no tenant's jobs. A nil config is auth-off:
+// everything passes as the anonymous tenant.
 func withAuth(cfg *authConfig, next http.Handler) http.Handler {
 	if cfg == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/api/") && r.URL.Path != "/metrics" {
+		if !strings.HasPrefix(r.URL.Path, "/api/") {
 			next.ServeHTTP(w, r)
 			return
 		}

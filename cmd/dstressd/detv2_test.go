@@ -43,7 +43,7 @@ func TestDetV2FleetEndToEndBitIdentical(t *testing.T) {
 func TestDetV2BadVersionRejected(t *testing.T) {
 	_, ts := testDaemon(t, 2, false)
 	var body errorBody
-	code := postJSON(t, ts.URL+"/api/jobs", jobRequest{
+	code := postJSON(t, ts.URL+"/api/v1/jobs", jobRequest{
 		Template: "data64", Generations: 1, Population: 4, Runs: 1,
 		Determinism: "v3",
 	}, &body)

@@ -47,21 +47,34 @@ func rawStatus(t *testing.T, method, url string) (int, string, string) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), body.Error.Message
 }
 
-// TestJSONNotFoundEverywhere: unknown job ids across GET/wait/cancel and
-// unknown paths all answer 404 with a JSON error body, never Go's plain-text
-// 404 page — fleet clients must be able to tell "gone" from a transport
-// failure mechanically.
+// TestJSONNotFoundEverywhere: unknown job ids across GET/wait/cancel, unknown
+// paths and the removed pre-/api/v1 spellings all answer 404 with a JSON
+// error body, never Go's plain-text 404 page — fleet clients must be able to
+// tell "gone" from a transport failure mechanically.
 func TestJSONNotFoundEverywhere(t *testing.T) {
-	_, ts := testDaemon(t, 2, false)
+	d, ts := testDaemon(t, 2, false)
+	// Job 1 exists, so its legacy spelling 404s for the route, not the id.
+	j, err := d.sched.SubmitJob(farm.JobSpec{Name: "one", Workers: 1},
+		func(ctx context.Context, j *farm.Job) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
 	cases := []struct {
 		method, path string
 	}{
-		{http.MethodGet, "/api/jobs/999"},
-		{http.MethodGet, "/api/jobs/999/wait"},
-		{http.MethodPost, "/api/jobs/999/cancel"},
+		{http.MethodGet, "/api/v1/jobs/999"},
+		{http.MethodGet, "/api/v1/jobs/999/wait"},
+		{http.MethodPost, "/api/v1/jobs/999/cancel"},
 		{http.MethodGet, "/api/no/such/path"},
-		{http.MethodGet, "/api/jobs/999/"},
-		{http.MethodPost, "/api/fleet/nonsense"},
+		{http.MethodGet, "/api/v1/jobs/999/"},
+		{http.MethodPost, "/api/v1/fleet/nonsense"},
+		{http.MethodGet, "/api/jobs/1"},
+		{http.MethodGet, "/api/jobs"},
+		{http.MethodGet, "/api/virusdb"},
+		{http.MethodGet, "/metrics"},
+		{http.MethodGet, "/debug/vars"},
+		{http.MethodPost, "/api/fleet/join"},
 	}
 	for _, c := range cases {
 		code, ctype, errMsg := rawStatus(t, c.method, ts.URL+c.path)
@@ -98,7 +111,7 @@ func TestDurableOverBudgetSubmitRejected(t *testing.T) {
 	}()
 
 	var body errorBody
-	code := postJSON(t, ts.URL+"/api/jobs", jobRequest{
+	code := postJSON(t, ts.URL+"/api/v1/jobs", jobRequest{
 		Template: "data64", Generations: 1, Population: 4,
 		Workers: 16, Runs: 1,
 	}, &body)
@@ -199,8 +212,7 @@ func fleetVariant(t *testing.T, req jobRequest, n int, killOne bool) jobResult {
 			cancelFirst = c
 			defer c()
 		}
-		w := fleet.NewWorker(ts.URL, fmt.Sprintf("w%d", i), buildFleetEvaluator,
-			fleet.WithBatchBuild(buildFleetEvaluators), // as runWorker wires it
+		w := fleet.NewWorker(ts.URL, fmt.Sprintf("w%d", i), buildFleetEvaluators,
 			fleet.WithLeaseWait(200*time.Millisecond),
 			fleet.WithBackoff(5*time.Millisecond, 50*time.Millisecond, 2))
 		wg.Add(1)
@@ -220,7 +232,7 @@ func fleetVariant(t *testing.T, req jobRequest, n int, killOne bool) jobResult {
 	var status struct {
 		ID int `json:"id"`
 	}
-	if code := postJSON(t, ts.URL+"/api/jobs", req, &status); code != http.StatusAccepted {
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", req, &status); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 
@@ -231,7 +243,7 @@ func fleetVariant(t *testing.T, req jobRequest, n int, killOne bool) jobResult {
 				t.Fatal("job never reached generation 2")
 			}
 			var view jobView
-			getJSON(t, ts.URL+"/api/jobs/1", &view)
+			getJSON(t, ts.URL+"/api/v1/jobs/1", &view)
 			if view.State.String() == "done" {
 				t.Fatal("job finished before the kill; slow the search down")
 			}
@@ -349,7 +361,7 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 		if time.Now().After(upDeadline) {
 			t.Fatal("daemon process did not come up")
 		}
-		resp, err := http.Get(base + "/api/jobs")
+		resp, err := http.Get(base + "/api/v1/jobs")
 		if err == nil {
 			resp.Body.Close()
 			break
@@ -376,7 +388,7 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 		if time.Now().After(joinDeadline) {
 			t.Fatalf("only %d worker processes joined", len(mv.Fleet.Workers))
 		}
-		getJSON(t, base+"/metrics", &mv)
+		getJSON(t, base+"/api/v1/metrics", &mv)
 		time.Sleep(20 * time.Millisecond)
 	}
 
@@ -384,7 +396,7 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 		Template: "data24k", Criterion: "max-ce", TempC: 55,
 		Generations: 10, Population: 8, Workers: 2, Seed: 99, Rows: 32, Runs: 16,
 	}
-	if code := postJSON(t, base+"/api/jobs", req, nil); code != http.StatusAccepted {
+	if code := postJSON(t, base+"/api/v1/jobs", req, nil); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 
@@ -394,7 +406,7 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 			t.Fatal("job never reached generation 2")
 		}
 		var view jobView
-		getJSON(t, base+"/api/jobs/1", &view)
+		getJSON(t, base+"/api/v1/jobs/1", &view)
 		if view.State.String() == "done" {
 			t.Fatal("job finished before the kill; slow the search down")
 		}
@@ -409,14 +421,14 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 	w1.Wait()
 
 	var finished jobView
-	if code := getJSON(t, base+"/api/jobs/1/wait", &finished); code != http.StatusOK {
+	if code := getJSON(t, base+"/api/v1/jobs/1/wait", &finished); code != http.StatusOK {
 		t.Fatalf("wait: HTTP %d", code)
 	}
 	if finished.State.String() != "done" || finished.Result == nil {
 		t.Fatalf("job after worker kill: state %s, error %q",
 			finished.State, finished.Error)
 	}
-	getJSON(t, base+"/metrics", &mv)
+	getJSON(t, base+"/api/v1/metrics", &mv)
 	if mv.Fleet.RemoteTasks == 0 {
 		t.Fatalf("no evaluations ran on the worker processes: %+v", mv.Fleet)
 	}

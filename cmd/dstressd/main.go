@@ -23,9 +23,7 @@
 // final checkpoint, and the daemon exits once they settle (or the -drain
 // deadline passes — the journal still holds whatever was flushed).
 //
-// Endpoints (the canonical surface is versioned under /api/v1; every
-// pre-versioning spelling remains as a thin alias of the same handler — the
-// README documents the full mapping):
+// Endpoints (each registered once, under /api/v1):
 //
 //	POST /api/v1/jobs            submit a search (JSON body, see jobRequest)
 //	GET  /api/v1/jobs            list all jobs
@@ -37,8 +35,9 @@
 //	GET  /api/v1/virusdb         experiments; with ?experiment=... the
 //	                             records, paged by limit/offset/min_fitness
 //	GET  /api/v1/metrics         farm/cache/scheduler/fleet/eval counters
-//	GET  /debug/vars             the same, expvar-style
 //	POST /api/v1/fleet/{join,heartbeat,lease,report}  fleet worker protocol
+//
+// /debug/pprof/ serves live profiles outside the API.
 //
 // With -auth, the API surface (the fleet worker verbs included) requires a
 // bearer token; each token maps to a tenant whose scheduler quotas, priority
@@ -59,7 +58,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -70,8 +68,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -181,15 +177,77 @@ type jobRequest struct {
 // scheduler, letting any tenant outrank every weighted tenant forever.
 const maxPriority = 9
 
-// parseDeterminism maps the wire spelling to the dram contract version.
-func parseDeterminism(s string) (dram.DeterminismVersion, error) {
-	switch s {
-	case "", "v1":
-		return dram.DeterminismV1, nil
-	case "v2":
-		return dram.DeterminismV2, nil
+// Caps on the tenant-controlled sizes of a submission. The simulated DIMM
+// grows with rows (its weak-cell population is banks·rows/2, sampled into
+// 32-bit row keys), so an unbounded request could take the daemon — and
+// every fleet worker that rebuilds the same server — down for every tenant.
+// maxRows is a DDR3 bank's row count; everything in-tree runs at ≤ 128 rows
+// and ≤ 64 genomes.
+const (
+	maxRows         = 65536
+	maxPopulation   = 4096
+	maxRequestBytes = 1 << 20 // submit body
+)
+
+// parseJobRequest is the one place a jobRequest becomes an evaluation
+// environment: the template (with its fill), the criterion and the
+// determinism contract, after the size caps. prepare runs it on every
+// submission and journal replay, and a fleet worker on every shipped
+// context, so coordinator and workers cannot read a request differently.
+func parseJobRequest(req jobRequest) (core.Spec, core.Criterion,
+	dram.DeterminismVersion, error) {
+	if req.Rows > maxRows {
+		return nil, 0, 0, fmt.Errorf("rows %d exceeds the cap of %d", req.Rows, maxRows)
 	}
-	return 0, fmt.Errorf("unknown determinism %q (want v1 or v2)", s)
+	if req.Population > maxPopulation {
+		return nil, 0, 0, fmt.Errorf("population %d exceeds the cap of %d",
+			req.Population, maxPopulation)
+	}
+	fill := uint64(0x3333333333333333)
+	if req.Fill != "" {
+		v, err := strconv.ParseUint(req.Fill, 0, 64)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("bad fill: %w", err)
+		}
+		fill = v
+	}
+	var spec core.Spec
+	switch req.Template {
+	case "", "data64":
+		spec = core.Data64Spec{}
+	case "data24k":
+		spec = core.NewData24KSpec()
+	case "data512k":
+		spec = core.NewData512KSpec()
+	case "access-rows":
+		spec = core.NewAccessRowsSpec(fill)
+	case "access-coeffs":
+		spec = core.NewAccessCoeffsSpec(fill)
+	default:
+		return nil, 0, 0, fmt.Errorf("unknown template %q", req.Template)
+	}
+	var crit core.Criterion
+	switch req.Criterion {
+	case "", "max-ce":
+		crit = core.MaxCE
+	case "min-ce":
+		crit = core.MinCE
+	case "max-ue":
+		crit = core.MaxUE
+	default:
+		return nil, 0, 0, fmt.Errorf("unknown criterion %q", req.Criterion)
+	}
+	var det dram.DeterminismVersion
+	switch req.Determinism {
+	case "", "v1":
+		det = dram.DeterminismV1
+	case "v2":
+		det = dram.DeterminismV2
+	default:
+		return nil, 0, 0, fmt.Errorf("unknown determinism %q (want v1 or v2)",
+			req.Determinism)
+	}
+	return spec, crit, det, nil
 }
 
 // jobResult is what a finished search reports back through the job handle.
@@ -203,34 +261,6 @@ type jobResult struct {
 	MeanCE      float64 `json:"mean_ce"`
 	UEFrac      float64 `json:"ue_frac"`
 	Population  int     `json:"population"`
-}
-
-func buildSpec(template string, fill uint64) (core.Spec, error) {
-	switch template {
-	case "", "data64":
-		return core.Data64Spec{}, nil
-	case "data24k":
-		return core.NewData24KSpec(), nil
-	case "data512k":
-		return core.NewData512KSpec(), nil
-	case "access-rows":
-		return core.NewAccessRowsSpec(fill), nil
-	case "access-coeffs":
-		return core.NewAccessCoeffsSpec(fill), nil
-	}
-	return nil, fmt.Errorf("unknown template %q", template)
-}
-
-func buildCriterion(name string) (core.Criterion, error) {
-	switch name {
-	case "", "max-ce":
-		return core.MaxCE, nil
-	case "min-ce":
-		return core.MinCE, nil
-	case "max-ue":
-		return core.MaxUE, nil
-	}
-	return 0, fmt.Errorf("unknown criterion %q", name)
 }
 
 // prepared is a validated, default-filled job submission, ready to launch —
@@ -284,23 +314,7 @@ func (d *daemon) prepare(req jobRequest) (prepared, error) {
 	} else if req.Priority > maxPriority {
 		req.Priority = maxPriority
 	}
-	fill := uint64(0x3333333333333333)
-	if req.Fill != "" {
-		v, err := strconv.ParseUint(req.Fill, 0, 64)
-		if err != nil {
-			return prepared{}, fmt.Errorf("bad fill: %w", err)
-		}
-		fill = v
-	}
-	spec, err := buildSpec(req.Template, fill)
-	if err != nil {
-		return prepared{}, err
-	}
-	crit, err := buildCriterion(req.Criterion)
-	if err != nil {
-		return prepared{}, err
-	}
-	det, err := parseDeterminism(req.Determinism)
+	spec, crit, det, err := parseJobRequest(req)
 	if err != nil {
 		return prepared{}, err
 	}
@@ -366,7 +380,8 @@ func (d *daemon) launch(p prepared, ckpt json.RawMessage) (*farm.Job, error) {
 
 func (d *daemon) submitJob(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
 		return
 	}
@@ -538,21 +553,73 @@ func (d *daemon) scopedTenant(r *http.Request) string {
 	return tenant
 }
 
-func (d *daemon) listJobs(w http.ResponseWriter, r *http.Request) {
-	jobs := d.sched.Jobs()
-	if scope := d.scopedTenant(r); scope != "" {
-		kept := jobs[:0]
-		for _, st := range jobs {
-			if st.Tenant == scope {
-				kept = append(kept, st)
-			}
-		}
-		jobs = kept
+// scoped keeps the entries of xs accounted under scope (a scopedTenant
+// result; "" keeps everything). owner names an entry's tenant.
+func scoped[T any](scope string, xs []T, owner func(T) string) []T {
+	if scope == "" {
+		return xs
 	}
-	writeJSON(w, http.StatusOK, jobs)
+	kept := xs[:0]
+	for _, x := range xs {
+		if owner(x) == scope {
+			kept = append(kept, x)
+		}
+	}
+	return kept
 }
 
-// jobView is the GET /api/jobs/{id} response.
+func jobTenant(st farm.JobStatus) string { return st.Tenant }
+
+func (d *daemon) listJobs(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, scoped(d.scopedTenant(r), d.sched.Jobs(), jobTenant))
+}
+
+// jobRef is a job-scoped route's resolved target: the live job, or — once
+// the retention policy evicted it — nil plus the terminal status stub its
+// journal entry still backs.
+type jobRef struct {
+	job  *farm.Job
+	stub farm.JobStatus
+}
+
+// view renders the target: the live job's status and, when finished, its
+// result; an evicted job's stub, without the (discarded) result.
+func (ref jobRef) view() jobView {
+	if ref.job == nil {
+		return jobView{JobStatus: ref.stub}
+	}
+	return viewOf(ref.job)
+}
+
+// jobRoute is the one guard in front of every job-scoped route: it parses
+// {id}, resolves it to a live job or a journal stub, and checks that the
+// caller may see it before the handler runs. Another tenant's job answers
+// exactly like a missing one: job ids are small sequential integers, and a
+// 403 would confirm to a probing tenant which ids are live.
+func (d *daemon) jobRoute(h func(http.ResponseWriter, *http.Request, jobRef)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, err := strconv.Atoi(r.PathValue("id"))
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad job id"))
+			return
+		}
+		var ref jobRef
+		var owner string
+		ok := false
+		if ref.job, ok = d.sched.Job(id); ok {
+			owner = ref.job.Tenant()
+		} else if ref.stub, ok = d.sched.Status(id); ok {
+			owner = ref.stub.Tenant
+		}
+		if scope := d.scopedTenant(r); !ok || (scope != "" && scope != owner) {
+			httpError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
+			return
+		}
+		h(w, r, ref)
+	}
+}
+
+// jobView is the GET /api/v1/jobs/{id} response.
 type jobView struct {
 	farm.JobStatus
 	Result *jobResult `json:"result,omitempty"`
@@ -572,18 +639,8 @@ func viewOf(j *farm.Job) jobView {
 	return view
 }
 
-func (d *daemon) getJob(w http.ResponseWriter, r *http.Request) {
-	j, st, ok := d.findJob(w, r)
-	if !ok {
-		return
-	}
-	if j == nil {
-		// Evicted by the retention policy but still journaled: a terminal
-		// stub, without the (discarded) result.
-		writeJSON(w, http.StatusOK, jobView{JobStatus: st})
-		return
-	}
-	writeJSON(w, http.StatusOK, viewOf(j))
+func (d *daemon) getJob(w http.ResponseWriter, r *http.Request, ref jobRef) {
+	writeJSON(w, http.StatusOK, ref.view())
 }
 
 // waitJob blocks until the job finishes, then reports it like getJob — a
@@ -592,14 +649,11 @@ func (d *daemon) getJob(w http.ResponseWriter, r *http.Request) {
 // the handler immediately instead of leaking it until the job ends. With
 // `Accept: text/event-stream` the wait becomes an SSE stream of progress
 // events instead of one blocking response (see serveSSE).
-func (d *daemon) waitJob(w http.ResponseWriter, r *http.Request) {
-	j, st, ok := d.findJob(w, r)
-	if !ok {
-		return
-	}
+func (d *daemon) waitJob(w http.ResponseWriter, r *http.Request, ref jobRef) {
+	j := ref.job
 	if j == nil {
 		// Already terminal (retention stub): nothing to wait for.
-		writeJSON(w, http.StatusOK, jobView{JobStatus: st})
+		writeJSON(w, http.StatusOK, ref.view())
 		return
 	}
 	if wantsSSE(r) {
@@ -628,67 +682,19 @@ func wantsSSE(r *http.Request) bool {
 	return false
 }
 
-func (d *daemon) cancelJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := d.lookupJob(w, r)
-	if !ok {
-		return
+// cancelJob stops a live job; an evicted job is already terminal, so its
+// stub answers as is.
+func (d *daemon) cancelJob(w http.ResponseWriter, r *http.Request, ref jobRef) {
+	if ref.job != nil {
+		d.sched.Cancel(ref.job.ID())
 	}
-	d.sched.Cancel(j.ID())
-	writeJSON(w, http.StatusOK, j.Status())
-}
-
-func (d *daemon) lookupJob(w http.ResponseWriter, r *http.Request) (*farm.Job, bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad job id"))
-		return nil, false
-	}
-	j, ok := d.sched.Job(id)
-	if !ok || !d.ownsJob(r, j.Tenant()) {
-		// Another tenant's job answers exactly like a missing one: job ids
-		// are small sequential integers, and a 403 would confirm to a
-		// probing tenant which ids are live.
-		httpError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
-		return nil, false
-	}
-	return j, true
-}
-
-// ownsJob reports whether the request may act on a job accounted under the
-// given tenant.
-func (d *daemon) ownsJob(r *http.Request, tenant string) bool {
-	scope := d.scopedTenant(r)
-	return scope == "" || scope == tenant
-}
-
-// findJob resolves {id} to a live job, or — when the retention policy has
-// already evicted it — to a journal-backed terminal status stub (nil job,
-// ok=true). False means the error response has been written. A job owned
-// by another tenant is reported as missing, never as forbidden.
-func (d *daemon) findJob(w http.ResponseWriter, r *http.Request) (*farm.Job, farm.JobStatus, bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad job id"))
-		return nil, farm.JobStatus{}, false
-	}
-	if j, ok := d.sched.Job(id); ok {
-		if d.ownsJob(r, j.Tenant()) {
-			return j, farm.JobStatus{}, true
-		}
-	} else if st, ok := d.sched.Status(id); ok {
-		if d.ownsJob(r, st.Tenant) {
-			return nil, st, true
-		}
-	}
-	httpError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
-	return nil, farm.JobStatus{}, false
+	writeJSON(w, http.StatusOK, ref.view())
 }
 
 // getVirusDB serves the database: the index view without an experiment,
 // otherwise that experiment's records strongest-first (a stable sort over
 // the append order, so identical queries page identically), filtered by
-// min_fitness and windowed by offset/limit. "top" is the pre-v1 spelling of
-// limit and stays accepted.
+// min_fitness and windowed by offset/limit.
 func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 	if d.db == nil {
 		httpError(w, http.StatusNotFound, errors.New("daemon runs without a database"))
@@ -729,11 +735,7 @@ func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 		}
 		recs = recs[n:]
 	}
-	limit := q.Get("limit")
-	if limit == "" {
-		limit = q.Get("top")
-	}
-	if limit != "" {
+	if limit := q.Get("limit"); limit != "" {
 		n, err := strconv.Atoi(limit)
 		if err != nil || n < 1 {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", limit))
@@ -749,10 +751,8 @@ func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, recs)
 }
 
-// metricsView aggregates every counter the daemon keeps. It is the single
-// source for every metrics surface — /api/v1/metrics, the legacy /metrics
-// alias and /debug/vars all render this struct, so the sections (islands and
-// fleet included) cannot drift apart between spellings.
+// metricsView aggregates every counter the daemon keeps: the body of
+// /api/v1/metrics, the daemon's only metrics surface.
 type metricsView struct {
 	Farm  farm.MetricsSnapshot `json:"farm"`
 	Cache farm.CacheStats      `json:"cache"`
@@ -771,81 +771,36 @@ type metricsView struct {
 	Eval dram.EvalStats `json:"eval"`
 }
 
-func (d *daemon) metricsView() metricsView {
+// getMetrics serves the metrics. The scheduler section names every tenant's
+// jobs and ledgers, so it is scoped to the caller like the job list (admin
+// tenants keep the full view); the aggregate farm/cache/islands/fleet/eval
+// counters carry no per-tenant identity and stay whole.
+func (d *daemon) getMetrics(w http.ResponseWriter, r *http.Request) {
+	scope := d.scopedTenant(r)
 	var mv metricsView
 	mv.Farm = d.metrics.Snapshot(d.sched.Budget())
 	mv.Cache = d.cache.Stats()
 	mv.Sched.Budget = d.sched.Budget()
 	mv.Sched.InUse = d.sched.InUse()
 	mv.Sched.QueueDepth = d.sched.QueueDepth()
-	mv.Sched.Jobs = d.sched.Jobs()
-	mv.Sched.Tenants = d.sched.Tenants()
+	mv.Sched.Jobs = scoped(scope, d.sched.Jobs(), jobTenant)
+	mv.Sched.Tenants = scoped(scope, d.sched.Tenants(),
+		func(tn farm.TenantStatus) string { return tn.Tenant })
 	mv.Islands = d.islandsMet.Snapshot()
 	mv.Fleet = d.fleet.Snapshot()
 	mv.Eval = dram.EvalSnapshot()
-	return mv
-}
-
-func (d *daemon) getMetrics(w http.ResponseWriter, r *http.Request) {
-	mv := d.metricsView()
-	if scope := d.scopedTenant(r); scope != "" {
-		// The scheduler section names every tenant's jobs and ledgers; scope
-		// it to the caller. The aggregate farm/cache/fleet/eval counters stay
-		// — they carry no per-tenant identity. The full view remains on the
-		// operator loopback (/debug/vars) and for admin tenants.
-		jobs := mv.Sched.Jobs[:0]
-		for _, st := range mv.Sched.Jobs {
-			if st.Tenant == scope {
-				jobs = append(jobs, st)
-			}
-		}
-		mv.Sched.Jobs = jobs
-		tenants := mv.Sched.Tenants[:0]
-		for _, tn := range mv.Sched.Tenants {
-			if tn.Tenant == scope {
-				tenants = append(tenants, tn)
-			}
-		}
-		mv.Sched.Tenants = tenants
-	}
 	writeJSON(w, http.StatusOK, mv)
 }
 
-// expvarDaemon feeds expvar from whichever daemon was built last; expvar
-// registration is process-global and must not repeat (tests build several
-// daemons in one process).
-var (
-	expvarDaemon atomic.Pointer[daemon]
-	expvarOnce   sync.Once
-)
-
 func (d *daemon) handler() http.Handler {
-	expvarDaemon.Store(d)
-	expvarOnce.Do(func() {
-		expvar.Publish("dstressd", expvar.Func(func() any {
-			if cur := expvarDaemon.Load(); cur != nil {
-				return cur.metricsView()
-			}
-			return nil
-		}))
-	})
 	mux := http.NewServeMux()
-	// The canonical surface lives under /api/v1; both registers each
-	// endpoint's pre-versioning spelling as a thin alias — same handler,
-	// same responses — so existing clients and scripts keep working.
-	both := func(v1, legacy string, h http.HandlerFunc) {
-		mux.HandleFunc(v1, h)
-		mux.HandleFunc(legacy, h)
-	}
-	both("POST /api/v1/jobs", "POST /api/jobs", d.submitJob)
-	both("GET /api/v1/jobs", "GET /api/jobs", d.listJobs)
-	both("GET /api/v1/jobs/{id}", "GET /api/jobs/{id}", d.getJob)
-	both("GET /api/v1/jobs/{id}/wait", "GET /api/jobs/{id}/wait", d.waitJob)
-	both("POST /api/v1/jobs/{id}/cancel", "POST /api/jobs/{id}/cancel",
-		d.cancelJob)
-	both("GET /api/v1/virusdb", "GET /api/virusdb", d.getVirusDB)
-	both("GET /api/v1/metrics", "GET /metrics", d.getMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.HandleFunc("POST /api/v1/jobs", d.submitJob)
+	mux.HandleFunc("GET /api/v1/jobs", d.listJobs)
+	mux.HandleFunc("GET /api/v1/jobs/{id}", d.jobRoute(d.getJob))
+	mux.HandleFunc("GET /api/v1/jobs/{id}/wait", d.jobRoute(d.waitJob))
+	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", d.jobRoute(d.cancelJob))
+	mux.HandleFunc("GET /api/v1/virusdb", d.getVirusDB)
+	mux.HandleFunc("GET /api/v1/metrics", d.getMetrics)
 	// Live profiling of a running campaign: `go tool pprof
 	// http://host/debug/pprof/profile` diagnoses evaluation-path
 	// regressions without restarting the daemon.
@@ -922,41 +877,19 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorEnvelope{apiError{Code: code, Message: err.Error()}})
 }
 
-// buildFleetEvaluator turns a shipped evaluation context (the coordinator's
-// default-filled job request) into the evaluator a farm worker runs. The
-// server is built fresh from the same configuration a coordinator-side farm
-// clone rebuilds from, so both measure identically.
-func buildFleetEvaluator(evalCtx json.RawMessage) (farm.EvalFunc, error) {
-	single, _, err := buildFleetEvaluators(evalCtx)
-	return single, err
-}
-
-// buildFleetEvaluators is the fleet.BatchBuildFunc the worker runs under:
-// the per-task evaluator plus its chunked companion over one shared server,
-// so a shard whose context measures under determinism v2 evaluates in one
-// batched pass (bit-identical to the per-task loop; nil chunk under v1).
+// buildFleetEvaluators is the fleet.BatchBuildFunc a worker runs under. It
+// turns a shipped evaluation context (the coordinator's default-filled job
+// request) into the per-task evaluator plus its chunked companion over one
+// server, built fresh from the same configuration a coordinator-side farm
+// clone rebuilds from, so both measure identically. A shard whose context
+// measures under determinism v2 evaluates in one batched pass (bit-identical
+// to the per-task loop; nil chunk under v1).
 func buildFleetEvaluators(evalCtx json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
 	var req jobRequest
 	if err := json.Unmarshal(evalCtx, &req); err != nil {
 		return nil, nil, fmt.Errorf("bad evaluation context: %w", err)
 	}
-	fill := uint64(0x3333333333333333)
-	if req.Fill != "" {
-		v, err := strconv.ParseUint(req.Fill, 0, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad fill: %w", err)
-		}
-		fill = v
-	}
-	spec, err := buildSpec(req.Template, fill)
-	if err != nil {
-		return nil, nil, err
-	}
-	crit, err := buildCriterion(req.Criterion)
-	if err != nil {
-		return nil, nil, err
-	}
-	det, err := parseDeterminism(req.Determinism)
+	spec, crit, det, err := parseJobRequest(req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -983,8 +916,7 @@ func runWorker(coordinator, name, token string) {
 	ctx, stop := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	w := fleet.NewWorker(coordinator, name, buildFleetEvaluator,
-		fleet.WithBatchBuild(buildFleetEvaluators),
+	w := fleet.NewWorker(coordinator, name, buildFleetEvaluators,
 		fleet.WithAuthToken(token),
 		fleet.WithLogf(log.Printf))
 	log.Printf("dstressd: worker %q serving coordinator %s", name, coordinator)

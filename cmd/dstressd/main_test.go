@@ -80,7 +80,7 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) jobView {
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
 		var view jobView
-		if code := getJSON(t, ts.URL+"/api/jobs/"+id, &view); code != http.StatusOK {
+		if code := getJSON(t, ts.URL+"/api/v1/jobs/"+id, &view); code != http.StatusOK {
 			t.Fatalf("GET job: HTTP %d", code)
 		}
 		switch view.State.String() {
@@ -99,7 +99,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	var status struct {
 		ID int `json:"id"`
 	}
-	code := postJSON(t, ts.URL+"/api/jobs", jobRequest{
+	code := postJSON(t, ts.URL+"/api/v1/jobs", jobRequest{
 		Template:    "data64",
 		Criterion:   "max-ce",
 		TempC:       55,
@@ -134,21 +134,21 @@ func TestDaemonEndToEnd(t *testing.T) {
 		Experiments []string `json:"experiments"`
 		Records     int      `json:"records"`
 	}
-	if code := getJSON(t, ts.URL+"/api/virusdb", &dbInfo); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/api/v1/virusdb", &dbInfo); code != http.StatusOK {
 		t.Fatalf("virusdb: HTTP %d", code)
 	}
 	if len(dbInfo.Experiments) != 1 || dbInfo.Records != 6 {
 		t.Fatalf("virusdb = %+v", dbInfo)
 	}
 	var recs []virusdb.Record
-	getJSON(t, ts.URL+"/api/virusdb?experiment=data64/max-ce/55C&top=3", &recs)
+	getJSON(t, ts.URL+"/api/v1/virusdb?experiment=data64/max-ce/55C&limit=3", &recs)
 	if len(recs) != 3 || recs[0].Fitness < recs[2].Fitness {
 		t.Fatalf("top records = %+v", recs)
 	}
 
 	// Metrics counted the evaluations and the cache traffic.
 	var mv metricsView
-	if code := getJSON(t, ts.URL+"/metrics", &mv); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/api/v1/metrics", &mv); code != http.StatusOK {
 		t.Fatalf("metrics: HTTP %d", code)
 	}
 	if mv.Farm.Evaluations == 0 {
@@ -161,19 +161,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("scheduler view = %+v", mv.Sched)
 	}
 
-	// The job list and expvar mirror the same state.
+	// The job list mirrors the same state.
 	var jobs []json.RawMessage
-	if code := getJSON(t, ts.URL+"/api/jobs", &jobs); code != http.StatusOK || len(jobs) != 1 {
+	if code := getJSON(t, ts.URL+"/api/v1/jobs", &jobs); code != http.StatusOK || len(jobs) != 1 {
 		t.Fatalf("job list: HTTP %d, %d jobs", code, len(jobs))
-	}
-	var vars struct {
-		Dstressd *metricsView `json:"dstressd"`
-	}
-	if code := getJSON(t, ts.URL+"/debug/vars", &vars); code != http.StatusOK {
-		t.Fatalf("expvar: HTTP %d", code)
-	}
-	if vars.Dstressd == nil || vars.Dstressd.Farm.Evaluations == 0 {
-		t.Fatal("expvar does not export the daemon metrics")
 	}
 }
 
@@ -191,11 +182,11 @@ func TestDaemonCancelJob(t *testing.T) {
 		Workers:     1,
 		Runs:        10,
 	}
-	postJSON(t, ts.URL+"/api/jobs", long, nil)
-	postJSON(t, ts.URL+"/api/jobs", jobRequest{Generations: 2, Population: 6,
+	postJSON(t, ts.URL+"/api/v1/jobs", long, nil)
+	postJSON(t, ts.URL+"/api/v1/jobs", jobRequest{Generations: 2, Population: 6,
 		Runs: 1}, nil)
 
-	if code := postJSON(t, ts.URL+"/api/jobs/2/cancel", struct{}{}, nil); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/api/v1/jobs/2/cancel", struct{}{}, nil); code != http.StatusOK {
 		t.Fatalf("cancel: HTTP %d", code)
 	}
 	view := waitJob(t, ts, "2")
@@ -207,7 +198,7 @@ func TestDaemonCancelJob(t *testing.T) {
 	}
 
 	// Cancelling the running job stops the unbounded search too.
-	if code := postJSON(t, ts.URL+"/api/jobs/1/cancel", struct{}{}, nil); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/api/v1/jobs/1/cancel", struct{}{}, nil); code != http.StatusOK {
 		t.Fatalf("cancel running: HTTP %d", code)
 	}
 	if view := waitJob(t, ts, "1"); view.State.String() != "canceled" {
@@ -229,14 +220,14 @@ func TestWaitEndpointDisconnectAndCompletion(t *testing.T) {
 		Workers:     1,
 		Runs:        10,
 	}
-	postJSON(t, ts.URL+"/api/jobs", long, nil)
+	postJSON(t, ts.URL+"/api/v1/jobs", long, nil)
 
 	// Several clients connect to /wait and hang up almost immediately.
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			ts.URL+"/api/jobs/1/wait", nil)
+			ts.URL+"/api/v1/jobs/1/wait", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,10 +252,10 @@ func TestWaitEndpointDisconnectAndCompletion(t *testing.T) {
 	// A patient waiter is released by the job finishing.
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		postJSON(t, ts.URL+"/api/jobs/1/cancel", struct{}{}, nil)
+		postJSON(t, ts.URL+"/api/v1/jobs/1/cancel", struct{}{}, nil)
 	}()
 	var view jobView
-	if code := getJSON(t, ts.URL+"/api/jobs/1/wait", &view); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/api/v1/jobs/1/wait", &view); code != http.StatusOK {
 		t.Fatalf("/wait: HTTP %d", code)
 	}
 	if view.State.String() != "canceled" {
@@ -292,16 +283,25 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		{Template: "warp-drive"},
 		{Criterion: "most-errors"},
 		{Template: "access-rows", Fill: "0xNOPE"},
+		// Tenant-controlled sizes are capped: one oversized job would take
+		// the daemon (and every fleet worker rebuilding it) down.
+		{Rows: 1_000_000_000},
+		{Rows: maxRows + 1},
+		{Population: maxPopulation + 1},
+		{Name: strings.Repeat("x", maxRequestBytes)}, // body over the cap
 	}
 	for i, req := range cases {
-		if code := postJSON(t, ts.URL+"/api/jobs", req, nil); code != http.StatusBadRequest {
-			t.Errorf("case %d: HTTP %d", i, code)
+		var body errorBody
+		code := postJSON(t, ts.URL+"/api/v1/jobs", req, &body)
+		if code != http.StatusBadRequest || body.Error.Code != "bad_request" {
+			t.Errorf("case %d: HTTP %d code %q, want 400 bad_request",
+				i, code, body.Error.Code)
 		}
 	}
-	if code := getJSON(t, ts.URL+"/api/jobs/99", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/api/v1/jobs/99", nil); code != http.StatusNotFound {
 		t.Errorf("missing job: HTTP %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/virusdb", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/api/v1/virusdb", nil); code != http.StatusNotFound {
 		t.Errorf("virusdb without db: HTTP %d", code)
 	}
 }

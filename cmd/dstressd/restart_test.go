@@ -58,7 +58,7 @@ func startDaemonProc(t *testing.T, addr, journal string) *exec.Cmd {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/api/jobs")
+		resp, err := http.Get("http://" + addr + "/api/v1/jobs")
 		if err == nil {
 			resp.Body.Close()
 			return cmd
@@ -98,7 +98,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	proc1 := startDaemonProc(t, addr1, journal)
 	base1 := "http://" + addr1
 
-	if code := postJSON(t, base1+"/api/jobs", req, nil); code != http.StatusAccepted {
+	if code := postJSON(t, base1+"/api/v1/jobs", req, nil); code != http.StatusAccepted {
 		proc1.Process.Kill()
 		t.Fatalf("submit: HTTP %d", code)
 	}
@@ -111,7 +111,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 			t.Fatal("job never reached generation 2")
 		}
 		var view jobView
-		getJSON(t, base1+"/api/jobs/1", &view)
+		getJSON(t, base1+"/api/v1/jobs/1", &view)
 		if view.State.String() == "done" {
 			proc1.Process.Kill()
 			t.Fatal("job finished before the kill; slow the search down")
@@ -136,7 +136,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	base2 := "http://" + addr2
 
 	var jobs []jobView
-	if code := getJSON(t, base2+"/api/jobs", &jobs); code != http.StatusOK {
+	if code := getJSON(t, base2+"/api/v1/jobs", &jobs); code != http.StatusOK {
 		t.Fatalf("list after restart: HTTP %d", code)
 	}
 	if len(jobs) != 1 {
@@ -144,7 +144,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	}
 
 	var resumed jobView
-	if code := getJSON(t, base2+"/api/jobs/1/wait", &resumed); code != http.StatusOK {
+	if code := getJSON(t, base2+"/api/v1/jobs/1/wait", &resumed); code != http.StatusOK {
 		t.Fatalf("wait: HTTP %d", code)
 	}
 	if resumed.State.String() != "done" || resumed.Result == nil {
@@ -165,7 +165,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	var status struct {
 		ID int `json:"id"`
 	}
-	if code := postJSON(t, ts.URL+"/api/jobs", req, &status); code != http.StatusAccepted {
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", req, &status); code != http.StatusAccepted {
 		t.Fatalf("reference submit: HTTP %d", code)
 	}
 	ref := waitJob(t, ts, fmt.Sprint(status.ID))

@@ -69,8 +69,8 @@ func doAuthed(t *testing.T, method, url, token string, body []byte, out any) int
 	return resp.StatusCode
 }
 
-// TestAuthMiddleware is the auth matrix: every API spelling requires a known
-// token, failures carry the unauthorized envelope, the debug surface stays
+// TestAuthMiddleware is the auth matrix: every API route requires a known
+// token, failures carry the unauthorized envelope, the pprof surface stays
 // open, and the tenant a token resolves to lands in the submitted job.
 func TestAuthMiddleware(t *testing.T) {
 	_, ts := authedDaemon(t, 4)
@@ -80,8 +80,7 @@ func TestAuthMiddleware(t *testing.T) {
 	}{
 		{"no token", "", ts.URL + "/api/v1/jobs"},
 		{"unknown token", "nope", ts.URL + "/api/v1/jobs"},
-		{"legacy alias", "", ts.URL + "/api/jobs"},
-		{"metrics alias", "", ts.URL + "/metrics"},
+		{"metrics", "", ts.URL + "/api/v1/metrics"},
 		{"fleet verb", "", ts.URL + "/api/v1/fleet/join"},
 	}
 	for _, tc := range deny {
@@ -98,9 +97,9 @@ func TestAuthMiddleware(t *testing.T) {
 		}
 	}
 
-	// Debug stays open: it is the operator loopback, not the tenant API.
-	if code := doAuthed(t, http.MethodGet, ts.URL+"/debug/vars", "", nil, nil); code != http.StatusOK {
-		t.Fatalf("debug/vars behind auth: HTTP %d", code)
+	// pprof stays open: it is the operator loopback, not the tenant API.
+	if code := doAuthed(t, http.MethodGet, ts.URL+"/debug/pprof/", "", nil, nil); code != http.StatusOK {
+		t.Fatalf("debug/pprof behind auth: HTTP %d", code)
 	}
 
 	// A valid token submits, and the job is attributed to its tenant.
@@ -204,23 +203,45 @@ func TestAuthTenantIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := itoa(j.ID())
+	evictedURL := evictedJournaledJob(t)
 
-	// Tenant beta: every per-job verb answers 404 not_found.
-	probes := []struct{ method, path string }{
-		{http.MethodGet, "/api/v1/jobs/" + id},
-		{http.MethodGet, "/api/v1/jobs/" + id + "/wait"},
-		{http.MethodPost, "/api/v1/jobs/" + id + "/cancel"},
+	// Every per-job verb, on the live job and on the evicted one: beta gets
+	// 404 not_found on both, and alpha gets the evicted job's terminal stub.
+	probes := []struct {
+		method, url, token string
+		want               int
+	}{
+		{http.MethodGet, ts.URL + "/api/v1/jobs/" + id, "tokB", http.StatusNotFound},
+		{http.MethodGet, ts.URL + "/api/v1/jobs/" + id + "/wait", "tokB", http.StatusNotFound},
+		{http.MethodPost, ts.URL + "/api/v1/jobs/" + id + "/cancel", "tokB", http.StatusNotFound},
+		{http.MethodGet, evictedURL, "tokB", http.StatusNotFound},
+		{http.MethodGet, evictedURL + "/wait", "tokB", http.StatusNotFound},
+		{http.MethodPost, evictedURL + "/cancel", "tokB", http.StatusNotFound},
+		{http.MethodGet, evictedURL, "tokA", http.StatusOK},
+		{http.MethodGet, evictedURL + "/wait", "tokA", http.StatusOK},
+		{http.MethodPost, evictedURL + "/cancel", "tokA", http.StatusOK},
 	}
 	for _, pr := range probes {
-		var envelope errorBody
-		var body []byte
-		if pr.method == http.MethodPost {
-			body = []byte("{}")
+		var raw json.RawMessage
+		code := doAuthed(t, pr.method, pr.url, pr.token, nil, &raw)
+		if code != pr.want {
+			t.Fatalf("%s %s as %s: HTTP %d, want %d", pr.method, pr.url,
+				pr.token, code, pr.want)
 		}
-		code := doAuthed(t, pr.method, ts.URL+pr.path, "tokB", body, &envelope)
-		if code != http.StatusNotFound || envelope.Error.Code != "not_found" {
-			t.Fatalf("%s %s as beta: HTTP %d code %q, want 404 not_found",
-				pr.method, pr.path, code, envelope.Error.Code)
+		if code == http.StatusNotFound {
+			var envelope errorBody
+			if err := json.Unmarshal(raw, &envelope); err != nil ||
+				envelope.Error.Code != "not_found" {
+				t.Fatalf("%s %s as %s: body %s, want a not_found envelope",
+					pr.method, pr.url, pr.token, raw)
+			}
+			continue
+		}
+		var view jobView
+		if err := json.Unmarshal(raw, &view); err != nil ||
+			view.Name != "evicted" || view.State != farm.JobCanceled {
+			t.Fatalf("%s %s as %s: body %s, want the evicted job's stub",
+				pr.method, pr.url, pr.token, raw)
 		}
 	}
 	if st := j.Status(); st.State == farm.JobCanceled {
@@ -285,6 +306,51 @@ func TestAuthTenantIsolation(t *testing.T) {
 		t.Fatalf("owner cancel: HTTP %d", code)
 	}
 	<-j.Done()
+}
+
+// evictedJournaledJob builds an authed daemon whose alpha job "evicted" is
+// gone from memory but still journaled, and returns that job's URL. A durable
+// job interrupted by a shutdown keeps its journal entry, and retention 1
+// evicts it once a later alpha job is terminal too.
+func evictedJournaledJob(t *testing.T) string {
+	t.Helper()
+	jl, err := farm.OpenJournal(filepath.Join(t.TempDir(), "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ts := authedDaemon(t, 4)
+	d.sched.SetJournal(jl)
+	d.sched.SetRetention(1)
+	// Lift alpha's one-job cap: both jobs must be live at the shutdown.
+	d.sched.SetTenantLimits(map[string]farm.TenantLimits{"alpha": {}})
+	submit := func(name string, fn farm.JobFunc) *farm.Job {
+		j, err := d.sched.SubmitDurable(farm.JobSpec{
+			Name: name, Tenant: "alpha", Workers: 1, Payload: []byte("{}"),
+		}, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	evicted := submit("evicted", func(ctx context.Context, j *farm.Job) (any, error) {
+		<-ctx.Done()
+		return nil, nil
+	})
+	later := submit("later", func(ctx context.Context, j *farm.Job) (any, error) {
+		<-ctx.Done()
+		<-evicted.Done() // terminal second, so the retention evicts "evicted"
+		return nil, nil
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for d.sched.InUse() != 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	d.sched.Close()
+	<-later.Done()
+	if _, live := d.sched.Job(evicted.ID()); live {
+		t.Fatal("retention did not evict the interrupted job")
+	}
+	return ts.URL + "/api/v1/jobs/" + itoa(evicted.ID())
 }
 
 // TestPriorityClamp: the client-declared priority is clamped to the
@@ -569,7 +635,7 @@ func TestFleetWorkerAuth(t *testing.T) {
 	defer cancel()
 
 	// No token: join is rejected; the worker retries, never registers.
-	bad := fleet.NewWorker(ts.URL, "intruder", buildFleetEvaluator,
+	bad := fleet.NewWorker(ts.URL, "intruder", buildFleetEvaluators,
 		fleet.WithLeaseWait(100*time.Millisecond),
 		fleet.WithBackoff(5*time.Millisecond, 20*time.Millisecond, 2))
 	badCtx, badCancel := context.WithTimeout(ctx, 400*time.Millisecond)
@@ -580,7 +646,7 @@ func TestFleetWorkerAuth(t *testing.T) {
 	}
 
 	// With the token it joins like any tenant client.
-	good := fleet.NewWorker(ts.URL, "authed", buildFleetEvaluator,
+	good := fleet.NewWorker(ts.URL, "authed", buildFleetEvaluators,
 		fleet.WithAuthToken("tokB"),
 		fleet.WithLeaseWait(100*time.Millisecond),
 		fleet.WithBackoff(5*time.Millisecond, 20*time.Millisecond, 2))

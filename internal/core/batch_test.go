@@ -27,8 +27,9 @@ func plainPool(t *testing.T, f *Framework, cfg SearchConfig, workers int,
 		if err != nil {
 			return nil, err
 		}
-		return NewWorkerEvaluator(srv, cfg.Spec, cfg.Criterion, cfg.Point,
-			f.MCU, f.Runs, cfg.Determinism)
+		single, _, err := NewWorkerEvaluators(srv, cfg.Spec, cfg.Criterion,
+			cfg.Point, f.MCU, f.Runs, cfg.Determinism)
+		return single, err
 	}
 	pool, err := farm.NewPool(workers, root, factory)
 	if err != nil {

@@ -85,29 +85,23 @@ func (f *Framework) NewEvalPool(cfg SearchConfig, workers int,
 	return farm.NewPool(workers, root, factory, opts...)
 }
 
-// NewWorkerEvaluator programs srv to the operating point, prepares the spec
-// on it and returns the deploy-and-measure evaluator every farm worker runs.
-// It is shared between the local pool factory (which hands it a server
-// clone) and a fleet worker process (which hands it a server freshly built
-// from the shipped configuration — identical by construction, since
-// server.Clone rebuilds from config): both paths produce the same value for
-// the same (genome, rng), which is the fleet's determinism contract. det is
-// set explicitly rather than inherited because the fleet path's server is
-// built from a shipped config that predates the search's contract choice.
-func NewWorkerEvaluator(srv *server.Server, spec Spec, crit Criterion,
-	point OperatingPoint, mcu, runs int,
-	det dram.DeterminismVersion) (farm.EvalFunc, error) {
-	single, _, err := NewWorkerEvaluators(srv, spec, crit, point, mcu, runs, det)
-	return single, err
-}
-
-// NewWorkerEvaluators is NewWorkerEvaluator plus the chunked companion: both
-// evaluators run on the same prepared server, so a worker holding a chunk of
-// the population deploys and measures it in one batched pass while staying
-// bit-identical to evaluating each (genome, rng) through the single path.
-// The chunk evaluator is nil under determinism v1, whose sequential-draw
-// contract the batch engine cannot honour — callers fall back to per-task
-// dispatch.
+// NewWorkerEvaluators programs srv to the operating point, prepares the spec
+// on it and returns the deploy-and-measure evaluators every farm worker
+// runs: the per-genome evaluator and its chunked companion. It is shared
+// between the local pool factory (which hands it a server clone) and a
+// fleet worker process (which hands it a server freshly built from the
+// shipped configuration — identical by construction, since server.Clone
+// rebuilds from config): both paths produce the same value for the same
+// (genome, rng), which is the fleet's determinism contract. det is set
+// explicitly rather than inherited because the fleet path's server is built
+// from a shipped config that predates the search's contract choice.
+//
+// Both evaluators run on the same prepared server, so a worker holding a
+// chunk of the population deploys and measures it in one batched pass while
+// staying bit-identical to evaluating each (genome, rng) through the single
+// path. The chunk evaluator is nil under determinism v1, whose
+// sequential-draw contract the batch engine cannot honour — callers fall
+// back to per-task dispatch.
 func NewWorkerEvaluators(srv *server.Server, spec Spec, crit Criterion,
 	point OperatingPoint, mcu, runs int,
 	det dram.DeterminismVersion) (farm.EvalFunc, farm.ChunkEvalFunc, error) {

@@ -31,9 +31,11 @@ func testEval(g ga.Genome, rng *xrand.Rand) (float64, error) {
 
 func testFactory(int) (farm.EvalFunc, error) { return testEval, nil }
 
-// testBuild is the worker-side BuildFunc: same evaluator, built from the
-// opaque context exactly once per digest.
-func testBuild(json.RawMessage) (farm.EvalFunc, error) { return testEval, nil }
+// testBuild is the per-task worker-side BatchBuildFunc: same evaluator, built
+// from the opaque context exactly once per digest, no chunked companion.
+func testBuild(json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
+	return testEval, nil, nil
+}
 
 func testGenomes(t *testing.T, n int) []ga.Genome {
 	t.Helper()
@@ -333,10 +335,10 @@ func TestEvalErrorFailsBatch(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := NewWorker(ts.URL, "bad", func(json.RawMessage) (farm.EvalFunc, error) {
+	w := NewWorker(ts.URL, "bad", func(json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
 		return func(ga.Genome, *xrand.Rand) (float64, error) {
 			return 0, fmt.Errorf("synthetic meltdown")
-		}, nil
+		}, nil, nil
 	}, WithLeaseWait(100*time.Millisecond),
 		WithBackoff(5*time.Millisecond, 50*time.Millisecond, 2))
 	var wg sync.WaitGroup
@@ -367,8 +369,8 @@ func TestReportUnknownWorker(t *testing.T) {
 	}
 }
 
-// testBatchBuild is the worker-side BatchBuildFunc: the same measurement as
-// testBuild plus a chunked companion that evaluates its tasks in one pass —
+// testBatchBuild is the chunked worker-side BatchBuildFunc: the same
+// measurement as testBuild plus a chunked companion that evaluates its tasks in one pass —
 // identical values, so chunked workers must be invisible in the results.
 func testBatchBuild(json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
 	chunk := func(tasks []farm.Assigned, out []float64) error {
@@ -398,8 +400,7 @@ func TestBatchDetV2ChunkedWorkersBitIdentical(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		for i := 0; i < workers; i++ {
-			w := NewWorker(ts.URL, fmt.Sprintf("bw%d", i), testBuild,
-				WithBatchBuild(testBatchBuild),
+			w := NewWorker(ts.URL, fmt.Sprintf("bw%d", i), testBatchBuild,
 				WithLeaseWait(200*time.Millisecond),
 				WithBackoff(5*time.Millisecond, 50*time.Millisecond, 2))
 			wg.Add(1)

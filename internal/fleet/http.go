@@ -11,16 +11,12 @@ import (
 // open indefinitely; workers simply re-poll.
 const maxLeaseWait = 25 * time.Second
 
-// Mount registers the fleet protocol under /api/v1/fleet/ on mux, keeping
-// the historical unversioned /api/fleet/ spelling as an alias so workers of
-// either vintage can join.
+// Mount registers the fleet protocol under /api/v1/fleet/ on mux.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
-	for _, prefix := range []string{"/api/v1/fleet", "/api/fleet"} {
-		mux.HandleFunc("POST "+prefix+"/join", c.handleJoin)
-		mux.HandleFunc("POST "+prefix+"/heartbeat", c.handleHeartbeat)
-		mux.HandleFunc("POST "+prefix+"/lease", c.handleLease)
-		mux.HandleFunc("POST "+prefix+"/report", c.handleReport)
-	}
+	mux.HandleFunc("POST /api/v1/fleet/join", c.handleJoin)
+	mux.HandleFunc("POST /api/v1/fleet/heartbeat", c.handleHeartbeat)
+	mux.HandleFunc("POST /api/v1/fleet/lease", c.handleLease)
+	mux.HandleFunc("POST /api/v1/fleet/report", c.handleReport)
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {

@@ -18,18 +18,15 @@ import (
 	"dstress/internal/xrand"
 )
 
-// BuildFunc constructs an evaluator for a shard's opaque evaluation context.
-// It must build the same machine a coordinator-side farm worker would build
-// for that context — the determinism contract rests on it.
-type BuildFunc func(evalCtx json.RawMessage) (farm.EvalFunc, error)
-
-// BatchBuildFunc constructs both evaluators for an evaluation context over
-// one shared environment: the per-task evaluator and its chunked companion,
-// which evaluates a whole shard in one batched pass (see farm.ChunkEvalFunc).
-// A nil chunk evaluator (with nil error) means the context's determinism
-// contract does not support batching; the worker evaluates that context's
-// shards per task. The chunked pass must be bit-identical to the per-task
-// one — core.NewWorkerEvaluators provides exactly this pair.
+// BatchBuildFunc constructs the evaluators for a shard's opaque evaluation
+// context over one shared environment: the per-task evaluator and its
+// chunked companion, which evaluates a whole shard in one batched pass (see
+// farm.ChunkEvalFunc). It must build the same machine a coordinator-side
+// farm worker would build for that context — the determinism contract rests
+// on it. A nil chunk evaluator (with nil error) means the context's
+// determinism contract does not support batching; the worker evaluates that
+// context's shards per task. The chunked pass must be bit-identical to the
+// per-task one — core.NewWorkerEvaluators provides exactly this pair.
 type BatchBuildFunc func(evalCtx json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error)
 
 // workerEval is one context's cached evaluator pair.
@@ -43,19 +40,18 @@ type workerEval struct {
 // errors with capped exponential backoff and re-joining when the coordinator
 // forgets it (restart, liveness expiry).
 type Worker struct {
-	base       string
-	name       string
-	authToken  string
-	client     *http.Client
-	build      BuildFunc
-	batchBuild BatchBuildFunc
-	logf       func(string, ...any)
-	leaseWait  time.Duration
-	boMin      time.Duration
-	boMax      time.Duration
-	boFactor   float64
-	rng        *xrand.Rand
-	retries    atomic.Int64
+	base      string
+	name      string
+	authToken string
+	client    *http.Client
+	build     BatchBuildFunc
+	logf      func(string, ...any)
+	leaseWait time.Duration
+	boMin     time.Duration
+	boMax     time.Duration
+	boFactor  float64
+	rng       *xrand.Rand
+	retries   atomic.Int64
 
 	mu      sync.Mutex
 	evals   map[string]workerEval // context digest -> cached evaluator pair
@@ -91,16 +87,11 @@ func WithAuthToken(token string) WorkerOption {
 	return func(w *Worker) { w.authToken = token }
 }
 
-// WithBatchBuild installs the paired builder: contexts are built once and
-// shards whose contract supports it are evaluated in one chunked pass
-// instead of task by task. Takes precedence over the plain BuildFunc.
-func WithBatchBuild(f BatchBuildFunc) WorkerOption {
-	return func(w *Worker) { w.batchBuild = f }
-}
-
 // NewWorker builds a worker client for the coordinator at base (e.g.
-// "http://host:9753"). build turns shard contexts into evaluators.
-func NewWorker(base, name string, build BuildFunc, opts ...WorkerOption) *Worker {
+// "http://host:9753"). build turns shard contexts into evaluators, once per
+// context; shards whose contract supports it are evaluated in one chunked
+// pass instead of task by task.
+func NewWorker(base, name string, build BatchBuildFunc, opts ...WorkerOption) *Worker {
 	w := &Worker{
 		base:      base,
 		name:      name,
@@ -345,11 +336,7 @@ func (w *Worker) evaluator(sh *Shard) (workerEval, error) {
 	}
 	var ev workerEval
 	var err error
-	if w.batchBuild != nil {
-		ev.single, ev.chunk, err = w.batchBuild(sh.Context)
-	} else {
-		ev.single, err = w.build(sh.Context)
-	}
+	ev.single, ev.chunk, err = w.build(sh.Context)
 	if err != nil {
 		return workerEval{}, err
 	}
