@@ -111,9 +111,11 @@ service-test:
 # gofmt-checked by explicit file list: their kernel files carry intentional
 # manual alignment that predates this check.
 LINT_PKGS  = ./internal/islands ./internal/predict ./internal/seglog \
-	./internal/fleet ./internal/ga ./cmd/benchjson ./cmd/loadgen ./cmd/dstressd
+	./internal/fleet ./internal/ga ./internal/bitvec ./internal/virusdb \
+	./cmd/benchjson ./cmd/loadgen ./cmd/dstressd
 LINT_DIRS  = internal/islands internal/predict internal/seglog \
-	internal/fleet internal/ga cmd/benchjson cmd/loadgen cmd/dstressd
+	internal/fleet internal/ga internal/bitvec internal/virusdb \
+	cmd/benchjson cmd/loadgen cmd/dstressd
 LINT_FILES = internal/dram/batch.go internal/dram/metrics.go \
 	internal/farm/pool.go internal/farm/metrics.go internal/farm/scheduler.go \
 	internal/farm/tenant.go internal/farm/journal.go internal/core/parallel.go
@@ -173,13 +175,17 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/experiments -ext -markdown results.md
 
-# Short fuzzing pass over the two parsers, the interpreter and the daemon's
-# job-request parser (its -run skips the daemon's subprocess tests).
+# Short fuzzing pass over the two parsers, the interpreter, the daemon's
+# job-request parser (its -run skips the daemon's subprocess tests) and the
+# two decoders of stored chromosomes: checkpoint genome records and virusdb
+# frames, in both their packed and legacy bit-string forms.
 fuzz:
 	$(GO) test -fuzz=FuzzParseStmts -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/vpl
 	$(GO) test -run=FuzzJobRequest -fuzz=FuzzJobRequest -fuzztime=30s ./cmd/dstressd
+	$(GO) test -run=FuzzDecodeGenome -fuzz=FuzzDecodeGenome -fuzztime=30s ./internal/ga
+	$(GO) test -run=FuzzDecodeFrame -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/virusdb
 
 clean:
 	rm -f results.md viruses.json

@@ -61,6 +61,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	netpprof "net/http/pprof"
 	"os"
@@ -709,20 +710,14 @@ func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	recs := d.db.Records(exp)
+	minFit, offset, limit := math.Inf(-1), 0, 0
 	if s := q.Get("min_fitness"); s != "" {
-		min, err := strconv.ParseFloat(s, 64)
+		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad min_fitness %q", s))
 			return
 		}
-		kept := recs[:0]
-		for _, rec := range recs {
-			if rec.Fitness >= min {
-				kept = append(kept, rec)
-			}
-		}
-		recs = kept
+		minFit = v
 	}
 	if s := q.Get("offset"); s != "" {
 		n, err := strconv.Atoi(s)
@@ -730,25 +725,18 @@ func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad offset %q", s))
 			return
 		}
-		if n > len(recs) {
-			n = len(recs)
-		}
-		recs = recs[n:]
+		offset = n
 	}
-	if limit := q.Get("limit"); limit != "" {
-		n, err := strconv.Atoi(limit)
+	if s := q.Get("limit"); s != "" {
+		n, err := strconv.Atoi(s)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", limit))
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", s))
 			return
 		}
-		if n < len(recs) {
-			recs = recs[:n]
-		}
+		limit = n
 	}
-	if recs == nil {
-		recs = []virusdb.Record{} // an empty page is [], never null
-	}
-	writeJSON(w, http.StatusOK, recs)
+	// Query never returns nil, so an empty page is [], never null.
+	writeJSON(w, http.StatusOK, d.db.Query(exp, minFit, offset, limit))
 }
 
 // metricsView aggregates every counter the daemon keeps: the body of

@@ -64,10 +64,9 @@ func main() {
 		fmt.Printf("%s: %d viruses across %d experiments\n\n",
 			*dbPath, db.Len(), len(db.Experiments()))
 		for _, name := range db.Experiments() {
-			recs := db.Records(name)
-			best := recs[0]
+			best, _ := db.Best(name)
 			fmt.Printf("%-32s %3d viruses, best fitness %10.2f (TREFP %.3fs, VDD %.3fV, %.0f°C)\n",
-				name, len(recs), best.Fitness, best.TREFP, best.VDD, best.TempC)
+				name, db.Count(name), best.Fitness, best.TREFP, best.VDD, best.TempC)
 		}
 		return
 	}
@@ -77,7 +76,7 @@ func main() {
 		fatal(fmt.Errorf("no records for experiment %q", *experiment))
 	}
 	fmt.Printf("%s: top %d of %d viruses\n", *experiment, len(recs),
-		len(db.Records(*experiment)))
+		db.Count(*experiment))
 	for i, r := range recs {
 		chromo := r.Bits
 		if chromo == "" {

@@ -6,6 +6,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -95,9 +96,6 @@ func (v *Vec) Flip(i int) {
 	v.words[i>>6] ^= 1 << uint(i&63)
 }
 
-// Word returns the 64-bit word starting at bit 64*i. Bits past Len are zero.
-func (v *Vec) Word(i int) uint64 { return v.words[i] }
-
 // NumWords returns the number of backing 64-bit words.
 func (v *Vec) NumWords() int { return len(v.words) }
 
@@ -151,40 +149,67 @@ func (v *Vec) MatchCount(o *Vec) int {
 	return v.n - diff
 }
 
-// CopyRange copies length bits from src starting at srcOff into v starting
-// at dstOff.
-func (v *Vec) CopyRange(dstOff int, src *Vec, srcOff, length int) {
-	if length < 0 || dstOff < 0 || srcOff < 0 ||
-		dstOff+length > v.n || srcOff+length > src.n {
-		panic("bitvec: CopyRange out of range")
+// SwapRange exchanges bits [lo, hi) between v and o, a word at a time:
+// the middle segment of a two-point crossover. It panics if the lengths
+// differ or the range does not fit.
+func (v *Vec) SwapRange(o *Vec, lo, hi int) {
+	if v.n != o.n || lo < 0 || hi > v.n || lo > hi {
+		panic(fmt.Sprintf("bitvec: SwapRange [%d,%d) on lengths %d/%d",
+			lo, hi, v.n, o.n))
 	}
-	// Word-aligned fast path covers the common crossover case.
-	if dstOff%64 == 0 && srcOff%64 == 0 && length%64 == 0 {
-		copy(v.words[dstOff/64:dstOff/64+length/64],
-			src.words[srcOff/64:srcOff/64+length/64])
+	if lo == hi {
 		return
 	}
-	for i := 0; i < length; i++ {
-		v.Set(dstOff+i, src.Get(srcOff+i))
+	first, last := lo>>6, (hi-1)>>6
+	for w := first; w <= last; w++ {
+		m := ^uint64(0)
+		if w == first {
+			m <<= uint(lo & 63)
+		}
+		if w == last {
+			m &= ^uint64(0) >> uint(63-((hi-1)&63))
+		}
+		d := (v.words[w] ^ o.words[w]) & m
+		v.words[w] ^= d
+		o.words[w] ^= d
 	}
 }
 
-// FillPattern tiles the vector with the given pattern, repeating it from bit
-// 0. A 64-bit pattern fills every word identically.
-func (v *Vec) FillPattern(pattern *Vec) {
-	if pattern.n == 0 {
-		panic("bitvec: FillPattern with empty pattern")
+// Words returns the backing words: bit 64*i+j is bit j of word i, and bits
+// past Len are zero. The slice is the live storage, not a copy; callers must
+// treat it as read-only.
+func (v *Vec) Words() []uint64 { return v.words }
+
+// Bytes returns the packed form of the vector: its words little-endian, 8
+// bytes each. FromBytes reads it back.
+func (v *Vec) Bytes() []byte {
+	b := make([]byte, 8*len(v.words))
+	for i, w := range v.words {
+		binary.LittleEndian.PutUint64(b[8*i:], w)
 	}
-	if pattern.n == 64 {
-		for i := range v.words {
-			v.words[i] = pattern.words[0]
-		}
-		v.maskTail()
-		return
+	return b
+}
+
+// FromBytes rebuilds an n-bit vector from its packed form. Only the
+// canonical encoding is accepted — exactly 8 bytes per word and no set bit
+// past n — so an accepted buffer always re-encodes to the same bytes.
+func FromBytes(n int, b []byte) (*Vec, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("bitvec: negative length %d", n)
 	}
-	for i := 0; i < v.n; i++ {
-		v.Set(i, pattern.Get(i%pattern.n))
+	words := (n + 63) / 64
+	if len(b) != 8*words {
+		return nil, fmt.Errorf("bitvec: %d packed bytes for %d bits, want %d",
+			len(b), n, 8*words)
 	}
+	v := New(n)
+	for i := range v.words {
+		v.words[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	if r := n % 64; r != 0 && v.words[words-1]>>uint(r) != 0 {
+		return nil, fmt.Errorf("bitvec: packed bits set past length %d", n)
+	}
+	return v, nil
 }
 
 // String renders the vector as a bit string, bit 0 first, truncated with an
@@ -209,36 +234,88 @@ func (v *Vec) String() string {
 	return b.String()
 }
 
+// bitChars spells each byte value as eight '0'/'1' characters, bit 0
+// first, packed little-endian into a word: BitString renders a vector a
+// byte at a time through it.
+var bitChars = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			t[b] |= uint64('0'+b>>uint(i)&1) << uint(8*i)
+		}
+	}
+	return t
+}()
+
 // BitString renders the whole vector as a '0'/'1' string, bit 0 first, with
 // no truncation: the serialization counterpart of Parse. String, which
 // elides everything past 128 bits for readable logs, must never be used to
 // persist a vector.
 func (v *Vec) BitString() string {
-	b := make([]byte, v.n)
-	for i := range b {
-		if v.Get(i) {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
+	// One word's 64 characters are staged at a time and appended to a
+	// builder sized up front, so the string is allocated once and never
+	// copied.
+	var sb strings.Builder
+	sb.Grow(v.n)
+	var chunk [64]byte
+	for i, w := range v.words {
+		for j := 0; j < 8; j++ {
+			binary.LittleEndian.PutUint64(chunk[8*j:], bitChars[byte(w>>uint(8*j))])
 		}
+		sb.Write(chunk[:min(64, v.n-64*i)])
 	}
-	return string(b)
+	return sb.String()
 }
 
-// Parse builds a vector from a bit string such as "1100". Characters other
-// than '0' and '1' are rejected.
+const (
+	// allChar0 is eight '0' characters read as a little-endian word; a
+	// chunk of valid characters differs from it only in each byte's low bit.
+	allChar0 = 0x3030303030303030
+	lowBits  = 0x0101010101010101
+	// gatherLow moves the low bit of byte k of a word to bit 56+k: its 64
+	// partial products land on distinct bit positions, so none carries.
+	gatherLow = 0x0102040810204080
+)
+
+// Parse builds a vector from a bit string such as "1100", bit 0 first. It
+// checks and packs eight characters at a time, and stores whole words.
+// Characters other than '0' and '1' are rejected.
 func Parse(s string) (*Vec, error) {
 	v := New(len(s))
-	for i, c := range s {
-		switch c {
+	full := len(s) / 64
+	for i := 0; i < full; i++ {
+		var w uint64
+		for j := 0; j < 8; j++ {
+			at := 64*i + 8*j
+			x := binary.LittleEndian.Uint64([]byte(s[at : at+8]))
+			if x&^lowBits != allChar0 {
+				return nil, badChar(s, at)
+			}
+			w |= ((x & lowBits) * gatherLow >> 56) << uint(8*j)
+		}
+		v.words[i] = w
+	}
+	for i := 64 * full; i < len(s); i++ {
+		switch s[i] {
 		case '0':
 		case '1':
-			v.Set(i, true)
+			v.words[i>>6] |= 1 << uint(i&63)
 		default:
-			return nil, fmt.Errorf("bitvec: invalid character %q at %d", c, i)
+			return nil, badChar(s, i)
 		}
 	}
 	return v, nil
+}
+
+// badChar reports the first character at or after byte from that is not a
+// bit. Every byte before from is a valid bit character, so from is on a rune
+// boundary and the error names the whole offending rune.
+func badChar(s string, from int) error {
+	for i, c := range s[from:] {
+		if c != '0' && c != '1' {
+			return fmt.Errorf("bitvec: invalid character %q at %d", c, from+i)
+		}
+	}
+	panic("bitvec: badChar found no invalid character")
 }
 
 // MustParse is Parse that panics on error; for tests and constants.

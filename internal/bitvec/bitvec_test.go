@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -138,64 +139,6 @@ func TestMatchCountProperty(t *testing.T) {
 	}
 }
 
-func TestCopyRangeAligned(t *testing.T) {
-	src := New(256)
-	for i := 64; i < 128; i++ {
-		src.Set(i, true)
-	}
-	dst := New(256)
-	dst.CopyRange(128, src, 64, 64)
-	for i := 0; i < 256; i++ {
-		want := i >= 128 && i < 192
-		if dst.Get(i) != want {
-			t.Fatalf("bit %d = %v, want %v", i, dst.Get(i), want)
-		}
-	}
-}
-
-func TestCopyRangeUnaligned(t *testing.T) {
-	src := MustParse("10110")
-	dst := New(10)
-	dst.CopyRange(3, src, 1, 4)
-	want := "0000110"
-	for i := 0; i < len(want); i++ {
-		if dst.Get(i) != (want[i] == '1') {
-			t.Fatalf("unaligned copy wrong at %d: %s", i, dst)
-		}
-	}
-}
-
-func TestCopyRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range CopyRange did not panic")
-		}
-	}()
-	New(10).CopyRange(5, New(10), 5, 6)
-}
-
-func TestFillPattern64(t *testing.T) {
-	v := New(256)
-	p := FromUint64(0xDEADBEEFCAFEF00D)
-	v.FillPattern(p)
-	for i := 0; i < v.NumWords(); i++ {
-		if v.Word(i) != 0xDEADBEEFCAFEF00D {
-			t.Fatalf("word %d = %x", i, v.Word(i))
-		}
-	}
-}
-
-func TestFillPatternShort(t *testing.T) {
-	v := New(12)
-	v.FillPattern(MustParse("1100"))
-	want := "110011001100"
-	for i := range want {
-		if v.Get(i) != (want[i] == '1') {
-			t.Fatalf("tiled pattern wrong: %s", v)
-		}
-	}
-}
-
 func TestRandomDensity(t *testing.T) {
 	rng := xrand.New(3)
 	v := Random(100000, 0.3, rng)
@@ -246,6 +189,140 @@ func TestBitStringRoundTripsBeyondDisplayWidth(t *testing.T) {
 		}
 		if !v.Equal(back) {
 			t.Fatalf("n=%d: BitString did not round-trip", n)
+		}
+	}
+}
+
+// refBitString is the per-bit rendering the word-at-a-time BitString must
+// reproduce.
+func refBitString(v *Vec) string {
+	b := make([]byte, v.Len())
+	for i := range b {
+		b[i] = '0'
+		if v.Get(i) {
+			b[i] = '1'
+		}
+	}
+	return string(b)
+}
+
+func TestBitStringParseMatchPerBitReference(t *testing.T) {
+	rng := xrand.New(32)
+	for n := 0; n <= 300; n++ {
+		v := Random(n, 0.5, rng)
+		s := v.BitString()
+		if want := refBitString(v); s != want {
+			t.Fatalf("n=%d: BitString %q, per-bit %q", n, s, want)
+		}
+		back, err := Parse(s)
+		if err != nil || !back.Equal(v) {
+			t.Fatalf("n=%d: Parse(BitString) = %v, %v", n, back, err)
+		}
+	}
+}
+
+func TestParseReportsFirstBadCharacter(t *testing.T) {
+	base := "0110100111010010110"
+	for i := 0; i < len(base); i++ {
+		for _, bad := range []string{"x", "2", "/", "é"} {
+			s := base[:i] + bad + base[i+1:]
+			_, err := Parse(s)
+			want := fmt.Sprintf("bitvec: invalid character %q at %d", []rune(bad)[0], i)
+			if err == nil || err.Error() != want {
+				t.Fatalf("Parse(%q) error %v, want %q", s, err, want)
+			}
+		}
+	}
+}
+
+func TestSwapRangeMatchesPerBitSwap(t *testing.T) {
+	rng := xrand.New(33)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(400)
+		a, b := Random(n, 0.5, rng), Random(n, 0.5, rng)
+		lo, hi := rng.Intn(n+1), rng.Intn(n+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		wantA, wantB := a.Clone(), b.Clone()
+		for i := lo; i < hi; i++ {
+			x, y := wantA.Get(i), wantB.Get(i)
+			wantA.Set(i, y)
+			wantB.Set(i, x)
+		}
+		a.SwapRange(b, lo, hi)
+		if !a.Equal(wantA) || !b.Equal(wantB) {
+			t.Fatalf("n=%d [%d,%d): word swap differs from per-bit swap", n, lo, hi)
+		}
+	}
+}
+
+func TestSwapRangePanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"length":   func() { New(10).SwapRange(New(11), 0, 1) },
+		"past end": func() { New(10).SwapRange(New(10), 5, 11) },
+		"reversed": func() { New(10).SwapRange(New(10), 6, 5) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SwapRange did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestBytesRoundTripAndCanonical(t *testing.T) {
+	rng := xrand.New(34)
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		v := Random(n, 0.5, rng)
+		b := v.Bytes()
+		if len(b) != 8*v.NumWords() {
+			t.Fatalf("n=%d: %d packed bytes", n, len(b))
+		}
+		back, err := FromBytes(n, b)
+		if err != nil || !back.Equal(v) {
+			t.Fatalf("n=%d: FromBytes(Bytes) = %v, %v", n, back, err)
+		}
+	}
+	good := FromUint64(0x0102030405060708).Bytes()
+	if good[0] != 0x08 || good[7] != 0x01 {
+		t.Fatalf("packed words are not little-endian: % x", good)
+	}
+	for name, tc := range map[string]struct {
+		n int
+		b []byte
+	}{
+		"short":     {64, good[:7]},
+		"long":      {8, good},
+		"tail bits": {4, []byte{0x10, 0, 0, 0, 0, 0, 0, 0}},
+		"negative":  {-1, nil},
+	} {
+		if _, err := FromBytes(tc.n, tc.b); err == nil {
+			t.Errorf("%s: FromBytes accepted a non-canonical buffer", name)
+		}
+	}
+}
+
+// blockBits is the length of the paper's 24-KByte block chromosome.
+const blockBits = 24 * 1024 * 8
+
+func BenchmarkBitString24K(b *testing.B) {
+	v := Random(blockBits, 0.5, xrand.New(5))
+	b.SetBytes(blockBits)
+	for i := 0; i < b.N; i++ {
+		_ = v.BitString()
+	}
+}
+
+func BenchmarkParse24K(b *testing.B) {
+	s := Random(blockBits, 0.5, xrand.New(6)).BitString()
+	b.SetBytes(blockBits)
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(s); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -111,9 +111,7 @@ func (s *RowhammerSpec) Deploy(f *Framework, g ga.Genome) error {
 
 // Encode implements Spec.
 func (s *RowhammerSpec) Encode(g ga.Genome, rec *virusdb.Record) {
-	// BitString, not String: banks with more than 128 rows would otherwise
-	// persist an elided, unparseable chromosome.
-	rec.Bits = g.(*ga.BitGenome).Bits.BitString()
+	rec.Vec = g.(*ga.BitGenome).Bits
 }
 
 // Decode implements Spec.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dstress/internal/addrmap"
 	"dstress/internal/bitvec"
 	"dstress/internal/dram"
 	"dstress/internal/ga"
@@ -15,7 +16,7 @@ func bitsToWord(v *bitvec.Vec) uint64 { return v.Uint64() }
 
 // decodeBits rebuilds a bit genome from a database record.
 func decodeBits(rec virusdb.Record, wantLen int) (ga.Genome, error) {
-	v, err := bitvec.Parse(rec.Bits)
+	v, err := rec.BitVec()
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +58,7 @@ func (Data64Spec) Deploy(f *Framework, g ga.Genome) error {
 
 // Encode implements Spec.
 func (Data64Spec) Encode(g ga.Genome, rec *virusdb.Record) {
-	rec.Bits = g.(*ga.BitGenome).Bits.BitString()
+	rec.Vec = g.(*ga.BitGenome).Bits
 }
 
 // Decode implements Spec.
@@ -75,8 +76,16 @@ type BlockDataSpec struct {
 	BanksWide int
 	RowsDeep  int
 	VictimRow int
-	// victims caches the error-prone rows found by Prepare.
-	victims []dram.RowKey
+	// stamps caches, from Prepare, the row writes that place the block
+	// around every error-prone row, in deployment order.
+	stamps []blockStamp
+}
+
+// blockStamp is one row write of a block deployment: row key receives
+// block row `block` (bankCol*RowsDeep + depth) of the chromosome.
+type blockStamp struct {
+	key   dram.RowKey
+	block int
 }
 
 // NewData24KSpec returns the 24-KByte experiment.
@@ -105,13 +114,16 @@ func (s *BlockDataSpec) genomeBits(f *Framework) int {
 }
 
 // Prepare implements Spec: it locates the error-prone rows, as the paper
-// does from the errors collected in the earlier experiments.
+// does from the errors collected in the earlier experiments, and plans the
+// row writes that stamp the block around each of them.
 func (s *BlockDataSpec) Prepare(f *Framework) error {
+	s.stamps = nil
 	dev := f.Srv.MCU(f.MCU).Device()
-	s.victims = dev.WeakRows()
-	if len(s.victims) == 0 {
+	victims := dev.WeakRows()
+	if len(victims) == 0 {
 		return fmt.Errorf("core: device has no error-prone rows")
 	}
+	s.stamps = s.planStamps(dev.Geometry(), victims)
 	f.Srv.MCU(f.MCU).ResetStats()
 	return nil
 }
@@ -124,44 +136,18 @@ func (s *BlockDataSpec) NewPopulation(f *Framework, size int,
 	return ga.RandomBitPopulation(size, s.genomeBits(f), rng)
 }
 
-// blockRowWords extracts the 64-bit words of block row (bankCol, depth)
-// from the chromosome.
-func (s *BlockDataSpec) blockRowWords(f *Framework, v *bitvec.Vec,
-	bankCol, depth int) []uint64 {
-	wordsPerRow := f.Srv.MCU(f.MCU).Device().Geometry().WordsPerRow()
-	base := (bankCol*s.RowsDeep + depth) * wordsPerRow
-	out := make([]uint64, wordsPerRow)
-	for i := range out {
-		out[i] = v.Word(base + i)
-	}
-	return out
-}
-
-// Deploy implements Spec: the block is stamped around every error-prone
-// row; non-victim rows first, then the victim rows, so a row that is both a
-// victim and another victim's neighbour holds its victim image.
-func (s *BlockDataSpec) Deploy(f *Framework, g ga.Genome) error {
-	bg, ok := g.(*ga.BitGenome)
-	if !ok {
-		return fmt.Errorf("core: %s needs a bit genome", s.Name())
-	}
-	if bg.Bits.Len() != s.genomeBits(f) {
-		return fmt.Errorf("core: %s chromosome has %d bits, want %d",
-			s.Name(), bg.Bits.Len(), s.genomeBits(f))
-	}
-	if s.victims == nil {
-		return fmt.Errorf("core: %s not prepared", s.Name())
-	}
-	dev := f.Srv.MCU(f.MCU).Device()
-	geom := dev.Geometry()
-	dev.Reset()
-
-	victimSet := make(map[dram.RowKey]bool, len(s.victims))
-	for _, k := range s.victims {
+// planStamps lists the row writes of a deployment: non-victim rows first,
+// then the victim rows, so a row that is both a victim and another victim's
+// neighbour holds its victim image.
+func (s *BlockDataSpec) planStamps(geom addrmap.Geometry,
+	victims []dram.RowKey) []blockStamp {
+	victimSet := make(map[dram.RowKey]bool, len(victims))
+	for _, k := range victims {
 		victimSet[k] = true
 	}
-	stamp := func(victimsPass bool) {
-		for _, vk := range s.victims {
+	var stamps []blockStamp
+	for _, victimsPass := range []bool{false, true} {
+		for _, vk := range victims {
 			for bankCol := 0; bankCol < s.BanksWide; bankCol++ {
 				// BanksWide == 1 pins the block to the victim's own bank;
 				// wider blocks span the banks in absolute order.
@@ -184,26 +170,50 @@ func (s *BlockDataSpec) Deploy(f *Framework, g ga.Genome) error {
 						// iteration.
 						continue
 					}
-					dev.FillRowWords(k, s.blockRowWords(f, bg.Bits, bankCol, depth))
+					stamps = append(stamps, blockStamp{key: k,
+						block: bankCol*s.RowsDeep + depth})
 				}
 			}
 		}
 	}
-	stamp(false)
-	stamp(true)
+	return stamps
+}
+
+// Deploy implements Spec: it replays the planned row writes, each copying
+// one block row straight from the genome's own words.
+func (s *BlockDataSpec) Deploy(f *Framework, g ga.Genome) error {
+	bg, ok := g.(*ga.BitGenome)
+	if !ok {
+		return fmt.Errorf("core: %s needs a bit genome", s.Name())
+	}
+	if bg.Bits.Len() != s.genomeBits(f) {
+		return fmt.Errorf("core: %s chromosome has %d bits, want %d",
+			s.Name(), bg.Bits.Len(), s.genomeBits(f))
+	}
+	if s.stamps == nil {
+		return fmt.Errorf("core: %s not prepared", s.Name())
+	}
+	dev := f.Srv.MCU(f.MCU).Device()
+	wordsPerRow := dev.Geometry().WordsPerRow()
+	words := bg.Bits.Words()
+	dev.Reset()
+	for _, st := range s.stamps {
+		base := st.block * wordsPerRow
+		dev.FillRowWords(st.key, words[base:base+wordsPerRow])
+	}
 	return nil
 }
 
 // Encode implements Spec.
 func (s *BlockDataSpec) Encode(g ga.Genome, rec *virusdb.Record) {
-	// Full row-image chromosomes are large; store them verbatim — the
-	// database is the paper's record of every virus.
-	rec.Bits = g.(*ga.BitGenome).Bits.BitString()
+	// Full row-image chromosomes are large; the database stores them
+	// verbatim (packed) — it is the paper's record of every virus.
+	rec.Vec = g.(*ga.BitGenome).Bits
 }
 
 // Decode implements Spec.
 func (s *BlockDataSpec) Decode(rec virusdb.Record) (ga.Genome, error) {
-	v, err := bitvec.Parse(rec.Bits)
+	v, err := rec.BitVec()
 	if err != nil {
 		return nil, err
 	}

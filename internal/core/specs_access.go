@@ -138,9 +138,7 @@ func (s *AccessRowsSpec) Deploy(f *Framework, g ga.Genome) error {
 
 // Encode implements Spec.
 func (*AccessRowsSpec) Encode(g ga.Genome, rec *virusdb.Record) {
-	// BitString, not String: the row set can exceed String's 128-bit display
-	// cutoff, and a truncated record would not Decode.
-	rec.Bits = g.(*ga.BitGenome).Bits.BitString()
+	rec.Vec = g.(*ga.BitGenome).Bits
 }
 
 // Decode implements Spec.

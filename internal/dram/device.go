@@ -76,6 +76,10 @@ type Device struct {
 	geom addrmap.Geometry
 
 	rows map[RowKey][]uint64 // materialized row images (data bits only)
+	// spare holds row images Reset released, with stale contents; newImage
+	// hands them out again before allocating, so a deploy-per-evaluation
+	// loop stops churning row-sized allocations.
+	spare [][]uint64
 
 	weak      []WeakCell
 	weakByRow map[RowKey][]int
@@ -363,8 +367,8 @@ func (d *Device) WriteWord(l addrmap.Loc, v uint64) {
 	k := Key(l)
 	img := d.rows[k]
 	if img == nil {
-		img = make([]uint64, d.geom.WordsPerRow())
-		d.rows[k] = img
+		img = d.newImage(k)
+		clear(img)
 	}
 	img[l.Col] = v
 	d.dirty()
@@ -388,9 +392,27 @@ func (d *Device) RowImage(k RowKey) []uint64 { return d.rows[k] }
 // RowWritten reports whether the row holds data.
 func (d *Device) RowWritten(k RowKey) bool { _, ok := d.rows[k]; return ok }
 
+// newImage materializes row k's image. A spare image keeps its stale
+// contents: the caller must overwrite or clear all of it.
+func (d *Device) newImage(k RowKey) []uint64 {
+	var img []uint64
+	if n := len(d.spare); n > 0 {
+		img, d.spare = d.spare[n-1], d.spare[:n-1]
+	} else {
+		img = make([]uint64, d.geom.WordsPerRow())
+	}
+	d.rows[k] = img
+	return img
+}
+
 // Reset discards all stored data (power cycle), keeping the defect map.
+// The released row images are kept for reuse, so a RowImage slice taken
+// before a Reset must not be read after it.
 func (d *Device) Reset() {
-	d.rows = make(map[RowKey][]uint64)
+	for _, img := range d.rows {
+		d.spare = append(d.spare, img)
+	}
+	clear(d.rows)
 	d.dirty()
 	d.noteAll()
 }

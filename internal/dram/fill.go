@@ -11,8 +11,7 @@ package dram
 func (d *Device) FillRow(k RowKey, word uint64) {
 	img := d.rows[k]
 	if img == nil {
-		img = make([]uint64, d.geom.WordsPerRow())
-		d.rows[k] = img
+		img = d.newImage(k)
 	}
 	for i := range img {
 		img[i] = word
@@ -29,11 +28,12 @@ func (d *Device) FillRowWords(k RowKey, words []uint64) {
 	}
 	img := d.rows[k]
 	if img == nil {
-		img = make([]uint64, d.geom.WordsPerRow())
-		d.rows[k] = img
+		img = d.newImage(k)
 	}
-	for i := range img {
-		img[i] = words[i%len(words)]
+	// Tile by doubling: copy the pattern once, then the filled prefix onto
+	// the rest; an exact-length image is a single copy.
+	for n := copy(img, words); n < len(img); {
+		n += copy(img[n:], img[:n])
 	}
 	d.dirty()
 	d.noteWrite(k)

@@ -406,10 +406,7 @@ func GenomeKey(g ga.Genome) string {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], uint64(n))
 		h.Write(buf[:])
-		for w := 0; w*64 < n; w++ {
-			binary.LittleEndian.PutUint64(buf[:], t.Bits.Word(w))
-			h.Write(buf[:])
-		}
+		h.Write(t.Bits.Bytes())
 		return "b" + strconv.Itoa(n) + ":" + hex.EncodeToString(h.Sum(nil)[:16])
 	case *ga.IntGenome:
 		return "i:" + intsKey(t.Vals)

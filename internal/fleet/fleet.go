@@ -84,9 +84,18 @@ type Shard struct {
 	LeaseS float64 `json:"lease_s"`
 }
 
+// wireVersion names the task encoding a build speaks. Version 1 ships bit
+// genomes packed (ga.GenomeRecord n/packed); a worker built before it reads
+// them as empty chromosomes and would report wrong fitness, so the
+// coordinator refuses a join that does not carry its own version.
+const wireVersion = 1
+
 // The wire bodies of the four protocol verbs.
 type joinRequest struct {
 	Name string `json:"name"`
+	// Wire is the joining worker's wireVersion; workers built before the
+	// field existed send none.
+	Wire int `json:"wire"`
 }
 
 type joinResponse struct {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -366,6 +367,28 @@ func TestReportUnknownWorker(t *testing.T) {
 	err := c.Report("w999", "s1", nil, "")
 	if err == nil {
 		t.Fatal("unknown worker's report returned nil")
+	}
+}
+
+// TestJoinRefusesOtherWireVersion: a worker built before packed genomes
+// joins without a wire version and would misread every bit genome it
+// leases, so the coordinator refuses it instead of handing it work.
+func TestJoinRefusesOtherWireVersion(t *testing.T) {
+	ts := serve(t, NewCoordinator(fastConfig()))
+	for body, want := range map[string]int{
+		`{"name":"old"}`:          http.StatusConflict,
+		`{"name":"odd","wire":2}`: http.StatusConflict,
+		fmt.Sprintf(`{"name":"same","wire":%d}`, wireVersion): http.StatusOK,
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/fleet/join", "application/json",
+			strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("join %s: HTTP %d, want %d", body, resp.StatusCode, want)
+		}
 	}
 }
 

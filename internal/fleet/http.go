@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 )
@@ -22,6 +23,12 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if !readJSON(w, r, &req) {
+		return
+	}
+	if req.Wire != wireVersion {
+		writeError(w, http.StatusConflict, "wire_mismatch", fmt.Errorf(
+			"worker speaks fleet wire version %d, coordinator %d: run one build on every node",
+			req.Wire, wireVersion))
 		return
 	}
 	id, hb := c.Join(req.Name)

@@ -150,7 +150,7 @@ func (w *Worker) join(ctx context.Context) (string, time.Duration, error) {
 			return "", 0, err
 		}
 		var resp joinResponse
-		err := w.post(ctx, "join", joinRequest{Name: w.name}, &resp)
+		err := w.post(ctx, "join", joinRequest{Name: w.name, Wire: wireVersion}, &resp)
 		if err == nil {
 			hb := time.Duration(resp.HeartbeatS * float64(time.Second))
 			if hb <= 0 {

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"fmt"
+	"reflect"
 
 	"dstress/internal/bitvec"
 )
@@ -10,12 +11,20 @@ import (
 // chromosome kinds the engine ships. It is the unit a search checkpoint
 // stores: unlike virusdb.Record it carries the gene bounds, so a population
 // can be rebuilt without consulting the spec that created it.
+//
+// A bit genome is written packed: its length N plus its 64-bit words
+// little-endian in Packed (base64 in JSON), about a sixth of the size of a
+// '0'/'1' string. Bits is the legacy spelling of the same chromosome, still
+// read so that checkpoints and journals written before packing resume; a
+// record carrying both is rejected.
 type GenomeRecord struct {
-	Type string `json:"type"` // "bit", "int" or "mixed"
-	Bits string `json:"bits,omitempty"`
-	Vals []int  `json:"vals,omitempty"`
-	Lo   []int  `json:"lo,omitempty"` // int: one element; mixed: per gene
-	Hi   []int  `json:"hi,omitempty"`
+	Type   string `json:"type"` // "bit", "int" or "mixed"
+	Bits   string `json:"bits,omitempty"`
+	N      int    `json:"n,omitempty"`
+	Packed []byte `json:"packed,omitempty"`
+	Vals   []int  `json:"vals,omitempty"`
+	Lo     []int  `json:"lo,omitempty"` // int: one element; mixed: per gene
+	Hi     []int  `json:"hi,omitempty"`
 }
 
 // EncodeGenome serializes a chromosome. It fails on genome types it does not
@@ -24,7 +33,7 @@ type GenomeRecord struct {
 func EncodeGenome(g Genome) (GenomeRecord, error) {
 	switch t := g.(type) {
 	case *BitGenome:
-		return GenomeRecord{Type: "bit", Bits: t.Bits.BitString()}, nil
+		return GenomeRecord{Type: "bit", N: t.Bits.Len(), Packed: t.Bits.Bytes()}, nil
 	case *IntGenome:
 		return GenomeRecord{
 			Type: "int",
@@ -49,7 +58,7 @@ func EncodeGenome(g Genome) (GenomeRecord, error) {
 func DecodeGenome(rec GenomeRecord) (Genome, error) {
 	switch rec.Type {
 	case "bit":
-		v, err := bitvec.Parse(rec.Bits)
+		v, err := decodeBitRecord(rec)
 		if err != nil {
 			return nil, fmt.Errorf("ga: bit genome: %w", err)
 		}
@@ -65,6 +74,20 @@ func DecodeGenome(rec GenomeRecord) (Genome, error) {
 			append([]int(nil), rec.Lo...), append([]int(nil), rec.Hi...))
 	}
 	return nil, fmt.Errorf("ga: unknown genome type %q", rec.Type)
+}
+
+// decodeBitRecord reads a bit chromosome from whichever of its two forms
+// the record carries. An empty chromosome is corrupt: no search breeds one.
+func decodeBitRecord(rec GenomeRecord) (*bitvec.Vec, error) {
+	switch {
+	case rec.Bits != "" && (rec.N != 0 || rec.Packed != nil):
+		return nil, fmt.Errorf("record carries both bits and packed forms")
+	case rec.Bits != "":
+		return bitvec.Parse(rec.Bits)
+	case rec.N <= 0:
+		return nil, fmt.Errorf("empty chromosome (n=%d)", rec.N)
+	}
+	return bitvec.FromBytes(rec.N, rec.Packed)
 }
 
 // Snapshot is the engine's resumable state, captured at a generation
@@ -113,18 +136,44 @@ func newSnapshot(gen int, pop []Genome, fits []float64, rng [4]uint64,
 }
 
 // validate checks the structural invariants a snapshot must satisfy before
-// an engine built with params may resume from it.
-func (s Snapshot) validate(p Params) error {
+// an engine built with params may resume from it, and returns the decoded
+// population. Every chromosome must decode and all must share one type and
+// length: the genetic operators pair arbitrary members, and a mismatched
+// pair would panic mid-search instead of failing here.
+func (s Snapshot) validate(p Params) ([]Genome, error) {
 	switch {
 	case len(s.Population) != p.PopulationSize:
-		return fmt.Errorf("ga: snapshot population %d, engine expects %d",
+		return nil, fmt.Errorf("ga: snapshot population %d, engine expects %d",
 			len(s.Population), p.PopulationSize)
 	case len(s.Fitnesses) != len(s.Population):
-		return fmt.Errorf("ga: snapshot has %d fitnesses for %d genomes",
+		return nil, fmt.Errorf("ga: snapshot has %d fitnesses for %d genomes",
 			len(s.Fitnesses), len(s.Population))
 	case s.Generation < 1 || s.Generation > p.MaxGenerations:
-		return fmt.Errorf("ga: snapshot generation %d outside [1,%d]",
+		return nil, fmt.Errorf("ga: snapshot generation %d outside [1,%d]",
 			s.Generation, p.MaxGenerations)
+	}
+	pop := make([]Genome, len(s.Population))
+	for i, rec := range s.Population {
+		g, err := DecodeGenome(rec)
+		if err != nil {
+			return nil, fmt.Errorf("ga: snapshot genome %d: %w", i, err)
+		}
+		if i > 0 {
+			if err := Compatible(pop[0], g); err != nil {
+				return nil, fmt.Errorf("ga: snapshot genome %d: %w", i, err)
+			}
+		}
+		pop[i] = g
+	}
+	return pop, nil
+}
+
+// Compatible reports whether two chromosomes can share a population: same
+// type and same length, the precondition of Crossover and SimilarityTo.
+func Compatible(a, b Genome) error {
+	if reflect.TypeOf(a) != reflect.TypeOf(b) || a.Len() != b.Len() {
+		return fmt.Errorf("ga: incompatible genomes %T[%d] and %T[%d]",
+			a, a.Len(), b, b.Len())
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package ga
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dstress/internal/xrand"
@@ -47,6 +48,13 @@ func TestDecodeGenomeRejectsCorruptRecords(t *testing.T) {
 	cases := []GenomeRecord{
 		{Type: "quantum"},
 		{Type: "bit", Bits: "0120"},
+		{Type: "bit"},
+		{Type: "bit", N: 64},
+		{Type: "bit", N: -8, Packed: make([]byte, 8)},
+		{Type: "bit", N: 64, Packed: make([]byte, 16)},
+		{Type: "bit", N: 4, Packed: []byte{0x10, 0, 0, 0, 0, 0, 0, 0}},
+		{Type: "bit", Bits: "0101", N: 4, Packed: make([]byte, 8)},
+		{Type: "bit", Bits: "0101", Packed: []byte{}},
 		{Type: "int", Vals: []int{3}, Lo: []int{0}, Hi: []int{0, 1}},
 		{Type: "int", Vals: []int{30}, Lo: []int{0}, Hi: []int{20}},
 		{Type: "mixed", Vals: []int{1, 2}, Lo: []int{0}, Hi: []int{5}},
@@ -184,7 +192,30 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		func(s *Snapshot) { s.Generation = 0 },
 		func(s *Snapshot) { s.Generation = params.MaxGenerations + 1 },
 		func(s *Snapshot) { s.RNG = [4]uint64{} },
-		func(s *Snapshot) { s.Population[3].Bits = "01xx" },
+		// A legacy bits record of the right length with a bad character.
+		func(s *Snapshot) {
+			s.Population[3] = GenomeRecord{Type: "bit", Bits: strings.Repeat("01", 23) + "xx"}
+		},
+		// Legacy bits cut short or emptied: the population would mix
+		// lengths (or hold an empty chromosome) and panic in similarity.
+		func(s *Snapshot) { s.Population[3] = GenomeRecord{Type: "bit", Bits: "010"} },
+		func(s *Snapshot) { s.Population[3] = GenomeRecord{Type: "bit", Bits: ""} },
+		// Packed words that do not match n.
+		func(s *Snapshot) { s.Population[3].N = 80 },
+		func(s *Snapshot) { s.Population[3].Packed = s.Population[3].Packed[:4] },
+		// A set bit past n in the final word.
+		func(s *Snapshot) { s.Population[3].Packed[7] |= 0x80 },
+		// Both encodings at once.
+		func(s *Snapshot) { s.Population[3].Bits = strings.Repeat("0", 48) },
+		// A packed genome of a different length, itself well formed.
+		func(s *Snapshot) {
+			s.Population[3] = GenomeRecord{Type: "bit", N: 40, Packed: make([]byte, 8)}
+		},
+		// A genome of another type.
+		func(s *Snapshot) {
+			s.Population[3] = GenomeRecord{Type: "int", Vals: make([]int, 48),
+				Lo: []int{0}, Hi: []int{1}}
+		},
 	}
 	for i, corrupt := range cases {
 		data, _ := json.Marshal(snap)
@@ -199,6 +230,13 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		}
 		if _, err := eng.Resume(bad); err == nil {
 			t.Errorf("case %d: corrupt snapshot resumed silently", i)
+		}
+		st, err := NewStepper(params, SerialBatch(onesFitness), xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Restore(bad); err == nil {
+			t.Errorf("case %d: corrupt snapshot restored into a stepper", i)
 		}
 	}
 }

@@ -236,16 +236,9 @@ func (e *Engine) ResumeContext(ctx context.Context, snap Snapshot) (Result, erro
 		ctx, cancel = context.WithTimeout(ctx, p.MaxDuration)
 		defer cancel()
 	}
-	if err := snap.validate(p); err != nil {
+	pop, err := snap.validate(p)
+	if err != nil {
 		return Result{}, err
-	}
-	pop := make([]Genome, len(snap.Population))
-	for i, rec := range snap.Population {
-		g, err := DecodeGenome(rec)
-		if err != nil {
-			return Result{}, fmt.Errorf("ga: resuming genome %d: %w", i, err)
-		}
-		pop[i] = g
 	}
 	fits := append([]float64(nil), snap.Fitnesses...)
 	if err := e.rng.Restore(snap.RNG); err != nil {

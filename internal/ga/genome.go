@@ -87,12 +87,7 @@ func (g *BitGenome) Crossover(other Genome, rng *xrand.Rand) (Genome, Genome) {
 	if p1 > p2 {
 		p1, p2 = p2, p1
 	}
-	// Swap the middle segment [p1, p2).
-	for i := p1; i < p2; i++ {
-		ab, bb := a.Get(i), b.Get(i)
-		a.Set(i, bb)
-		b.Set(i, ab)
-	}
+	a.SwapRange(b, p1, p2) // swap the middle segment [p1, p2)
 	return &BitGenome{Bits: a}, &BitGenome{Bits: b}
 }
 

@@ -105,16 +105,9 @@ func (s *Stepper) Restore(snap Snapshot) error {
 	if s.gen != 0 {
 		return fmt.Errorf("ga: stepper already started")
 	}
-	if err := snap.validate(s.params); err != nil {
+	pop, err := snap.validate(s.params)
+	if err != nil {
 		return err
-	}
-	pop := make([]Genome, len(snap.Population))
-	for i, rec := range snap.Population {
-		g, err := DecodeGenome(rec)
-		if err != nil {
-			return fmt.Errorf("ga: restoring genome %d: %w", i, err)
-		}
-		pop[i] = g
 	}
 	if err := s.rng.Restore(snap.RNG); err != nil {
 		return fmt.Errorf("ga: restoring: %w", err)

@@ -245,6 +245,15 @@ func (m *Model) Resume(ctx context.Context, snap Snapshot) (Result, error) {
 			return Result{}, fmt.Errorf("islands: island %d at generation %d, snapshot at %d",
 				i, g, snap.Generation)
 		}
+		// Migrants breed with their new island's residents, so every island
+		// must hold the chromosome shape of island 0.
+		if i > 0 {
+			first, _ := m.st[0].Best()
+			own, _ := m.st[i].Best()
+			if err := ga.Compatible(first, own); err != nil {
+				return Result{}, fmt.Errorf("islands: island %d: %w", i, err)
+			}
+		}
 	}
 	m.gen = snap.Generation
 	m.migrations = snap.Migrations

@@ -211,6 +211,43 @@ func TestIslandsModelSnapshotResume(t *testing.T) {
 	assertSameResult(t, rFull, rRes)
 }
 
+// TestIslandsResumeRejectsMismatchedIslands: each island's population is
+// self-consistent, but island 1 holds longer chromosomes than island 0. A
+// migrant would then cross over with a genome of another length, so Resume
+// must refuse the snapshot instead of panicking generations later.
+func TestIslandsResumeRejectsMismatchedIslands(t *testing.T) {
+	cfg := Config{Count: 2, MigrateEvery: 2, MigrateCount: 1}
+	part, init := newTestModel(t, testParams(), cfg, 41)
+	var snap Snapshot
+	ctx, cancel := context.WithCancel(context.Background())
+	part.AfterGeneration = func() {
+		if part.gen == 3 {
+			s, err := part.Snapshot()
+			if err != nil {
+				t.Error(err)
+			}
+			snap = s
+			cancel()
+		}
+	}
+	if _, err := part.Run(ctx, init); err != nil {
+		t.Fatal(err)
+	}
+	longer := ga.RandomBitPopulation(len(snap.Islands[1].Population), testBits+8,
+		xrand.New(5))
+	for i, g := range longer {
+		rec, err := ga.EncodeGenome(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Islands[1].Population[i] = rec
+	}
+	resumed, _ := newTestModel(t, testParams(), cfg, 999)
+	if _, err := resumed.Resume(context.Background(), snap); err == nil {
+		t.Fatal("islands with different chromosome lengths resumed")
+	}
+}
+
 func TestIslandsCancelReturnsBestAcrossIslands(t *testing.T) {
 	cfg := Config{Count: 4, MigrateEvery: 100, MigrateCount: 1} // no migration
 	m, init := newTestModel(t, testParams(), cfg, 31)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"dstress/internal/bitvec"
 	"dstress/internal/seglog"
 )
 
@@ -88,6 +89,9 @@ func TestRecordValidation(t *testing.T) {
 		// Regression: a non-nil but empty Ints slice is not a chromosome —
 		// such a record can never seed a resumed search.
 		{Experiment: "e", Ints: []int{}},
+		{Experiment: "e", Vec: bitvec.MustParse("1010"), Bits: "1010"},
+		{Experiment: "e", Vec: bitvec.MustParse("1010"), Ints: []int{1}},
+		{Experiment: "e", Vec: bitvec.New(0)},
 	}
 	for i, r := range bad {
 		if err := db.Append(r); err == nil {
