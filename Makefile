@@ -112,9 +112,11 @@ service-test:
 # manual alignment that predates this check.
 LINT_PKGS  = ./internal/islands ./internal/predict ./internal/seglog \
 	./internal/fleet ./internal/ga ./internal/bitvec ./internal/virusdb \
+	./internal/memctl ./internal/addrmap \
 	./cmd/benchjson ./cmd/loadgen ./cmd/dstressd
 LINT_DIRS  = internal/islands internal/predict internal/seglog \
 	internal/fleet internal/ga internal/bitvec internal/virusdb \
+	internal/memctl internal/addrmap \
 	cmd/benchjson cmd/loadgen cmd/dstressd
 LINT_FILES = internal/dram/batch.go internal/dram/metrics.go \
 	internal/farm/pool.go internal/farm/metrics.go internal/farm/scheduler.go \
@@ -147,11 +149,13 @@ fleet-test:
 
 # The benchmark story: the top-level figure benchmarks (one quick-scale
 # regeneration each) plus the evaluation-path micro-benchmarks (dram fast
-# path vs reference, farm speedup). bench prints; bench-json also snapshots
-# the results — including the fast-vs-reference speedup ratios — into a
-# dated BENCH_<date>.json for the perf trajectory.
+# path vs reference, farm speedup, one access-rows generation through the
+# memory controller, controller hit and thrash loads). bench prints;
+# bench-json also snapshots the results — including the fast-vs-reference
+# speedup ratios — into a dated BENCH_<date>.json for the perf trajectory.
 BENCH_FIGS  = $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -timeout 60m .
-BENCH_MICRO = $(GO) test -run '^$$' -bench . -benchmem ./internal/dram ./internal/farm ./internal/ecc
+BENCH_MICRO = $(GO) test -run '^$$' -bench . -benchmem ./internal/dram ./internal/farm ./internal/ecc \
+	./internal/core ./internal/memctl
 
 bench:
 	$(BENCH_FIGS)
@@ -176,9 +180,10 @@ experiments-full:
 	$(GO) run ./cmd/experiments -ext -markdown results.md
 
 # Short fuzzing pass over the two parsers, the interpreter, the daemon's
-# job-request parser (its -run skips the daemon's subprocess tests) and the
-# two decoders of stored chromosomes: checkpoint genome records and virusdb
-# frames, in both their packed and legacy bit-string forms.
+# job-request parser (its -run skips the daemon's subprocess tests), the
+# two decoders of stored chromosomes (checkpoint genome records and virusdb
+# frames, in both their packed and legacy bit-string forms) and the memory
+# controller against its plain reference model on arbitrary op streams.
 fuzz:
 	$(GO) test -fuzz=FuzzParseStmts -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/minicc
@@ -186,6 +191,7 @@ fuzz:
 	$(GO) test -run=FuzzJobRequest -fuzz=FuzzJobRequest -fuzztime=30s ./cmd/dstressd
 	$(GO) test -run=FuzzDecodeGenome -fuzz=FuzzDecodeGenome -fuzztime=30s ./internal/ga
 	$(GO) test -run=FuzzDecodeFrame -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/virusdb
+	$(GO) test -run=FuzzControllerTrace -fuzz=FuzzControllerTrace -fuzztime=30s ./internal/memctl
 
 clean:
 	rm -f results.md viruses.json

@@ -89,20 +89,25 @@ func (s *RowhammerSpec) Deploy(f *Framework, g ga.Genome) error {
 			offsets = append(offsets, i-s.NeighbourSpan+1)
 		}
 	}
+	aggressors := make([]int64, 0, len(offsets)) // row starts around one victim
 	for _, victim := range s.targets {
+		aggressors = aggressors[:0]
+		for _, off := range offsets {
+			row := int(victim.Row) + off
+			if row < 0 || row >= geom.Rows {
+				continue
+			}
+			aggressors = append(aggressors, geom.Unmap(addrmap.Loc{
+				Rank: int(victim.Rank),
+				Bank: int(victim.Bank),
+				Row:  row,
+			}))
+		}
 		for h := 0; h < s.HammersPerTarget; h++ {
-			for _, off := range offsets {
-				row := int(victim.Row) + off
-				if row < 0 || row >= geom.Rows {
-					continue
-				}
-				addr := geom.Unmap(addrmap.Loc{
-					Rank: int(victim.Rank),
-					Bank: int(victim.Bank),
-					Row:  row,
-				})
+			col := int64(h%geom.WordsPerRow()) * 8
+			for _, addr := range aggressors {
 				// Uncached load: the attack's clflush+load pair.
-				ctl.ReadWordUncached(addr + int64(h%geom.WordsPerRow())*8)
+				ctl.ReadWordUncached(addr + col)
 			}
 		}
 	}

@@ -51,29 +51,33 @@ func (b *accessSpecBase) prepare(f *Framework) error {
 	return nil
 }
 
-// replay issues the virus's reads for every target chunk on both ranks.
-// access receives (rank, chunk, x) and returns the word index to read
-// within the chunk, or -1 to skip.
+// replay issues the virus's reads for every target chunk on both ranks, in
+// (rank, target, x, offset) order. wordIdx receives (offset index, x) and
+// returns the word index to read within the chunk, or -1 to skip. Only the
+// reads' traffic matters, so they are issued as loads.
 func (b *accessSpecBase) replay(f *Framework,
 	offsets []int, wordIdx func(i, x int) int) {
 	ctl := f.Srv.MCU(f.MCU)
 	geom := ctl.Device().Geometry()
 	nchunks := geom.Banks * geom.Rows
 	ctl.ResetStats()
+	bases := make([]int64, len(offsets)) // chunk start per offset; -1 off the edge
 	for rank := 0; rank < b.ranks; rank++ {
 		for _, target := range b.targets {
+			for i, off := range offsets {
+				bases[i] = -1
+				if c := target + off; c >= 0 && c < nchunks {
+					bases[i] = geom.ChunkAddr(rank, c)
+				}
+			}
 			for x := 0; x < b.SweepLen; x++ {
-				for i, off := range offsets {
-					c := target + off
-					if c < 0 || c >= nchunks {
+				for i, base := range bases {
+					if base < 0 {
 						continue
 					}
-					w := wordIdx(i, x)
-					if w < 0 {
-						continue
+					if w := wordIdx(i, x); w >= 0 {
+						ctl.Load(base + int64(w)*8)
 					}
-					addr := geom.ChunkAddr(rank, c) + int64(w)*8
-					ctl.ReadWord(addr)
 				}
 			}
 		}

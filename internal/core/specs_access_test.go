@@ -1,0 +1,122 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"sort"
+	"testing"
+
+	"dstress/internal/dram"
+	"dstress/internal/farm"
+	"dstress/internal/ga"
+	"dstress/internal/server"
+	"dstress/internal/xrand"
+)
+
+// accessDeployGolden is the digest of TestAccessDeployActsGolden's
+// controller state, recorded before the controller's counters moved from
+// maps to dense arrays. A change here means the access viruses disturb
+// DRAM differently, which moves every access-search result.
+const accessDeployGolden = "b25527509d5aef576a68224e2dabb8607c7d3454a55e883dc32051dda47f3c69"
+
+// TestAccessDeployActsGolden deploys seeded genomes of the three
+// access-driven specs on a seeded 16-row server and hashes what the
+// controller hands the DRAM model — the per-row activation rates — plus
+// the activation, clock and traffic counters behind them.
+func TestAccessDeployActsGolden(t *testing.T) {
+	const seed = 1
+	f := testFramework(t, seed)
+	if err := f.Apply(Relaxed(55)); err != nil {
+		t.Fatal(err)
+	}
+	ctl := f.Srv.MCU(f.MCU)
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	specs := []Spec{
+		NewAccessRowsSpec(0x3333333333333333),
+		NewAccessCoeffsSpec(0x3333333333333333),
+		NewRowhammerSpec(0x3333333333333333),
+	}
+	for _, spec := range specs {
+		if err := spec.Prepare(f); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, g := range spec.NewPopulation(f, 8, xrand.New(seed)) {
+			if err := spec.Deploy(f, g); err != nil {
+				t.Fatal(err)
+			}
+			acts := ctl.ActsPerWindow()
+			keys := make([]dram.RowKey, 0, len(acts))
+			for k := range acts {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool {
+				a, b := keys[i], keys[j]
+				if a.Rank != b.Rank {
+					return a.Rank < b.Rank
+				}
+				if a.Bank != b.Bank {
+					return a.Bank < b.Bank
+				}
+				return a.Row < b.Row
+			})
+			rows += len(keys)
+			put(uint64(len(keys)))
+			for _, k := range keys {
+				put(uint64(k.Rank)<<40 | uint64(k.Bank)<<32 | uint64(k.Row))
+				put(math.Float64bits(acts[k]))
+			}
+			reads, writes := ctl.DRAMTraffic()
+			hits, misses, wbs := ctl.CacheStats()
+			for _, v := range []uint64{ctl.Activations(), ctl.ElapsedNs(),
+				reads, writes, hits, misses, wbs} {
+				put(v)
+			}
+		}
+		if rows == 0 {
+			t.Fatalf("%s: no genome activated a row", spec.Name())
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != accessDeployGolden {
+		t.Fatalf("access deploy digest %s, want %s", got, accessDeployGolden)
+	}
+}
+
+// BenchmarkAccessRowsEvaluateBatch is one generation of the access-rows
+// search as a farm worker runs it: 32 genomes deployed through the
+// controller and measured in one determinism-v2 batch of 4 runs on a
+// 16-row server.
+func BenchmarkAccessRowsEvaluateBatch(b *testing.B) {
+	const seed = 1
+	srv, err := server.New(server.DefaultConfig(16, seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := NewAccessRowsSpec(0x3333333333333333)
+	_, chunk, err := NewWorkerEvaluators(srv, spec, MaxCE, Relaxed(55),
+		server.MCU2, 4, dram.DeterminismV2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pop := ga.RandomBitPopulation(32, 64, xrand.New(seed))
+	tasks := make([]farm.Assigned, len(pop))
+	out := make([]float64, len(pop))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root := xrand.New(seed)
+		for j, g := range pop {
+			tasks[j] = farm.Assigned{Idx: j, G: g, RNG: root.Split()}
+		}
+		if err := chunk(tasks, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,7 +6,10 @@
 // them, far below clflush-style rowhammer intensity.
 package memctl
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig describes the modelled last-level cache.
 type CacheConfig struct {
@@ -44,12 +47,16 @@ type cacheLine struct {
 }
 
 // Cache is a set-associative, write-allocate, write-back cache with LRU
-// replacement.
+// replacement. Its lines sit in one flat slice, set s at
+// lines[s*Ways:(s+1)*Ways].
 type Cache struct {
-	cfg     CacheConfig
-	sets    [][]cacheLine
-	numSets int
-	tick    uint64
+	cfg       CacheConfig
+	lines     []cacheLine
+	lineShift uint   // log2(LineBytes)
+	numSets   uint64 // set count
+	setMask   uint64 // numSets-1 when numSets is a power of two
+	pow2Sets  bool
+	tick      uint64
 
 	hits, misses, writebacks uint64
 }
@@ -59,12 +66,15 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	sets := make([][]cacheLine, numSets)
-	for i := range sets {
-		sets[i] = make([]cacheLine, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets, numSets: numSets}, nil
+	numSets := uint64(cfg.SizeBytes / (cfg.LineBytes * cfg.Ways))
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]cacheLine, cfg.SizeBytes/cfg.LineBytes),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		numSets:   numSets,
+		setMask:   numSets - 1,
+		pow2Sets:  numSets&(numSets-1) == 0,
+	}, nil
 }
 
 // LineAddr returns the line-aligned address containing addr.
@@ -85,8 +95,17 @@ type AccessResult struct {
 func (c *Cache) Access(addr int64, write bool) AccessResult {
 	c.tick++
 	line := c.LineAddr(addr)
-	set := int(uint64(line/int64(c.cfg.LineBytes)) % uint64(c.numSets))
-	ways := c.sets[set]
+	// line is aligned, so the shift is exactly the division by LineBytes.
+	lineNo := uint64(line >> c.lineShift)
+	var set uint64
+	if c.pow2Sets {
+		set = lineNo & c.setMask
+	} else {
+		set = lineNo % c.numSets
+	}
+	n := c.cfg.Ways
+	base := int(set) * n
+	ways := c.lines[base : base+n : base+n]
 
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == line {
@@ -123,17 +142,17 @@ func (c *Cache) Access(addr int64, write bool) AccessResult {
 // (in no particular order) so the controller can write them back.
 func (c *Cache) Flush() []int64 {
 	var dirty []int64
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.valid && l.dirty {
-				dirty = append(dirty, l.tag)
-			}
-			*l = cacheLine{}
+	for _, l := range c.lines {
+		if l.valid && l.dirty {
+			dirty = append(dirty, l.tag)
 		}
 	}
+	c.invalidate()
 	return dirty
 }
+
+// invalidate drops every line, dirty or not, without writing any back.
+func (c *Cache) invalidate() { clear(c.lines) }
 
 // Stats returns hit, miss and write-back counts since construction.
 func (c *Cache) Stats() (hits, misses, writebacks uint64) {

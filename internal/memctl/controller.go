@@ -31,10 +31,6 @@ type Config struct {
 // DefaultConfig returns the standard MCU model.
 func DefaultConfig() Config { return Config{Cache: DefaultCacheConfig()} }
 
-type bankKey struct {
-	rank, bank int32
-}
-
 // Controller is one MCU: it owns a DIMM, applies the operating parameters,
 // and routes program accesses through the cache and row-buffer models while
 // counting row activations.
@@ -46,8 +42,16 @@ type Controller struct {
 	trefp float64
 	vdd   float64
 
-	openRow map[bankKey]int32
-	acts    map[dram.RowKey]uint64
+	// openRow is each bank's open row, indexed rank*Banks+bank; -1 marks a
+	// closed bank.
+	openRow []int32
+	// acts counts activations per row, indexed (rank*Banks+bank)*Rows+row.
+	// The first activation allocates it, so a controller that never issues
+	// a load (a data virus's deploys) never holds it. touched lists the
+	// indexes with a nonzero count, which keeps resets and ActsPerWindow
+	// proportional to the rows a virus reached rather than to the device.
+	acts    []uint64
+	touched []int
 	wbQueue []int64
 
 	clockNs     uint64
@@ -62,15 +66,16 @@ func NewController(cfg Config, dev *dram.Device) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	geom := dev.Geometry()
 	c := &Controller{
 		dev:     dev,
-		geom:    dev.Geometry(),
+		geom:    geom,
 		cache:   cache,
 		trefp:   MinTREFP,
 		vdd:     MaxVDD,
-		openRow: make(map[bankKey]int32),
-		acts:    make(map[dram.RowKey]uint64),
+		openRow: make([]int32, geom.Ranks*geom.Banks),
 	}
+	c.closeRows()
 	return c, nil
 }
 
@@ -121,20 +126,18 @@ func (c *Controller) queueWriteback(addr int64) {
 // drainWritebacks issues all queued write-backs back to back.
 func (c *Controller) drainWritebacks() {
 	for _, addr := range c.wbQueue {
-		c.dramAccess(addr, true)
+		c.dramAccess(c.geom.Map(addr), true)
 	}
 	c.wbQueue = c.wbQueue[:0]
 }
 
 // dramAccess models one line transfer between controller and DRAM,
 // accounting for row activations through the per-bank row buffer.
-func (c *Controller) dramAccess(addr int64, write bool) {
-	loc := c.geom.Map(addr)
-	bk := bankKey{int32(loc.Rank), int32(loc.Bank)}
-	if open, ok := c.openRow[bk]; !ok || open != int32(loc.Row) {
-		c.openRow[bk] = int32(loc.Row)
-		c.acts[dram.Key(loc)]++
-		c.activations++
+func (c *Controller) dramAccess(loc addrmap.Loc, write bool) {
+	bank := loc.Rank*c.geom.Banks + loc.Bank
+	if c.openRow[bank] != int32(loc.Row) {
+		c.openRow[bank] = int32(loc.Row)
+		c.activate(bank*c.geom.Rows + loc.Row)
 	}
 	if write {
 		c.dramWrites++
@@ -143,20 +146,46 @@ func (c *Controller) dramAccess(addr int64, write bool) {
 	}
 }
 
+// activate counts one activation of the row at acts index i.
+func (c *Controller) activate(i int) {
+	if c.acts == nil {
+		c.acts = make([]uint64, len(c.openRow)*c.geom.Rows)
+	}
+	if c.acts[i] == 0 {
+		c.touched = append(c.touched, i)
+	}
+	c.acts[i]++
+	c.activations++
+}
+
+// cached routes one access at addr (mapped to loc) through the cache: a hit
+// costs HitLatencyNs; a miss queues the victim's write-back and fills the
+// line from DRAM.
+func (c *Controller) cached(addr int64, loc addrmap.Loc, write bool) {
+	res := c.cache.Access(addr, write)
+	if res.Hit {
+		c.clockNs += HitLatencyNs
+		return
+	}
+	c.clockNs += MissLatencyNs
+	if res.WritebackAddr >= 0 {
+		c.queueWriteback(res.WritebackAddr)
+	}
+	c.dramAccess(loc, false) // line fill
+}
+
+// Load issues a cached read of the word at a byte address for its traffic
+// alone: the cache, row-buffer, clock and traffic effects of ReadWord
+// without fetching the value. Access viruses replay loads whose values
+// nothing consumes.
+func (c *Controller) Load(addr int64) { c.cached(addr, c.geom.Map(addr), false) }
+
 // ReadWord loads the 64-bit word at a byte address through the cache
 // hierarchy. Unwritten memory reads as zero.
 func (c *Controller) ReadWord(addr int64) uint64 {
-	res := c.cache.Access(addr, false)
-	if res.Hit {
-		c.clockNs += HitLatencyNs
-	} else {
-		c.clockNs += MissLatencyNs
-		if res.WritebackAddr >= 0 {
-			c.queueWriteback(res.WritebackAddr)
-		}
-		c.dramAccess(addr, false)
-	}
-	v, _ := c.dev.ReadWord(c.geom.Map(addr))
+	loc := c.geom.Map(addr)
+	c.cached(addr, loc, false)
+	v, _ := c.dev.ReadWord(loc)
 	return v
 }
 
@@ -165,9 +194,10 @@ func (c *Controller) ReadWord(addr int64) uint64 {
 // reopen the row — the access mode of published rowhammer attacks, with an
 // order of magnitude more activations per second than cached loads.
 func (c *Controller) ReadWordUncached(addr int64) uint64 {
+	loc := c.geom.Map(addr)
 	c.clockNs += MissLatencyNs
-	c.dramAccess(addr, false)
-	v, _ := c.dev.ReadWord(c.geom.Map(addr))
+	c.dramAccess(loc, false)
+	v, _ := c.dev.ReadWord(loc)
 	return v
 }
 
@@ -175,17 +205,9 @@ func (c *Controller) ReadWordUncached(addr int64) uint64 {
 // immediately (so evaluation always sees current data), while traffic and
 // activations follow the write-back cache model.
 func (c *Controller) WriteWord(addr int64, v uint64) {
-	res := c.cache.Access(addr, true)
-	if res.Hit {
-		c.clockNs += HitLatencyNs
-	} else {
-		c.clockNs += MissLatencyNs
-		if res.WritebackAddr >= 0 {
-			c.queueWriteback(res.WritebackAddr)
-		}
-		c.dramAccess(addr, false) // line fill
-	}
-	c.dev.WriteWord(c.geom.Map(addr), v)
+	loc := c.geom.Map(addr)
+	c.cached(addr, loc, true)
+	c.dev.WriteWord(loc, v)
 }
 
 // FillRegion writes the same word to every 64-bit location in
@@ -228,24 +250,37 @@ func (c *Controller) DRAMTraffic() (reads, writes uint64) {
 // returns nil if no time has elapsed.
 func (c *Controller) ActsPerWindow() map[dram.RowKey]float64 {
 	c.drainWritebacks()
-	if c.clockNs == 0 || len(c.acts) == 0 {
+	if c.clockNs == 0 || len(c.touched) == 0 {
 		return nil
 	}
 	seconds := float64(c.clockNs) * 1e-9
-	out := make(map[dram.RowKey]float64, len(c.acts))
-	for k, n := range c.acts {
-		out[k] = float64(n) / seconds * c.trefp
+	out := make(map[dram.RowKey]float64, len(c.touched))
+	for _, i := range c.touched {
+		bank := i / c.geom.Rows
+		k := dram.RowKey{
+			Rank: int32(bank / c.geom.Banks),
+			Bank: int32(bank % c.geom.Banks),
+			Row:  int32(i % c.geom.Rows),
+		}
+		out[k] = float64(c.acts[i]) / seconds * c.trefp
 	}
 	return out
 }
 
 // ResetStats clears the clock, activation counters and row-buffer state and
-// flushes the cache (write-backs from the flush are not counted). Operating
-// parameters are preserved.
+// invalidates the cache (dirty lines are dropped, not written back).
+// Operating parameters are preserved.
 func (c *Controller) ResetStats() {
-	c.cache.Flush()
-	c.openRow = make(map[bankKey]int32)
+	c.cache.invalidate()
+	c.closeRows()
 	c.ResetCounters()
+}
+
+// closeRows precharges every bank.
+func (c *Controller) closeRows() {
+	for i := range c.openRow {
+		c.openRow[i] = -1
+	}
 }
 
 // ResetCounters zeroes the clock and traffic counters but keeps the cache
@@ -255,7 +290,10 @@ func (c *Controller) ResetStats() {
 // extrapolated as the steady-state access rate.
 func (c *Controller) ResetCounters() {
 	c.wbQueue = c.wbQueue[:0]
-	c.acts = make(map[dram.RowKey]uint64)
+	for _, i := range c.touched {
+		c.acts[i] = 0
+	}
+	c.touched = c.touched[:0]
 	c.clockNs = 0
 	c.activations = 0
 	c.dramReads = 0

@@ -428,3 +428,34 @@ func TestResetCountersKeepsCache(t *testing.T) {
 		t.Fatalf("post-reset clock %d, want one hit", c.ElapsedNs())
 	}
 }
+
+// TestDataOnlyControllerNeverAllocatesActs: a data virus's deploy fills
+// memory, resets the statistics and reads the activation rates, but never
+// issues a load, so the dense activation array (8 MiB at the 65536-row
+// cap) is never allocated. The first load allocates it.
+func TestDataOnlyControllerNeverAllocatesActs(t *testing.T) {
+	c := testController(t)
+	for i := 0; i < 3; i++ {
+		if err := c.FillRegion(0, 64<<10, 0x3333333333333333); err != nil {
+			t.Fatal(err)
+		}
+		c.ResetStats()
+		if acts := c.ActsPerWindow(); acts != nil {
+			t.Fatalf("data-only deploy has activation rates %v", acts)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		c.ResetStats()
+		c.ActsPerWindow()
+	}); allocs != 0 {
+		t.Fatalf("ResetStats+ActsPerWindow allocated %v times", allocs)
+	}
+	if c.acts != nil {
+		t.Fatalf("activation array allocated (%d counters) without a load", len(c.acts))
+	}
+	c.Load(0)
+	g := c.Device().Geometry()
+	if want := g.Ranks * g.Banks * g.Rows; len(c.acts) != want {
+		t.Fatalf("after a load: %d counters, want %d", len(c.acts), want)
+	}
+}

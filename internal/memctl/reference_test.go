@@ -1,0 +1,367 @@
+package memctl
+
+import (
+	"encoding/binary"
+	"reflect"
+	"testing"
+
+	"dstress/internal/addrmap"
+	"dstress/internal/dram"
+	"dstress/internal/xrand"
+)
+
+// refLine is one way of refController's cache.
+type refLine struct {
+	tag          int64
+	valid, dirty bool
+	used         uint64
+}
+
+// refController is the controller model written the plain way: a slice
+// per cache set scanned for its LRU way, and the row buffer and activation
+// counts in maps keyed by bank and row. The differential tests hold the
+// Controller's dense counters and flat cache to it, op for op.
+type refController struct {
+	geom                     addrmap.Geometry
+	lineBytes                int64
+	sets                     [][]refLine
+	tick                     uint64
+	openRow                  map[[2]int]int
+	acts                     map[dram.RowKey]uint64
+	mem                      map[int64]uint64
+	wbQueue                  []int64
+	trefp                    float64
+	clockNs, activations     uint64
+	reads, writes            uint64
+	hits, misses, writebacks uint64
+	bursts                   int // full write-back queues drained
+}
+
+func newRefController(geom addrmap.Geometry, cfg CacheConfig, trefp float64) *refController {
+	r := &refController{geom: geom, lineBytes: int64(cfg.LineBytes),
+		mem: map[int64]uint64{}, trefp: trefp}
+	r.sets = make([][]refLine, cfg.SizeBytes/(cfg.LineBytes*cfg.Ways))
+	for i := range r.sets {
+		r.sets[i] = make([]refLine, cfg.Ways)
+	}
+	r.resetStats()
+	return r
+}
+
+func (r *refController) dram(addr int64, write bool) {
+	l := r.geom.Map(addr)
+	if open, ok := r.openRow[[2]int{l.Rank, l.Bank}]; !ok || open != l.Row {
+		r.openRow[[2]int{l.Rank, l.Bank}] = l.Row
+		r.acts[dram.Key(l)]++
+		r.activations++
+	}
+	if write {
+		r.writes++
+	} else {
+		r.reads++
+	}
+}
+
+func (r *refController) drain() {
+	for _, a := range r.wbQueue {
+		r.dram(a, true)
+	}
+	r.wbQueue = r.wbQueue[:0]
+}
+
+// cached is one access through the cache: hit, or miss with LRU victim,
+// queued write-back of a dirty victim and a line fill.
+func (r *refController) cached(addr int64, write bool) {
+	r.geom.Map(addr) // the controller rejects a bad address first
+	r.tick++
+	line := addr / r.lineBytes * r.lineBytes
+	ways := r.sets[line/r.lineBytes%int64(len(r.sets))]
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == line {
+			ways[i].used = r.tick
+			ways[i].dirty = ways[i].dirty || write
+			r.hits++
+			r.clockNs += HitLatencyNs
+			return
+		}
+	}
+	r.misses++
+	r.clockNs += MissLatencyNs
+	victim := 0
+	for i := range ways {
+		if !ways[i].valid {
+			victim = i
+			break
+		}
+		if ways[i].used < ways[victim].used {
+			victim = i
+		}
+	}
+	if ways[victim].valid && ways[victim].dirty {
+		r.writebacks++
+		if r.wbQueue = append(r.wbQueue, ways[victim].tag); len(r.wbQueue) >= wbQueueDepth {
+			r.drain()
+			r.bursts++
+		}
+	}
+	ways[victim] = refLine{tag: line, valid: true, dirty: write, used: r.tick}
+	r.dram(addr, false)
+}
+
+func (r *refController) uncached(addr int64) {
+	r.clockNs += MissLatencyNs
+	r.dram(addr, false)
+}
+
+func (r *refController) actsPerWindow() map[dram.RowKey]float64 {
+	r.drain()
+	if r.clockNs == 0 || len(r.acts) == 0 {
+		return nil
+	}
+	out := map[dram.RowKey]float64{}
+	for k, n := range r.acts {
+		out[k] = float64(n) / (float64(r.clockNs) * 1e-9) * r.trefp
+	}
+	return out
+}
+
+func (r *refController) resetStats() {
+	for _, ways := range r.sets {
+		clear(ways)
+	}
+	r.openRow = map[[2]int]int{}
+	r.resetCounters()
+}
+
+func (r *refController) resetCounters() {
+	r.wbQueue = r.wbQueue[:0]
+	r.acts = map[dram.RowKey]uint64{}
+	r.clockNs, r.activations, r.reads, r.writes = 0, 0, 0, 0
+}
+
+// diffConfig is one geometry and cache shape of the differential suite.
+type diffConfig struct {
+	name  string
+	geom  addrmap.Geometry
+	cache CacheConfig
+}
+
+var diffConfigs = []diffConfig{
+	{"default", addrmap.Default(64), DefaultCacheConfig()}, // 512 sets
+	{"rows5-sets3", addrmap.Geometry{Ranks: 2, Banks: 8, Rows: 5, RowBytes: 1024},
+		CacheConfig{SizeBytes: 384, LineBytes: 64, Ways: 2}},
+	{"banks3-rows7-sets6", addrmap.Geometry{Ranks: 1, Banks: 3, Rows: 7, RowBytes: 512},
+		CacheConfig{SizeBytes: 1536, LineBytes: 128, Ways: 2}},
+	{"one-set", addrmap.Geometry{Ranks: 2, Banks: 8, Rows: 4, RowBytes: 256},
+		CacheConfig{SizeBytes: 512, LineBytes: 64, Ways: 8}},
+}
+
+// Controller operations of the differential op stream.
+const (
+	opReadWord = iota
+	opLoad
+	opReadWordUncached
+	opWriteWord
+	opResetStats
+	opResetCounters
+	opActsPerWindow
+	numOps
+)
+
+type diffOp struct {
+	kind int
+	addr int64
+	val  uint64
+}
+
+// diffPair is a Controller and the reference, driven in lockstep.
+type diffPair struct {
+	t   testing.TB
+	cfg diffConfig
+	ctl *Controller
+	ref *refController
+}
+
+const diffTREFP = 1.0
+
+func newDiffPair(t testing.TB, cfg diffConfig) *diffPair {
+	t.Helper()
+	dcfg := dram.DefaultConfig(cfg.geom.Rows, 1)
+	dcfg.Geometry = cfg.geom
+	dev, err := dram.NewDevice(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := NewController(Config{Cache: cfg.cache}, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.SetTREFP(diffTREFP); err != nil {
+		t.Fatal(err)
+	}
+	return &diffPair{t: t, cfg: cfg, ctl: ctl,
+		ref: newRefController(cfg.geom, cfg.cache, diffTREFP)}
+}
+
+// apply runs op on both models and compares everything observable:
+// after every op the clock, activation, traffic and cache counters and the
+// activation count of the op's own row, and on each ActsPerWindow op the
+// whole per-row rate map. ActsPerWindow is not called after every op
+// because it drains the write-back queue, which would then never fill.
+func (p *diffPair) apply(i int, op diffOp) {
+	p.t.Helper()
+	c, r := p.ctl, p.ref
+	switch op.kind {
+	case opReadWord:
+		r.cached(op.addr, false)
+		if got, want := c.ReadWord(op.addr), r.mem[op.addr]; got != want {
+			p.t.Fatalf("%s op %d: ReadWord(%#x) = %#x, want %#x",
+				p.cfg.name, i, op.addr, got, want)
+		}
+	case opLoad:
+		r.cached(op.addr, false)
+		c.Load(op.addr)
+	case opReadWordUncached:
+		r.uncached(op.addr)
+		if got, want := c.ReadWordUncached(op.addr), r.mem[op.addr]; got != want {
+			p.t.Fatalf("%s op %d: ReadWordUncached(%#x) = %#x, want %#x",
+				p.cfg.name, i, op.addr, got, want)
+		}
+	case opWriteWord:
+		r.cached(op.addr, true)
+		r.mem[op.addr] = op.val
+		c.WriteWord(op.addr, op.val)
+	case opResetStats:
+		r.resetStats()
+		c.ResetStats()
+	case opResetCounters:
+		r.resetCounters()
+		c.ResetCounters()
+	case opActsPerWindow:
+		if got, want := c.ActsPerWindow(), r.actsPerWindow(); !reflect.DeepEqual(got, want) {
+			p.t.Fatalf("%s op %d: ActsPerWindow\n got %v\nwant %v",
+				p.cfg.name, i, got, want)
+		}
+	}
+	l := p.cfg.geom.Map(op.addr)
+	var rowActs uint64
+	if c.acts != nil {
+		rowActs = c.acts[(l.Rank*p.cfg.geom.Banks+l.Bank)*p.cfg.geom.Rows+l.Row]
+	}
+	reads, writes := c.DRAMTraffic()
+	hits, misses, wbs := c.CacheStats()
+	got := []uint64{rowActs, c.Activations(), c.ElapsedNs(), reads, writes, hits, misses, wbs}
+	want := []uint64{r.acts[dram.Key(l)], r.activations, r.clockNs, r.reads, r.writes,
+		r.hits, r.misses, r.writebacks}
+	if !reflect.DeepEqual(got, want) {
+		p.t.Fatalf("%s op %d (%+v): [row-acts acts clock reads writes hits misses wbs]\n got %v\nwant %v",
+			p.cfg.name, i, op, got, want)
+	}
+}
+
+// randomOps draws a seeded op stream for cfg. Half the addresses come from
+// a small hot set, so the stream mixes cache hits, row-buffer hits, dirty
+// evictions and full write-back bursts with cold misses. Draining and
+// resetting ops are rare next to the cache size, so the cache cycles
+// between two resets and the write-back queue fills between two drains.
+func randomOps(rng *xrand.Rand, cfg diffConfig, n int) []diffOp {
+	words := uint64(cfg.geom.TotalBytes() / 8)
+	span := max(256, 4*uint64(cfg.cache.SizeBytes/cfg.cache.LineBytes))
+	hot := make([]int64, 24)
+	for i := range hot {
+		hot[i] = int64(rng.Uint64()%words) * 8
+	}
+	ops := make([]diffOp, n)
+	for i := range ops {
+		op := diffOp{addr: int64(rng.Uint64()%words) * 8, val: rng.Uint64()}
+		if rng.Uint64()%2 == 0 {
+			op.addr = hot[rng.Uint64()%uint64(len(hot))]
+		}
+		switch k := rng.Uint64() % span; {
+		case k == 0:
+			op.kind = opResetStats
+		case k == 1:
+			op.kind = opResetCounters
+		case k < 4:
+			op.kind = opActsPerWindow
+		case k < span/16:
+			op.kind = opReadWordUncached
+		default:
+			op.kind = []int{opReadWord, opLoad, opWriteWord}[k%3]
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// TestControllerMatchesReference drives the Controller and the reference
+// with seeded random op streams on every differential config, among them
+// non-power-of-two set and row counts, and requires them to agree after
+// every op. Each config must exercise hits, dirty write-backs, full
+// write-back bursts and activations.
+func TestControllerMatchesReference(t *testing.T) {
+	for _, cfg := range diffConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			// About eight resets per stream.
+			n := 8 * max(256, 4*cfg.cache.SizeBytes/cfg.cache.LineBytes)
+			var bursts int
+			var hits, wbs, acts uint64
+			for seed := uint64(1); seed <= 4; seed++ {
+				p := newDiffPair(t, cfg)
+				for i, op := range randomOps(xrand.New(seed), cfg, n) {
+					p.apply(i, op)
+				}
+				p.apply(n, diffOp{kind: opActsPerWindow})
+				bursts += p.ref.bursts
+				hits += p.ref.hits
+				wbs += p.ref.writebacks
+				acts += p.ref.activations
+			}
+			if bursts == 0 || hits == 0 || wbs == 0 || acts == 0 {
+				t.Fatalf("op streams missed a path: %d bursts, %d hits, %d write-backs, %d activations",
+					bursts, hits, wbs, acts)
+			}
+		})
+	}
+}
+
+// decodeOps turns arbitrary bytes into a config choice and an op stream
+// with in-range addresses: one config byte, then 9 bytes per op (kind,
+// then a little-endian word index folded into the address space).
+func decodeOps(data []byte) (diffConfig, []diffOp) {
+	if len(data) == 0 {
+		return diffConfigs[0], nil
+	}
+	cfg := diffConfigs[int(data[0])%len(diffConfigs)]
+	words := uint64(cfg.geom.TotalBytes() / 8)
+	var ops []diffOp
+	for b := data[1:]; len(b) >= 9; b = b[9:] {
+		w := binary.LittleEndian.Uint64(b[1:9])
+		ops = append(ops, diffOp{kind: int(b[0]) % numOps,
+			addr: int64(w%words) * 8, val: w})
+	}
+	return cfg, ops
+}
+
+// FuzzControllerTrace runs the differential comparison on fuzzer-chosen op
+// streams.
+func FuzzControllerTrace(f *testing.F) {
+	for i, cfg := range diffConfigs {
+		seed := []byte{byte(i)}
+		for _, op := range randomOps(xrand.New(uint64(i)), cfg, 64) {
+			var b [9]byte
+			b[0] = byte(op.kind)
+			binary.LittleEndian.PutUint64(b[1:], uint64(op.addr/8))
+			seed = append(seed, b[:]...)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, ops := decodeOps(data)
+		p := newDiffPair(t, cfg)
+		for i, op := range ops {
+			p.apply(i, op)
+		}
+		p.apply(len(ops), diffOp{kind: opActsPerWindow})
+	})
+}
