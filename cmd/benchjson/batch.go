@@ -1,10 +1,11 @@
 package main
 
-// The batch benchmark (-batch): population-batched evaluation vs the
-// per-genome v2 path, at growing population sizes. Both modes solve the
-// identical workload — deploy a genome's row writes, then average `runs`
-// evaluation runs — over the same simulated DIMM; the per-genome mode pays
-// plan resolution and scratch allocation once per genome, the batch mode
+// The batch benchmark (-batch): population-batched evaluation vs
+// per-genome v2 AverageRuns calls (each a batch of one), at growing
+// population sizes. Both modes solve the identical workload — deploy a
+// genome's row writes, then average `runs` evaluation runs — over the same
+// simulated DIMM; the per-genome mode pays a full plan compile once per
+// genome, the batch mode
 // (AverageRunsBatch) compiles the device plan once per generation, splices
 // only the rows each genome touched, and serves all scratch from a pool.
 // The snapshot records ns/B/allocs per population pass for each mode and

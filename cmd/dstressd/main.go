@@ -754,8 +754,8 @@ type metricsView struct {
 	Islands islands.MetricsSnapshot `json:"islands"`
 	Fleet   fleet.Status            `json:"fleet"`
 	// Eval exposes the population-batched evaluation engine's process-wide
-	// counters: batched vs per-genome kernel runs, plan compiles vs splices,
-	// and the scratch-pool hit rate.
+	// counters: v2 (batch) vs v1 (single) kernel runs, plan compiles vs
+	// splices, and the scratch-pool hit rate.
 	Eval dram.EvalStats `json:"eval"`
 }
 

@@ -3,9 +3,14 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dstress/internal/dram"
+	"dstress/internal/farm"
+	"dstress/internal/ga"
+	"dstress/internal/server"
+	"dstress/internal/xrand"
 )
 
 // The determinism-v2 differential suite: the counter-stream contract must be
@@ -131,5 +136,59 @@ func TestDetV2ContractsAreDistinct(t *testing.T) {
 	bad.Determinism = dram.DeterminismVersion(9)
 	if _, err := resumeFramework(t).RunSearch(bad); err == nil {
 		t.Fatal("search accepted determinism version 9")
+	}
+}
+
+// TestDetV2SerialAccessMatchesChunk evaluates seeded access-rows genomes one
+// at a time through the per-genome worker evaluator, collecting garbage
+// between genomes, and requires the chunk evaluator's values. Access
+// deploys write no data, so the written state survives from genome to
+// genome while every genome brings fresh activation maps: a fitness must
+// not depend on whether a dead genome's map shared an address with a live
+// one.
+func TestDetV2SerialAccessMatchesChunk(t *testing.T) {
+	const seed, pop, runs = 1, 48, 4
+	evaluators := func() (farm.EvalFunc, farm.ChunkEvalFunc) {
+		srv, err := server.New(server.DefaultConfig(16, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, chunk, err := NewWorkerEvaluators(srv,
+			NewAccessRowsSpec(0x3333333333333333), MaxCE, Relaxed(55),
+			server.MCU2, runs, dram.DeterminismV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return single, chunk
+	}
+	gs := ga.RandomBitPopulation(pop, 64, xrand.New(seed))
+
+	_, chunk := evaluators()
+	want := make([]float64, pop)
+	root := xrand.New(seed)
+	tasks := make([]farm.Assigned, pop)
+	for i, g := range gs {
+		tasks[i] = farm.Assigned{Idx: i, G: g, RNG: root.Split()}
+	}
+	if err := chunk(tasks, want); err != nil {
+		t.Fatal(err)
+	}
+
+	single, _ := evaluators()
+	root = xrand.New(seed)
+	diverged := 0
+	for i, g := range gs {
+		got, err := single(g, root.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[i] {
+			diverged++
+		}
+		runtime.GC()
+	}
+	if diverged > 0 {
+		t.Fatalf("%d of %d genomes scored differently one at a time than in a chunk",
+			diverged, pop)
 	}
 }

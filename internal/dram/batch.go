@@ -10,11 +10,12 @@ import (
 	"dstress/internal/xrand"
 )
 
-// Batch evaluation (DESIGN.md §13). A GA generation evaluates a population
-// of near-identical written states against one device under one set of
-// operating conditions. The per-genome path pays full setup per candidate:
-// plan compile, SoA derivation, conditions rebuild, scratch allocation. The
-// batch path amortizes all of it across the generation:
+// Batch evaluation (DESIGN.md §13) — the one determinism-v2 kernel. A GA
+// generation evaluates a population of near-identical written states
+// against one device under one set of operating conditions. Evaluated one
+// by one, each candidate would pay full setup: plan compile, SoA
+// derivation, conditions tables, scratch allocation. The batch amortizes
+// all of it across the generation:
 //
 //   - the run-invariant plan is compiled once, for the first item; every
 //     later item splices only the rows its Apply actually wrote (dilated
@@ -26,14 +27,15 @@ import (
 //   - all storage comes from a sync.Pool-backed session holding two
 //     ping-pong buffers, so steady-state generations allocate near zero.
 //
-// The contract is exact equivalence with the per-genome v2 path: for every
-// item, RunBatch/AverageRunsBatch produce bit-identical results to calling
-// item.Apply followed by Run/AverageRuns with the same parameters and the
-// same RNG. The splice machinery shares compileRowInto with the full
-// compile and replays the same conditions math per row, so a spliced plan
-// is the plan a full compile would have produced. Under determinism v1 the
-// batch path is rejected: v1 pins the sequential draw order, which the
-// order-independent keyed accumulation below cannot honour.
+// The contract: for every item, RunBatch/AverageRunsBatch produce results
+// bit-identical to calling item.Apply and then evaluating the device alone —
+// a batch of one, which is what Run and AverageRuns are under v2 — with the
+// same parameters and the same RNG. The splice machinery shares
+// compileRowInto with the full compile and derives the same conditions per
+// row, so a spliced plan is the plan a full compile would have produced; the
+// differential suites hold both to the plan-free v2 reference. Under
+// determinism v1 the batch path is rejected: v1 pins the sequential draw
+// order, which the order-independent keyed accumulation below cannot honour.
 
 // BatchItem is one genome's slot in a batch evaluation.
 type BatchItem struct {
@@ -51,9 +53,16 @@ type BatchItem struct {
 	// mutated afterwards.
 	Acts func() map[RowKey]float64
 
-	// RNG is the item's pre-split generator — the same generator the
-	// per-genome path would pass to Run (via RunParams.RNG) or AverageRuns.
+	// RNG is the item's pre-split generator — the same generator a
+	// per-genome evaluation would pass to Run (via RunParams.RNG) or
+	// AverageRuns.
 	RNG *xrand.Rand
+}
+
+// batchOfOne is a per-genome v2 evaluation as a batch: one item that writes
+// nothing and draws from rng.
+func batchOfOne(rng *xrand.Rand) []BatchItem {
+	return []BatchItem{{Apply: func(*Device) error { return nil }, RNG: rng}}
 }
 
 // BatchResult is the averaged measurement of one batch item, mirroring the
@@ -70,21 +79,45 @@ type BatchResult struct {
 }
 
 // batchBuf is one of the two ping-pong buffers of a batch session: a full
-// compiled plan plus the SoA constants and conditions tables the v2 kernel
-// reads. Successive items alternate buffers so a splice can copy the clean
-// row-spans of the previous item while writing its own.
+// compiled plan plus the structure-of-arrays constants and conditions
+// tables the v2 kernel reads. Successive items alternate buffers so a
+// splice can copy the clean row-spans of the previous item while writing
+// its own.
+//
+// For a weak cell the v1 math
+//
+//	tau0·env[·vrtMult]/couplingDiv/hammerDiv  [·GainFactor]  <  trefp
+//
+// is reassociated into
+//
+//	(num·env)[·vrtMult]  <  trefp·hammerDiv
+//
+// with num = tau0·gainSel/couplingDiv folded at compile time (gainSel is
+// GainFactor for discharged cells, 1 otherwise). Clusters fold
+// clNum = tau0/clusterDiv and compare the jitter draw in the log domain.
+// This reassociation is exactly what the v1 contract forbids — it is legal
+// here because v2 promises only self-consistency.
 type batchBuf struct {
 	plan evalPlan
 
-	num   []float64 // per cell: tau0·gainSel/couplingDiv (== planV2.num)
+	num   []float64 // per cell: tau0·gainSel/couplingDiv
 	clNum []float64 // per cluster: tau0/clusterDiv
 	clKey []uint64  // per cluster: stream sub-key 2·src+1
 
 	hammer []float64 // per plan row: the item's hammer pressure
 
 	// Conditions tables in row-major order with per-row prefix offsets
-	// (len(rows)+1 after seal), mirroring v2cond's partition into static
-	// flips, bistable VRT cells and cluster log-thresholds.
+	// (len(rows)+1 after seal). Everything the conditions alone decide is
+	// settled here, so each run pays only for the draws that can change an
+	// outcome:
+	//   - stat*: flips decided without a draw — deterministic cells below
+	//     threshold, plus VRT cells that fail (or survive) in both states;
+	//   - live*: bistable VRT cells, where exactly one state fails, so one
+	//     Bool draw decides; when is the draw value (true = slow state)
+	//     under which the cell fails;
+	//   - clLBand/clLThresh: per-cluster log-domain jitter thresholds — the
+	//     cluster fails fully when its N(0, ClusterJitter) draw is below
+	//     clLThresh, partially when below clLBand.
 	statLo   []int32
 	statCand []int32
 	statBit  []int32
@@ -361,8 +394,7 @@ func (d *Device) spliceBatch(sess *batchSession, cur, prev *batchBuf,
 }
 
 // finishBatchRow derives the SoA constants and conditions of the freshly
-// compiled plan row ri. The formulas replicate compilePlanV2 and condFor
-// term for term — the bit-identity contract depends on it.
+// compiled plan row ri.
 func (d *Device) finishBatchRow(sess *batchSession, cur *batchBuf, ri int,
 	p RunParams, acts map[RowKey]float64) {
 	phys := d.cfg.Physics
@@ -388,8 +420,8 @@ func (d *Device) finishBatchRow(sess *batchSession, cur *batchBuf, ri int,
 	d.condRowInto(sess, cur, ri, hammer, p)
 }
 
-// condRowInto derives one row's conditions tables, mirroring condFor's
-// per-row body over the batch buffer's SoA slices.
+// condRowInto derives one row's conditions tables from its SoA constants,
+// its hammer pressure and the operating conditions.
 func (d *Device) condRowInto(sess *batchSession, cur *batchBuf, ri int,
 	hammer float64, p RunParams) {
 	phys := d.cfg.Physics
@@ -418,6 +450,9 @@ func (d *Device) condRowInto(sess *batchSession, cur *batchBuf, ri int,
 		}
 		slowFails := a*cell.vrtMult < thresh
 		if fastFails == slowFails {
+			// Both VRT states agree: the cell is settled under these
+			// conditions and its Bool draw can never change the outcome.
+			// Keyed draws make skipping it safe.
 			if fastFails {
 				cur.statCand = append(cur.statCand, cell.cand)
 				cur.statBit = append(cur.statBit, cell.bit)
@@ -433,6 +468,9 @@ func (d *Device) condRowInto(sess *batchSession, cur *batchBuf, ri int,
 	clThresh := trefp * (1 + phys.ClusterHammerB*hammer)
 	band := clThresh * pl.partialBand
 	for i := row.clLo; i < row.clHi; i++ {
+		// tauA·exp(jit) < x  ⟺  jit < log(x/tauA): comparing the normal
+		// draw against log thresholds replaces an exp and two multiplies
+		// per cluster per run with two compares.
 		tauA := cur.clNum[i] * env
 		cur.clLBand = append(cur.clLBand, math.Log(band/tauA))
 		cur.clLThresh = append(cur.clLThresh, math.Log(clThresh/tauA))
@@ -511,11 +549,15 @@ func (d *Device) copyBatchRow(sess *batchSession, cur, prev *batchBuf,
 }
 
 // batchAccumulate runs the stochastic part of one run over the batch
-// buffer, filling its flip scratch. The addFlip sequence — statics, then
-// live VRT cells, then clusters, each in row-major table order — is exactly
-// v2Accumulate's, so the accumulated flips match the per-genome kernel's.
+// buffer, filling its flip scratch: static flips are replayed, bistable VRT
+// cells consume one Bool each, armed clusters one Norm each. Flips
+// accumulate statics first rather than row-major, so full-result callers
+// sort each word's flips into ascending bit order — part of the v2
+// contract.
 func (d *Device) batchAccumulate(cur *batchBuf, rng *xrand.Rand) {
 	pl := &cur.plan
+	// One draw of the run's Rand keys everything below — the bridge that
+	// lets v2 ride the per-run split plumbing of farm, fleet and resume.
 	rs := xrand.StreamFrom(rng)
 	for j := range cur.statCand {
 		pl.addFlip(cur.statCand[j], int(cur.statBit[j]))
@@ -542,9 +584,10 @@ func (d *Device) batchAccumulate(cur *batchBuf, rng *xrand.Rand) {
 	}
 }
 
-// classifyCountsRank is classifyCounts plus per-rank CE counting into
-// perRank (indexed by rank), for callers that aggregate the per-rank CE
-// distribution without building the error log.
+// classifyCountsRank is classify for callers that never read the error
+// log: the same SECDED verdict per corrupted word, but only the counts plus
+// per-rank CE counting into perRank (indexed by rank) — no sorting, no
+// per-word allocation.
 func (pl *evalPlan) classifyCountsRank(perRank []int) (ce, sdc, ue int) {
 	for _, wi := range pl.touched {
 		bits := pl.flips[wi]
@@ -572,7 +615,8 @@ func (pl *evalPlan) classifyCountsRank(perRank []int) (ce, sdc, ue int) {
 // RunBatch evaluates every item with one full-result run each, applying the
 // items cumulatively in order. For each item the result — including the
 // error log — is bit-identical to item.Apply followed by Run with
-// RunParams.RNG = item.RNG under determinism v2.
+// RunParams.RNG = item.RNG under determinism v2, and to the plan-free v2
+// reference.
 func (d *Device) RunBatch(p RunParams, items []BatchItem) ([]RunResult, error) {
 	out := make([]RunResult, len(items))
 	err := d.runBatchItems(p, items,
@@ -595,7 +639,7 @@ func (d *Device) RunBatch(p RunParams, items []BatchItem) ([]RunResult, error) {
 // AverageRunsBatch evaluates every item over n runs with fresh splits of
 // the item's RNG — the batch equivalent of AverageRuns, extended with the
 // per-rank CE means the server-level aggregation reads. Results are
-// bit-identical to the per-genome sequence of Apply + AverageRuns calls.
+// bit-identical to the sequence of Apply + AverageRuns calls.
 func (d *Device) AverageRunsBatch(p RunParams, n int, items []BatchItem) ([]BatchResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dram: AverageRunsBatch n = %d", n)

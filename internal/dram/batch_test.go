@@ -10,9 +10,11 @@ import (
 )
 
 // The batch differential suite: RunBatch / AverageRunsBatch must be
-// bit-identical to the per-genome v2 path for every item — same plans, same
-// conditions, same draws, same ECC verdicts — across rewritten rows, brand
-// new rows, per-item hammer maps and whole-device mutations mid-batch.
+// bit-identical for every item to the plan-free v2 reference (run_v2_test.go)
+// and to a batch of one — same draws, same ECC verdicts — across rewritten
+// rows, brand new rows, per-item hammer maps and whole-device mutations
+// mid-batch. Run and AverageRuns are the batch engine under v2, so the
+// per-item oracle is the reference, not Run.
 
 // batchGenome builds the Apply of one synthetic genome: a handful of
 // defect-row rewrites with genome-specific data, the locality pattern
@@ -118,10 +120,7 @@ func TestBatchDetV2RunBatchBitIdentical(t *testing.T) {
 		if acts[gi] != nil {
 			pg.ActsPerWindow = acts[gi]
 		}
-		want, err := single.Run(pg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := runV2Reference(t, single, pg)
 		if !reflect.DeepEqual(got[gi], want) {
 			t.Fatalf("item %d: batch result diverges\n batch: %+v\nsingle: %+v",
 				gi, got[gi], want)
@@ -152,9 +151,8 @@ func TestBatchDetV2AverageRunsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The per-genome reference mirrors the server-level aggregation: full
-	// Run per split, integer sums, divide at the end. AverageRuns is pinned
-	// to the same counts by its own suite.
+	// The reference mirrors the server-level aggregation: one plan-free v2
+	// run per split, integer sums, divide at the end.
 	rootS := xrand.New(7)
 	for gi := 0; gi < pop; gi++ {
 		rng := rootS.Split()
@@ -169,10 +167,7 @@ func TestBatchDetV2AverageRunsBitIdentical(t *testing.T) {
 		perRank := map[int]int{}
 		for r := 0; r < runs; r++ {
 			pg.RNG = rng.Split()
-			res, err := single.Run(pg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runV2Reference(t, single, pg)
 			ce += res.CE
 			sdc += res.SDC
 			if res.HasUE() {
@@ -336,8 +331,9 @@ func TestBatchAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchEval compares a whole batched generation against the
-// per-genome v2 path at several population sizes. cmd/benchjson -batch
+// BenchmarkBatchEval compares a whole batched generation against
+// per-genome AverageRuns calls — batches of one — at several population
+// sizes. cmd/benchjson -batch
 // derives speedup_batch and the B/op / allocs/op ratios from the
 // single/batch pairs; the committed snapshot pins the pop=512 ratios.
 func BenchmarkBatchEval(b *testing.B) {

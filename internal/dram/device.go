@@ -100,7 +100,6 @@ type Device struct {
 	// on it; a stale generation triggers recompilation on the next Run.
 	gen        uint64
 	plan       *evalPlan
-	v2plan     *planV2 // SoA view for determinism v2, derived from plan
 	envScratch []float64
 
 	// Dirty-row tracking for the batch evaluation path (batch.go). While

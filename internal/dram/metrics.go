@@ -9,16 +9,16 @@ import "sync/atomic"
 // one server per farm worker, and the interesting signal (how much work the
 // batch path amortized away) is the process-wide aggregate.
 type evalMetrics struct {
-	singleRuns     atomic.Uint64 // per-genome Run/AverageRuns kernel invocations
-	batchRuns      atomic.Uint64 // kernel invocations served by the batch path
+	singleRuns     atomic.Uint64 // v1 kernel runs (Run, and AverageRuns through it)
+	batchRuns      atomic.Uint64 // v2 kernel runs; every v2 run is a batch run
 	batchItems     atomic.Uint64 // genomes evaluated through RunBatch/AverageRunsBatch
 	batchCalls     atomic.Uint64 // RunBatch/AverageRunsBatch calls (≈ generations)
 	planCompiles   atomic.Uint64 // full plan compiles (cache misses)
 	planSplices    atomic.Uint64 // incremental batch-plan splices (amortized hits)
 	rowsCopied     atomic.Uint64 // clean rows carried over during a splice
 	rowsRecompiled atomic.Uint64 // dirty rows re-resolved during a splice
-	condRebuilds   atomic.Uint64 // v2 per-conditions cache rebuilds
-	condHits       atomic.Uint64 // v2 per-conditions cache hits
+	condRebuilds   atomic.Uint64 // splice: clean rows whose conditions were re-derived
+	condHits       atomic.Uint64 // splice: clean rows whose conditions were copied
 	poolGets       atomic.Uint64 // batch scratch sessions served from the pool
 	poolMisses     atomic.Uint64 // batch scratch sessions freshly allocated
 }

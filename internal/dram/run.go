@@ -25,11 +25,6 @@ type RunParams struct {
 	// TREFPByRow overrides the refresh period per row, modelling
 	// retention-aware refresh schemes (RAIDR-style): rows binned as weak
 	// refresh faster than the rest. Rows absent from the map use TREFP.
-	//
-	// The override maps (TempByRank, TREFPByRow, ActsPerWindow) are
-	// identified by pointer in the v2 conditions cache: callers may reuse a
-	// map across runs or build a fresh one per run, but must not mutate one
-	// in place between runs of the same device.
 	TREFPByRow map[RowKey]float64
 
 	// ActsPerWindow gives, per row, the number of activations the row
@@ -46,7 +41,8 @@ type RunParams struct {
 	// Version selects the determinism contract the stochastic terms follow.
 	// The zero value means DeterminismV1 — the original sequential-draw
 	// contract every recorded experiment and v1 checkpoint is pinned to.
-	// DeterminismV2 evaluates on counter-based per-cell streams (run_v2.go):
+	// DeterminismV2 evaluates on counter-based per-cell streams (run_v2.go)
+	// through the batch engine (batch.go):
 	// same physics, different (and order-independent) noise draws, so v1 and
 	// v2 results are each self-consistent but not comparable to one another.
 	Version DeterminismVersion
@@ -106,7 +102,8 @@ type flipKey struct {
 // terms and the threshold compares. Results — including the RNG stream
 // consumed and the Errors log — are bit-identical to the retained reference
 // path (runReference), which the differential suite enforces. Errors are
-// sorted by (rank, bank, row, word col).
+// sorted by (rank, bank, row, word col). Under determinism v2, Run is
+// RunBatch on one item that writes nothing and draws from p.RNG.
 //
 // A Device is not safe for concurrent use; the farm gives every worker its
 // own clone.
@@ -114,10 +111,14 @@ func (d *Device) Run(p RunParams) (RunResult, error) {
 	if err := p.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	evalMet.singleRuns.Add(1)
 	if p.Version.Normalize() == DeterminismV2 {
-		return d.runV2(p)
+		res, err := d.RunBatch(p, batchOfOne(p.RNG))
+		if err != nil {
+			return RunResult{}, err
+		}
+		return res[0], nil
 	}
+	evalMet.singleRuns.Add(1)
 	phys := d.cfg.Physics
 	pl := d.planFor()
 
@@ -219,33 +220,6 @@ func (pl *evalPlan) classify() RunResult {
 	}
 	pl.touched = pl.touched[:0]
 	return res
-}
-
-// classifyCounts is classify for callers that never read the error log: the
-// same SECDED verdict per corrupted word, but only the counts — no sorting,
-// no per-word allocation. Identical flips give identical counts, so the two
-// tails are interchangeable for averaging.
-func (pl *evalPlan) classifyCounts() (ce, sdc, ue int) {
-	for _, wi := range pl.touched {
-		bits := pl.flips[wi]
-		pw := &pl.words[wi]
-		word := pw.enc
-		for _, b := range bits {
-			word = word.FlipBit(b)
-		}
-		dec := ecc.Decode(word)
-		switch {
-		case dec.Status == ecc.Uncorrectable:
-			ue++
-		case dec.Data != pw.original:
-			sdc++
-		case dec.Status == ecc.Corrected:
-			ce++
-		}
-		pl.flips[wi] = bits[:0]
-	}
-	pl.touched = pl.touched[:0]
-	return ce, sdc, ue
 }
 
 // runReference is the direct (plan-free) evaluation the fast path is
@@ -524,29 +498,24 @@ func (d *Device) neighbourCoupling(key RowKey, pos int) (lateral, vertical int) 
 
 // AverageRuns executes n runs with fresh RNG splits and returns the mean CE
 // count, the mean SDC count and the fraction of runs that hit a UE. This is
-// the paper's ten-run averaging protocol that smooths VRT noise.
+// the paper's ten-run averaging protocol that smooths VRT noise. Under
+// determinism v2 it is AverageRunsBatch on one item that writes nothing and
+// splits rng.
 func (d *Device) AverageRuns(p RunParams, n int, rng *xrand.Rand) (meanCE,
 	meanSDC, ueFrac float64, err error) {
 	if n <= 0 {
 		return 0, 0, 0, fmt.Errorf("dram: AverageRuns n = %d", n)
 	}
+	if p.Version.Normalize() == DeterminismV2 {
+		res, err := d.AverageRunsBatch(p, n, batchOfOne(rng))
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		return res[0].MeanCE, res[0].MeanSDC, res[0].UEFrac, nil
+	}
 	var ceSum, sdcSum, ues int
 	for i := 0; i < n; i++ {
 		p.RNG = rng.Split()
-		if p.Version.Normalize() == DeterminismV2 {
-			// The batch never reads the error log; the v2 counts path skips
-			// building it and reuses the conditions cache across the runs.
-			ce, sdc, ue, rerr := d.runV2Counts(p)
-			if rerr != nil {
-				return 0, 0, 0, rerr
-			}
-			ceSum += ce
-			sdcSum += sdc
-			if ue > 0 {
-				ues++
-			}
-			continue
-		}
 		res, rerr := d.Run(p)
 		if rerr != nil {
 			return 0, 0, 0, rerr

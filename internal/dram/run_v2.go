@@ -1,13 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"math"
-	"reflect"
-	"sort"
-
-	"dstress/internal/xrand"
-)
+import "fmt"
 
 // Determinism contract v2 (see DESIGN.md §10).
 //
@@ -24,18 +17,10 @@ import (
 // index* of the cell or cluster that consumes it. The draw a cell sees is a
 // pure function of (run key, defect index) — independent of evaluation
 // order, of which other cells are evaluated, and of whether a draw is
-// consumed at all. That frees the kernel to do what v1 never could:
-//
-//   - structure-of-arrays layout with pre-reassociated per-cell constants
-//     (num = tau0·gainSel/couplingDiv folded at plan compile);
-//   - a conditions cache (v2cond): per (plan, operating conditions), every
-//     non-stochastic outcome is decided once — deterministic cells become a
-//     replayed flip list, VRT cells whose two states agree settle out, and
-//     clusters get log-domain jitter thresholds — so a repeated-measurement
-//     batch (AverageRuns, the GA's fitness unit) pays per run only for the
-//     draws that can actually change the outcome;
-//   - a counts-only classification tail for callers that never read the
-//     error log.
+// consumed at all. That frees the kernel to do what v1 never could: settle
+// every non-stochastic outcome once per (plan, conditions), splice plans
+// between genomes, and batch a generation. v2 runs on the batch engine
+// (batch.go); a per-genome Run or AverageRuns is a batch of one.
 //
 // Because StreamFrom consumes exactly one draw of p.RNG, v2 inherits the
 // existing determinism plumbing unchanged: the farm's per-chromosome splits,
@@ -84,266 +69,4 @@ func (v DeterminismVersion) String() string {
 		return "v2"
 	}
 	return fmt.Sprintf("DeterminismVersion(%d)", int(v))
-}
-
-// planV2 is the structure-of-arrays view of an evalPlan for the v2 kernel.
-// It owns no plan state of its own: rows, candidate words, flip scratch and
-// the classification tails live in the base plan; planV2 adds parallel
-// slices indexed like base.cells / base.clusters with pre-reassociated
-// constants, plus the conditions cache.
-//
-// For a weak cell the v1 math
-//
-//	tau0·env[·vrtMult]/couplingDiv/hammerDiv  [·GainFactor]  <  trefp
-//
-// is reassociated into
-//
-//	(num·env)[·vrtMult]  <  trefp·hammerDiv
-//
-// with num = tau0·gainSel/couplingDiv folded at compile time (gainSel is
-// GainFactor for discharged cells, 1 otherwise). Clusters fold
-// clNum = tau0/clusterDiv and compare the jitter draw in the log domain.
-// This reassociation is exactly what the v1 contract forbids — it is legal
-// here because v2 promises only self-consistency.
-type planV2 struct {
-	base *evalPlan
-
-	num []float64 // per cell: tau0·gainSel/couplingDiv
-
-	clNum []float64 // per cluster: tau0/clusterDiv
-	clKey []uint64  // per cluster: stream sub-key 2·(defect-map index)+1
-
-	cond v2cond
-}
-
-// v2cond caches everything derivable from (plan, operating conditions) —
-// valid until the conditions change, which in a repeated-measurement batch
-// they never do. The override maps are identified by pointer: RunParams
-// documents that callers reuse or rebuild them, never mutate them in place
-// between runs.
-type v2cond struct {
-	valid             bool
-	trefp, tempC, vdd float64
-	tempID, refID     uintptr
-	actsID            uintptr
-
-	// staticCand/staticBit are the flips decided by the conditions alone:
-	// deterministic cells below threshold, plus VRT cells that fail (or
-	// survive) in both states. Replayed into the flip scratch every run.
-	staticCand []int32
-	staticBit  []int32
-
-	// live* are the bistable VRT cells — exactly one of their two states
-	// fails, so one Bool draw per run decides. when is the draw value
-	// (true = slow state) under which the cell fails.
-	liveKey  []uint64
-	liveCand []int32
-	liveBit  []int32
-	liveWhen []bool
-
-	// Per-cluster log-domain jitter thresholds: the cluster fails fully
-	// when its N(0, ClusterJitter) draw is below lThresh, partially when
-	// below lBand.
-	clLBand   []float64
-	clLThresh []float64
-}
-
-// mapID identifies an override map for cache matching.
-func mapID[K comparable, V any](m map[K]V) uintptr {
-	if m == nil {
-		return 0
-	}
-	return reflect.ValueOf(m).Pointer()
-}
-
-func (c *v2cond) matches(p RunParams) bool {
-	return c.valid &&
-		c.trefp == p.TREFP && c.tempC == p.TempC && c.vdd == p.VDD &&
-		c.tempID == mapID(p.TempByRank) &&
-		c.refID == mapID(p.TREFPByRow) &&
-		c.actsID == mapID(p.ActsPerWindow)
-}
-
-// planV2For returns the SoA view of the current plan, rebuilding it when the
-// base plan was recompiled (planFor allocates a fresh plan per generation,
-// so pointer identity tracks staleness).
-func (d *Device) planV2For() *planV2 {
-	base := d.planFor()
-	if d.v2plan == nil || d.v2plan.base != base {
-		d.v2plan = compilePlanV2(base, d.cfg.Physics)
-	}
-	return d.v2plan
-}
-
-// compilePlanV2 derives the SoA constants from a compiled v1 plan.
-func compilePlanV2(base *evalPlan, phys Physics) *planV2 {
-	v2 := &planV2{
-		base:  base,
-		num:   make([]float64, len(base.cells)),
-		clNum: make([]float64, len(base.clusters)),
-		clKey: make([]uint64, len(base.clusters)),
-	}
-	for i := range base.cells {
-		c := &base.cells[i]
-		gainSel := 1.0
-		if !c.charged {
-			gainSel = phys.GainFactor
-		}
-		v2.num[i] = c.tau0 * gainSel / c.couplingDiv
-	}
-	for i := range base.clusters {
-		k := &base.clusters[i]
-		v2.clNum[i] = k.tau0 / k.clusterDiv
-		v2.clKey[i] = 2*uint64(k.src) + 1
-	}
-	return v2
-}
-
-// condFor returns the conditions cache for p, rebuilding it when the
-// operating conditions moved.
-func (d *Device) condFor(v2 *planV2, p RunParams) *v2cond {
-	c := &v2.cond
-	if c.matches(p) {
-		evalMet.condHits.Add(1)
-		return c
-	}
-	evalMet.condRebuilds.Add(1)
-	phys := d.cfg.Physics
-	pl := v2.base
-
-	*c = v2cond{
-		valid: true,
-		trefp: p.TREFP, tempC: p.TempC, vdd: p.VDD,
-		tempID: mapID(p.TempByRank),
-		refID:  mapID(p.TREFPByRow),
-		actsID: mapID(p.ActsPerWindow),
-		staticCand: c.staticCand[:0], staticBit: c.staticBit[:0],
-		liveKey: c.liveKey[:0], liveCand: c.liveCand[:0],
-		liveBit: c.liveBit[:0], liveWhen: c.liveWhen[:0],
-		clLBand: c.clLBand[:0], clLThresh: c.clLThresh[:0],
-	}
-
-	if cap(d.envScratch) < d.geom.Ranks {
-		d.envScratch = make([]float64, d.geom.Ranks)
-	}
-	envByRank := d.envScratch[:d.geom.Ranks]
-	for rank := range envByRank {
-		temp := p.TempC
-		if t, ok := p.TempByRank[rank]; ok {
-			temp = t
-		}
-		envByRank[rank] = phys.tempFactor(temp) * phys.vddFactor(p.VDD)
-	}
-
-	for ri := range pl.rows {
-		row := &pl.rows[ri]
-		hammer := d.hammerFor(row.key, p.ActsPerWindow)
-		env := envByRank[row.key.Rank]
-		trefp := p.TREFP
-		if t, ok := p.TREFPByRow[row.key]; ok {
-			trefp = t
-		}
-
-		thresh := trefp * (1 + phys.HammerBeta*hammer)
-		for i := row.cellLo; i < row.cellHi; i++ {
-			cell := &pl.cells[i]
-			a := v2.num[i] * env
-			fastFails := a < thresh
-			if !cell.vrt {
-				if fastFails {
-					c.staticCand = append(c.staticCand, cell.cand)
-					c.staticBit = append(c.staticBit, cell.bit)
-				}
-				continue
-			}
-			slowFails := a*cell.vrtMult < thresh
-			if fastFails == slowFails {
-				// Both VRT states agree: the cell is settled under these
-				// conditions and its Bool draw can never change the
-				// outcome. Keyed draws make skipping it safe.
-				if fastFails {
-					c.staticCand = append(c.staticCand, cell.cand)
-					c.staticBit = append(c.staticBit, cell.bit)
-				}
-				continue
-			}
-			c.liveKey = append(c.liveKey, 2*uint64(cell.src))
-			c.liveCand = append(c.liveCand, cell.cand)
-			c.liveBit = append(c.liveBit, cell.bit)
-			c.liveWhen = append(c.liveWhen, slowFails)
-		}
-
-		clThresh := trefp * (1 + phys.ClusterHammerB*hammer)
-		band := clThresh * pl.partialBand
-		for i := row.clLo; i < row.clHi; i++ {
-			// tauA·exp(jit) < x  ⟺  jit < log(x/tauA): comparing the normal
-			// draw against cached log thresholds replaces an exp and two
-			// multiplies per cluster per run with two compares.
-			tauA := v2.clNum[i] * env
-			c.clLBand = append(c.clLBand, math.Log(band/tauA))
-			c.clLThresh = append(c.clLThresh, math.Log(clThresh/tauA))
-		}
-	}
-	return c
-}
-
-// v2Accumulate runs the stochastic part of one v2 run, filling the base
-// plan's flip scratch: static flips are replayed, bistable VRT cells consume
-// one Bool each, armed clusters one Norm each.
-func (d *Device) v2Accumulate(p RunParams) *evalPlan {
-	v2 := d.planV2For()
-	c := d.condFor(v2, p)
-	pl := v2.base
-
-	// One draw of the run's Rand keys everything below — the bridge that
-	// lets v2 ride the per-run split plumbing of farm, fleet and resume.
-	rs := xrand.StreamFrom(p.RNG)
-
-	for j := range c.staticCand {
-		pl.addFlip(c.staticCand[j], int(c.staticBit[j]))
-	}
-	for j := range c.liveKey {
-		if rs.Derive(c.liveKey[j]).BoolAt(0, 0.5) == c.liveWhen[j] {
-			pl.addFlip(c.liveCand[j], int(c.liveBit[j]))
-		}
-	}
-	sigma := d.cfg.Physics.ClusterJitter
-	for i := range v2.clKey {
-		jit := rs.Derive(v2.clKey[i]).NormAt(0, 0, sigma)
-		if jit >= c.clLBand[i] {
-			continue
-		}
-		k := &pl.clusters[i]
-		if jit >= c.clLThresh[i] {
-			pl.addFlip(k.cand, int(k.partialBit))
-			continue
-		}
-		for _, b := range k.fullBits {
-			pl.addFlip(k.cand, b)
-		}
-	}
-	return pl
-}
-
-// runV2 evaluates one full-result run under the v2 contract. Called from
-// Run after parameter validation. Flips accumulate static-first rather than
-// row-major, so each word's log is canonicalized to ascending bit order —
-// part of the v2 contract.
-func (d *Device) runV2(p RunParams) (RunResult, error) {
-	pl := d.v2Accumulate(p)
-	for _, wi := range pl.touched {
-		sort.Ints(pl.flips[wi])
-	}
-	return pl.classify(), nil
-}
-
-// runV2Counts is runV2 for callers that only read the error counts
-// (AverageRuns): same draws, same flips, no error log and no sorting.
-func (d *Device) runV2Counts(p RunParams) (ce, sdc, ue int, err error) {
-	if err := p.Validate(); err != nil {
-		return 0, 0, 0, err
-	}
-	evalMet.singleRuns.Add(1)
-	ce, sdc, ue = d.v2Accumulate(p).classifyCounts()
-	return ce, sdc, ue, nil
 }

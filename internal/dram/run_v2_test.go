@@ -1,8 +1,12 @@
 package dram
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -10,8 +14,8 @@ import (
 	"dstress/internal/xrand"
 )
 
-// runV2Reference is the plan-free v2 evaluation the SoA kernel is verified
-// against: it walks the defect map directly, re-deriving charge states and
+// runV2Reference is the plan-free v2 evaluation the batch engine is
+// verified against: it walks the defect map directly, re-deriving charge states and
 // couplings per run, and draws every stochastic term from the counter stream
 // keyed on the consumer's defect-map index — the v2 contract. It mirrors the
 // floating-point association of the kernel (num = tau0·gainSel/couplingDiv,
@@ -103,7 +107,7 @@ func runV2Reference(t *testing.T, d *Device, p RunParams) RunResult {
 			// The v2 contract compares the jitter draw in the log domain:
 			// tauA·exp(jit) < x  ⟺  jit < log(x/tauA).
 			tauA := clNum * env
-			jit := rs.Derive(2*uint64(idx) + 1).NormAt(0, 0, phys.ClusterJitter)
+			jit := rs.Derive(2*uint64(idx)+1).NormAt(0, 0, phys.ClusterJitter)
 			if jit >= math.Log(band/tauA) {
 				continue
 			}
@@ -196,8 +200,8 @@ func checkV2Identical(t *testing.T, d *Device, p RunParams, seed uint64) {
 	}
 }
 
-// TestDetV2MatchesV2Reference is the v2 differential suite: the batched SoA
-// kernel against the plan-free v2 reference across layouts, fills,
+// TestDetV2MatchesV2Reference is the v2 differential suite: Run, a batch of
+// one on the batch engine, against the plan-free v2 reference across layouts, fills,
 // temperatures, refresh periods, hammering and per-row/per-rank overrides.
 func TestDetV2MatchesV2Reference(t *testing.T) {
 	fills := map[string]func(*Device){
@@ -300,6 +304,7 @@ func TestDetV2AverageRunsReproducible(t *testing.T) {
 	p := RunParams{TREFP: relaxedTREFP, TempC: 60, VDD: relaxedVDD,
 		Version: DeterminismV2}
 
+	before := EvalSnapshot().BatchRuns
 	for seed := uint64(0); seed < 3; seed++ {
 		aCE, aSDC, aUE, err := d.AverageRuns(p, 10, xrand.New(seed))
 		if err != nil {
@@ -314,38 +319,8 @@ func TestDetV2AverageRunsReproducible(t *testing.T) {
 				seed, aCE, aSDC, aUE, bCE, bSDC, bUE)
 		}
 	}
-	if d.v2plan == nil {
-		t.Fatal("v2 runs left no compiled SoA plan — v1 kernel answered instead")
-	}
-}
-
-// TestDetV2PlanTracksBase: the SoA view must be rebuilt exactly when the
-// base plan recompiles, and reused otherwise.
-func TestDetV2PlanTracksBase(t *testing.T) {
-	d := MustNewDevice(DefaultConfig(64, 3))
-	fillUniform(d, 0x3333333333333333)
-	p := RunParams{TREFP: relaxedTREFP, TempC: 60, VDD: relaxedVDD,
-		Version: DeterminismV2, RNG: xrand.New(1)}
-	if _, err := d.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	compiled := d.v2plan
-	if compiled == nil || compiled.base != d.plan {
-		t.Fatal("v2 run left no SoA plan tracking the base plan")
-	}
-
-	p.RNG = xrand.New(2)
-	if _, err := d.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	if d.v2plan != compiled {
-		t.Fatal("unchanged state rebuilt the SoA plan")
-	}
-
-	d.FillRow(d.WeakRows()[0], 0xCCCCCCCCCCCCCCCC)
-	checkV2Identical(t, d, p, 7)
-	if d.v2plan == compiled || d.v2plan.base != d.plan {
-		t.Fatal("run after write did not rebuild the SoA plan")
+	if got := EvalSnapshot().BatchRuns - before; got != 60 {
+		t.Fatalf("6 v2 AverageRuns of 10 ran %d v2 kernel runs, want 60", got)
 	}
 }
 
@@ -377,7 +352,8 @@ func TestDetV2VersionKnob(t *testing.T) {
 		t.Fatal("Run accepted an unknown determinism version")
 	}
 
-	// v1 (explicit and zero-valued) must not touch the v2 plan.
+	// v1 (explicit and zero-valued) must not run the v2 kernel.
+	before := EvalSnapshot().BatchRuns
 	p.Version = 0
 	p.RNG = xrand.New(1)
 	if _, err := d.Run(p); err != nil {
@@ -388,7 +364,139 @@ func TestDetV2VersionKnob(t *testing.T) {
 	if _, err := d.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if d.v2plan != nil {
-		t.Fatal("v1 runs compiled the v2 SoA plan")
+	if got := EvalSnapshot().BatchRuns - before; got != 0 {
+		t.Fatalf("v1 runs ran %d v2 kernel runs", got)
+	}
+}
+
+// TestDetV2FreshOverrideMapsPerRun builds fresh TempByRank and
+// ActsPerWindow maps for every run and collects the previous run's maps
+// before the next one, so the runtime is free to hand a new map the address
+// of a dead one. A result must depend on the maps' contents alone: every
+// run has to match the plan-free v2 reference.
+func TestDetV2FreshOverrideMapsPerRun(t *testing.T) {
+	const runs = 200
+	d := MustNewDevice(hostileConfig(5))
+	fillUniform(d, 0x3333333333333333)
+	diverged := 0
+	for i := 0; i < runs; i++ {
+		p := RunParams{TREFP: relaxedTREFP, TempC: 60, VDD: relaxedVDD,
+			Version:       DeterminismV2,
+			TempByRank:    map[int]float64{0: 55 + float64(i%7), 1: 60 - float64(i%5)},
+			ActsPerWindow: hammerActs(d, float64(5000*(1+i%4))),
+		}
+		p.RNG = xrand.New(uint64(i))
+		got, err := d.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.RNG = xrand.New(uint64(i))
+		if !reflect.DeepEqual(got, runV2Reference(t, d, p)) {
+			diverged++
+		}
+		runtime.GC()
+	}
+	if diverged > 0 {
+		t.Fatalf("%d of %d runs with fresh override maps diverged from the v2 reference",
+			diverged, runs)
+	}
+}
+
+// detV2RunGolden is the digest of TestDetV2RunGolden, recorded on the
+// per-genome v2 kernel before v2 runs moved onto the batch engine. A change
+// here means v2 Run or AverageRuns results moved.
+const detV2RunGolden = "4ee28faec17e5931f3f035245359edd1016f6b2263f851488f35555e066ca1fc"
+
+// TestDetV2RunGolden hashes v2 Run results, error logs included, and
+// AverageRuns results on seeded nominal and hostile devices, under plain
+// conditions and under per-rank temperature, per-row refresh and hammer
+// overrides, before and after a row rewrite. Every override map stays
+// alive until its device is done, so no map address is ever reused.
+func TestDetV2RunGolden(t *testing.T) {
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	putFloat := func(v float64) { put(math.Float64bits(v)) }
+	logged := 0
+	putResult := func(r RunResult) {
+		logged += len(r.Errors)
+		put(uint64(r.CE))
+		put(uint64(r.UE))
+		put(uint64(r.SDC))
+		ranks := make([]int, 0, len(r.CEByRank))
+		for rank := range r.CEByRank {
+			ranks = append(ranks, rank)
+		}
+		sort.Ints(ranks)
+		for _, rank := range ranks {
+			put(uint64(rank))
+			put(uint64(r.CEByRank[rank]))
+		}
+		put(uint64(len(r.Errors)))
+		for _, e := range r.Errors {
+			put(uint64(e.Key.Rank)<<40 | uint64(e.Key.Bank)<<32 | uint64(e.Key.Row))
+			put(uint64(e.WordCol))
+			put(uint64(e.Status))
+			if e.SDC {
+				put(1)
+			} else {
+				put(0)
+			}
+			put(uint64(len(e.Flips)))
+			for _, b := range e.Flips {
+				put(uint64(b))
+			}
+		}
+	}
+
+	for _, mkCfg := range []func(uint64) Config{
+		func(s uint64) Config { return DefaultConfig(64, s) },
+		hostileConfig,
+	} {
+		d := MustNewDevice(mkCfg(7))
+		fillUniform(d, 0x3333333333333333)
+		conds := []RunParams{
+			{TREFP: relaxedTREFP, TempC: 60, VDD: relaxedVDD},
+			{TREFP: relaxedTREFP, TempC: 58, VDD: relaxedVDD,
+				TempByRank:    map[int]float64{0: 64, 1: 57},
+				TREFPByRow:    trefpOverrides(d, nominalTREFP),
+				ActsPerWindow: hammerActs(d, 20000)},
+			{TREFP: relaxedTREFP, TempC: 62, VDD: relaxedVDD,
+				TempByRank:    map[int]float64{1: 66},
+				ActsPerWindow: hammerActs(d, 60000)},
+		}
+		measure := func() {
+			for seed := uint64(0); seed < 3; seed++ {
+				for _, p := range conds {
+					p.Version = DeterminismV2
+					p.RNG = xrand.New(seed)
+					res, err := d.Run(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					putResult(res)
+					ce, sdc, ue, err := d.AverageRuns(p, 10, xrand.New(100+seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+					putFloat(ce)
+					putFloat(sdc)
+					putFloat(ue)
+				}
+			}
+		}
+		measure()
+		d.FillRow(d.WeakRows()[len(d.WeakRows())/3], 0xCCCCCCCCCCCCCCCC)
+		measure()
+		runtime.KeepAlive(conds)
+	}
+	if logged == 0 {
+		t.Fatal("no run logged an error; the digest pins nothing")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != detV2RunGolden {
+		t.Fatalf("v2 run digest %s, want %s", got, detV2RunGolden)
 	}
 }

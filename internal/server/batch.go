@@ -16,9 +16,10 @@ import (
 // its deploy runs, exactly when the per-genome path would read them.
 //
 // For every index i, the result is bit-identical to calling deploys[i]
-// followed by Evaluate(mcu, runs, rngs[i]). The batch path requires the
-// server to measure under determinism v2; under v1 it returns the dram
-// layer's contract error and callers fall back to per-genome evaluation.
+// followed by Evaluate(mcu, runs, rngs[i]) — under v2, a batch of one. The
+// batch path requires the server to measure under determinism v2; under v1
+// it returns the dram layer's contract error and callers fall back to
+// per-genome evaluation.
 func (s *Server) EvaluateBatch(mcu, runs int, deploys []func() error,
 	rngs []*xrand.Rand) ([]EvalResult, error) {
 	if runs <= 0 {
@@ -28,22 +29,11 @@ func (s *Server) EvaluateBatch(mcu, runs int, deploys []func() error,
 		return nil, fmt.Errorf("server: EvaluateBatch %d deploys, %d rngs",
 			len(deploys), len(rngs))
 	}
+	p, err := s.runParams(mcu)
+	if err != nil {
+		return nil, err
+	}
 	ctl := s.MCU(mcu)
-	tempByRank := map[int]float64{}
-	for rank := 0; rank < ctl.Device().Geometry().Ranks; rank++ {
-		t, err := s.testbed.Temp(mcu, rank)
-		if err != nil {
-			return nil, err
-		}
-		tempByRank[rank] = t
-	}
-	p := dram.RunParams{
-		TREFP:      ctl.TREFP(),
-		TempC:      s.DIMMTemp(mcu),
-		TempByRank: tempByRank,
-		VDD:        ctl.VDD(),
-		Version:    s.cfg.Determinism,
-	}
 	items := make([]dram.BatchItem, len(deploys))
 	for i := range items {
 		deploy := deploys[i]

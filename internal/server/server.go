@@ -217,30 +217,26 @@ type EvalResult struct {
 // Evaluate runs the retention evaluation of one MCU's DIMM `runs` times
 // under its current operating parameters, the DIMM's present temperature
 // and the activation rates accumulated by the controller, and averages the
-// results — the paper's ten-run measurement protocol.
+// results — the paper's ten-run measurement protocol. Under determinism v2
+// it is EvaluateBatch with one deploy that writes nothing.
 func (s *Server) Evaluate(mcu, runs int, rng *xrand.Rand) (EvalResult, error) {
 	if runs <= 0 {
 		return EvalResult{}, fmt.Errorf("server: Evaluate runs = %d", runs)
 	}
-	ctl := s.MCU(mcu)
-	// Each rank has its own heater channel; feed the per-rank sensor
-	// readings into the retention model.
-	tempByRank := map[int]float64{}
-	for rank := 0; rank < ctl.Device().Geometry().Ranks; rank++ {
-		t, err := s.testbed.Temp(mcu, rank)
+	if s.cfg.Determinism.Normalize() == dram.DeterminismV2 {
+		res, err := s.EvaluateBatch(mcu, runs,
+			[]func() error{func() error { return nil }}, []*xrand.Rand{rng})
 		if err != nil {
 			return EvalResult{}, err
 		}
-		tempByRank[rank] = t
+		return res[0], nil
 	}
-	p := dram.RunParams{
-		TREFP:         ctl.TREFP(),
-		TempC:         s.DIMMTemp(mcu),
-		TempByRank:    tempByRank,
-		VDD:           ctl.VDD(),
-		ActsPerWindow: ctl.ActsPerWindow(),
-		Version:       s.cfg.Determinism,
+	p, err := s.runParams(mcu)
+	if err != nil {
+		return EvalResult{}, err
 	}
+	ctl := s.MCU(mcu)
+	p.ActsPerWindow = ctl.ActsPerWindow()
 	res := EvalResult{CEByRank: make(map[int]float64)}
 	ues := 0
 	for i := 0; i < runs; i++ {
@@ -266,6 +262,29 @@ func (s *Server) Evaluate(mcu, runs int, rng *xrand.Rand) (EvalResult, error) {
 		res.CEByRank[rank] /= n
 	}
 	return res, nil
+}
+
+// runParams reads one MCU's measurement conditions: its refresh period and
+// supply voltage, the DIMM temperature and, since each rank has its own
+// heater channel, the per-rank sensor readings. Activation rates are left
+// to the caller, which reads them after its deploy.
+func (s *Server) runParams(mcu int) (dram.RunParams, error) {
+	ctl := s.MCU(mcu)
+	tempByRank := map[int]float64{}
+	for rank := 0; rank < ctl.Device().Geometry().Ranks; rank++ {
+		t, err := s.testbed.Temp(mcu, rank)
+		if err != nil {
+			return dram.RunParams{}, err
+		}
+		tempByRank[rank] = t
+	}
+	return dram.RunParams{
+		TREFP:      ctl.TREFP(),
+		TempC:      s.DIMMTemp(mcu),
+		TempByRank: tempByRank,
+		VDD:        ctl.VDD(),
+		Version:    s.cfg.Determinism,
+	}, nil
 }
 
 // DRAMPower returns the current power draw of each DIMM, using each MCU's

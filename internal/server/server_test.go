@@ -1,6 +1,9 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -256,5 +259,90 @@ func TestPerRankHeating(t *testing.T) {
 	}
 	if res.CEByRank[0] <= res.CEByRank[1] {
 		t.Fatalf("hot rank not above cool rank: %v", res.CEByRank)
+	}
+}
+
+// detV2EvaluateGolden is the digest of TestDetV2EvaluateGolden, recorded on
+// the per-genome v2 kernel before Evaluate moved onto the batch engine.
+const detV2EvaluateGolden = "c50e75697f91bec37b746777fd17748d94f718120490e41c23ce9267f6173a6f"
+
+// TestDetV2EvaluateGolden hashes v2 Evaluate results, CEByRank included, on
+// both relaxed DIMMs with their ranks heated apart, over several fills, with
+// and without controller-driven hammering. Every Evaluate follows a fill,
+// so each one measures a freshly written state.
+func TestDetV2EvaluateGolden(t *testing.T) {
+	s := testServer(t)
+	if err := s.SetDeterminism(dram.DeterminismV2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRelaxedParams(2.283, 1.428); err != nil {
+		t.Fatal(err)
+	}
+	for _, mcu := range []int{MCU2, MCU3} {
+		if err := s.Testbed().SetTarget(mcu, 0, 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Testbed().SetTarget(mcu, 1, 57); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3600; i++ {
+		s.Testbed().Step(2)
+	}
+
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	seed, ceSum := uint64(0), 0.0
+	for _, mcu := range []int{MCU2, MCU3} {
+		ctl := s.MCU(mcu)
+		g := ctl.Device().Geometry()
+		for _, word := range []uint64{0x3333333333333333, 0xCCCCCCCCCCCCCCCC,
+			0x0000000000000000} {
+			for _, hammer := range []bool{false, true} {
+				fillMCU(s, mcu, word)
+				ctl.ResetStats()
+				if hammer {
+					// Alternate two rows of every bank of rank 0, bypassing
+					// the cache, so their neighbours see disturbance.
+					for bank := 0; bank < g.Banks; bank++ {
+						a := g.Unmap(addrmap.Loc{Rank: 0, Bank: bank, Row: 3})
+						b := g.Unmap(addrmap.Loc{Rank: 0, Bank: bank, Row: 5})
+						for k := 0; k < 200; k++ {
+							ctl.ReadWordUncached(a)
+							ctl.ReadWordUncached(b)
+						}
+					}
+				}
+				seed++
+				res, err := s.Evaluate(mcu, 10, xrand.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ceSum += res.MeanCE
+				put(math.Float64bits(res.MeanCE))
+				put(math.Float64bits(res.MeanSDC))
+				put(math.Float64bits(res.UEFrac))
+				for rank := 0; rank < g.Ranks; rank++ {
+					v, ok := res.CEByRank[rank]
+					if ok {
+						put(1)
+					} else {
+						put(0)
+					}
+					put(math.Float64bits(v))
+				}
+				put(uint64(len(res.CEByRank)))
+			}
+		}
+	}
+	if ceSum == 0 {
+		t.Fatal("no Evaluate saw a CE; the digest pins nothing")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != detV2EvaluateGolden {
+		t.Fatalf("v2 evaluate digest %s, want %s", got, detV2EvaluateGolden)
 	}
 }
