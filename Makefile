@@ -77,16 +77,17 @@ store-test:
 # bit-identity at the kernel (internal/dram, including the v1 rejection and
 # steady-state allocation budget), chunked-vs-per-task farm dispatch at
 # 1/2/4/8 workers plus a whole chunked search against a per-task reference
-# (internal/core), chunked fleet workers and context-digest elision
-# (internal/fleet), and fleet 0/1/2-node agreement at the daemon surface
-# (cmd/dstressd). The kill-and-resume pass re-runs the v2 resume matrix,
-# which now checkpoints and resumes through the chunked path, then one
-# -race iteration covers the concurrent chunk dispatch.
+# (internal/core), chunked fleet workers, context-digest elision and the
+# worker's bounded context cache (internal/fleet), and fleet 0/1/2-node
+# agreement at the daemon surface (cmd/dstressd). The kill-and-resume pass
+# re-runs the v2 resume matrix, which now checkpoints and resumes through
+# the chunked path, then one -race iteration covers the concurrent chunk
+# dispatch.
 batch-test:
-	$(GO) test -run 'Batch|LeaseContext|AdvertisesCachedContexts' \
+	$(GO) test -run 'Batch|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
 		./internal/dram ./internal/core ./internal/farm ./internal/fleet ./cmd/dstressd
 	$(GO) test -run 'DetV2Resume' ./internal/core
-	$(GO) test -race -count 1 -run 'Batch|LeaseContext|AdvertisesCachedContexts' \
+	$(GO) test -race -count 1 -run 'Batch|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
 		./internal/dram ./internal/core ./internal/fleet
 
 # The multi-tenant service matrix: bearer auth (401 envelope, open pprof

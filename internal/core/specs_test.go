@@ -5,8 +5,11 @@ import (
 
 	"dstress/internal/bitvec"
 	"dstress/internal/dram"
+	"dstress/internal/farm"
 	"dstress/internal/ga"
+	"dstress/internal/server"
 	"dstress/internal/virusdb"
+	"dstress/internal/xrand"
 )
 
 func TestRowOffsetsDecoding(t *testing.T) {
@@ -201,6 +204,37 @@ func TestVictimKeysMatchTargets(t *testing.T) {
 	for i, c := range targets {
 		if dram.Key(geom.ChunkLoc(0, c)) != keys[i] {
 			t.Fatalf("target %d mismatch", i)
+		}
+	}
+}
+
+// BenchmarkData64EvaluateBatch measures one chunk evaluation of a data64
+// generation (the fleet_data64 benchmark's shape: 64 rows per bank,
+// population 64, ten runs per genome, determinism v2). Every genome's
+// deploy is a uniform fill of its 64-bit word over the whole DIMM.
+func BenchmarkData64EvaluateBatch(b *testing.B) {
+	const seed = 1
+	srv, err := server.New(server.DefaultConfig(64, seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, chunk, err := NewWorkerEvaluators(srv, Data64Spec{}, MaxCE, Relaxed(55),
+		server.MCU2, 10, dram.DeterminismV2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pop := ga.RandomBitPopulation(64, 64, xrand.New(seed))
+	tasks := make([]farm.Assigned, len(pop))
+	out := make([]float64, len(pop))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root := xrand.New(seed)
+		for j, g := range pop {
+			tasks[j] = farm.Assigned{Idx: j, G: g, RNG: root.Split()}
+		}
+		if err := chunk(tasks, out); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

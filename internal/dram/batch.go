@@ -182,7 +182,6 @@ func (b *batchBuf) sizeFlips() {
 // by exactly one call at a time; the pool only recycles their capacity.
 type batchSession struct {
 	bufs    [2]batchBuf
-	keys    []RowKey // full-compile row ordering scratch
 	newKeys []RowKey // splice: sorted newly-written keys
 	env     []float64
 	perRank []int
@@ -297,13 +296,11 @@ func (d *Device) runBatchItems(p RunParams, items []BatchItem,
 func (d *Device) compileBatchFull(sess *batchSession, cur *batchBuf,
 	p RunParams, acts map[RowKey]float64, partialBand float64) {
 	cur.reset(partialBand)
-	keys := sess.keys[:0]
-	for key := range d.rows {
-		keys = append(keys, key)
-	}
-	sortRowKeys(keys)
-	sess.keys = keys
-	for _, key := range keys {
+	// The written defect rows in sorted order, as in compilePlan.
+	for _, key := range d.weakRows {
+		if !d.RowWritten(key) {
+			continue
+		}
 		rlo := len(cur.plan.rows)
 		d.compileRowInto(&cur.plan, key)
 		if len(cur.plan.rows) > rlo {

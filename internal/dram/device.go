@@ -76,9 +76,13 @@ type Device struct {
 	geom addrmap.Geometry
 
 	rows map[RowKey][]uint64 // materialized row images (data bits only)
-	// spare holds row images Reset released, with stale contents; newImage
-	// hands them out again before allocating, so a deploy-per-evaluation
-	// loop stops churning row-sized allocations.
+	// bg is the background image every row without a materialized image
+	// reads as, set by FillAllUniform; nil means such rows are unwritten.
+	// A uniform fill is then one row-sized write instead of one per row.
+	bg []uint64
+	// spare holds row images Reset and FillAllUniform released, with stale
+	// contents; takeImage hands them out again before allocating, so a
+	// deploy-per-evaluation loop stops churning row-sized allocations.
 	spare [][]uint64
 
 	weak      []WeakCell
@@ -95,9 +99,10 @@ type Device struct {
 	weakRows []RowKey // rows holding defects, sorted; frozen after NewDevice
 
 	// gen counts mutations of evaluation-relevant state (row images via
-	// WriteWord/FillRow/FillRowWords/Reset, defect parameters via Age). The
-	// compiled evaluation plan (plan.go) and its scratch buffers are keyed
-	// on it; a stale generation triggers recompilation on the next Run.
+	// WriteWord/FillRow/FillRowWords/FillAllUniform/Reset, defect
+	// parameters via Age). The compiled evaluation plan (plan.go) and its
+	// scratch buffers are keyed on it; a stale generation triggers
+	// recompilation on the next Run.
 	gen        uint64
 	plan       *evalPlan
 	envScratch []float64
@@ -105,8 +110,8 @@ type Device struct {
 	// Dirty-row tracking for the batch evaluation path (batch.go). While
 	// tracking is on, every row-image write records its key so the next
 	// batch item can splice only the touched row-spans of the previous
-	// item's plan. Whole-device mutations (Reset, Age) set trackAll, which
-	// forces a full recompile instead of a splice.
+	// item's plan. Whole-device mutations (Reset, FillAllUniform, Age) set
+	// trackAll, which forces a full recompile instead of a splice.
 	tracking  bool
 	trackAll  bool
 	trackRows map[RowKey]struct{}
@@ -117,8 +122,8 @@ type Device struct {
 func (d *Device) dirty() { d.gen++ }
 
 // noteWrite records a row-image write for batch splicing. Mutators that
-// change state beyond a single row's image (Reset, Age) call noteAll
-// instead.
+// change state beyond a single row's image (Reset, FillAllUniform, Age)
+// call noteAll instead.
 func (d *Device) noteWrite(k RowKey) {
 	if d.tracking && !d.trackAll {
 		d.trackRows[k] = struct{}{}
@@ -361,13 +366,19 @@ func (d *Device) physBit(k RowKey, col, bit int) int {
 
 // WriteWord stores a 64-bit data word at the given location. Check bits are
 // implied (recomputed from data when the row is evaluated), matching a
-// memory controller that writes full ECC words.
+// memory controller that writes full ECC words. The first write to a row
+// without its own image materializes one from the background row of a
+// uniform fill, or zeroed when there is none.
 func (d *Device) WriteWord(l addrmap.Loc, v uint64) {
 	k := Key(l)
 	img := d.rows[k]
 	if img == nil {
 		img = d.newImage(k)
-		clear(img)
+		if d.bg != nil {
+			copy(img, d.bg)
+		} else {
+			clear(img)
+		}
 	}
 	img[l.Col] = v
 	d.dirty()
@@ -376,8 +387,8 @@ func (d *Device) WriteWord(l addrmap.Loc, v uint64) {
 
 // ReadWord returns the stored word and whether the row has been written.
 func (d *Device) ReadWord(l addrmap.Loc) (uint64, bool) {
-	img, ok := d.rows[Key(l)]
-	if !ok {
+	img := d.image(Key(l))
+	if img == nil {
 		return 0, false
 	}
 	return img[l.Col], true
@@ -386,32 +397,60 @@ func (d *Device) ReadWord(l addrmap.Loc) (uint64, bool) {
 // RowImage returns the raw words of a row, or nil if never written. The
 // slice is the live image: callers must treat it as read-only and write
 // through WriteWord/FillRow, or the evaluation plan goes stale unnoticed.
-func (d *Device) RowImage(k RowKey) []uint64 { return d.rows[k] }
+// After a uniform fill the slice may be the background row every unwritten
+// row shares, so it goes stale after any write to the row: a write gives
+// the row its own image, and a caller that writes must take RowImage again
+// before reading on.
+func (d *Device) RowImage(k RowKey) []uint64 { return d.image(k) }
 
-// RowWritten reports whether the row holds data.
-func (d *Device) RowWritten(k RowKey) bool { _, ok := d.rows[k]; return ok }
+// RowWritten reports whether the row holds data: its own image, or the
+// background row of a uniform fill.
+func (d *Device) RowWritten(k RowKey) bool { return d.image(k) != nil }
+
+// image returns row k's materialized image, else the background row (nil
+// when there is none). Every read of a row image goes through it.
+func (d *Device) image(k RowKey) []uint64 {
+	if img, ok := d.rows[k]; ok {
+		return img
+	}
+	return d.bg
+}
 
 // newImage materializes row k's image. A spare image keeps its stale
 // contents: the caller must overwrite or clear all of it.
 func (d *Device) newImage(k RowKey) []uint64 {
-	var img []uint64
-	if n := len(d.spare); n > 0 {
-		img, d.spare = d.spare[n-1], d.spare[:n-1]
-	} else {
-		img = make([]uint64, d.geom.WordsPerRow())
-	}
+	img := d.takeImage()
 	d.rows[k] = img
 	return img
+}
+
+// takeImage returns a row-sized buffer, a spare one when there is one.
+func (d *Device) takeImage() []uint64 {
+	if n := len(d.spare); n > 0 {
+		img := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		return img
+	}
+	return make([]uint64, d.geom.WordsPerRow())
+}
+
+// releaseRows moves every materialized image to the spares.
+func (d *Device) releaseRows() {
+	for _, img := range d.rows {
+		d.spare = append(d.spare, img)
+	}
+	clear(d.rows)
 }
 
 // Reset discards all stored data (power cycle), keeping the defect map.
 // The released row images are kept for reuse, so a RowImage slice taken
 // before a Reset must not be read after it.
 func (d *Device) Reset() {
-	for _, img := range d.rows {
-		d.spare = append(d.spare, img)
+	d.releaseRows()
+	if d.bg != nil {
+		d.spare = append(d.spare, d.bg)
+		d.bg = nil
 	}
-	clear(d.rows)
 	d.dirty()
 	d.noteAll()
 }

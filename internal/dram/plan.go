@@ -30,8 +30,9 @@ import (
 //     in defect-map order before its clusters, one Bool draw per VRT cell,
 //     one Norm draw per cluster with at least one charged cell.
 //   - Any mutation of device state that evaluation reads must bump the
-//     generation counter (WriteWord, FillRow, FillRowWords, Reset, Age); the
-//     next Run recompiles. RowImage exposes rows read-only for this reason.
+//     generation counter (WriteWord, FillRow, FillRowWords, FillAllUniform,
+//     Reset, Age); the next Run recompiles. RowImage exposes rows read-only
+//     for this reason.
 //   - The plan and its scratch buffers belong to one device and are reused
 //     across runs; Run results never alias them.
 
@@ -145,14 +146,13 @@ func (d *Device) compilePlan() *evalPlan {
 		pl.partialBand = 1
 	}
 
-	keys := make([]RowKey, 0, len(d.rows))
-	for key := range d.rows {
-		keys = append(keys, key)
-	}
-	sortRowKeys(keys)
-
-	for _, key := range keys {
-		d.compileRowInto(pl, key)
+	// Only rows holding defects compile to anything, so walking the sorted
+	// defect rows and keeping the written ones visits the same rows, in the
+	// same order, as sorting every written row would.
+	for _, key := range d.weakRows {
+		if d.RowWritten(key) {
+			d.compileRowInto(pl, key)
+		}
 	}
 
 	pl.flips = make([][]int, len(pl.words))
@@ -173,7 +173,7 @@ func (d *Device) compileRowInto(pl *evalPlan, key RowKey) {
 	if len(weakIdx) == 0 && len(clIdx) == 0 {
 		return
 	}
-	img := d.rows[key]
+	img := d.image(key)
 
 	// Candidate words of this row, column-ascending so the error log
 	// comes out sorted by (rank, bank, row, word col).

@@ -245,14 +245,13 @@ func (d *Device) runReference(p RunParams) (RunResult, error) {
 	flips := make(map[flipKey][]int)
 
 	// Iterate written rows in a fixed order: evaluation consumes the run's
-	// RNG stream, so the order must not depend on map iteration.
-	keys := make([]RowKey, 0, len(d.rows))
-	for key := range d.rows {
-		keys = append(keys, key)
-	}
-	sortRowKeys(keys)
-
-	for _, key := range keys {
+	// RNG stream, so the order must not depend on map iteration. Rows
+	// without defects draw nothing and flip nothing, so the sorted defect
+	// rows that are written are the whole walk.
+	for _, key := range d.weakRows {
+		if !d.RowWritten(key) {
+			continue
+		}
 		hammer := d.hammerFor(key, p.ActsPerWindow)
 		envFactor := envByRank[key.Rank]
 		rp := p
@@ -297,8 +296,7 @@ func (d *Device) runReference(p RunParams) (RunResult, error) {
 	res := RunResult{CEByRank: make(map[int]int)}
 	for _, fk := range fks {
 		bits := flips[fk]
-		img := d.rows[fk.key]
-		original := img[fk.col]
+		original := d.image(fk.key)[fk.col]
 		word := ecc.Encode(original)
 		for _, b := range bits {
 			word = word.FlipBit(b)
@@ -375,8 +373,7 @@ func (d *Device) weakCellFails(w *WeakCell, key RowKey, envFactor,
 func (d *Device) clusterFails(c *Cluster, key RowKey, envFactor,
 	hammer float64, p RunParams, flips map[flipKey][]int) {
 	phys := d.cfg.Physics
-	img := d.rows[key]
-	data := img[c.WordCol]
+	data := d.image(key)[c.WordCol]
 
 	chargedN := 0
 	for _, b := range c.Bits {
@@ -436,8 +433,8 @@ var clusterNeighbourBits = []int{16, 19, 20, 23}
 // row key, and whether the row is written. Bits 64..71 are the ECC check
 // bits, recomputed from the data as the controller would store them.
 func (d *Device) storedBit(key RowKey, col, bit int) (bool, bool) {
-	img, ok := d.rows[key]
-	if !ok {
+	img := d.image(key)
+	if img == nil {
 		return false, false
 	}
 	if bit < 64 {

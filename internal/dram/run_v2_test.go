@@ -1,8 +1,6 @@
 package dram
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"reflect"
@@ -38,14 +36,11 @@ func runV2Reference(t *testing.T, d *Device, p RunParams) RunResult {
 
 	rs := xrand.StreamFrom(p.RNG)
 
-	keys := make([]RowKey, 0, len(d.rows))
-	for key := range d.rows {
-		keys = append(keys, key)
-	}
-	sortRowKeys(keys)
-
 	flips := make(map[flipKey][]int)
-	for _, key := range keys {
+	for _, key := range d.weakRows {
+		if !d.RowWritten(key) {
+			continue
+		}
 		hammer := d.hammerFor(key, p.ActsPerWindow)
 		env := envByRank[key.Rank]
 		trefp := p.TREFP
@@ -83,7 +78,7 @@ func runV2Reference(t *testing.T, d *Device, p RunParams) RunResult {
 		band := clThresh * partialBand
 		for _, idx := range d.clustersByRow[key] {
 			c := &d.clusters[idx]
-			data := d.rows[key][c.WordCol]
+			data := d.image(key)[c.WordCol]
 			chargedN := 0
 			var fullBits []int
 			for _, b := range c.Bits {
@@ -149,7 +144,7 @@ func classifyFlipMap(d *Device, flips map[flipKey][]int) RunResult {
 	res := RunResult{CEByRank: make(map[int]int)}
 	for _, fk := range fks {
 		bits := flips[fk]
-		original := d.rows[fk.key][fk.col]
+		original := d.image(fk.key)[fk.col]
 		word := ecc.Encode(original)
 		for _, b := range bits {
 			word = word.FlipBit(b)
@@ -413,45 +408,7 @@ const detV2RunGolden = "4ee28faec17e5931f3f035245359edd1016f6b2263f851488f35555e
 // overrides, before and after a row rewrite. Every override map stays
 // alive until its device is done, so no map address is ever reused.
 func TestDetV2RunGolden(t *testing.T) {
-	h := sha256.New()
-	put := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	putFloat := func(v float64) { put(math.Float64bits(v)) }
-	logged := 0
-	putResult := func(r RunResult) {
-		logged += len(r.Errors)
-		put(uint64(r.CE))
-		put(uint64(r.UE))
-		put(uint64(r.SDC))
-		ranks := make([]int, 0, len(r.CEByRank))
-		for rank := range r.CEByRank {
-			ranks = append(ranks, rank)
-		}
-		sort.Ints(ranks)
-		for _, rank := range ranks {
-			put(uint64(rank))
-			put(uint64(r.CEByRank[rank]))
-		}
-		put(uint64(len(r.Errors)))
-		for _, e := range r.Errors {
-			put(uint64(e.Key.Rank)<<40 | uint64(e.Key.Bank)<<32 | uint64(e.Key.Row))
-			put(uint64(e.WordCol))
-			put(uint64(e.Status))
-			if e.SDC {
-				put(1)
-			} else {
-				put(0)
-			}
-			put(uint64(len(e.Flips)))
-			for _, b := range e.Flips {
-				put(uint64(b))
-			}
-		}
-	}
-
+	r := newResultHash()
 	for _, mkCfg := range []func(uint64) Config{
 		func(s uint64) Config { return DefaultConfig(64, s) },
 		hostileConfig,
@@ -477,14 +434,14 @@ func TestDetV2RunGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					putResult(res)
+					r.putResult(res)
 					ce, sdc, ue, err := d.AverageRuns(p, 10, xrand.New(100+seed))
 					if err != nil {
 						t.Fatal(err)
 					}
-					putFloat(ce)
-					putFloat(sdc)
-					putFloat(ue)
+					r.putFloat(ce)
+					r.putFloat(sdc)
+					r.putFloat(ue)
 				}
 			}
 		}
@@ -493,10 +450,10 @@ func TestDetV2RunGolden(t *testing.T) {
 		measure()
 		runtime.KeepAlive(conds)
 	}
-	if logged == 0 {
+	if r.logged == 0 {
 		t.Fatal("no run logged an error; the digest pins nothing")
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != detV2RunGolden {
+	if got := hex.EncodeToString(r.h.Sum(nil)); got != detV2RunGolden {
 		t.Fatalf("v2 run digest %s, want %s", got, detV2RunGolden)
 	}
 }

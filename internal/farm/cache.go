@@ -1,6 +1,9 @@
 package farm
 
-import "sync"
+import (
+	"crypto/sha256"
+	"sync"
+)
 
 // Cache memoizes fitness values across generations and jobs. The paper
 // averages a virus's VRT noise over ten runs, so its mean fitness is a
@@ -16,10 +19,9 @@ import "sync"
 // traffic from EvaluateBatch's serial phases, in batch order.
 type Cache struct {
 	mu     sync.Mutex
-	vals   map[string]float64
-	latest map[string]uint64 // key -> ticket of its newest queue entry
-	order  []cacheEntry      // recency queue; live region is order[head:]
-	head   int               // consumed prefix, reclaimed by compaction
+	vals   map[cacheKey]cacheSlot
+	order  []cacheEntry // recency queue; live region is order[head:]
+	head   int          // consumed prefix, reclaimed by compaction
 	tick   uint64
 	limit  int
 	hits   uint64
@@ -27,18 +29,35 @@ type Cache struct {
 }
 
 // cacheEntry is one position in the recency queue. A promoted key leaves its
-// old entry behind as a tombstone (its ticket no longer matches latest);
+// old entry behind as a tombstone (its ticket no longer matches the slot's);
 // eviction skips tombstones, which keeps promotion O(1) instead of O(queue).
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	tick uint64
+}
+
+// cacheKey is the digest a memoization key is held under. The keys are
+// ~100-byte strings (operating conditions plus chromosome identity); held
+// whole, their text would be most of a full cache's memory. 128 bits keep
+// collisions out of reach at any limit.
+type cacheKey [16]byte
+
+// cacheSlot is one memoized value and the ticket of its key's newest queue
+// entry.
+type cacheSlot struct {
+	val  float64
+	tick uint64
+}
+
+func digestKey(key string) cacheKey {
+	sum := sha256.Sum256([]byte(key))
+	return cacheKey(sum[:16])
 }
 
 // NewCache returns an unbounded cache; call SetLimit to bound it.
 func NewCache() *Cache {
 	return &Cache{
-		vals:   make(map[string]float64),
-		latest: make(map[string]uint64),
+		vals: make(map[cacheKey]cacheSlot),
 	}
 }
 
@@ -52,9 +71,11 @@ func (c *Cache) SetLimit(n int) {
 }
 
 // touch moves key to the back of the recency queue.
-func (c *Cache) touch(key string) {
+func (c *Cache) touch(key cacheKey) {
 	c.tick++
-	c.latest[key] = c.tick
+	slot := c.vals[key]
+	slot.tick = c.tick
+	c.vals[key] = slot
 	c.order = append(c.order, cacheEntry{key: key, tick: c.tick})
 	c.compact()
 }
@@ -66,19 +87,18 @@ func (c *Cache) evict() {
 	for len(c.vals) > c.limit && c.head < len(c.order) {
 		e := c.order[c.head]
 		c.head++
-		if c.latest[e.key] != e.tick {
+		if c.vals[e.key].tick != e.tick {
 			continue // tombstone of a promoted key
 		}
 		delete(c.vals, e.key)
-		delete(c.latest, e.key)
 	}
 	c.compact()
 }
 
 // compact bounds the queue's memory. The consumed prefix and the tombstones
 // are copied away into fresh arrays — re-slicing (order = order[head:])
-// would keep the old backing array, and every evicted key's string with it,
-// reachable for as long as the cache lives.
+// would keep the whole old backing array reachable for as long as the cache
+// lives.
 func (c *Cache) compact() {
 	if c.head > 32 && c.head*2 >= len(c.order) {
 		c.order = append([]cacheEntry(nil), c.order[c.head:]...)
@@ -87,7 +107,7 @@ func (c *Cache) compact() {
 	if len(c.order)-c.head > 2*len(c.vals)+32 {
 		fresh := make([]cacheEntry, 0, len(c.vals))
 		for _, e := range c.order[c.head:] {
-			if c.latest[e.key] == e.tick {
+			if c.vals[e.key].tick == e.tick {
 				fresh = append(fresh, e)
 			}
 		}
@@ -95,22 +115,24 @@ func (c *Cache) compact() {
 	}
 }
 
-func (c *Cache) lookup(key string) (float64, bool) {
+func (c *Cache) lookup(s string) (float64, bool) {
+	key := digestKey(s)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.vals[key]
+	slot, ok := c.vals[key]
 	if ok {
 		// A hit is a reuse: keep the entry alive. This is what lets elites —
 		// which are looked up, never re-put — survive a bounded cache.
 		c.touch(key)
 	}
-	return v, ok
+	return slot.val, ok
 }
 
-func (c *Cache) put(key string, v float64) {
+func (c *Cache) put(s string, v float64) {
+	key := digestKey(s)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.vals[key] = v
+	c.vals[key] = cacheSlot{val: v}
 	c.touch(key)
 	c.evict()
 }

@@ -21,7 +21,6 @@ func TestCacheReleasesEvictedStorage(t *testing.T) {
 	}
 	c.mu.Lock()
 	qcap, qlen, head := cap(c.order), len(c.order), c.head
-	tracked := len(c.latest)
 	c.mu.Unlock()
 	if qcap > 256 {
 		t.Fatalf("queue cap = %d after 50k evictions: evicted entries are "+
@@ -29,9 +28,6 @@ func TestCacheReleasesEvictedStorage(t *testing.T) {
 	}
 	if qlen-head > 256 {
 		t.Fatalf("queue holds %d live slots for 8 entries", qlen-head)
-	}
-	if tracked > 256 {
-		t.Fatalf("ticket map tracks %d keys for 8 entries", tracked)
 	}
 	// The survivors are exactly the newest keys.
 	if _, ok := c.lookup("key-49999"); !ok {

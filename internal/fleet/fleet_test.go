@@ -527,3 +527,88 @@ func TestWorkerAdvertisesCachedContexts(t *testing.T) {
 		t.Fatal("repeated same-context shards never shipped digest-only")
 	}
 }
+
+// TestWorkerEvictsContexts: a worker that serves more contexts than it may
+// hold keeps only the most recently used ones, advertises only those, and a
+// later shard for an evicted context arrives with its full payload and is
+// rebuilt to the same fitness.
+func TestWorkerEvictsContexts(t *testing.T) {
+	const seed = 919
+	gs := testGenomes(t, 4)
+	want := reference(t, seed, gs)
+
+	c := NewCoordinator(fastConfig())
+	ts := serve(t, c)
+	var mu sync.Mutex
+	builds := map[string]int{}
+	w := NewWorker(ts.URL, "lru",
+		func(evalCtx json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
+			mu.Lock()
+			builds[string(evalCtx)]++
+			mu.Unlock()
+			return testEval, nil, nil
+		},
+		WithLeaseWait(200*time.Millisecond),
+		WithBackoff(5*time.Millisecond, 50*time.Millisecond, 2))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	waitLive(t, c, 1)
+
+	envCtx := func(env int) string { return fmt.Sprintf(`{"env":%d}`, env) }
+	evalIn := func(env int) {
+		t.Helper()
+		sess := c.NewSession(json.RawMessage(envCtx(env)), testPool(t, seed))
+		got, err := sess.EvaluateBatch(context.Background(), gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("context %d diverged from local pool:\n got %v\nwant %v",
+				env, got, want)
+		}
+	}
+	builtTimes := func(env, want int) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if got := builds[envCtx(env)]; got != want {
+			t.Fatalf("context %d built %d times, want %d", env, got, want)
+		}
+	}
+
+	const served = 12
+	for env := 0; env < served; env++ {
+		evalIn(env)
+	}
+	w.mu.Lock()
+	held, advertised := len(w.evals), len(w.digests)
+	w.mu.Unlock()
+	if held > maxWorkerContexts || advertised != held {
+		t.Fatalf("after %d contexts the worker holds %d and advertises %d, "+
+			"want at most %d of each", served, held, advertised, maxWorkerContexts)
+	}
+	if n := len(w.cachedDigests()); n > maxWorkerContexts {
+		t.Fatalf("lease advertises %d contexts, want at most %d", n, maxWorkerContexts)
+	}
+
+	// Context 0 is the least recently used: evicted, so its next shard
+	// must carry the full context and be rebuilt.
+	evalIn(0)
+	builtTimes(0, 2)
+
+	// The most recent context is still held and still ships digest-only.
+	elided := c.Snapshot().ContextsElided
+	evalIn(served - 1)
+	builtTimes(served-1, 1)
+	if c.Snapshot().ContextsElided == elided {
+		t.Fatal("a held context's shard was not shipped digest-only")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,7 +34,16 @@ type BatchBuildFunc func(evalCtx json.RawMessage) (farm.EvalFunc, farm.ChunkEval
 type workerEval struct {
 	single farm.EvalFunc
 	chunk  farm.ChunkEvalFunc // nil: evaluate per task
+	used   uint64             // Worker.uses at the last shard; LRU order
 }
+
+// maxWorkerContexts bounds the evaluator pairs a worker holds. Each one owns
+// a built server, and every search job ships a new context, so an unbounded
+// cache grows with the jobs served. Eight is dstressd's default -budget of
+// concurrently running jobs. The least recently used context is evicted;
+// the lease advertises only what is held, so the coordinator ships an
+// evicted context in full again.
+const maxWorkerContexts = 8
 
 // Worker is the remote side of the fleet: it joins a coordinator, heartbeats,
 // pulls leased shards, evaluates them and reports results, retrying transport
@@ -56,6 +66,7 @@ type Worker struct {
 	mu      sync.Mutex
 	evals   map[string]workerEval // context digest -> cached evaluator pair
 	digests []string              // sorted cache keys, advertised on lease
+	uses    uint64                // shards served; stamps workerEval.used
 }
 
 // WorkerOption configures a Worker.
@@ -318,7 +329,9 @@ func safeWorkerChunk(ev farm.ChunkEvalFunc, tasks []farm.Assigned,
 // ships several contexts, and rebuilding the simulated server per shard
 // would dominate the shard itself. A digest-only shard (context elided
 // because this worker advertised it) must hit the cache; a coordinator only
-// elides what the worker claimed to hold.
+// elides what the worker claimed to hold. The cache holds at most
+// maxWorkerContexts pairs; building one more evicts the least recently
+// used.
 func (w *Worker) evaluator(sh *Shard) (workerEval, error) {
 	key := sh.ContextDigest
 	if key == "" {
@@ -327,7 +340,10 @@ func (w *Worker) evaluator(sh *Shard) (workerEval, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.uses++
 	if ev, ok := w.evals[key]; ok {
+		ev.used = w.uses
+		w.evals[key] = ev
 		return ev, nil
 	}
 	if len(sh.Context) == 0 {
@@ -343,10 +359,27 @@ func (w *Worker) evaluator(sh *Shard) (workerEval, error) {
 	if ev.single == nil {
 		return workerEval{}, fmt.Errorf("shard %s: builder returned no evaluator", sh.ID)
 	}
+	if len(w.evals) >= maxWorkerContexts {
+		w.evictOldest()
+	}
+	ev.used = w.uses
 	w.evals[key] = ev
 	w.digests = append(w.digests, key)
 	sort.Strings(w.digests)
 	return ev, nil
+}
+
+// evictOldest drops the least recently used evaluator pair. Callers hold
+// w.mu.
+func (w *Worker) evictOldest() {
+	oldest := ""
+	for key, ev := range w.evals {
+		if oldest == "" || ev.used < w.evals[oldest].used {
+			oldest = key
+		}
+	}
+	delete(w.evals, oldest)
+	w.digests = slices.DeleteFunc(w.digests, func(d string) bool { return d == oldest })
 }
 
 // cachedDigests snapshots the context digests this worker holds, advertised

@@ -268,6 +268,10 @@ func Run(dev *dram.Device, t Test, cond Conditions) (Result, error) {
 							loc := k.Loc()
 							loc.Col = col
 							dev.WriteWord(loc, want)
+							// The write may have given a row that read a
+							// uniform fill's shared background its own
+							// image: the old slice is stale.
+							img = dev.RowImage(k)
 						}
 					}
 				} else {

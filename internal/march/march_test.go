@@ -1,6 +1,9 @@
 package march
 
 import (
+	"cmp"
+	"reflect"
+	"slices"
 	"testing"
 
 	"dstress/internal/dram"
@@ -233,6 +236,48 @@ func TestMarchBConsistency(t *testing.T) {
 		}
 		if res.Mismatches == 0 {
 			t.Fatalf("retention-aware %s found nothing", name)
+		}
+	}
+}
+
+// TestUniformFillMatchesExplicitFill: March on a device holding a uniform
+// fill gives the Result it gives on a device filled row by row. Elements
+// that read before any write walk rows that share the fill's background
+// image; the restoring writes must not leave later reads on the stale one.
+func TestUniformFillMatchesExplicitFill(t *testing.T) {
+	readFirst := Test{Name: "read-first", Elements: []Element{
+		{Order: Up, Ops: []Op{R0, R1, W0}},
+		{Order: Down, Ops: []Op{R0, W1, R1}},
+	}}
+	for _, tst := range []Test{readFirst, RetentionAware(readFirst),
+		RetentionAware(MATSPlus())} {
+		for _, fill := range []uint64{^uint64(0), 0x3333333333333333} {
+			uni, exp := testDevice(t, 12), testDevice(t, 12)
+			uni.FillAllUniform(fill)
+			exp.FillAll(func(dram.RowKey) uint64 { return fill })
+			ru, err := Run(uni, tst, relaxed())
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, err := Run(exp, tst, relaxed())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ru.Mismatches == 0 {
+				t.Fatalf("%s on fill %#x found nothing; the check pins nothing",
+					tst.Name, fill)
+			}
+			for _, r := range []*Result{&ru, &re} {
+				slices.SortFunc(r.FailingRows, func(a, b dram.RowKey) int {
+					return cmp.Or(cmp.Compare(a.Rank, b.Rank),
+						cmp.Compare(a.Bank, b.Bank), cmp.Compare(a.Row, b.Row))
+				})
+			}
+			if !reflect.DeepEqual(ru, re) {
+				t.Fatalf("%s on fill %#x: uniform %d mismatches in %d rows, "+
+					"explicit %d in %d", tst.Name, fill, ru.Mismatches,
+					len(ru.FailingRows), re.Mismatches, len(re.FailingRows))
+			}
 		}
 	}
 }
