@@ -84,10 +84,10 @@ store-test:
 # the chunked path, then one -race iteration covers the concurrent chunk
 # dispatch.
 batch-test:
-	$(GO) test -run 'Batch|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
+	$(GO) test -run 'Batch|CellSites|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
 		./internal/dram ./internal/core ./internal/farm ./internal/fleet ./cmd/dstressd
 	$(GO) test -run 'DetV2Resume' ./internal/core
-	$(GO) test -race -count 1 -run 'Batch|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
+	$(GO) test -race -count 1 -run 'Batch|CellSites|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
 		./internal/dram ./internal/core ./internal/fleet
 
 # The multi-tenant service matrix: bearer auth (401 envelope, open pprof

@@ -117,7 +117,9 @@ func newDaemon(budget, rows int, seed uint64, db *virusdb.DB,
 		sched.SetJournal(journal)
 	}
 	cache := farm.NewCache()
-	cache.SetLimit(1 << 16)
+	// Hits are reuse within one job, and 4096 entries hold several jobs'
+	// worth; a larger limit only grows the resident set as the store fills.
+	cache.SetLimit(1 << 12)
 	return &daemon{
 		sched:      sched,
 		db:         db,

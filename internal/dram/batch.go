@@ -297,15 +297,12 @@ func (d *Device) compileBatchFull(sess *batchSession, cur *batchBuf,
 	p RunParams, acts map[RowKey]float64, partialBand float64) {
 	cur.reset(partialBand)
 	// The written defect rows in sorted order, as in compilePlan.
-	for _, key := range d.weakRows {
+	for ri, key := range d.weakRows {
 		if !d.RowWritten(key) {
 			continue
 		}
-		rlo := len(cur.plan.rows)
-		d.compileRowInto(&cur.plan, key)
-		if len(cur.plan.rows) > rlo {
-			d.finishBatchRow(sess, cur, rlo, p, acts)
-		}
+		d.compileRowInto(&cur.plan, ri)
+		d.finishBatchRow(sess, cur, len(cur.plan.rows)-1, p, acts)
 	}
 	evalMet.planCompiles.Add(1)
 }
@@ -379,10 +376,9 @@ func (d *Device) spliceBatch(sess *batchSession, cur, prev *batchBuf,
 		}
 		if !fromPrev || dirty(key) {
 			evalMet.rowsRecompiled.Add(1)
-			rlo := len(cur.plan.rows)
-			d.compileRowInto(&cur.plan, key)
-			if len(cur.plan.rows) > rlo {
-				d.finishBatchRow(sess, cur, rlo, p, acts)
+			if ri, ok := d.defectSlot(key); ok {
+				d.compileRowInto(&cur.plan, ri)
+				d.finishBatchRow(sess, cur, len(cur.plan.rows)-1, p, acts)
 			}
 			continue
 		}
@@ -394,7 +390,7 @@ func (d *Device) spliceBatch(sess *batchSession, cur, prev *batchBuf,
 // compiled plan row ri.
 func (d *Device) finishBatchRow(sess *batchSession, cur *batchBuf, ri int,
 	p RunParams, acts map[RowKey]float64) {
-	phys := d.cfg.Physics
+	phys := &d.cfg.Physics
 	pl := &cur.plan
 	row := &pl.rows[ri]
 
@@ -421,7 +417,7 @@ func (d *Device) finishBatchRow(sess *batchSession, cur *batchBuf, ri int,
 // its hammer pressure and the operating conditions.
 func (d *Device) condRowInto(sess *batchSession, cur *batchBuf, ri int,
 	hammer float64, p RunParams) {
-	phys := d.cfg.Physics
+	phys := &d.cfg.Physics
 	pl := &cur.plan
 	row := &pl.rows[ri]
 	env := sess.env[row.key.Rank]

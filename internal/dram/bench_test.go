@@ -155,3 +155,16 @@ func BenchmarkTREFPSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompileFull measures one full plan compile of a 64-row hostile
+// device (scrambled, phase-flipped and remapped rows) after a uniform fill:
+// the compile a data64 deploy forces on every evaluation.
+func BenchmarkCompileFull(b *testing.B) {
+	d := MustNewDevice(hostileConfig(1))
+	d.FillAllUniform(0x3333333333333333)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.compilePlan()
+	}
+}

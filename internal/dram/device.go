@@ -85,18 +85,20 @@ type Device struct {
 	// deploy-per-evaluation loop stops churning row-sized allocations.
 	spare [][]uint64
 
-	weak      []WeakCell
-	weakByRow map[RowKey][]int
-
-	clusters      []Cluster
-	clustersByRow map[RowKey][]int
+	weak     []WeakCell
+	clusters []Cluster
 
 	remap map[int32]map[int]int // bank -> logical word col -> physical col
 
 	scrambleSalt uint64
 	phaseSalt    uint64
 
-	weakRows []RowKey // rows holding defects, sorted; frozen after NewDevice
+	// weakRows are the rows holding defects, sorted; defectRows[i] is what
+	// the defect map decides about weakRows[i], and sites[i] resolves weak
+	// cell i's position (sites.go). All three are frozen after NewDevice.
+	weakRows   []RowKey
+	defectRows []defectRow
+	sites      []cellSite
 
 	// gen counts mutations of evaluation-relevant state (row images via
 	// WriteWord/FillRow/FillRowWords/FillAllUniform/Reset, defect
@@ -178,12 +180,10 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg.StrengthScale = 1
 	}
 	d := &Device{
-		cfg:           cfg,
-		geom:          cfg.Geometry,
-		rows:          make(map[RowKey][]uint64),
-		weakByRow:     make(map[RowKey][]int),
-		clustersByRow: make(map[RowKey][]int),
-		remap:         make(map[int32]map[int]int),
+		cfg:   cfg,
+		geom:  cfg.Geometry,
+		rows:  make(map[RowKey][]uint64),
+		remap: make(map[int32]map[int]int),
 	}
 	root := xrand.New(cfg.Seed)
 	d.scrambleSalt = root.Uint64()
@@ -192,6 +192,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	d.sampleClusters(root.Split())
 	d.sampleRemaps(root.Split())
 	d.weakRows = d.computeWeakRows()
+	d.resolveDefects()
 	return d, nil
 }
 
@@ -230,7 +231,6 @@ func (d *Device) sampleWeakCells(rng *xrand.Rand) {
 				wc.VRT = true
 				wc.VRTMult = p.VRTLow + rng.Float64()*(p.VRTHigh-p.VRTLow)
 			}
-			d.weakByRow[key] = append(d.weakByRow[key], len(d.weak))
 			d.weak = append(d.weak, wc)
 		}
 	}
@@ -269,7 +269,6 @@ func (d *Device) sampleClusters(rng *xrand.Rand) {
 				// Round-robin signatures guarantee every signature occurs.
 				Neighbours: clusterSignatures[i%len(clusterSignatures)],
 			}
-			d.clustersByRow[key] = append(d.clustersByRow[key], len(d.clusters))
 			d.clusters = append(d.clusters, cl)
 		}
 	}
@@ -408,8 +407,12 @@ func (d *Device) RowImage(k RowKey) []uint64 { return d.image(k) }
 func (d *Device) RowWritten(k RowKey) bool { return d.image(k) != nil }
 
 // image returns row k's materialized image, else the background row (nil
-// when there is none). Every read of a row image goes through it.
+// when there is none). Every read of a row image goes through it. After a
+// uniform fill no row has its own image, and the map lookup is skipped.
 func (d *Device) image(k RowKey) []uint64 {
+	if len(d.rows) == 0 {
+		return d.bg
+	}
 	if img, ok := d.rows[k]; ok {
 		return img
 	}
@@ -472,12 +475,12 @@ func (d *Device) WeakRows() []RowKey {
 
 // computeWeakRows builds the sorted defect-row set for WeakRows.
 func (d *Device) computeWeakRows() []RowKey {
-	set := make(map[RowKey]bool, len(d.weakByRow)+len(d.clustersByRow))
-	for k := range d.weakByRow {
-		set[k] = true
+	set := make(map[RowKey]bool, len(d.weak)+len(d.clusters))
+	for i := range d.weak {
+		set[d.weak[i].Key] = true
 	}
-	for k := range d.clustersByRow {
-		set[k] = true
+	for i := range d.clusters {
+		set[d.clusters[i].Key] = true
 	}
 	keys := make([]RowKey, 0, len(set))
 	for k := range set {

@@ -43,8 +43,8 @@ func (d *Device) ClusterFireWord(key RowKey) uint64 {
 		w &^= 1 << uint(b) // anti-cell defect: charged when storing '0'
 	}
 	sig := clusterSignatures[0]
-	if idxs := d.clustersByRow[key]; len(idxs) > 0 {
-		sig = d.clusters[idxs[0]].Neighbours
+	if ri, ok := d.defectSlot(key); ok && len(d.defectRows[ri].clusters) > 0 {
+		sig = d.clusters[d.defectRows[ri].clusters[0]].Neighbours
 	}
 	for i, nb := range clusterNeighbourBits {
 		if sig[i] {

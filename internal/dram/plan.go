@@ -93,10 +93,6 @@ type evalPlan struct {
 	// backing array.
 	bitsArena []int
 
-	// colScratch is compile-time scratch for collecting a row's candidate
-	// word columns.
-	colScratch []int
-
 	// Per-run scratch, reused across runs: flips[i] collects the failing
 	// bits of words[i]; touched lists the word indices with flips.
 	flips   [][]int
@@ -149,9 +145,9 @@ func (d *Device) compilePlan() *evalPlan {
 	// Only rows holding defects compile to anything, so walking the sorted
 	// defect rows and keeping the written ones visits the same rows, in the
 	// same order, as sorting every written row would.
-	for _, key := range d.weakRows {
+	for ri, key := range d.weakRows {
 		if d.RowWritten(key) {
-			d.compileRowInto(pl, key)
+			d.compileRowInto(pl, ri)
 		}
 	}
 
@@ -160,71 +156,48 @@ func (d *Device) compilePlan() *evalPlan {
 	return pl
 }
 
-// compileRowInto resolves one written row's defects against the current row
-// image and appends its candidate words, cells, clusters and planRow entry
-// to pl. It is the single source of per-row compile semantics: the full
-// compile above and the batch splice path (batch.go) both call it, so a
-// spliced row is bit-identical to a freshly compiled one by construction.
-// Rows without defects append nothing.
-func (d *Device) compileRowInto(pl *evalPlan, key RowKey) {
-	phys := d.cfg.Physics
-	weakIdx := d.weakByRow[key]
-	clIdx := d.clustersByRow[key]
-	if len(weakIdx) == 0 && len(clIdx) == 0 {
-		return
-	}
-	img := d.image(key)
+// compileRowInto resolves the defects of written row weakRows[ri] against
+// the current row images and appends its candidate words, cells, clusters
+// and planRow entry to pl. It is the single source of per-row compile
+// semantics: the full compile above and the batch splice path (batch.go)
+// both call it, so a spliced row is bit-identical to a freshly compiled one
+// by construction. Positions, cell types and neighbours come from the
+// device's resolved sites (sites.go); only data bits are read here.
+func (d *Device) compileRowInto(pl *evalPlan, ri int) {
+	phys := &d.cfg.Physics
+	key := d.weakRows[ri]
+	dr := &d.defectRows[ri]
+	var nbImg [4][]uint64
+	d.neighbourImages(key, &nbImg)
+	img := nbImg[nbLeft]
 
 	// Candidate words of this row, column-ascending so the error log
 	// comes out sorted by (rank, bank, row, word col).
-	cols := pl.colScratch[:0]
-	for _, wi := range weakIdx {
-		cols = append(cols, d.weak[wi].WordCol)
-	}
-	for _, ci := range clIdx {
-		cols = append(cols, d.clusters[ci].WordCol)
-	}
-	sort.Ints(cols)
-	pl.colScratch = cols
 	base := int32(len(pl.words))
-	prev := -1
-	for _, col := range cols {
-		if col == prev {
-			continue
-		}
-		prev = col
+	for _, col := range dr.cols {
 		pl.words = append(pl.words, planWord{
 			key: key, col: col, original: img[col],
 			enc: ecc.Encode(img[col]),
 		})
 	}
-	candOf := func(col int) int32 {
-		for i := base; i < int32(len(pl.words)); i++ {
-			if pl.words[i].col == col {
-				return i
-			}
-		}
-		panic("dram: plan candidate word missing")
-	}
 
 	cellLo := int32(len(pl.cells))
-	for _, wi := range weakIdx {
+	for _, wi := range dr.weak {
 		w := &d.weak[wi]
-		cand := candOf(w.WordCol)
+		s := &d.sites[wi]
+		cand := base + s.slot
 		var stored bool
 		if w.Bit < 64 {
 			stored = img[w.WordCol]&(1<<uint(w.Bit)) != 0
 		} else {
 			stored = pl.words[cand].enc.Check&(1<<uint(w.Bit-64)) != 0
 		}
-		pos := d.physBit(key, w.WordCol, w.Bit)
-		charged := stored == (d.CellTypeAt(key, pos) == TrueCell)
-		lat, vert := d.neighbourCoupling(key, pos)
+		lat, vert := s.coupling(&nbImg)
 		pl.cells = append(pl.cells, planCell{
 			cand:    cand,
 			bit:     int32(w.Bit),
-			src:     int32(wi),
-			charged: charged,
+			src:     wi,
+			charged: stored == s.trueCell,
 			vrt:     w.VRT,
 			tau0:    w.Tau0,
 			vrtMult: w.VRTMult,
@@ -234,7 +207,7 @@ func (d *Device) compileRowInto(pl *evalPlan, key RowKey) {
 	}
 
 	clLo := int32(len(pl.clusters))
-	for _, ci := range clIdx {
+	for j, ci := range dr.clusters {
 		c := &d.clusters[ci]
 		data := img[c.WordCol]
 		chargedN := 0
@@ -258,9 +231,9 @@ func (d *Device) compileRowInto(pl *evalPlan, key RowKey) {
 			}
 		}
 		pl.clusters = append(pl.clusters, planCluster{
-			cand:       candOf(c.WordCol),
+			cand:       base + dr.clSlots[j],
 			partialBit: int32(fullBits[0]),
-			src:        int32(ci),
+			src:        ci,
 			tau0:       c.Tau0,
 			clusterDiv: 1 + phys.ClusterAlpha*float64(chargedN-1) +
 				phys.ClusterExtAlpha*float64(ext),

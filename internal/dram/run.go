@@ -248,10 +248,11 @@ func (d *Device) runReference(p RunParams) (RunResult, error) {
 	// RNG stream, so the order must not depend on map iteration. Rows
 	// without defects draw nothing and flip nothing, so the sorted defect
 	// rows that are written are the whole walk.
-	for _, key := range d.weakRows {
+	for ri, key := range d.weakRows {
 		if !d.RowWritten(key) {
 			continue
 		}
+		dr := &d.defectRows[ri]
 		hammer := d.hammerFor(key, p.ActsPerWindow)
 		envFactor := envByRank[key.Rank]
 		rp := p
@@ -259,7 +260,7 @@ func (d *Device) runReference(p RunParams) (RunResult, error) {
 			rp.TREFP = t
 		}
 
-		for _, idx := range d.weakByRow[key] {
+		for _, idx := range dr.weak {
 			w := &d.weak[idx]
 			if d.weakCellFails(w, key, envFactor, hammer, rp) {
 				fk := flipKey{key, w.WordCol}
@@ -267,7 +268,7 @@ func (d *Device) runReference(p RunParams) (RunResult, error) {
 			}
 		}
 
-		for _, idx := range d.clustersByRow[key] {
+		for _, idx := range dr.clusters {
 			c := &d.clusters[idx]
 			d.clusterFails(c, key, envFactor, hammer, rp, flips)
 		}

@@ -37,10 +37,11 @@ func runV2Reference(t *testing.T, d *Device, p RunParams) RunResult {
 	rs := xrand.StreamFrom(p.RNG)
 
 	flips := make(map[flipKey][]int)
-	for _, key := range d.weakRows {
+	for ri, key := range d.weakRows {
 		if !d.RowWritten(key) {
 			continue
 		}
+		dr := &d.defectRows[ri]
 		hammer := d.hammerFor(key, p.ActsPerWindow)
 		env := envByRank[key.Rank]
 		trefp := p.TREFP
@@ -49,7 +50,7 @@ func runV2Reference(t *testing.T, d *Device, p RunParams) RunResult {
 		}
 		thresh := trefp * (1 + phys.HammerBeta*hammer)
 
-		for _, idx := range d.weakByRow[key] {
+		for _, idx := range dr.weak {
 			w := &d.weak[idx]
 			stored, ok := d.storedBit(key, w.WordCol, w.Bit)
 			if !ok {
@@ -76,7 +77,7 @@ func runV2Reference(t *testing.T, d *Device, p RunParams) RunResult {
 
 		clThresh := trefp * (1 + phys.ClusterHammerB*hammer)
 		band := clThresh * partialBand
-		for _, idx := range d.clustersByRow[key] {
+		for _, idx := range dr.clusters {
 			c := &d.clusters[idx]
 			data := d.image(key)[c.WordCol]
 			chargedN := 0

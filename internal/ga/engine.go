@@ -140,6 +140,11 @@ type Engine struct {
 
 	// OnGeneration, when non-nil, observes every generation's statistics as
 	// they are recorded — progress reporting for long-running campaigns.
+	// A search that runs to MaxGenerations without converging breeds and
+	// evaluates one more offspring generation after the last OnGeneration
+	// (and OnSnapshot): the final population the Result holds is that
+	// generation, which no hook observes. With MaxGenerations G the batch
+	// evaluator is called G+1 times, the initial population included.
 	OnGeneration func(GenStats)
 
 	// OnSnapshot, when non-nil, receives a resumable Snapshot at every

@@ -1,7 +1,9 @@
 package ga
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -399,5 +401,42 @@ func TestEvaluationsCounted(t *testing.T) {
 	want := 40 + 3*38
 	if eng.Evaluations != want {
 		t.Fatalf("evaluations %d, want %d", eng.Evaluations, want)
+	}
+}
+
+// TestFinalGenerationEvaluatedAfterLastHook pins where the last generation
+// is evaluated: without convergence, MaxGenerations G calls the batch
+// evaluator G+1 times, and the last call comes after the last OnGeneration.
+func TestFinalGenerationEvaluatedAfterLastHook(t *testing.T) {
+	const gens = 3
+	rng := xrand.New(13)
+	p := DefaultParams()
+	p.MaxGenerations = gens
+	p.ConvergenceSim = 1.0
+	var events []string
+	serial := SerialBatch(onesCount)
+	batch := func(ctx context.Context, gs []Genome) ([]float64, error) {
+		events = append(events, "batch")
+		return serial(ctx, gs)
+	}
+	eng, err := NewBatch(p, batch, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.OnGeneration = func(GenStats) { events = append(events, "gen") }
+	res, err := eng.Run(RandomBitPopulation(40, 16, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged {
+		t.Fatal("search converged; the test needs it to run to MaxGenerations")
+	}
+	var want []string
+	for g := 0; g < gens; g++ {
+		want = append(want, "batch", "gen")
+	}
+	want = append(want, "batch")
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("call order %v, want %v", events, want)
 	}
 }
