@@ -66,12 +66,16 @@ islands-test:
 # and mid-compaction of the segmented store (every acknowledged record must
 # replay after a strict reopen), the staged crash windows of the
 # legacy-file migration (virusdb JSON array, farm whole-doc journal), the
-# salvage/validation regression suites, and one -race iteration of the
-# store package: the store is shared by concurrent campaign jobs.
+# salvage/validation regression suites, frame locators and CRC-checked
+# reads, virusdb pages against a scan-and-sort reference, the hand-framed
+# journal checkpoint op, and the bit-identity of the bulk mutation draw and
+# the fitness-cache key. Then one -race iteration of the store and database
+# packages: they are shared by concurrent campaign jobs, and virusdb's own
+# test races appends, page reads and compactions.
 store-test:
-	$(GO) test -run 'Seglog|Migrat|Torn|Corrupt|Compact|Manifest|Salvage|Journal' \
-		./internal/seglog ./internal/virusdb ./internal/farm
-	$(GO) test -race -count 1 ./internal/seglog
+	$(GO) test -run 'Seglog|Migrat|Torn|Corrupt|Compact|Manifest|Salvage|Journal|FlipBools|MutateMatches|GenomeKeyDigest' \
+		./internal/seglog ./internal/virusdb ./internal/farm ./internal/xrand ./internal/ga
+	$(GO) test -race -count 1 ./internal/seglog ./internal/virusdb
 
 # The population-batched evaluation differential matrix: batch-vs-serial
 # bit-identity at the kernel (internal/dram, including the v1 rejection and
@@ -114,11 +118,11 @@ service-test:
 LINT_PKGS  = ./internal/islands ./internal/predict ./internal/seglog \
 	./internal/fleet ./internal/ga ./internal/bitvec ./internal/virusdb \
 	./internal/memctl ./internal/addrmap ./internal/dram ./internal/server \
-	./cmd/benchjson ./cmd/loadgen ./cmd/dstressd
+	./internal/xrand ./cmd/benchjson ./cmd/loadgen ./cmd/dstressd
 LINT_DIRS  = internal/islands internal/predict internal/seglog \
 	internal/fleet internal/ga internal/bitvec internal/virusdb \
 	internal/memctl internal/addrmap internal/dram internal/server \
-	cmd/benchjson cmd/loadgen cmd/dstressd
+	internal/xrand cmd/benchjson cmd/loadgen cmd/dstressd
 LINT_FILES = internal/farm/pool.go internal/farm/metrics.go internal/farm/scheduler.go \
 	internal/farm/tenant.go internal/farm/journal.go internal/core/parallel.go
 
@@ -182,8 +186,9 @@ experiments-full:
 # Short fuzzing pass over the two parsers, the interpreter, the daemon's
 # job-request parser (its -run skips the daemon's subprocess tests), the
 # two decoders of stored chromosomes (checkpoint genome records and virusdb
-# frames, in both their packed and legacy bit-string forms) and the memory
-# controller against its plain reference model on arbitrary op streams.
+# frames, in both their packed and legacy bit-string forms), the journal's
+# op replay on arbitrary frames, and the memory controller against its
+# plain reference model on arbitrary op streams.
 fuzz:
 	$(GO) test -fuzz=FuzzParseStmts -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/minicc
@@ -191,6 +196,7 @@ fuzz:
 	$(GO) test -run=FuzzJobRequest -fuzz=FuzzJobRequest -fuzztime=30s ./cmd/dstressd
 	$(GO) test -run=FuzzDecodeGenome -fuzz=FuzzDecodeGenome -fuzztime=30s ./internal/ga
 	$(GO) test -run=FuzzDecodeFrame -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/virusdb
+	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/farm
 	$(GO) test -run=FuzzControllerTrace -fuzz=FuzzControllerTrace -fuzztime=30s ./internal/memctl
 
 clean:

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -145,5 +147,27 @@ func TestVirusDBPaging(t *testing.T) {
 	// An unknown experiment is an empty page, not null and not an error.
 	if got := fitnesses(ts.URL + "/api/v1/virusdb?experiment=ghost"); len(got) != 0 {
 		t.Errorf("ghost experiment returned %v", got)
+	}
+
+	// Damage the last appended frame (fitness 4) on disk: a page holding it
+	// is a 500 envelope, never other bits; pages that miss it still serve.
+	segs, _ := filepath.Glob(filepath.Join(d.db.Path(), "seg-*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("%d segments", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0x01
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, eb := doRaw(t, "GET", base+"&limit=2", ""); status != http.StatusInternalServerError ||
+		eb.Error.Code != "internal" {
+		t.Errorf("page over a damaged frame: HTTP %d, code %q", status, eb.Error.Code)
+	}
+	if got := fitnesses(base + "&offset=2"); len(got) != 3 || got[0] != 3 {
+		t.Errorf("page past the damaged frame: %v", got)
 	}
 }

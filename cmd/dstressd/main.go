@@ -697,7 +697,8 @@ func (d *daemon) cancelJob(w http.ResponseWriter, r *http.Request, ref jobRef) {
 // getVirusDB serves the database: the index view without an experiment,
 // otherwise that experiment's records strongest-first (a stable sort over
 // the append order, so identical queries page identically), filtered by
-// min_fitness and windowed by offset/limit.
+// min_fitness and windowed by offset/limit. Every listed record is read
+// back from disk, so a request without limit reads the whole experiment.
 func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 	if d.db == nil {
 		httpError(w, http.StatusNotFound, errors.New("daemon runs without a database"))
@@ -737,8 +738,13 @@ func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	// Query never returns nil, so an empty page is [], never null.
-	writeJSON(w, http.StatusOK, d.db.Query(exp, minFit, offset, limit))
+	// Query never returns a nil page, so an empty one is [], never null.
+	page, err := d.db.Query(exp, minFit, offset, limit)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, page)
 }
 
 // metricsView aggregates every counter the daemon keeps: the body of
@@ -816,7 +822,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	// Marshal before touching the ResponseWriter: once WriteHeader fires the
 	// status is on the wire, and an encoding failure after it would hand the
 	// client a success header glued to a broken body.
-	data, err := json.MarshalIndent(v, "", " ")
+	data, err := json.Marshal(v)
 	if err != nil {
 		log.Printf("dstressd: encoding %T response: %v", v, err)
 		w.Header().Set("Content-Type", "application/json")

@@ -64,14 +64,20 @@ func main() {
 		fmt.Printf("%s: %d viruses across %d experiments\n\n",
 			*dbPath, db.Len(), len(db.Experiments()))
 		for _, name := range db.Experiments() {
-			best, _ := db.Best(name)
+			best, _, err := db.Best(name)
+			if err != nil {
+				fatal(err)
+			}
 			fmt.Printf("%-32s %3d viruses, best fitness %10.2f (TREFP %.3fs, VDD %.3fV, %.0f°C)\n",
 				name, db.Count(name), best.Fitness, best.TREFP, best.VDD, best.TempC)
 		}
 		return
 	}
 
-	recs := db.TopN(*experiment, *top)
+	recs, err := db.TopN(*experiment, *top)
+	if err != nil {
+		fatal(err)
+	}
 	if len(recs) == 0 {
 		fatal(fmt.Errorf("no records for experiment %q", *experiment))
 	}

@@ -51,11 +51,7 @@ func Random(n int, p float64, rng *xrand.Rand) *Vec {
 		v.maskTail()
 		return v
 	}
-	for i := 0; i < n; i++ {
-		if rng.Bool(p) {
-			v.Set(i, true)
-		}
-	}
+	rng.FlipBools(v.words, n, p)
 	return v
 }
 
@@ -176,8 +172,8 @@ func (v *Vec) SwapRange(o *Vec, lo, hi int) {
 }
 
 // Words returns the backing words: bit 64*i+j is bit j of word i, and bits
-// past Len are zero. The slice is the live storage, not a copy; callers must
-// treat it as read-only.
+// past Len are zero. The slice is the live storage, not a copy: a caller
+// that writes it must keep the bits past Len zero.
 func (v *Vec) Words() []uint64 { return v.words }
 
 // Bytes returns the packed form of the vector: its words little-endian, 8

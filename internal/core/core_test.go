@@ -403,8 +403,8 @@ func TestSearchRecordsAndResumes(t *testing.T) {
 	if db.Len() != 40 {
 		t.Fatalf("database has %d records, want 40", db.Len())
 	}
-	best, ok := db.Best(res1.Experiment)
-	if !ok || best.Fitness != res1.BestFitness {
+	best, ok, err := db.Best(res1.Experiment)
+	if err != nil || !ok || best.Fitness != res1.BestFitness {
 		t.Fatalf("best record mismatch: %+v vs %.1f", best, res1.BestFitness)
 	}
 	// Resume: the seeded population must not regress below the recorded best.

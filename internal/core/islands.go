@@ -53,8 +53,12 @@ func (f *Framework) runIslandSearch(ctx context.Context, cfg SearchConfig,
 	if cfg.Resume && f.DB != nil {
 		// Database seeding replaces island 0's random individuals; the other
 		// islands stay random so the archipelago keeps its diversity.
+		recs, err := f.DB.TopN(cfg.experimentKey(), params.PopulationSize)
+		if err != nil {
+			return nil, fmt.Errorf("core: resuming %s: %w", cfg.experimentKey(), err)
+		}
 		seeded := 0
-		for _, rec := range f.DB.TopN(cfg.experimentKey(), params.PopulationSize) {
+		for _, rec := range recs {
 			g, err := cfg.Spec.Decode(rec)
 			if err != nil {
 				return nil, fmt.Errorf("core: resuming %s: %w", cfg.experimentKey(), err)

@@ -158,8 +158,12 @@ func (f *Framework) RunSearchContext(ctx context.Context, cfg SearchConfig) (*Se
 	engRNG := f.RNG.Split()
 	initial := cfg.Spec.NewPopulation(f, params.PopulationSize, f.RNG.Split())
 	if cfg.Resume && f.DB != nil {
+		recs, err := f.DB.TopN(cfg.experimentKey(), params.PopulationSize)
+		if err != nil {
+			return nil, fmt.Errorf("core: resuming %s: %w", cfg.experimentKey(), err)
+		}
 		seeded := 0
-		for _, rec := range f.DB.TopN(cfg.experimentKey(), params.PopulationSize) {
+		for _, rec := range recs {
 			g, err := cfg.Spec.Decode(rec)
 			if err != nil {
 				return nil, fmt.Errorf("core: resuming %s: %w",

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -251,8 +252,37 @@ func (jl *Journal) setCheckpoint(id int, cp json.RawMessage) error {
 	if !ok {
 		return nil // job already retired; a late checkpoint is not an error
 	}
-	e.Checkpoint = append(json.RawMessage(nil), cp...)
-	return jl.appendLocked(journalOp{Op: "checkpoint", ID: id, Checkpoint: e.Checkpoint})
+	p, raw, err := checkpointOp(id, cp)
+	if err != nil {
+		return err
+	}
+	e.Checkpoint = raw
+	return jl.writeLocked(p)
+}
+
+// checkpointOp frames a "checkpoint" op around cp by hand and returns the
+// frame with the checkpoint's bytes inside it, which the live entry shares
+// instead of copying. json.Marshal(journalOp{...}) would scan and copy a
+// checkpoint of megabytes once more only to re-compact what its caller
+// already marshalled; for encoding/json output (compact, HTML-escaped) the
+// bytes here are the same. json.Valid still refuses what is not JSON.
+func checkpointOp(id int, cp json.RawMessage) (frame []byte, raw json.RawMessage, err error) {
+	if len(cp) > 0 && !json.Valid(cp) {
+		return nil, nil, fmt.Errorf("farm: journal: checkpoint of job %d is not valid JSON", id)
+	}
+	frame = make([]byte, 0, len(cp)+48)
+	frame = append(frame, `{"op":"checkpoint"`...)
+	if id != 0 {
+		frame = append(frame, `,"id":`...)
+		frame = strconv.AppendInt(frame, int64(id), 10)
+	}
+	if len(cp) > 0 {
+		frame = append(frame, `,"checkpoint":`...)
+		start := len(frame)
+		frame = append(frame, cp...)
+		raw = frame[start:len(frame):len(frame)]
+	}
+	return append(frame, '}'), raw, nil
 }
 
 func (jl *Journal) remove(id int) error {
@@ -270,13 +300,6 @@ func (jl *Journal) remove(id int) error {
 // disk — by then the caller has had its chance to re-queue them, and the
 // old whole-doc rewrite dropped them at exactly this point.
 func (jl *Journal) appendLocked(ops ...journalOp) error {
-	if jl.recoveredLive {
-		rm := make([]journalOp, 0, len(jl.recovered))
-		for _, e := range jl.recovered {
-			rm = append(rm, journalOp{Op: "remove", ID: e.ID})
-		}
-		ops = append(rm, ops...)
-	}
 	payloads := make([][]byte, 0, len(ops))
 	for _, op := range ops {
 		p, err := json.Marshal(op)
@@ -285,11 +308,27 @@ func (jl *Journal) appendLocked(ops ...journalOp) error {
 		}
 		payloads = append(payloads, p)
 	}
-	if err := jl.log.Append(payloads...); err != nil {
+	return jl.writeLocked(payloads...)
+}
+
+// writeLocked appends encoded ops; see appendLocked.
+func (jl *Journal) writeLocked(payloads ...[]byte) error {
+	if jl.recoveredLive {
+		rm := make([][]byte, 0, len(jl.recovered)+len(payloads))
+		for _, e := range jl.recovered {
+			p, err := json.Marshal(journalOp{Op: "remove", ID: e.ID})
+			if err != nil {
+				return fmt.Errorf("farm: journal: %w", err)
+			}
+			rm = append(rm, p)
+		}
+		payloads = append(rm, payloads...)
+	}
+	if _, err := jl.log.Append(payloads...); err != nil {
 		return fmt.Errorf("farm: journal: %w", err)
 	}
 	jl.recoveredLive = false
-	jl.opsSinceCompact += len(ops)
+	jl.opsSinceCompact += len(payloads)
 	if jl.opsSinceCompact >= journalCompactMinOps &&
 		jl.opsSinceCompact > 8*(len(jl.entries)+1) {
 		return jl.compactLocked()
@@ -317,7 +356,7 @@ func (jl *Journal) compactLocked() error {
 		}
 		payloads = append(payloads, p)
 	}
-	if err := jl.log.Compact(payloads); err != nil {
+	if _, err := jl.log.Compact(payloads); err != nil {
 		return fmt.Errorf("farm: journal: %w", err)
 	}
 	jl.opsSinceCompact = 0

@@ -397,16 +397,25 @@ func safeEval(ev EvalFunc, g ga.Genome, rng *xrand.Rand) (v float64, err error) 
 
 // GenomeKey returns a stable identity string for a chromosome, used as the
 // memoization key. Small integer genomes are encoded verbatim; bit genomes
-// (up to megabits for the 512-KByte template) are hashed.
+// (up to megabits for the 512-KByte template) are hashed: SHA-256 over the
+// length, then the packed words little-endian, fed through a fixed buffer
+// rather than a copy of the whole chromosome.
 func GenomeKey(g ga.Genome) string {
 	switch t := g.(type) {
 	case *ga.BitGenome:
 		n := t.Bits.Len()
 		h := sha256.New()
-		var buf [8]byte
+		var buf [512]byte
 		binary.LittleEndian.PutUint64(buf[:], uint64(n))
-		h.Write(buf[:])
-		h.Write(t.Bits.Bytes())
+		h.Write(buf[:8])
+		for words := t.Bits.Words(); len(words) > 0; {
+			k := min(len(words), len(buf)/8)
+			for i, w := range words[:k] {
+				binary.LittleEndian.PutUint64(buf[8*i:], w)
+			}
+			h.Write(buf[:8*k])
+			words = words[k:]
+		}
 		return "b" + strconv.Itoa(n) + ":" + hex.EncodeToString(h.Sum(nil)[:16])
 	case *ga.IntGenome:
 		return "i:" + intsKey(t.Vals)

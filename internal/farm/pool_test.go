@@ -2,7 +2,11 @@ package farm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -317,6 +321,26 @@ func TestGenomeKey(t *testing.T) {
 	}
 	if GenomeKey(a) == GenomeKey(g1) {
 		t.Error("int and bit keys collide")
+	}
+}
+
+// TestGenomeKeyDigestPinned pins the bit-genome key to the formula it has
+// always had — SHA-256 over the length and Bits.Bytes() — across the
+// lengths where the fixed hashing buffer fills, wraps and runs short: the
+// fitness cache and its hit rates depend on keys never moving.
+func TestGenomeKeyDigestPinned(t *testing.T) {
+	rng := xrand.New(11)
+	for _, n := range []int{1, 63, 64, 65, 200, 4095, 4096, 4097, 196608} {
+		g := ga.RandomBitGenome(n, rng)
+		h := sha256.New()
+		var nb [8]byte
+		binary.LittleEndian.PutUint64(nb[:], uint64(n))
+		h.Write(nb[:])
+		h.Write(g.Bits.Bytes())
+		want := "b" + strconv.Itoa(n) + ":" + hex.EncodeToString(h.Sum(nil)[:16])
+		if got := GenomeKey(g); got != want {
+			t.Fatalf("n=%d: key %s, the old formula gives %s", n, got, want)
+		}
 	}
 }
 

@@ -60,14 +60,8 @@ func (g *BitGenome) Mutate(rng *xrand.Rand, perGene float64) {
 	if n == 0 {
 		return
 	}
-	flipped := false
-	for i := 0; i < n; i++ {
-		if rng.Bool(perGene) {
-			g.Bits.Flip(i)
-			flipped = true
-		}
-	}
-	if !flipped {
+	// One Bool(perGene) draw per bit, flipped in the packed words.
+	if rng.FlipBools(g.Bits.Words(), n, perGene) == 0 {
 		g.Bits.Flip(rng.Intn(n))
 	}
 }

@@ -45,6 +45,51 @@ func TestBitCrossoverMatchesPerBitSwap(t *testing.T) {
 	}
 }
 
+// mutateRef is the per-bit mutation BitGenome.Mutate replaced: one
+// Bool(perGene) draw per bit, and one forced flip when none came up.
+func mutateRef(v *bitvec.Vec, rng *xrand.Rand, perGene float64) {
+	flipped := false
+	for i := 0; i < v.Len(); i++ {
+		if rng.Bool(perGene) {
+			v.Flip(i)
+			flipped = true
+		}
+	}
+	if !flipped {
+		v.Flip(rng.Intn(v.Len()))
+	}
+}
+
+// TestBitMutateMatchesPerBitReference pins the bulk-draw mutation to the
+// per-bit loop: the same flips, including the forced one when no draw comes
+// up, and the RNG in the same state afterwards.
+func TestBitMutateMatchesPerBitReference(t *testing.T) {
+	rng := xrand.New(33)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(700)
+		if trial%50 == 0 {
+			n = 196608 // the 24 KB template
+		}
+		perGene := []float64{0, 1.0 / float64(n), 0.01, 0.5, 1}[trial%5]
+		g := RandomBitGenome(n, rng)
+		want := g.Bits.Clone()
+		state := rng.State()
+		g.Mutate(rng, perGene)
+
+		ref, err := xrand.FromState(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutateRef(want, ref, perGene)
+		if !g.Bits.Equal(want) {
+			t.Fatalf("n=%d p=%v: mutation differs from the per-bit reference", n, perGene)
+		}
+		if rng.State() != ref.State() {
+			t.Fatalf("n=%d p=%v: mutation consumed a different number of draws", n, perGene)
+		}
+	}
+}
+
 // FuzzDecodeGenome feeds arbitrary JSON through the checkpoint genome
 // decoder. It must never panic, and a bit genome it accepts must re-encode
 // to exactly the packed bytes it was read from (or, for a legacy record, to

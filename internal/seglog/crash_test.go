@@ -54,13 +54,13 @@ func crashChild(dir, mode string) {
 	deadline := time.Now().Add(30 * time.Second) // belt: parent kills us first
 	for i := len(live); time.Now().Before(deadline); i++ {
 		p := []byte(fmt.Sprintf(`{"i":%d,"pad":"%032d"}`, i, i))
-		if err := st.Append(p); err != nil {
+		if _, err := st.Append(p); err != nil {
 			fmt.Fprintf(os.Stderr, "child append %d: %v\n", i, err)
 			os.Exit(1)
 		}
 		live = append(live, p)
 		if mode == "compact" && (i+1)%40 == 0 {
-			if err := st.Compact(live); err != nil {
+			if _, err := st.Compact(live); err != nil {
 				fmt.Fprintf(os.Stderr, "child compact at %d: %v\n", i, err)
 				os.Exit(1)
 			}
@@ -107,7 +107,7 @@ func TestSeglogCrashMatrix(t *testing.T) {
 					}
 				}
 				// The survivor store must accept appends cleanly.
-				if err := st.Append([]byte(`{"after":"crash"}`)); err != nil {
+				if _, err := st.Append([]byte(`{"after":"crash"}`)); err != nil {
 					t.Fatalf("append after salvage: %v", err)
 				}
 			})

@@ -86,7 +86,7 @@ func Migrate(path string, opts Options, convert func(data []byte) ([][]byte, err
 	}
 	for len(payloads) > 0 {
 		n := min(len(payloads), 1024)
-		if err := st.Append(payloads[:n]...); err != nil {
+		if _, err := st.Append(payloads[:n]...); err != nil {
 			st.Close()
 			return err
 		}

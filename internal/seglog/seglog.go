@@ -44,6 +44,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -127,6 +129,18 @@ type Stats struct {
 	TornBytes int64
 }
 
+// Loc locates one frame: the number of the segment holding it, the offset
+// of the frame's header there, and the payload's length and CRC-32C as they
+// were written. Open, Append and Compact hand them out, and ReadFrame reads
+// a frame back through one. A Loc stays valid until the next Compact, which
+// retires every earlier one and returns the new ones.
+type Loc struct {
+	Seg uint64
+	Off int64
+	Len uint32
+	CRC uint32
+}
+
 // Store is an open segmented log. It is safe for concurrent use.
 type Store struct {
 	dir  string
@@ -146,11 +160,13 @@ type Store struct {
 	poisoned bool
 }
 
-// OpenResult carries the replayable payloads and open-time stats. Payloads
-// share backing arrays with per-segment read buffers; callers decode them
-// into their own structures and drop the slice.
+// OpenResult carries the replayable payloads, their locators and open-time
+// stats. Payloads share backing arrays with per-segment read buffers;
+// callers decode them into their own structures and drop the slice. Locs[i]
+// locates Payloads[i] in the store as Open leaves it.
 type OpenResult struct {
 	Payloads [][]byte
+	Locs     []Loc
 	Stats    Stats
 }
 
@@ -193,7 +209,7 @@ func Open(dir string, opts Options) (*Store, *OpenResult, error) {
 		// records that vanish on the next open. Rewrite the salvaged
 		// payloads into one fresh segment — the atomic manifest swap retires
 		// the damage and leaves the writer positioned in a clean segment.
-		if err := st.compactLocked(res.Payloads); err != nil {
+		if res.Locs, err = st.compactLocked(res.Payloads); err != nil {
 			return nil, nil, err
 		}
 		res.Stats.Segments = len(st.segs)
@@ -249,10 +265,27 @@ func (s *Store) initFresh() error {
 	return FsyncDir(s.dir)
 }
 
+// segName is the file name of segment number n.
+func segName(n uint64) string { return fmt.Sprintf("%s%09d%s", segPrefix, n, segSuffix) }
+
+// segNumber parses a segment file name back to its number.
+func segNumber(name string) (uint64, bool) {
+	digits, okPrefix := strings.CutPrefix(name, segPrefix)
+	digits, okSuffix := strings.CutSuffix(digits, segSuffix)
+	if !okPrefix || !okSuffix {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(digits, 10, 64)
+	return n, err == nil
+}
+
+// segHeaderLen is the length of the header line every segment starts with.
+var segHeaderLen = int64(len(fmt.Sprintf("%s v%d\n", SegMagic, Version)))
+
 // createSegment writes a new empty segment (header only), fsyncs it and the
 // directory, and bumps the segment counter. The manifest is the caller's job.
 func (s *Store) createSegment() (string, error) {
-	name := fmt.Sprintf("%s%09d%s", segPrefix, s.next, segSuffix)
+	name := segName(s.next)
 	f, err := os.OpenFile(filepath.Join(s.dir, name),
 		os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -308,10 +341,11 @@ func (s *Store) replay(res *OpenResult) (stopped bool, err error) {
 	for i, name := range s.segs {
 		final := i == len(s.segs)-1
 		path := filepath.Join(s.dir, name)
-		payloads, validEnd, rest, err := parseSegment(path)
+		payloads, locs, validEnd, rest, err := parseSegment(path)
 		if err != nil {
 			return false, err
 		}
+		res.Locs = append(res.Locs, locs...)
 		if final {
 			s.activeSize = validEnd
 			res.Stats.TornBytes = int64(len(rest))
@@ -331,7 +365,7 @@ func (s *Store) replay(res *OpenResult) (stopped bool, err error) {
 			res.Stats.DroppedFrames++ // the unparseable region itself
 			// Frames beyond the damage are out of known order; count, drop.
 			for _, later := range s.segs[i+1:] {
-				lp, _, _, err := parseSegment(filepath.Join(s.dir, later))
+				lp, _, _, _, err := parseSegment(filepath.Join(s.dir, later))
 				if err == nil {
 					res.Stats.DroppedFrames += len(lp)
 				}
@@ -344,40 +378,44 @@ func (s *Store) replay(res *OpenResult) (stopped bool, err error) {
 	return false, nil
 }
 
-// parseSegment reads one segment, returning its intact payloads, the offset
-// where valid data ends, and any unparseable remainder past that offset.
-func parseSegment(path string) (payloads [][]byte, validEnd int64, rest []byte, err error) {
+// parseSegment reads one segment, returning its intact payloads and their
+// locators, the offset where valid data ends, and any unparseable remainder
+// past that offset. readManifest vets every live segment's name, so its
+// number parses.
+func parseSegment(path string) (payloads [][]byte, locs []Loc, validEnd int64, rest []byte, err error) {
+	seg, _ := segNumber(filepath.Base(path))
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("seglog: %w", err)
+		return nil, nil, 0, nil, fmt.Errorf("seglog: %w", err)
 	}
 	nl := strings.IndexByte(string(data[:min(len(data), 64)]), '\n')
 	if nl < 0 {
-		return nil, 0, nil, fmt.Errorf("%w: %s", ErrBadSegment, path)
+		return nil, nil, 0, nil, fmt.Errorf("%w: %s", ErrBadSegment, path)
 	}
 	if err := parseSegHeader(string(data[:nl]), path); err != nil {
-		return nil, 0, nil, err
+		return nil, nil, 0, nil, err
 	}
 	off := int64(nl + 1)
 	for {
 		remain := data[off:]
 		if len(remain) == 0 {
-			return payloads, off, nil, nil
+			return payloads, locs, off, nil, nil
 		}
 		if len(remain) < frameHeaderLen {
-			return payloads, off, remain, nil
+			return payloads, locs, off, remain, nil
 		}
 		length := binary.LittleEndian.Uint32(remain[0:4])
 		want := binary.LittleEndian.Uint32(remain[4:8])
 		if length == 0 || length > maxFrame ||
 			int64(len(remain)) < frameHeaderLen+int64(length) {
-			return payloads, off, remain, nil
+			return payloads, locs, off, remain, nil
 		}
 		payload := remain[frameHeaderLen : frameHeaderLen+length]
 		if crc32.Checksum(payload, crcTable) != want {
-			return payloads, off, remain, nil
+			return payloads, locs, off, remain, nil
 		}
 		payloads = append(payloads, payload)
+		locs = append(locs, Loc{Seg: seg, Off: off, Len: length, CRC: want})
 		off += frameHeaderLen + int64(length)
 	}
 }
@@ -398,31 +436,45 @@ func parseSegHeader(line, path string) error {
 	return nil
 }
 
-// Append frames and writes the payloads to the active segment. It returns
-// once they are durable under the sync policy: with SyncEvery <= 1 (the
-// default) every call fsyncs once, covering its whole batch.
-func (s *Store) Append(payloads ...[]byte) error {
+// frameHeader returns p's frame header, its length and CRC-32C
+// little-endian, and the CRC.
+func frameHeader(p []byte) (hdr [frameHeaderLen]byte, crc uint32) {
+	crc = crc32.Checksum(p, crcTable)
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	return hdr, crc
+}
+
+// Append frames and writes the payloads to the active segment, returning
+// their locators. It returns once they are durable under the sync policy:
+// with SyncEvery <= 1 (the default) every call fsyncs once, covering its
+// whole batch.
+func (s *Store) Append(payloads ...[]byte) ([]Loc, error) {
 	if len(payloads) == 0 {
-		return nil
+		return nil, nil
+	}
+	size := 0
+	for _, p := range payloads {
+		if len(p) == 0 || len(p) > maxFrame {
+			return nil, fmt.Errorf("seglog: bad payload length %d", len(p))
+		}
+		size += frameHeaderLen + len(p)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return errors.New("seglog: store closed")
+		return nil, errors.New("seglog: store closed")
 	}
 	if s.poisoned {
-		return errors.New("seglog: active segment poisoned by an earlier failed write; reopen to recover")
+		return nil, errors.New("seglog: active segment poisoned by an earlier failed write; reopen to recover")
 	}
-	var buf []byte
-	for _, p := range payloads {
-		if len(p) == 0 || len(p) > maxFrame {
-			return fmt.Errorf("seglog: bad payload length %d", len(p))
-		}
-		var hdr [frameHeaderLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p, crcTable))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
+	seg, _ := segNumber(s.segs[len(s.segs)-1])
+	buf := make([]byte, 0, size)
+	locs := make([]Loc, len(payloads))
+	for i, p := range payloads {
+		hdr, crc := frameHeader(p)
+		locs[i] = Loc{Seg: seg, Off: s.activeSize + int64(len(buf)), Len: uint32(len(p)), CRC: crc}
+		buf = append(append(buf, hdr[:]...), p...)
 	}
 	if _, err := s.active.Write(buf); err != nil {
 		// A partial write leaves junk after the last intact frame; if a
@@ -434,7 +486,7 @@ func (s *Store) Append(payloads ...[]byte) error {
 		if terr := s.active.Truncate(s.activeSize); terr != nil {
 			s.poisoned = true
 		}
-		return fmt.Errorf("seglog: %w", err)
+		return nil, fmt.Errorf("seglog: %w", err)
 	}
 	s.activeSize += int64(len(buf))
 	s.pending += len(payloads)
@@ -442,15 +494,61 @@ func (s *Store) Append(payloads ...[]byte) error {
 	if s.opts.SyncEvery <= 1 || s.pending >= s.opts.SyncEvery ||
 		s.activeSize >= s.opts.RotateBytes {
 		if err := s.syncLocked(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if s.activeSize >= s.opts.RotateBytes {
 		if err := s.rotateLocked(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return locs, nil
+}
+
+// ReadFrame reads back the payload loc locates and checks it against the
+// length and CRC-32C loc recorded when the frame was written or replayed: a
+// frame damaged on disk since then is an ErrCorrupt error, never different
+// bytes. Each call opens the segment and closes it again, so reads hold no
+// file handles between calls. Reads run outside the store's lock,
+// concurrently with Append; a Compact racing a read may make it fail, and
+// retires loc either way.
+func (s *Store) ReadFrame(loc Loc) ([]byte, error) {
+	f, err := s.openSegment(loc.Seg)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, frameHeaderLen+int(loc.Len))
+	if _, err := f.ReadAt(buf, loc.Off); err != nil {
+		return nil, fmt.Errorf("seglog: %s: frame at offset %d: %w", segName(loc.Seg), loc.Off, err)
+	}
+	payload := buf[frameHeaderLen:]
+	if binary.LittleEndian.Uint32(buf[0:4]) != loc.Len ||
+		binary.LittleEndian.Uint32(buf[4:8]) != loc.CRC ||
+		crc32.Checksum(payload, crcTable) != loc.CRC {
+		return nil, fmt.Errorf("%w: %s: frame at offset %d changed on disk",
+			ErrCorrupt, segName(loc.Seg), loc.Off)
+	}
+	return payload, nil
+}
+
+// openSegment opens a live segment read-only. The membership check and the
+// open share the lock, so a segment Compact has retired is never opened.
+func (s *Store) openSegment(seg uint64) (*os.File, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errors.New("seglog: store closed")
+	}
+	name := segName(seg)
+	if !slices.Contains(s.segs, name) {
+		return nil, fmt.Errorf("seglog: %s is not a live segment", name)
+	}
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("seglog: %w", err)
+	}
+	return f, nil
 }
 
 // Sync forces pending frames to stable storage regardless of SyncEvery.
@@ -493,22 +591,23 @@ func (s *Store) rotateLocked() error {
 	}
 	s.active.Close()
 	s.active = f
-	s.activeSize = int64(len(SegMagic)) + int64(len(fmt.Sprintf(" v%d\n", Version)))
+	s.activeSize = segHeaderLen
 	return nil
 }
 
-// Compact rewrites the store to exactly the given payloads: they are written
-// into one fresh segment, the manifest atomically swaps to it, and the old
-// segments are deleted. The caller decides what is live; a crash at any
-// point leaves either the complete old store or the complete new one.
-func (s *Store) Compact(payloads [][]byte) error {
+// Compact rewrites the store to exactly the given payloads, returning their
+// locators: they are written into one fresh segment, the manifest
+// atomically swaps to it, and the old segments are deleted. The caller
+// decides what is live; a crash at any point leaves either the complete old
+// store or the complete new one.
+func (s *Store) Compact(payloads [][]byte) ([]Loc, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return errors.New("seglog: store closed")
+		return nil, errors.New("seglog: store closed")
 	}
 	if err := s.syncLocked(); err != nil {
-		return err
+		return nil, err
 	}
 	return s.compactLocked(payloads)
 }
@@ -516,40 +615,41 @@ func (s *Store) Compact(payloads [][]byte) error {
 // compactLocked does the compaction work with s.mu held (or, during Open,
 // before the store is published). It tolerates a nil active handle — Open
 // uses it to rebuild a salvaged store before any writer exists.
-func (s *Store) compactLocked(payloads [][]byte) error {
+func (s *Store) compactLocked(payloads [][]byte) ([]Loc, error) {
+	seg := s.next
 	name, err := s.createSegment()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	path := filepath.Join(s.dir, name)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("seglog: %w", err)
+		return nil, fmt.Errorf("seglog: %w", err)
 	}
-	size := int64(len(SegMagic)) + int64(len(fmt.Sprintf(" v%d\n", Version)))
-	for _, p := range payloads {
+	size := segHeaderLen
+	locs := make([]Loc, len(payloads))
+	for i, p := range payloads {
 		if len(p) == 0 || len(p) > maxFrame {
 			f.Close()
 			os.Remove(path)
-			return fmt.Errorf("seglog: bad payload length %d", len(p))
+			return nil, fmt.Errorf("seglog: bad payload length %d", len(p))
 		}
-		var hdr [frameHeaderLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p, crcTable))
+		hdr, crc := frameHeader(p)
+		locs[i] = Loc{Seg: seg, Off: size, Len: uint32(len(p)), CRC: crc}
 		if _, err := f.Write(hdr[:]); err == nil {
 			_, err = f.Write(p)
 		}
 		if err != nil {
 			f.Close()
 			os.Remove(path)
-			return fmt.Errorf("seglog: %w", err)
+			return nil, fmt.Errorf("seglog: %w", err)
 		}
 		size += frameHeaderLen + int64(len(p))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(path)
-		return fmt.Errorf("seglog: %w", err)
+		return nil, fmt.Errorf("seglog: %w", err)
 	}
 	old := s.segs
 	s.segs = []string{name}
@@ -557,7 +657,7 @@ func (s *Store) compactLocked(payloads [][]byte) error {
 		f.Close()
 		os.Remove(path)
 		s.segs = old
-		return err
+		return nil, err
 	}
 	if s.active != nil {
 		s.active.Close()
@@ -569,7 +669,7 @@ func (s *Store) compactLocked(payloads [][]byte) error {
 	for _, n := range old {
 		os.Remove(filepath.Join(s.dir, n))
 	}
-	return nil
+	return locs, nil
 }
 
 // writeManifest publishes the current segment list atomically: temp file,
@@ -656,7 +756,7 @@ func readManifest(path string) ([]string, uint64, error) {
 		return nil, 0, fmt.Errorf("%w: %s: empty segment list", ErrBadManifest, path)
 	}
 	for _, n := range doc.Segments {
-		if n != filepath.Base(n) || !strings.HasPrefix(n, segPrefix) {
+		if _, ok := segNumber(n); !ok || n != filepath.Base(n) {
 			return nil, 0, fmt.Errorf("%w: %s: bad segment name %q",
 				ErrBadManifest, path, n)
 		}
@@ -666,7 +766,7 @@ func readManifest(path string) ([]string, uint64, error) {
 
 // segmentHasFrames reports whether the file holds at least one intact frame.
 func segmentHasFrames(path string) bool {
-	payloads, _, _, err := parseSegment(path)
+	payloads, _, _, _, err := parseSegment(path)
 	return err == nil && len(payloads) > 0
 }
 

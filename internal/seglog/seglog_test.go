@@ -26,7 +26,7 @@ func openT(t *testing.T, dir string, opts Options) (*Store, *OpenResult) {
 func appendN(t *testing.T, st *Store, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		if err := st.Append(payload(i)); err != nil {
+		if _, err := st.Append(payload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("fresh store: %+v", res.Stats)
 	}
 	appendN(t, st, 0, 10)
-	if err := st.Append(payload(10), payload(11)); err != nil { // batch
+	if _, err := st.Append(payload(10), payload(11)); err != nil { // batch
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -221,7 +221,7 @@ func TestCompact(t *testing.T) {
 	st, _ := openT(t, dir, Options{RotateBytes: 256})
 	appendN(t, st, 0, 30)
 	live := [][]byte{payload(0), payload(1), payload(2)}
-	if err := st.Compact(live); err != nil {
+	if _, err := st.Compact(live); err != nil {
 		t.Fatal(err)
 	}
 	// The store stays usable after compaction.
@@ -306,7 +306,7 @@ func TestConcurrentAppend(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := st.Append(payload(w*each + i)); err != nil {
+				if _, err := st.Append(payload(w*each + i)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}

@@ -57,7 +57,7 @@ func TestLegacyBitsFramesOpenAndCompactPacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Append(p); err != nil {
+		if _, err := st.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestLegacyBitsFramesOpenAndCompactPacked(t *testing.T) {
 					t.Fatalf("%s: record %v did not survive", stage, r.Fitness)
 				}
 			}
-			if page := db.Query(exp, noFloor, 0, 0); !reflect.DeepEqual(page, got) {
+			if page, err := db.Query(exp, noFloor, 0, 0); err != nil || !reflect.DeepEqual(page, got) {
 				t.Fatalf("%s: Query differs from Records", stage)
 			}
 		}
@@ -183,7 +183,11 @@ func TestQueryFiltersSortsAndWindows(t *testing.T) {
 		{noFloor, 99, 5, ""},
 		{100, 0, 0, ""},
 	} {
-		got := gens(db.Query("e", tc.min, tc.offset, tc.limit))
+		page, err := db.Query("e", tc.min, tc.offset, tc.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := gens(page)
 		if got != tc.want {
 			t.Errorf("Query(min %v, offset %d, limit %d) = %q, want %q",
 				tc.min, tc.offset, tc.limit, got, tc.want)
@@ -192,8 +196,8 @@ func TestQueryFiltersSortsAndWindows(t *testing.T) {
 	if got := db.Count("e"); got != len(fits) {
 		t.Fatalf("Count = %d, want %d", got, len(fits))
 	}
-	if got := len(db.TopN("e", 0)); got != 0 {
-		t.Fatalf("TopN(0) returned %d records", got)
+	if got, err := db.TopN("e", 0); err != nil || len(got) != 0 {
+		t.Fatalf("TopN(0) returned %d records, %v", len(got), err)
 	}
 }
 

@@ -11,11 +11,14 @@
 // directory transparently on open (the original bytes are kept at
 // <path>.legacy).
 //
-// A bit chromosome is held packed, on disk and in memory: a frame carries
-// its length and 64-bit words (base64 in the JSON frame), and the database
-// keeps the words. The '0'/'1' string of Record.Bits is built only for the
-// records a read returns. Frames written with the string still open, and
-// Compact rewrites them packed.
+// A bit chromosome is stored packed: a frame carries its length and 64-bit
+// words (base64 in the JSON frame). Frames written with the '0'/'1' string
+// of Record.Bits still open, and Compact rewrites them packed.
+//
+// Chromosomes stay on disk. In memory the database keeps, per experiment,
+// each record's fitness and the locator of its frame, strongest first; a
+// read picks its page from that index and reads back only the page's
+// frames, each checked against the CRC-32C it was written or replayed with.
 package virusdb
 
 import (
@@ -23,6 +26,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math"
 	"slices"
 	"sort"
@@ -93,24 +97,23 @@ func (r Record) BitVec() (*bitvec.Vec, error) {
 	return bitvec.Parse(r.Bits)
 }
 
-// entry is a stored record as the database holds it: the record with its
-// bit chromosome moved out of Bits/Vec into the packed vector bits (nil for
-// an integer chromosome). Entries are immutable once stored, so reads may
-// use them after releasing the lock.
+// entry is a record between its frame and its Record form: the record with
+// its bit chromosome moved out of Bits/Vec into the packed vector bits (nil
+// for an integer chromosome).
 type entry struct {
 	rec  Record
 	bits *bitvec.Vec
 }
 
-// newEntry validates r and packs its chromosome. The vector is copied, so
-// the caller stays free to reuse its own.
+// newEntry validates r and packs its chromosome. A Vec is shared, not
+// copied: the entry lives only until Append has encoded it.
 func newEntry(r Record) (entry, error) {
 	if err := r.Validate(); err != nil {
 		return entry{}, err
 	}
-	e := entry{rec: r}
-	if r.Ints == nil {
-		v, err := r.BitVec()
+	e := entry{rec: r, bits: r.Vec}
+	if r.Ints == nil && r.Vec == nil {
+		v, err := bitvec.Parse(r.Bits)
 		if err != nil {
 			return entry{}, fmt.Errorf("virusdb: %w", err)
 		}
@@ -190,27 +193,76 @@ func decodeFrame(p []byte) (entry, error) {
 // record and never poisons the resume mechanism with a half-written one.
 type DB struct {
 	path string
+	log  *seglog.Store
 
-	mu      sync.Mutex
-	entries []entry
-	// names maps each experiment name to the one copy every entry of that
-	// experiment shares: a campaign stores thousands of records under a
-	// handful of names.
-	names map[string]string
-	log   *seglog.Store
+	// compactMu keeps Compact, which moves every frame, apart from the
+	// appends and reads that use locators outside mu: they hold it shared,
+	// Compact exclusively.
+	compactMu sync.RWMutex
+
+	mu sync.Mutex
+	// exps indexes each experiment's records strongest first; see slot.
+	exps map[string][]slot
+	n    int
 }
 
-// add stores entries in memory; the caller holds mu or owns db.
-func (db *DB) add(entries ...entry) {
-	for _, e := range entries {
-		name, ok := db.names[e.rec.Experiment]
-		if !ok {
-			name = e.rec.Experiment
-			db.names[name] = name
-		}
-		e.rec.Experiment = name
-		db.entries = append(db.entries, e)
+// slot is what the database keeps in memory of one record: the fitness its
+// pages are ordered by and where its frame is. It holds no pointer, so the
+// index of a large store costs the garbage collector nothing to scan.
+type slot struct {
+	fitness float64
+	loc     seglog.Loc
+}
+
+// byLoc orders slots as their frames lie in the store: append order, which
+// Compact keeps.
+func byLoc(a, b slot) int {
+	if c := cmp.Compare(a.loc.Seg, b.loc.Seg); c != 0 {
+		return c
 	}
+	return cmp.Compare(a.loc.Off, b.loc.Off)
+}
+
+// byRank is the index order: fitness descending, ties in append order.
+func byRank(a, b slot) int {
+	if c := cmp.Compare(b.fitness, a.fitness); c != 0 {
+		return c
+	}
+	return byLoc(a, b)
+}
+
+// insert merges new slots of one experiment into its index; the caller
+// holds mu or owns db. The merge runs back to front in place, so an append
+// moves only the index entries it ranks above.
+func (db *DB) insert(exp string, add []slot) {
+	slices.SortFunc(add, byRank)
+	ix := db.exps[exp]
+	i, j := len(ix)-1, len(add)-1
+	ix = slices.Grow(ix, len(add))[:len(ix)+len(add)]
+	for w := len(ix) - 1; j >= 0; w-- {
+		if i >= 0 && byRank(add[j], ix[i]) < 0 {
+			ix[w] = ix[i]
+			i--
+		} else {
+			ix[w] = add[j]
+			j--
+		}
+	}
+	db.exps[exp] = ix
+	db.n += len(add)
+}
+
+// read reads one record's frame back and builds the Record.
+func (db *DB) read(loc seglog.Loc) (Record, error) {
+	p, err := db.log.ReadFrame(loc)
+	if err != nil {
+		return Record{}, fmt.Errorf("virusdb: %w", err)
+	}
+	e, err := decodeFrame(p)
+	if err != nil {
+		return Record{}, fmt.Errorf("virusdb: %s: %w", db.path, err)
+	}
+	return e.record(), nil
 }
 
 // storeOptions is the append discipline both open paths share: full
@@ -268,10 +320,10 @@ func open(path string, salvage bool) (*DB, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("virusdb: %w", err)
 	}
-	db := &DB{path: path, log: st, entries: make([]entry, 0, len(res.Payloads)),
-		names: map[string]string{}}
+	db := &DB{path: path, log: st, exps: map[string][]slot{}}
 	dropped := legacyDropped + res.Stats.DroppedFrames
-	for _, p := range res.Payloads {
+	byExp := map[string][]slot{}
+	for i, p := range res.Payloads {
 		e, err := decodeFrame(p)
 		if err != nil {
 			if !salvage {
@@ -281,7 +333,11 @@ func open(path string, salvage bool) (*DB, int, error) {
 			dropped++
 			continue
 		}
-		db.add(e)
+		exp := e.rec.Experiment
+		byExp[exp] = append(byExp[exp], slot{fitness: e.rec.Fitness, loc: res.Locs[i]})
+	}
+	for exp, add := range byExp {
+		db.insert(exp, add)
 	}
 	return db, dropped, nil
 }
@@ -363,17 +419,16 @@ func (db *DB) Path() string { return db.path }
 func (db *DB) Len() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return len(db.entries)
+	return db.n
 }
 
 // Append stores records durably: each is framed, CRC'd and appended to the
 // store's active segment, with one fsync covering the whole call — O(1) in
-// the size of the database.
+// the size of the database. The fsync holds no lock a read waits on.
 func (db *DB) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	entries := make([]entry, 0, len(recs))
 	payloads := make([][]byte, 0, len(recs))
 	for _, r := range recs {
 		e, err := newEntry(r)
@@ -384,37 +439,65 @@ func (db *DB) Append(recs ...Record) error {
 		if err != nil {
 			return err
 		}
-		entries = append(entries, e)
 		payloads = append(payloads, p)
+	}
+	db.compactMu.RLock()
+	defer db.compactMu.RUnlock()
+	// Disk first, then memory: a failed append must not leave records that
+	// exist only until the process dies.
+	locs, err := db.log.Append(payloads...)
+	if err != nil {
+		return fmt.Errorf("virusdb: %w", err)
+	}
+	byExp := map[string][]slot{}
+	for i, r := range recs {
+		byExp[r.Experiment] = append(byExp[r.Experiment],
+			slot{fitness: r.Fitness, loc: locs[i]})
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Disk first, then memory: a failed append must not leave records that
-	// exist only until the process dies.
-	if err := db.log.Append(payloads...); err != nil {
-		return fmt.Errorf("virusdb: %w", err)
+	for exp, add := range byExp {
+		db.insert(exp, add)
 	}
-	db.add(entries...)
 	return nil
 }
 
 // Compact rewrites the store into a single fresh segment — reclaiming the
 // space of salvage-dropped frames, collapsing accumulated segments and
 // rewriting legacy bit-string frames packed — with an atomic manifest swap,
-// so a crash leaves either the old store or the new one, never a mix.
+// so a crash leaves either the old store or the new one, never a mix. It
+// reads every indexed frame back and writes them in their old order.
 func (db *DB) Compact() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	payloads := make([][]byte, 0, len(db.entries))
-	for _, e := range db.entries {
-		p, err := encodeFrame(e)
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
+	// With compactMu held exclusively nothing else touches the index.
+	all := make([]*slot, 0, db.n)
+	for _, ix := range db.exps {
+		for i := range ix {
+			all = append(all, &ix[i])
+		}
+	}
+	slices.SortFunc(all, func(a, b *slot) int { return byLoc(*a, *b) })
+	payloads := make([][]byte, len(all))
+	for i, sl := range all {
+		p, err := db.log.ReadFrame(sl.loc)
 		if err != nil {
+			return fmt.Errorf("virusdb: %w", err)
+		}
+		e, err := decodeFrame(p)
+		if err != nil {
+			return fmt.Errorf("virusdb: %s: %w", db.path, err)
+		}
+		if payloads[i], err = encodeFrame(e); err != nil {
 			return err
 		}
-		payloads = append(payloads, p)
 	}
-	if err := db.log.Compact(payloads); err != nil {
+	locs, err := db.log.Compact(payloads)
+	if err != nil {
 		return fmt.Errorf("virusdb: %w", err)
+	}
+	for i, sl := range all {
+		sl.loc = locs[i]
 	}
 	return nil
 }
@@ -431,65 +514,63 @@ func (db *DB) Close() error {
 // records with Fitness >= minFitness, skipping the first offset and keeping
 // at most limit (every one when limit <= 0). Ties keep append order, so
 // identical queries page identically; an empty page is an empty slice,
-// never nil. The page is chosen over indices, and only its records get
-// their bit strings built — outside the lock appends wait on.
+// never nil. The page is cut from the experiment's index under the lock,
+// and its frames are read back outside it; a frame that no longer matches
+// its CRC is an error, never a different record.
 func (db *DB) Query(experiment string, minFitness float64, offset,
-	limit int) []Record {
+	limit int) ([]Record, error) {
+	db.compactMu.RLock()
+	defer db.compactMu.RUnlock()
 	db.mu.Lock()
-	var idx []int
-	for i := range db.entries {
-		r := &db.entries[i].rec
-		if r.Experiment == experiment && r.Fitness >= minFitness {
-			idx = append(idx, i)
-		}
+	ix := db.exps[experiment]
+	// The records passing the filter are a prefix of the index.
+	n := sort.Search(len(ix), func(i int) bool { return !(ix[i].fitness >= minFitness) })
+	ix = ix[min(max(offset, 0), n):n]
+	if limit > 0 && limit < len(ix) {
+		ix = ix[:limit]
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		return cmp.Compare(db.entries[b].rec.Fitness, db.entries[a].rec.Fitness)
-	})
-	idx = idx[min(max(offset, 0), len(idx)):]
-	if limit > 0 && limit < len(idx) {
-		idx = idx[:limit]
-	}
-	page := make([]entry, len(idx))
-	for i, j := range idx {
-		page[i] = db.entries[j]
-	}
+	page := slices.Clone(ix) // appends rewrite the index in place
 	db.mu.Unlock()
 
 	out := make([]Record, len(page))
-	for i, e := range page {
-		out[i] = e.record()
+	for i, sl := range page {
+		r, err := db.read(sl.loc)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
 	}
-	return out
+	return out, nil
 }
 
-// Count returns how many records an experiment holds, without building
-// any of them.
+// Count returns how many records an experiment holds, without reading any
+// of them.
 func (db *DB) Count(experiment string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	n := 0
-	for i := range db.entries {
-		if db.entries[i].rec.Experiment == experiment {
-			n++
-		}
-	}
-	return n
+	return len(db.exps[experiment])
 }
 
 // Records returns the stored records for one experiment, strongest first.
-// It builds the bit string of every one of them: prefer Query, TopN or
-// Count where a page, the best records or a total will do.
+// It reads and decodes every one of them from disk (about 330 µs per 24 KB
+// chromosome), and if one cannot be read it logs why and returns nil: prefer
+// Query, which returns the error, or TopN or Count, where a page, the best
+// records or a total will do.
 func (db *DB) Records(experiment string) []Record {
-	return db.Query(experiment, math.Inf(-1), 0, 0)
+	recs, err := db.Query(experiment, math.Inf(-1), 0, 0)
+	if err != nil {
+		log.Printf("virusdb: records of %q: %v", experiment, err)
+		return nil
+	}
+	return recs
 }
 
 // Experiments lists the distinct experiment names, sorted.
 func (db *DB) Experiments() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.names))
-	for n := range db.names {
+	names := make([]string, 0, len(db.exps))
+	for n := range db.exps {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -497,19 +578,19 @@ func (db *DB) Experiments() []string {
 }
 
 // Best returns the strongest record of an experiment, if any.
-func (db *DB) Best(experiment string) (Record, bool) {
-	recs := db.TopN(experiment, 1)
-	if len(recs) == 0 {
-		return Record{}, false
+func (db *DB) Best(experiment string) (Record, bool, error) {
+	recs, err := db.TopN(experiment, 1)
+	if err != nil || len(recs) == 0 {
+		return Record{}, false, err
 	}
-	return recs[0], true
+	return recs[0], true, nil
 }
 
 // TopN returns up to n strongest records of an experiment — the seed
 // population for resuming an interrupted search.
-func (db *DB) TopN(experiment string, n int) []Record {
+func (db *DB) TopN(experiment string, n int) ([]Record, error) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
 	return db.Query(experiment, math.Inf(-1), 0, n)
 }

@@ -110,19 +110,19 @@ func TestBestAndTopN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	best, ok := db.Best("e")
-	if !ok || best.Fitness != 50 {
-		t.Fatalf("best = %+v ok=%v", best, ok)
+	best, ok, err := db.Best("e")
+	if err != nil || !ok || best.Fitness != 50 {
+		t.Fatalf("best = %+v ok=%v err=%v", best, ok, err)
 	}
-	top := db.TopN("e", 2)
-	if len(top) != 2 || top[0].Fitness != 50 || top[1].Fitness != 40 {
-		t.Fatalf("top2 = %+v", top)
+	top, err := db.TopN("e", 2)
+	if err != nil || len(top) != 2 || top[0].Fitness != 50 || top[1].Fitness != 40 {
+		t.Fatalf("top2 = %+v, %v", top, err)
 	}
-	if _, ok := db.Best("nope"); ok {
-		t.Fatal("best of missing experiment")
+	if _, ok, err := db.Best("nope"); ok || err != nil {
+		t.Fatalf("best of missing experiment: ok=%v err=%v", ok, err)
 	}
-	if got := db.TopN("e", 100); len(got) != 4 {
-		t.Fatalf("TopN overflow returned %d", len(got))
+	if got, err := db.TopN("e", 100); err != nil || len(got) != 4 {
+		t.Fatalf("TopN overflow returned %d, %v", len(got), err)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestOpenSalvageTruncatedLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frac %.1f: reload after salvage: %v", frac, err)
 		}
-		if best, ok := re.Best("after"); !ok || best.Fitness != 99 {
+		if best, ok, err := re.Best("after"); err != nil || !ok || best.Fitness != 99 {
 			t.Fatalf("frac %.1f: repaired file lost the new record", frac)
 		}
 	}
@@ -277,7 +277,7 @@ func TestSalvageStoreThenAppendDurable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Append(p); err != nil {
+		if _, err := st.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@ package xrand
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // Rand is a xoshiro256** generator. The zero value is invalid; use New.
@@ -110,6 +111,55 @@ func (r *Rand) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
+
+// FlipBools makes n Bool(p) draws and flips bit i of words (bit i%64 of
+// words[i/64]) for every draw i that comes up true, returning how many did.
+// The draws, the flips and the generator's final state are exactly those of
+// n Bool(p) calls: Float64() < p compares the 53-bit integer u>>11 scaled by
+// 2^-53 against p, which is u>>11 < ceil(p·2^53) — exact, because scaling p
+// by a power of two loses nothing. The loop keeps the state in locals and
+// builds each word's mask without a branch. It panics if words holds fewer
+// than n bits.
+func (r *Rand) FlipBools(words []uint64, n int, p float64) int {
+	if n <= 0 {
+		return 0
+	}
+	if n > 64*len(words) {
+		panic("xrand: FlipBools past the end of words")
+	}
+	var thr uint64 // draws with u>>11 < thr come up true
+	switch {
+	case !(p > 0): // NaN too: Float64() < NaN never holds
+	case p >= 1:
+		thr = 1 << 53
+	default:
+		thr = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	flips := 0
+	for w := 0; n > 0; w++ {
+		k := min(n, 64)
+		var m uint64
+		for j := 0; j < k; j++ {
+			u := bits.RotateLeft64(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = bits.RotateLeft64(s3, 45)
+			// Both sides are below 2^54, so the difference wraps to a set
+			// top bit exactly when u>>11 < thr.
+			m |= (u>>11 - thr) >> 63 << j
+		}
+		words[w] ^= m
+		flips += bits.OnesCount64(m)
+		n -= k
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return flips
+}
 
 // Norm returns a normally distributed value with the given mean and standard
 // deviation, using the Box–Muller transform.

@@ -252,3 +252,91 @@ func TestRestoreRejectsZeroState(t *testing.T) {
 		t.Fatal("generator corrupted by rejected Restore")
 	}
 }
+
+// TestFlipBoolsMatchesBool pins the bulk draw to n Bool(p) calls: the same
+// bits flip and the generator ends in the same state, including at the
+// threshold's edges (p just past one half, p past one, NaN, negative).
+func TestFlipBoolsMatchesBool(t *testing.T) {
+	ps := []float64{0, 1.5 / 196608, 1.0 / 3, 0.5, math.Nextafter(0.5, 1), 1, 2,
+		math.NaN(), -1}
+	for _, n := range []int{1, 63, 64, 65, 196608} {
+		for _, p := range ps {
+			seed := uint64(n)*1000003 + math.Float64bits(p)
+			bulk, ref := New(seed), New(seed)
+			words := make([]uint64, (n+63)/64+1)
+			for i := range words {
+				words[i] = bulk.Uint64() // flips must XOR into existing bits
+			}
+			want := append([]uint64(nil), words...)
+			for range words {
+				ref.Uint64()
+			}
+			wantFlips := 0
+			for i := 0; i < n; i++ {
+				if ref.Bool(p) {
+					want[i/64] ^= 1 << (i % 64)
+					wantFlips++
+				}
+			}
+			if got := bulk.FlipBools(words, n, p); got != wantFlips {
+				t.Fatalf("n=%d p=%v: %d flips, Bool gave %d", n, p, got, wantFlips)
+			}
+			for i := range words {
+				if words[i] != want[i] {
+					t.Fatalf("n=%d p=%v: word %d = %#x, Bool gave %#x",
+						n, p, i, words[i], want[i])
+				}
+			}
+			if bulk.State() != ref.State() {
+				t.Fatalf("n=%d p=%v: final state differs from n Bool calls", n, p)
+			}
+		}
+	}
+}
+
+// TestFlipBoolsThresholdEdges checks the integer threshold against
+// Float64() < p on the draws straddling it.
+func TestFlipBoolsThresholdEdges(t *testing.T) {
+	for _, p := range []float64{1.0 / 3, 0.5, math.Nextafter(0.5, 1),
+		math.Nextafter(0.5, 0), 0x1p-53, math.SmallestNonzeroFloat64} {
+		thr := uint64(math.Ceil(p * (1 << 53)))
+		for _, x := range []uint64{thr - 1, thr, thr + 1} {
+			if x >= 1<<53 {
+				continue
+			}
+			float := float64(x)/(1<<53) < p
+			if integer := x < thr; float != integer {
+				t.Fatalf("p=%v x=%d: Float64()<p is %v, x<thr is %v", p, x, float, integer)
+			}
+		}
+	}
+}
+
+func TestFlipBoolsPanicsPastEnd(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FlipBools past the end of words did not panic")
+		}
+	}()
+	New(1).FlipBools(make([]uint64, 1), 65, 0.5)
+}
+
+func BenchmarkFlipBools196608(b *testing.B) {
+	r := New(1)
+	words := make([]uint64, 196608/64)
+	for i := 0; i < b.N; i++ {
+		r.FlipBools(words, 196608, 0.5)
+	}
+}
+
+func BenchmarkBool196608(b *testing.B) {
+	r := New(1)
+	words := make([]uint64, 196608/64)
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 196608; j++ {
+			if r.Bool(0.5) {
+				words[j/64] ^= 1 << (j % 64)
+			}
+		}
+	}
+}
