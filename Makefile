@@ -79,16 +79,17 @@ store-test:
 
 # The population-batched evaluation differential matrix: batch-vs-serial
 # bit-identity at the kernel (internal/dram, including the v1 rejection and
-# steady-state allocation budget), chunked-vs-per-task farm dispatch at
-# 1/2/4/8 workers plus a whole chunked search against a per-task reference
-# (internal/core), chunked fleet workers, context-digest elision and the
-# worker's bounded context cache (internal/fleet), and fleet 0/1/2-node
-# agreement at the daemon surface (cmd/dstressd). The kill-and-resume pass
-# re-runs the v2 resume matrix, which now checkpoints and resumes through
-# the chunked path, then one -race iteration covers the concurrent chunk
-# dispatch.
+# steady-state allocation budget); in internal/core, each contract's chunk
+# evaluator against the per-genome one at 1/2/4/8 workers, a whole v2
+# search against one with a single genome per chunk, and the v1 search
+# digest recorded under the old per-task dispatch; chunk panics and
+# factory order in the farm pool (internal/farm); fleet workers,
+# context-digest elision and the worker's bounded context cache
+# (internal/fleet); and fleet 0/1/2-node agreement at the daemon surface
+# (cmd/dstressd). The kill-and-resume pass re-runs the v2 resume matrix,
+# then one -race iteration covers the concurrent chunk dispatch.
 batch-test:
-	$(GO) test -run 'Batch|CellSites|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
+	$(GO) test -run 'Batch|PoolChunk|CellSites|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
 		./internal/dram ./internal/core ./internal/farm ./internal/fleet ./cmd/dstressd
 	$(GO) test -run 'DetV2Resume' ./internal/core
 	$(GO) test -race -count 1 -run 'Batch|CellSites|LeaseContext|AdvertisesCachedContexts|EvictsContexts' \
@@ -111,24 +112,23 @@ service-test:
 		./internal/farm ./cmd/dstressd
 
 # Static analysis over the island/surrogate/persistence/batch-evaluation
-# subsystems: vet, gofmt cleanliness, and staticcheck when one is already on
-# PATH (the build never installs tools). The farm and core packages are
-# only gofmt-checked, by explicit file list: farm's pool_test.go carries
-# manual alignment that predates this check.
+# subsystems and the farm and core they plug into: vet, gofmt cleanliness,
+# and staticcheck when one is already on PATH (the build never installs
+# tools).
 LINT_PKGS  = ./internal/islands ./internal/predict ./internal/seglog \
 	./internal/fleet ./internal/ga ./internal/bitvec ./internal/virusdb \
 	./internal/memctl ./internal/addrmap ./internal/dram ./internal/server \
-	./internal/xrand ./cmd/benchjson ./cmd/loadgen ./cmd/dstressd
+	./internal/xrand ./internal/farm ./internal/core ./cmd/benchjson \
+	./cmd/loadgen ./cmd/dstressd
 LINT_DIRS  = internal/islands internal/predict internal/seglog \
 	internal/fleet internal/ga internal/bitvec internal/virusdb \
 	internal/memctl internal/addrmap internal/dram internal/server \
-	internal/xrand cmd/benchjson cmd/loadgen cmd/dstressd
-LINT_FILES = internal/farm/pool.go internal/farm/metrics.go internal/farm/scheduler.go \
-	internal/farm/tenant.go internal/farm/journal.go internal/core/parallel.go
+	internal/xrand internal/farm internal/core cmd/benchjson \
+	cmd/loadgen cmd/dstressd
 
 lint:
 	$(GO) vet $(LINT_PKGS)
-	@out=$$(gofmt -l $(LINT_DIRS) $(LINT_FILES)); \
+	@out=$$(gofmt -l $(LINT_DIRS)); \
 	if [ -n "$$out" ]; then echo "gofmt -w needed on:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck $(LINT_PKGS); \
@@ -187,8 +187,9 @@ experiments-full:
 # job-request parser (its -run skips the daemon's subprocess tests), the
 # two decoders of stored chromosomes (checkpoint genome records and virusdb
 # frames, in both their packed and legacy bit-string forms), the journal's
-# op replay on arbitrary frames, and the memory controller against its
-# plain reference model on arbitrary op streams.
+# op replay on arbitrary frames, the memory controller against its plain
+# reference model on arbitrary op streams, and the segmented store's open
+# over arbitrary segment and manifest bytes.
 fuzz:
 	$(GO) test -fuzz=FuzzParseStmts -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/minicc
@@ -198,6 +199,7 @@ fuzz:
 	$(GO) test -run=FuzzDecodeFrame -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/virusdb
 	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/farm
 	$(GO) test -run=FuzzControllerTrace -fuzz=FuzzControllerTrace -fuzztime=30s ./internal/memctl
+	$(GO) test -run=FuzzSeglogOpen -fuzz=FuzzSeglogOpen -fuzztime=30s ./internal/seglog
 
 clean:
 	rm -f results.md viruses.json

@@ -875,30 +875,30 @@ func httpError(w http.ResponseWriter, status int, err error) {
 
 // buildFleetEvaluators is the fleet.BatchBuildFunc a worker runs under. It
 // turns a shipped evaluation context (the coordinator's default-filled job
-// request) into the per-task evaluator plus its chunked companion over one
-// server, built fresh from the same configuration a coordinator-side farm
-// clone rebuilds from, so both measure identically. A shard whose context
-// measures under determinism v2 evaluates in one batched pass (bit-identical
-// to the per-task loop; nil chunk under v1).
-func buildFleetEvaluators(evalCtx json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
+// request) into the chunk evaluator of a server built fresh from the same
+// configuration a coordinator-side farm clone rebuilds from, so both measure
+// identically. Under determinism v2 a shard evaluates in one batched pass;
+// under v1 it runs the per-genome loop.
+func buildFleetEvaluators(evalCtx json.RawMessage) (farm.ChunkEvalFunc, error) {
 	var req jobRequest
 	if err := json.Unmarshal(evalCtx, &req); err != nil {
-		return nil, nil, fmt.Errorf("bad evaluation context: %w", err)
+		return nil, fmt.Errorf("bad evaluation context: %w", err)
 	}
 	spec, crit, det, err := parseJobRequest(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	srv, err := server.New(server.DefaultConfig(req.Rows, req.Seed))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	runs := req.Runs
 	if runs <= 0 {
 		runs = 10 // the framework default the coordinator runs under
 	}
-	return core.NewWorkerEvaluators(srv, spec, crit, core.Relaxed(req.TempC),
-		server.MCU2, runs, det)
+	_, chunk, err := core.NewWorkerEvaluators(srv, spec, crit,
+		core.Relaxed(req.TempC), server.MCU2, runs, det)
+	return chunk, err
 }
 
 // runWorker is worker mode: serve a remote coordinator until interrupted.

@@ -16,11 +16,6 @@ import (
 // across worker counts requires. (Today's specs consume none.)
 const workerPrepSeed = 0xD57E55
 
-// testPerTaskDispatch forces NewEvalPool to skip chunk wiring so the
-// differential suite can run a genuinely per-task search as the reference
-// for the batched one. Never set outside tests.
-var testPerTaskDispatch bool
-
 // condKey identifies the operating conditions a fitness value was measured
 // under, scoping memoized entries in a shared cache. Everything the
 // measurement depends on beyond the chromosome goes in: spec, criterion,
@@ -48,12 +43,8 @@ func (f *Framework) NewEvalPool(cfg SearchConfig, workers int,
 	}
 	// The chunk evaluator shares the per-genome evaluator's server clone:
 	// farm.NewPool builds all EvalFuncs before asking for chunk evaluators,
-	// so stashing them during the single-factory pass is safe. Under v1 the
-	// stash stays nil and the pool keeps per-task dispatch.
+	// so stashing them during the single-factory pass is safe.
 	chunkEvals := make([]farm.ChunkEvalFunc, workers)
-	if testPerTaskDispatch {
-		chunkEvals = nil
-	}
 	factory := func(w int) (farm.EvalFunc, error) {
 		srv, err := f.Srv.Clone()
 		if err != nil {
@@ -64,18 +55,13 @@ func (f *Framework) NewEvalPool(cfg SearchConfig, workers int,
 		if err != nil {
 			return nil, err
 		}
-		if w < len(chunkEvals) {
-			chunkEvals[w] = chunk
-		}
+		chunkEvals[w] = chunk
 		return single, nil
 	}
-	var opts []farm.PoolOption
-	if chunkEvals != nil {
-		opts = append(opts, farm.WithChunkFactory(
-			func(w int) (farm.ChunkEvalFunc, error) {
-				return chunkEvals[w], nil
-			}))
-	}
+	opts := []farm.PoolOption{farm.WithChunkFactory(
+		func(w int) (farm.ChunkEvalFunc, error) {
+			return chunkEvals[w], nil
+		})}
 	if cfg.Cache != nil {
 		opts = append(opts, farm.WithCache(cfg.Cache, f.condKey(cfg)))
 	}
@@ -96,12 +82,12 @@ func (f *Framework) NewEvalPool(cfg SearchConfig, workers int,
 // explicitly rather than inherited because the fleet path's server is built
 // from a shipped config that predates the search's contract choice.
 //
-// Both evaluators run on the same prepared server, so a worker holding a
-// chunk of the population deploys and measures it in one batched pass while
-// staying bit-identical to evaluating each (genome, rng) through the single
-// path. The chunk evaluator is nil under determinism v1, whose
-// sequential-draw contract the batch engine cannot honour — callers fall
-// back to per-task dispatch.
+// Both evaluators run on the same prepared server and are never nil. Under
+// determinism v2 a worker holding a chunk of the population deploys and
+// measures it in one batched pass while staying bit-identical to evaluating
+// each (genome, rng) through the single path. Under v1, whose
+// sequential-draw contract the batch engine cannot honour, the chunk
+// evaluator is farm.Sequential over the single one.
 func NewWorkerEvaluators(srv *server.Server, spec Spec, crit Criterion,
 	point OperatingPoint, mcu, runs int,
 	det dram.DeterminismVersion) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
@@ -131,7 +117,7 @@ func NewWorkerEvaluators(srv *server.Server, spec Spec, crit Criterion,
 		return crit.Fitness(m), nil
 	}
 	if det.Normalize() != dram.DeterminismV2 {
-		return single, nil, nil
+		return single, farm.Sequential(single), nil
 	}
 	chunk := func(tasks []farm.Assigned, out []float64) error {
 		deploys := make([]func() error, len(tasks))

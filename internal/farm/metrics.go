@@ -20,14 +20,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{start: time.Now()}
 }
 
-func (m *Metrics) evalDone(d time.Duration) {
-	m.evals.Add(1)
-	m.busyNs.Add(int64(d))
-}
-
-// chunkDone records a chunked dispatch of n evaluations done in one pass;
-// the evaluations count stays comparable across dispatch modes while chunks
-// tracks how many passes the batch engine amortized them into.
+// chunkDone records one worker pass over a chunk of n evaluations.
 func (m *Metrics) chunkDone(n int, d time.Duration) {
 	m.evals.Add(int64(n))
 	m.busyNs.Add(int64(d))
@@ -39,8 +32,8 @@ type MetricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Evaluations   int64   `json:"evaluations"`
 	Batches       int64   `json:"batches"`
-	// Chunks counts chunked worker passes: >0 means the population-batched
-	// evaluation engine is active.
+	// Chunks counts worker passes, one per chunk dispatched: Evaluations
+	// over Chunks is the mean chunk size.
 	Chunks      int64   `json:"chunks"`
 	BusySeconds float64 `json:"busy_seconds"`
 	EvalsPerSec float64 `json:"evals_per_sec"`

@@ -51,25 +51,39 @@ type EvalFunc func(g ga.Genome, rng *xrand.Rand) (float64, error)
 type WorkerFactory func(w int) (EvalFunc, error)
 
 // ChunkEvalFunc evaluates a contiguous run of pre-assigned tasks on one
-// worker in one pass, writing out[t.Idx] for every task — the seam the
-// dram-level batch evaluation plugs into, amortizing plan compilation
-// across the chunk. The value written for each task must equal what the
-// worker's EvalFunc yields for (t.G, t.RNG); the per-task RNG assignment in
-// the serial prologue already fixes every draw, so chunked and one-at-a-time
-// dispatch are interchangeable at any worker count.
+// worker in one pass, writing out[t.Idx] for every task. It is the pool's
+// only unit of dispatch: the dram-level batch evaluation plugs in here,
+// amortizing plan compilation across the chunk, and Sequential turns a
+// per-genome EvalFunc into one. The value written for each task must equal
+// what the worker's EvalFunc yields for (t.G, t.RNG); the per-task RNG
+// assignment in the serial prologue already fixes every draw, so the chunk
+// boundaries never show in the results.
 type ChunkEvalFunc func(tasks []Assigned, out []float64) error
 
 // ChunkFactory builds worker w's chunk evaluator. It runs after every
 // EvalFunc has been built (in worker order), so an implementation may share
 // state — typically the cloned server — with the same worker's EvalFunc.
-// Returning a nil ChunkEvalFunc (with nil error) opts the whole pool out of
-// chunked dispatch: the determinism contract in force may not support it.
+// It must return a non-nil evaluator for every worker.
 type ChunkFactory func(w int) (ChunkEvalFunc, error)
+
+// Sequential adapts a per-genome evaluator to a chunk evaluator that
+// measures the chunk's tasks one after another, in order.
+func Sequential(ev EvalFunc) ChunkEvalFunc {
+	return func(tasks []Assigned, out []float64) error {
+		for _, t := range tasks {
+			v, err := ev(t.G, t.RNG)
+			if err != nil {
+				return fmt.Errorf("genome %d: %w", t.Idx, err)
+			}
+			out[t.Idx] = v
+		}
+		return nil
+	}
+}
 
 // Pool evaluates genome batches on a fixed set of workers.
 type Pool struct {
-	evals   []EvalFunc
-	chunks  []ChunkEvalFunc // non-nil only when every worker chunk-evaluates
+	chunks  []ChunkEvalFunc // one per worker
 	root    *xrand.Rand
 	cache   *Cache
 	condKey string
@@ -97,11 +111,10 @@ func WithMetrics(m *Metrics) PoolOption {
 	return func(p *Pool) { p.met = m }
 }
 
-// WithChunkFactory enables chunked dispatch: RunAssigned hands each worker a
-// contiguous slice of the task list instead of feeding tasks one at a time.
-// Results are unchanged — every task's RNG is pre-assigned — only the
-// dispatch granularity moves. If the factory yields a nil evaluator for any
-// worker the pool silently stays on per-task dispatch.
+// WithChunkFactory supplies the workers' chunk evaluators — typically a
+// batched pass over the same server the worker's EvalFunc deploys on.
+// Without it every worker runs Sequential over its EvalFunc. Results are
+// the same either way: every task's RNG is pre-assigned.
 func WithChunkFactory(f ChunkFactory) PoolOption {
 	return func(p *Pool) { p.chunkFactory = f }
 }
@@ -124,8 +137,10 @@ func NewPool(workers int, root *xrand.Rand, factory WorkerFactory,
 	for _, o := range opts {
 		o(p)
 	}
-	p.evals = make([]EvalFunc, workers)
-	for w := range p.evals {
+	// Every EvalFunc is built before the first chunk evaluator, so a chunk
+	// factory may hand out state its worker factory stashed.
+	p.chunks = make([]ChunkEvalFunc, workers)
+	for w := range p.chunks {
 		ev, err := factory(w)
 		if err != nil {
 			return nil, fmt.Errorf("farm: worker %d: %w", w, err)
@@ -133,31 +148,25 @@ func NewPool(workers int, root *xrand.Rand, factory WorkerFactory,
 		if ev == nil {
 			return nil, fmt.Errorf("farm: worker %d: factory returned nil", w)
 		}
-		p.evals[w] = ev
+		p.chunks[w] = Sequential(ev)
 	}
 	if p.chunkFactory != nil {
-		chunks := make([]ChunkEvalFunc, workers)
-		all := true
-		for w := range chunks {
+		for w := range p.chunks {
 			cv, err := p.chunkFactory(w)
 			if err != nil {
 				return nil, fmt.Errorf("farm: chunk worker %d: %w", w, err)
 			}
 			if cv == nil {
-				all = false
-				break
+				return nil, fmt.Errorf("farm: chunk worker %d: factory returned nil", w)
 			}
-			chunks[w] = cv
-		}
-		if all {
-			p.chunks = chunks
+			p.chunks[w] = cv
 		}
 	}
 	return p, nil
 }
 
 // Workers returns the pool size.
-func (p *Pool) Workers() int { return len(p.evals) }
+func (p *Pool) Workers() int { return len(p.chunks) }
 
 // RootState captures the noise-root RNG position. The root only advances in
 // EvaluateBatch's serial prologue, so between batches the state is stable
@@ -194,7 +203,7 @@ type Dispatcher func(ctx context.Context, tasks []Assigned, out []float64) error
 // the cache is consulted and filled in index order, so the result — and the
 // root stream position — is independent of the worker count and of
 // completion order. A worker panic is converted into an error; the first
-// error aborts the batch.
+// error fails the batch.
 func (p *Pool) EvaluateBatch(ctx context.Context, gs []ga.Genome) ([]float64, error) {
 	return p.EvaluateBatchVia(ctx, gs, p.RunAssigned)
 }
@@ -257,96 +266,29 @@ func (p *Pool) EvaluateBatchVia(ctx context.Context, gs []ga.Genome,
 	return out, nil
 }
 
-// RunAssigned fans the tasks out over the pool's workers and waits: the
-// local Dispatcher, and the fallback a fleet session degrades to when no
-// remote workers are registered. Distinct tasks write distinct out elements,
-// so the slice needs no lock.
+// RunAssigned partitions the tasks into contiguous, near-even chunks — the
+// same split the fleet coordinator uses for shards — and runs each on its
+// worker's chunk evaluator in one pass: the local Dispatcher, and the
+// fallback a fleet session degrades to when no remote workers are
+// registered. Task i's value depends only on (G, RNG), both fixed in the
+// serial prologue, so the partition never shows in the fitness vector.
+// Cancellation is noticed at chunk boundaries. A chunk evaluator's panic is
+// converted into an error; the first error wins. Distinct tasks write
+// distinct out elements, so the slice needs no lock.
 func (p *Pool) RunAssigned(ctx context.Context, tasks []Assigned, out []float64) error {
 	if len(tasks) == 0 {
 		return nil
 	}
-	nw := len(p.evals)
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	if p.chunks != nil {
-		return p.runChunked(ctx, tasks, out, nw)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	work := make(chan Assigned)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(ev EvalFunc) {
-			defer wg.Done()
-			for t := range work {
-				start := time.Now()
-				v, err := safeEval(ev, t.G, t.RNG)
-				if p.met != nil {
-					p.met.evalDone(time.Since(start))
-				}
-				if err != nil {
-					fail(fmt.Errorf("farm: genome %d: %w", t.Idx, err))
-					continue
-				}
-				out[t.Idx] = v
-			}
-		}(p.evals[w])
-	}
-dispatch:
-	for _, t := range tasks {
-		if failed() {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			break dispatch
-		case work <- t:
-		}
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
-}
-
-// runChunked partitions the tasks into nw contiguous, near-even chunks —
-// the same split the fleet coordinator uses for shards — and runs each on
-// its worker's chunk evaluator in one pass. Task i's value depends only on
-// (G, RNG), both fixed in the serial prologue, so the partition choice never
-// shows in the fitness vector.
-func (p *Pool) runChunked(ctx context.Context, tasks []Assigned, out []float64, nw int) error {
+	nw := min(len(p.chunks), len(tasks))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
 	for w := 0; w < nw; w++ {
-		lo, hi := w*len(tasks)/nw, (w+1)*len(tasks)/nw
-		if lo == hi {
-			continue
-		}
+		chunk := tasks[w*len(tasks)/nw : (w+1)*len(tasks)/nw]
 		wg.Add(1)
-		go func(ev ChunkEvalFunc, chunk []Assigned) {
+		go func(ev ChunkEvalFunc) {
 			defer wg.Done()
 			if ctx.Err() != nil {
 				return
@@ -364,7 +306,7 @@ func (p *Pool) runChunked(ctx context.Context, tasks []Assigned, out []float64, 
 				}
 				mu.Unlock()
 			}
-		}(p.chunks[w], tasks[lo:hi])
+		}(p.chunks[w])
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -373,8 +315,8 @@ func (p *Pool) runChunked(ctx context.Context, tasks []Assigned, out []float64, 
 	return firstErr
 }
 
-// safeChunk converts a chunk-evaluator panic into an error, mirroring
-// safeEval at chunk granularity.
+// safeChunk converts a chunk-evaluator panic into an error so one bad virus
+// fails its job instead of killing the campaign daemon.
 func safeChunk(ev ChunkEvalFunc, tasks []Assigned, out []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -382,17 +324,6 @@ func safeChunk(ev ChunkEvalFunc, tasks []Assigned, out []float64) (err error) {
 		}
 	}()
 	return ev(tasks, out)
-}
-
-// safeEval converts a worker panic into an error so one bad virus fails its
-// job instead of killing the campaign daemon.
-func safeEval(ev EvalFunc, g ga.Genome, rng *xrand.Rand) (v float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("evaluation panic: %v", r)
-		}
-	}()
-	return ev(g, rng)
 }
 
 // GenomeKey returns a stable identity string for a chromosome, used as the

@@ -297,6 +297,81 @@ func TestNewPoolValidation(t *testing.T) {
 	if _, err := NewPool(2, xrand.New(1), broken); err == nil {
 		t.Error("factory error swallowed")
 	}
+	nilChunk := WithChunkFactory(func(w int) (ChunkEvalFunc, error) {
+		if w == 1 {
+			return nil, nil
+		}
+		return Sequential(noisyEval), nil
+	})
+	if _, err := NewPool(2, xrand.New(1), noisyFactory, nilChunk); err == nil ||
+		!strings.Contains(err.Error(), "chunk worker 1") {
+		t.Errorf("nil chunk evaluator accepted: %v", err)
+	}
+	failChunk := WithChunkFactory(func(w int) (ChunkEvalFunc, error) {
+		return nil, fmt.Errorf("no batch engine")
+	})
+	if _, err := NewPool(2, xrand.New(1), noisyFactory, failChunk); err == nil {
+		t.Error("chunk factory error swallowed")
+	}
+}
+
+// TestPoolChunkFactoryAfterWorkers: every worker's EvalFunc is built before
+// the first chunk evaluator is asked for, so a chunk factory can hand out
+// what the worker factory stashed.
+func TestPoolChunkFactoryAfterWorkers(t *testing.T) {
+	const workers = 3
+	var order []string
+	stash := make([]ChunkEvalFunc, workers)
+	factory := func(w int) (EvalFunc, error) {
+		order = append(order, fmt.Sprintf("eval%d", w))
+		stash[w] = Sequential(noisyEval)
+		return noisyEval, nil
+	}
+	pool, err := NewPool(workers, xrand.New(5), factory,
+		WithChunkFactory(func(w int) (ChunkEvalFunc, error) {
+			order = append(order, fmt.Sprintf("chunk%d", w))
+			return stash[w], nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "eval0 eval1 eval2 chunk0 chunk1 chunk2"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("build order %q, want %q", got, want)
+	}
+	if _, err := pool.EvaluateBatch(context.Background(), intPopulation(6, 1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolChunkPanicBecomesError: a panic inside a chunk evaluator comes
+// back as an error naming the chunk's task range, and the pool keeps
+// working afterwards.
+func TestPoolChunkPanicBecomesError(t *testing.T) {
+	bomb := WithChunkFactory(func(w int) (ChunkEvalFunc, error) {
+		return func(tasks []Assigned, out []float64) error {
+			for _, tk := range tasks {
+				if tk.G.(*ga.IntGenome).Vals[0] == 13 {
+					panic("boom")
+				}
+			}
+			return Sequential(noisyEval)(tasks, out)
+		}, nil
+	})
+	pool, err := NewPool(3, xrand.New(1), noisyFactory, bomb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, _ := ga.NewIntGenome([]int{13, 0}, 0, 20)
+	gs := append(intPopulation(5, 9), bad) // chunks [0,2) [2,4) [4,6)
+	_, err = pool.EvaluateBatch(context.Background(), gs)
+	if err == nil || !strings.Contains(err.Error(), "chunk [4,6)") ||
+		!strings.Contains(err.Error(), "panic: boom") {
+		t.Fatalf("chunk panic not surfaced with its range: %v", err)
+	}
+	if _, err := pool.EvaluateBatch(context.Background(), intPopulation(6, 9)); err != nil {
+		t.Fatalf("pool unusable after panic: %v", err)
+	}
 }
 
 func TestGenomeKey(t *testing.T) {
@@ -355,6 +430,8 @@ func TestGenomeKeyDigestPinned(t *testing.T) {
 //     deploys the chromosome as a uniform fill and runs the ten-run
 //     averaging batch through the dram fast path. This is the number the
 //     evaluation-plan work multiplies.
+//
+// Run it with:
 //
 //	go test -bench FarmSpeedup -benchtime 5x ./internal/farm/
 func BenchmarkFarmSpeedup(b *testing.B) {

@@ -32,10 +32,11 @@ func testEval(g ga.Genome, rng *xrand.Rand) (float64, error) {
 
 func testFactory(int) (farm.EvalFunc, error) { return testEval, nil }
 
-// testBuild is the per-task worker-side BatchBuildFunc: same evaluator, built
-// from the opaque context exactly once per digest, no chunked companion.
-func testBuild(json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
-	return testEval, nil, nil
+// testBuild is the worker-side BatchBuildFunc: the local pool's evaluator
+// run over each whole shard, built from the opaque context exactly once per
+// digest.
+func testBuild(json.RawMessage) (farm.ChunkEvalFunc, error) {
+	return farm.Sequential(testEval), nil
 }
 
 func testGenomes(t *testing.T, n int) []ga.Genome {
@@ -336,10 +337,10 @@ func TestEvalErrorFailsBatch(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := NewWorker(ts.URL, "bad", func(json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
-		return func(ga.Genome, *xrand.Rand) (float64, error) {
-			return 0, fmt.Errorf("synthetic meltdown")
-		}, nil, nil
+	w := NewWorker(ts.URL, "bad", func(json.RawMessage) (farm.ChunkEvalFunc, error) {
+		return func([]farm.Assigned, []float64) error {
+			return fmt.Errorf("synthetic meltdown")
+		}, nil
 	}, WithLeaseWait(100*time.Millisecond),
 		WithBackoff(5*time.Millisecond, 50*time.Millisecond, 2))
 	var wg sync.WaitGroup
@@ -392,23 +393,6 @@ func TestJoinRefusesOtherWireVersion(t *testing.T) {
 	}
 }
 
-// testBatchBuild is the chunked worker-side BatchBuildFunc: the same
-// measurement as testBuild plus a chunked companion that evaluates its tasks in one pass —
-// identical values, so chunked workers must be invisible in the results.
-func testBatchBuild(json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
-	chunk := func(tasks []farm.Assigned, out []float64) error {
-		for _, tk := range tasks {
-			v, err := testEval(tk.G, tk.RNG)
-			if err != nil {
-				return err
-			}
-			out[tk.Idx] = v
-		}
-		return nil
-	}
-	return testEval, chunk, nil
-}
-
 // TestBatchDetV2ChunkedWorkersBitIdentical: workers evaluating whole shards
 // through their chunked evaluator reproduce the local pool's fitness vector
 // exactly, at 1 and 2 nodes.
@@ -423,7 +407,7 @@ func TestBatchDetV2ChunkedWorkersBitIdentical(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		for i := 0; i < workers; i++ {
-			w := NewWorker(ts.URL, fmt.Sprintf("bw%d", i), testBatchBuild,
+			w := NewWorker(ts.URL, fmt.Sprintf("bw%d", i), testBuild,
 				WithLeaseWait(200*time.Millisecond),
 				WithBackoff(5*time.Millisecond, 50*time.Millisecond, 2))
 			wg.Add(1)
@@ -542,11 +526,11 @@ func TestWorkerEvictsContexts(t *testing.T) {
 	var mu sync.Mutex
 	builds := map[string]int{}
 	w := NewWorker(ts.URL, "lru",
-		func(evalCtx json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error) {
+		func(evalCtx json.RawMessage) (farm.ChunkEvalFunc, error) {
 			mu.Lock()
 			builds[string(evalCtx)]++
 			mu.Unlock()
-			return testEval, nil, nil
+			return testBuild(evalCtx)
 		},
 		WithLeaseWait(200*time.Millisecond),
 		WithBackoff(5*time.Millisecond, 50*time.Millisecond, 2))

@@ -19,25 +19,22 @@ import (
 	"dstress/internal/xrand"
 )
 
-// BatchBuildFunc constructs the evaluators for a shard's opaque evaluation
-// context over one shared environment: the per-task evaluator and its
-// chunked companion, which evaluates a whole shard in one batched pass (see
-// farm.ChunkEvalFunc). It must build the same machine a coordinator-side
-// farm worker would build for that context — the determinism contract rests
-// on it. A nil chunk evaluator (with nil error) means the context's
-// determinism contract does not support batching; the worker evaluates that
-// context's shards per task. The chunked pass must be bit-identical to the
-// per-task one — core.NewWorkerEvaluators provides exactly this pair.
-type BatchBuildFunc func(evalCtx json.RawMessage) (farm.EvalFunc, farm.ChunkEvalFunc, error)
+// BatchBuildFunc constructs the chunk evaluator for a shard's opaque
+// evaluation context; the worker runs each whole shard through it in one
+// pass (see farm.ChunkEvalFunc). It must build the same machine a
+// coordinator-side farm worker would build for that context, and measure
+// every (genome, rng) exactly as that worker does — the determinism
+// contract rests on it. core.NewWorkerEvaluators' chunk evaluator provides
+// exactly this.
+type BatchBuildFunc func(evalCtx json.RawMessage) (farm.ChunkEvalFunc, error)
 
-// workerEval is one context's cached evaluator pair.
+// workerEval is one context's cached evaluator.
 type workerEval struct {
-	single farm.EvalFunc
-	chunk  farm.ChunkEvalFunc // nil: evaluate per task
-	used   uint64             // Worker.uses at the last shard; LRU order
+	chunk farm.ChunkEvalFunc
+	used  uint64 // Worker.uses at the last shard; LRU order
 }
 
-// maxWorkerContexts bounds the evaluator pairs a worker holds. Each one owns
+// maxWorkerContexts bounds the evaluators a worker holds. Each one owns
 // a built server, and every search job ships a new context, so an unbounded
 // cache grows with the jobs served. Eight is dstressd's default -budget of
 // concurrently running jobs. The least recently used context is evicted;
@@ -64,7 +61,7 @@ type Worker struct {
 	retries   atomic.Int64
 
 	mu      sync.Mutex
-	evals   map[string]workerEval // context digest -> cached evaluator pair
+	evals   map[string]workerEval // context digest -> cached evaluator
 	digests []string              // sorted cache keys, advertised on lease
 	uses    uint64                // shards served; stamps workerEval.used
 }
@@ -99,9 +96,8 @@ func WithAuthToken(token string) WorkerOption {
 }
 
 // NewWorker builds a worker client for the coordinator at base (e.g.
-// "http://host:9753"). build turns shard contexts into evaluators, once per
-// context; shards whose contract supports it are evaluated in one chunked
-// pass instead of task by task.
+// "http://host:9753"). build turns shard contexts into chunk evaluators,
+// once per context; every shard is evaluated in one pass.
 func NewWorker(base, name string, build BatchBuildFunc, opts ...WorkerOption) *Worker {
 	w := &Worker{
 		base:      base,
@@ -263,10 +259,9 @@ func (w *Worker) report(ctx context.Context, bo *Backoff, rep reportRequest) err
 	}
 }
 
-// evaluate runs a shard's tasks on the context's evaluator — in one chunked
-// pass when the context supports batching, task by task otherwise. Any
-// failure — undecodable genome, bad RNG state, evaluation error or panic —
-// is reported as the shard's evaluation error.
+// evaluate runs a shard's tasks through the context's chunk evaluator in one
+// pass. Any failure — undecodable genome, bad RNG state, evaluation error or
+// panic — is reported as the shard's evaluation error.
 func (w *Worker) evaluate(sh *Shard) ([]TaskResult, error) {
 	ev, err := w.evaluator(sh)
 	if err != nil {
@@ -285,33 +280,14 @@ func (w *Worker) evaluate(sh *Shard) ([]TaskResult, error) {
 		tasks[i] = farm.Assigned{Idx: i, G: g, RNG: rng}
 	}
 	out := make([]float64, len(tasks))
-	if ev.chunk != nil {
-		if err := safeWorkerChunk(ev.chunk, tasks, out); err != nil {
-			return nil, fmt.Errorf("shard chunk: %w", err)
-		}
-	} else {
-		for i, t := range tasks {
-			v, err := safeWorkerEval(ev.single, t.G, t.RNG)
-			if err != nil {
-				return nil, fmt.Errorf("task %d: %w", sh.Tasks[i].Index, err)
-			}
-			out[i] = v
-		}
+	if err := safeWorkerChunk(ev.chunk, tasks, out); err != nil {
+		return nil, fmt.Errorf("shard chunk: %w", err)
 	}
 	results := make([]TaskResult, len(sh.Tasks))
 	for i, t := range sh.Tasks {
 		results[i] = TaskResult{Index: t.Index, Fitness: out[i]}
 	}
 	return results, nil
-}
-
-func safeWorkerEval(ev farm.EvalFunc, g ga.Genome, rng *xrand.Rand) (v float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("evaluation panic: %v", r)
-		}
-	}()
-	return ev(g, rng)
 }
 
 func safeWorkerChunk(ev farm.ChunkEvalFunc, tasks []farm.Assigned,
@@ -324,13 +300,13 @@ func safeWorkerChunk(ev farm.ChunkEvalFunc, tasks []farm.Assigned,
 	return ev(tasks, out)
 }
 
-// evaluator builds (or reuses) the evaluator pair for a shard's context,
+// evaluator builds (or reuses) the evaluator for a shard's context,
 // keyed by the context digest: a daemon serving several concurrent searches
 // ships several contexts, and rebuilding the simulated server per shard
 // would dominate the shard itself. A digest-only shard (context elided
 // because this worker advertised it) must hit the cache; a coordinator only
 // elides what the worker claimed to hold. The cache holds at most
-// maxWorkerContexts pairs; building one more evicts the least recently
+// maxWorkerContexts evaluators; building one more evicts the least recently
 // used.
 func (w *Worker) evaluator(sh *Shard) (workerEval, error) {
 	key := sh.ContextDigest
@@ -350,26 +326,24 @@ func (w *Worker) evaluator(sh *Shard) (workerEval, error) {
 		return workerEval{}, fmt.Errorf(
 			"shard %s: context %.12s… elided but not cached", sh.ID, key)
 	}
-	var ev workerEval
-	var err error
-	ev.single, ev.chunk, err = w.build(sh.Context)
+	chunk, err := w.build(sh.Context)
 	if err != nil {
 		return workerEval{}, err
 	}
-	if ev.single == nil {
+	if chunk == nil {
 		return workerEval{}, fmt.Errorf("shard %s: builder returned no evaluator", sh.ID)
 	}
 	if len(w.evals) >= maxWorkerContexts {
 		w.evictOldest()
 	}
-	ev.used = w.uses
+	ev := workerEval{chunk: chunk, used: w.uses}
 	w.evals[key] = ev
 	w.digests = append(w.digests, key)
 	sort.Strings(w.digests)
 	return ev, nil
 }
 
-// evictOldest drops the least recently used evaluator pair. Callers hold
+// evictOldest drops the least recently used evaluator. Callers hold
 // w.mu.
 func (w *Worker) evictOldest() {
 	oldest := ""

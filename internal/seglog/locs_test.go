@@ -216,3 +216,39 @@ func TestSeglogManifestRejectsUnnumberedSegments(t *testing.T) {
 		t.Fatalf("open with an unnumbered segment: %v, want ErrBadManifest", err)
 	}
 }
+
+// TestSeglogManifestRejectsReusedSegments: a manifest whose names do not
+// identify distinct segments past which next lies is corrupt. Opened as it
+// was, "seg-1.log" gave locators ReadFrame could not resolve, a repeated
+// segment name made a salvage compaction delete the segment it had just
+// written, and next at or below a live number made the next rotation
+// truncate that live segment.
+func TestSeglogManifestRejectsReusedSegments(t *testing.T) {
+	for _, tc := range []struct{ body, file string }{
+		{`{"next":2,"segments":["seg-1.log"]}`, "seg-1.log"},
+		{`{"next":3,"segments":["seg-000000001.log","seg-000000001.log"]}`, segName(1)},
+		{`{"next":1,"segments":["seg-000000001.log"]}`, segName(1)},
+		{`{"next":5,"segments":["seg-000000002.log","seg-000000001.log"]}`, segName(1)},
+	} {
+		dir := filepath.Join(t.TempDir(), "store")
+		st, _ := openT(t, dir, Options{})
+		appendN(t, st, 0, 2)
+		st.Close()
+		if tc.file != segName(1) {
+			if err := os.Rename(filepath.Join(dir, segName(1)),
+				filepath.Join(dir, tc.file)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName),
+			sealManifest([]byte(tc.body)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, Options{Salvage: true}); !errors.Is(err, ErrBadManifest) {
+			t.Fatalf("%s: open = %v, want ErrBadManifest", tc.body, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, tc.file)); err != nil {
+			t.Fatalf("%s: segment gone after a refused open: %v", tc.body, err)
+		}
+	}
+}

@@ -755,11 +755,26 @@ func readManifest(path string) ([]string, uint64, error) {
 	if len(doc.Segments) == 0 || doc.Next == 0 {
 		return nil, 0, fmt.Errorf("%w: %s: empty segment list", ErrBadManifest, path)
 	}
-	for _, n := range doc.Segments {
-		if _, ok := segNumber(n); !ok || n != filepath.Base(n) {
+	// A Loc names its segment by number, and rotation and compaction create
+	// segment next with O_TRUNC: every name must be the canonical spelling
+	// of its number, the numbers must rise, and next must lie beyond them,
+	// or reads miss live segments and new segments overwrite them.
+	var last uint64
+	for i, n := range doc.Segments {
+		num, ok := segNumber(n)
+		if !ok || n != segName(num) {
 			return nil, 0, fmt.Errorf("%w: %s: bad segment name %q",
 				ErrBadManifest, path, n)
 		}
+		if i > 0 && num <= last {
+			return nil, 0, fmt.Errorf("%w: %s: segment %q out of order",
+				ErrBadManifest, path, n)
+		}
+		last = num
+	}
+	if doc.Next <= last {
+		return nil, 0, fmt.Errorf("%w: %s: next segment %d is not past %d",
+			ErrBadManifest, path, doc.Next, last)
 	}
 	return doc.Segments, doc.Next, nil
 }
