@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short check detv2-test islands-test store-test batch-test service-test lint resume-test fleet-test bench bench-json experiments experiments-full fuzz clean
+.PHONY: all build test test-short check access-test detv2-test islands-test store-test batch-test service-test lint resume-test fleet-test bench bench-json experiments experiments-full fuzz clean
 
 all: build test
 
@@ -31,6 +31,7 @@ check:
 	$(GO) test -race -run 'Checkpoint|Resume|Journal|Snapshot' \
 		./internal/checkpoint ./internal/ga ./internal/core ./internal/farm
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x ./internal/dram
+	$(MAKE) access-test
 	$(MAKE) detv2-test
 	$(MAKE) islands-test
 	$(MAKE) store-test
@@ -38,6 +39,17 @@ check:
 	$(MAKE) service-test
 	$(MAKE) lint
 	$(GO) test -race -timeout 30m ./...
+
+# The access-virus deploy matrix: the deploy digest of the three
+# access-driven specs, the memory controller against its plain reference
+# model (cached, decoded-row and uncached loads, writes, flushes, resets),
+# the table-driven replay against a per-address one, and Fig 11's
+# access-over-data gain. Then once more under the race detector.
+ACCESS_TESTS = 'TestAccessDeployActsGolden|TestControllerMatchesReference|TestAccessReplayMatchesLoads|TestAccessRowsBeatsDataOnly'
+
+access-test:
+	$(GO) test -count 1 -run $(ACCESS_TESTS) ./internal/memctl ./internal/core
+	$(GO) test -race -count 1 -run $(ACCESS_TESTS) ./internal/memctl ./internal/core
 
 # The determinism-v2 differential matrix under the race detector: stream
 # purity and key independence (xrand), kernel-vs-reference bit-identity and
@@ -153,8 +165,9 @@ fleet-test:
 
 # The benchmark story: the top-level figure benchmarks (one quick-scale
 # regeneration each) plus the evaluation-path micro-benchmarks (dram fast
-# path vs reference, farm speedup, one access-rows generation through the
-# memory controller, controller hit and thrash loads). bench prints;
+# path vs reference, farm speedup, one access-rows generation and one
+# access-rows deploy through the memory controller, controller hit and
+# thrash loads). bench prints;
 # bench-json also snapshots the results — including the fast-vs-reference
 # speedup ratios — into a dated BENCH_<date>.json for the perf trajectory.
 BENCH_FIGS  = $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -timeout 60m .

@@ -6,6 +6,7 @@ import (
 	"dstress/internal/addrmap"
 	"dstress/internal/dram"
 	"dstress/internal/ga"
+	"dstress/internal/memctl"
 	"dstress/internal/virusdb"
 	"dstress/internal/xrand"
 )
@@ -89,7 +90,7 @@ func (s *RowhammerSpec) Deploy(f *Framework, g ga.Genome) error {
 			offsets = append(offsets, i-s.NeighbourSpan+1)
 		}
 	}
-	aggressors := make([]int64, 0, len(offsets)) // row starts around one victim
+	aggressors := make([]memctl.RowRef, 0, len(offsets)) // rows around one victim
 	for _, victim := range s.targets {
 		aggressors = aggressors[:0]
 		for _, off := range offsets {
@@ -97,17 +98,13 @@ func (s *RowhammerSpec) Deploy(f *Framework, g ga.Genome) error {
 			if row < 0 || row >= geom.Rows {
 				continue
 			}
-			aggressors = append(aggressors, geom.Unmap(addrmap.Loc{
-				Rank: int(victim.Rank),
-				Bank: int(victim.Bank),
-				Row:  row,
-			}))
+			chunk := geom.ChunkIndex(addrmap.Loc{Bank: int(victim.Bank), Row: row})
+			aggressors = append(aggressors, ctl.RowAt(int(victim.Rank), chunk))
 		}
 		for h := 0; h < s.HammersPerTarget; h++ {
-			col := int64(h%geom.WordsPerRow()) * 8
-			for _, addr := range aggressors {
+			for _, r := range aggressors {
 				// Uncached load: the attack's clflush+load pair.
-				ctl.ReadWordUncached(addr + col)
+				ctl.LoadUncached(r)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"dstress/internal/dram"
 	"dstress/internal/ga"
+	"dstress/internal/memctl"
 	"dstress/internal/virusdb"
 	"dstress/internal/xrand"
 )
@@ -51,37 +52,58 @@ func (b *accessSpecBase) prepare(f *Framework) error {
 	return nil
 }
 
+// chunkRow is one of replay's target chunks, resolved to its row.
+type chunkRow struct {
+	row memctl.RowRef
+	i   int // offset index
+}
+
 // replay issues the virus's reads for every target chunk on both ranks, in
 // (rank, target, x, offset) order. wordIdx receives (offset index, x) and
-// returns the word index to read within the chunk, or -1 to skip. Only the
-// reads' traffic matters, so they are issued as loads.
+// returns the word index to read within the chunk; replay tabulates it once
+// per deploy, checking every entry against the row length, and then walks
+// the table. Only the reads' traffic matters, so they are issued as loads
+// into rows resolved once per target.
 func (b *accessSpecBase) replay(f *Framework,
-	offsets []int, wordIdx func(i, x int) int) {
+	offsets []int, wordIdx func(i, x int) int) error {
 	ctl := f.Srv.MCU(f.MCU)
 	geom := ctl.Device().Geometry()
 	nchunks := geom.Banks * geom.Rows
+	n := len(offsets)
+	// The buffers hold the default sweep over all 64 access-rows offsets on
+	// the stack, so a deploy allocates nothing for its tables.
+	var wordsBuf [16 * 64]int32
+	var rowsBuf [64]chunkRow
+	words := wordsBuf[:0] // words[x*n+i] is the word wordIdx gives
+	for x := 0; x < b.SweepLen; x++ {
+		for i := range offsets {
+			w := wordIdx(i, x)
+			if w < 0 || w >= geom.WordsPerRow() {
+				return fmt.Errorf("core: access pattern reads word %d of a %d-word row",
+					w, geom.WordsPerRow())
+			}
+			words = append(words, int32(w))
+		}
+	}
+	rows := rowsBuf[:0] // one target's in-range chunks, in offset order
 	ctl.ResetStats()
-	bases := make([]int64, len(offsets)) // chunk start per offset; -1 off the edge
 	for rank := 0; rank < b.ranks; rank++ {
 		for _, target := range b.targets {
+			rows = rows[:0]
 			for i, off := range offsets {
-				bases[i] = -1
 				if c := target + off; c >= 0 && c < nchunks {
-					bases[i] = geom.ChunkAddr(rank, c)
+					rows = append(rows, chunkRow{ctl.RowAt(rank, c), i})
 				}
 			}
 			for x := 0; x < b.SweepLen; x++ {
-				for i, base := range bases {
-					if base < 0 {
-						continue
-					}
-					if w := wordIdx(i, x); w >= 0 {
-						ctl.Load(base + int64(w)*8)
-					}
+				xw := words[x*n : (x+1)*n]
+				for _, r := range rows {
+					ctl.LoadCol(r.row, int(xw[r.i]))
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // AccessRowsSpec is the paper's first memory-access template (Fig 11): a
@@ -127,17 +149,26 @@ func rowOffsets(g *ga.BitGenome) []int {
 
 // Deploy implements Spec.
 func (s *AccessRowsSpec) Deploy(f *Framework, g ga.Genome) error {
+	offsets, wordIdx, err := s.pattern(f, g)
+	if err != nil {
+		return err
+	}
+	return s.replay(f, offsets, wordIdx)
+}
+
+// pattern decodes the chromosome into replay's chunk offsets and word
+// function.
+func (s *AccessRowsSpec) pattern(f *Framework, g ga.Genome) ([]int, func(i, x int) int, error) {
 	bg, ok := g.(*ga.BitGenome)
 	if !ok || bg.Bits.Len() != 64 {
-		return fmt.Errorf("core: access-rows needs a 64-bit genome")
+		return nil, nil, fmt.Errorf("core: access-rows needs a 64-bit genome")
 	}
 	wordsPerRow := f.Srv.MCU(f.MCU).Device().Geometry().WordsPerRow()
 	// Full-row sweep: each x visits a different column; with many rows in
 	// flight, every same-bank revisit reopens the row.
-	s.replay(f, rowOffsets(bg), func(i, x int) int {
+	return rowOffsets(bg), func(i, x int) int {
 		return (x*64 + i) % wordsPerRow
-	})
-	return nil
+	}, nil
 }
 
 // Encode implements Spec.
@@ -192,15 +223,24 @@ var coeffOffsets = func() []int {
 
 // Deploy implements Spec.
 func (s *AccessCoeffsSpec) Deploy(f *Framework, g ga.Genome) error {
+	offsets, wordIdx, err := s.pattern(f, g)
+	if err != nil {
+		return err
+	}
+	return s.replay(f, offsets, wordIdx)
+}
+
+// pattern decodes the chromosome into replay's chunk offsets and word
+// function.
+func (s *AccessCoeffsSpec) pattern(f *Framework, g ga.Genome) ([]int, func(i, x int) int, error) {
 	ig, ok := g.(*ga.IntGenome)
 	if !ok || len(ig.Vals) != 32 {
-		return fmt.Errorf("core: access-coeffs needs a 32-int genome")
+		return nil, nil, fmt.Errorf("core: access-coeffs needs a 32-int genome")
 	}
 	wordsPerRow := f.Srv.MCU(f.MCU).Device().Geometry().WordsPerRow()
-	s.replay(f, coeffOffsets, func(i, x int) int {
+	return coeffOffsets, func(i, x int) int {
 		return (ig.Vals[i]*x + ig.Vals[i+16]) % wordsPerRow
-	})
-	return nil
+	}, nil
 }
 
 // Encode implements Spec.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -89,6 +90,104 @@ func TestAccessDeployActsGolden(t *testing.T) {
 	}
 }
 
+// loadReplay is replay written the plain way: the word function is called
+// for every load, and every load decodes its byte address through Load.
+func loadReplay(f *Framework, b *accessSpecBase, offsets []int, wordIdx func(i, x int) int) {
+	ctl := f.Srv.MCU(f.MCU)
+	geom := ctl.Device().Geometry()
+	nchunks := geom.Banks * geom.Rows
+	ctl.ResetStats()
+	for rank := 0; rank < b.ranks; rank++ {
+		for _, target := range b.targets {
+			for x := 0; x < b.SweepLen; x++ {
+				for i, off := range offsets {
+					if c := target + off; c >= 0 && c < nchunks {
+						ctl.Load(geom.ChunkAddr(rank, c) + int64(wordIdx(i, x))*8)
+					}
+				}
+			}
+		}
+	}
+}
+
+// controllerState is everything a deploy leaves for the DRAM model and the
+// traces: the per-row activation rates and the controller's counters.
+type controllerState struct {
+	acts     map[dram.RowKey]float64
+	counters [7]uint64
+}
+
+func snapshotController(f *Framework) controllerState {
+	ctl := f.Srv.MCU(f.MCU)
+	reads, writes := ctl.DRAMTraffic()
+	hits, misses, wbs := ctl.CacheStats()
+	return controllerState{ctl.ActsPerWindow(), [7]uint64{ctl.Activations(),
+		ctl.ElapsedNs(), reads, writes, hits, misses, wbs}}
+}
+
+// TestAccessReplayMatchesLoads deploys seeded access-rows and access-coeffs
+// genomes on 16- and 64-row servers through the table-driven replay on one
+// server and through loadReplay on a twin, and requires the same
+// activation rates and counters after every genome.
+func TestAccessReplayMatchesLoads(t *testing.T) {
+	const seed = 3
+	type accessSpec interface {
+		Spec
+		pattern(*Framework, ga.Genome) ([]int, func(i, x int) int, error)
+	}
+	for _, rows := range []int{16, 64} {
+		rowsSpec := NewAccessRowsSpec(0x3333333333333333)
+		coeffsSpec := NewAccessCoeffsSpec(0x3333333333333333)
+		for _, c := range []struct {
+			spec accessSpec
+			base *accessSpecBase
+		}{
+			{rowsSpec, &rowsSpec.accessSpecBase},
+			{coeffsSpec, &coeffsSpec.accessSpecBase},
+		} {
+			var fs [2]*Framework
+			for i := range fs {
+				srv, err := server.New(server.DefaultConfig(rows, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fs[i], err = New(srv, xrand.New(seed)); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs[i].Apply(Relaxed(55)); err != nil {
+					t.Fatal(err)
+				}
+				// Both twins are built alike, so each Prepare finds
+				// the same targets.
+				if err := c.spec.Prepare(fs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pop := c.spec.NewPopulation(fs[0], 40, xrand.New(seed))
+			rowsActivated := 0
+			for j, g := range pop {
+				if err := c.spec.Deploy(fs[0], g); err != nil {
+					t.Fatal(err)
+				}
+				offsets, wordIdx, err := c.spec.pattern(fs[1], g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loadReplay(fs[1], c.base, offsets, wordIdx)
+				got, want := snapshotController(fs[0]), snapshotController(fs[1])
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d rows, %s genome %d: replay left\n%+v\nloads left\n%+v",
+						rows, c.spec.Name(), j, got, want)
+				}
+				rowsActivated += len(got.acts)
+			}
+			if rowsActivated == 0 {
+				t.Fatalf("%d rows, %s: no genome activated a row", rows, c.spec.Name())
+			}
+		}
+	}
+}
+
 // BenchmarkAccessRowsEvaluateBatch is one generation of the access-rows
 // search as a farm worker runs it: 32 genomes deployed through the
 // controller and measured in one determinism-v2 batch of 4 runs on a
@@ -116,6 +215,29 @@ func BenchmarkAccessRowsEvaluateBatch(b *testing.B) {
 			tasks[j] = farm.Assigned{Idx: j, G: g, RNG: root.Split()}
 		}
 		if err := chunk(tasks, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAccessRowsDeploy is one access-rows genome's replay through the
+// memory controller on a 16-row server, with no dram kernel: the
+// controller's share of BenchmarkAccessRowsEvaluateBatch, per genome.
+func BenchmarkAccessRowsDeploy(b *testing.B) {
+	const seed = 1
+	f := testFramework(b, seed)
+	if err := f.Apply(Relaxed(55)); err != nil {
+		b.Fatal(err)
+	}
+	spec := NewAccessRowsSpec(0x3333333333333333)
+	if err := spec.Prepare(f); err != nil {
+		b.Fatal(err)
+	}
+	g := ga.RandomBitPopulation(1, 64, xrand.New(seed))[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := spec.Deploy(f, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -86,6 +86,10 @@ func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
+	if c.Geometry.Ranks > 1<<16 || c.Geometry.Banks > 1<<16 {
+		return fmt.Errorf("dram: %d ranks of %d banks (at most %d each)",
+			c.Geometry.Ranks, c.Geometry.Banks, 1<<16)
+	}
 	if c.WeakCellsPerRank < 0 {
 		return fmt.Errorf("dram: WeakCellsPerRank = %d", c.WeakCellsPerRank)
 	}

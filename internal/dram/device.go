@@ -39,6 +39,14 @@ func Key(l addrmap.Loc) RowKey {
 	return RowKey{Rank: int32(l.Rank), Bank: int32(l.Bank), Row: int32(l.Row)}
 }
 
+// rowID packs a row key into the uint64 that keys Device.rows: a 64-bit
+// key takes the map's fast hash path, where the 12-byte struct hashed
+// through the variable-length one. Config.Validate bounds ranks and banks
+// to 16 bits each, so distinct rows of a device get distinct IDs.
+func rowID(k RowKey) uint64 {
+	return uint64(uint16(k.Rank))<<48 | uint64(uint16(k.Bank))<<32 | uint64(uint32(k.Row))
+}
+
 // Loc converts the key back to a location at column 0.
 func (k RowKey) Loc() addrmap.Loc {
 	return addrmap.Loc{Rank: int(k.Rank), Bank: int(k.Bank), Row: int(k.Row)}
@@ -75,7 +83,7 @@ type Device struct {
 	cfg  Config
 	geom addrmap.Geometry
 
-	rows map[RowKey][]uint64 // materialized row images (data bits only)
+	rows map[uint64][]uint64 // materialized row images (data bits only), by rowID
 	// bg is the background image every row without a materialized image
 	// reads as, set by FillAllUniform; nil means such rows are unwritten.
 	// A uniform fill is then one row-sized write instead of one per row.
@@ -182,7 +190,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:   cfg,
 		geom:  cfg.Geometry,
-		rows:  make(map[RowKey][]uint64),
+		rows:  make(map[uint64][]uint64),
 		remap: make(map[int32]map[int]int),
 	}
 	root := xrand.New(cfg.Seed)
@@ -370,7 +378,7 @@ func (d *Device) physBit(k RowKey, col, bit int) int {
 // uniform fill, or zeroed when there is none.
 func (d *Device) WriteWord(l addrmap.Loc, v uint64) {
 	k := Key(l)
-	img := d.rows[k]
+	img := d.rows[rowID(k)]
 	if img == nil {
 		img = d.newImage(k)
 		if d.bg != nil {
@@ -413,7 +421,7 @@ func (d *Device) image(k RowKey) []uint64 {
 	if len(d.rows) == 0 {
 		return d.bg
 	}
-	if img, ok := d.rows[k]; ok {
+	if img, ok := d.rows[rowID(k)]; ok {
 		return img
 	}
 	return d.bg
@@ -423,7 +431,7 @@ func (d *Device) image(k RowKey) []uint64 {
 // contents: the caller must overwrite or clear all of it.
 func (d *Device) newImage(k RowKey) []uint64 {
 	img := d.takeImage()
-	d.rows[k] = img
+	d.rows[rowID(k)] = img
 	return img
 }
 

@@ -9,7 +9,7 @@ package dram
 
 // FillRow writes one word across every column of a row.
 func (d *Device) FillRow(k RowKey, word uint64) {
-	img := d.rows[k]
+	img := d.rows[rowID(k)]
 	if img == nil {
 		img = d.newImage(k)
 	}
@@ -26,7 +26,7 @@ func (d *Device) FillRowWords(k RowKey, words []uint64) {
 	if len(words) == 0 {
 		return
 	}
-	img := d.rows[k]
+	img := d.rows[rowID(k)]
 	if img == nil {
 		img = d.newImage(k)
 	}

@@ -428,7 +428,7 @@ func TestUniformFillHoldsNoRows(t *testing.T) {
 	if n := len(d.rows); n != 1 {
 		t.Fatalf("one WriteWord materialized %d rows, want 1", n)
 	}
-	img, ok := d.rows[k]
+	img, ok := d.rows[rowID(k)]
 	if !ok {
 		t.Fatalf("WriteWord did not materialize row %v", k)
 	}

@@ -39,27 +39,34 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-type cacheLine struct {
-	tag   int64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
 // Cache is a set-associative, write-allocate, write-back cache with LRU
-// replacement. Its lines sit in one flat slice, set s at
-// lines[s*Ways:(s+1)*Ways].
+// replacement. It keeps tags only: set s is the Ways words
+// tags[s*Ways:(s+1)*Ways], most recently used first, each encoding one
+// line as lineNo<<2 | valid<<1 | dirty, where 0 is an invalid way. A hit
+// moves its word to the front; a miss drops the tail word (the LRU line,
+// or an invalid way while the set is not yet full), shifts the rest down
+// and inserts the new line at the front. Invalid ways therefore only ever
+// sit at a set's tail, and which way holds a line is never observable.
 type Cache struct {
 	cfg       CacheConfig
-	lines     []cacheLine
+	tags      []uint64
 	lineShift uint   // log2(LineBytes)
 	numSets   uint64 // set count
 	setMask   uint64 // numSets-1 when numSets is a power of two
 	pow2Sets  bool
-	tick      uint64
 
 	hits, misses, writebacks uint64
 }
+
+// Tag word bits below the line number.
+const (
+	tagDirty = 1 << iota
+	tagValid
+)
+
+// maxCacheAddr bounds the addresses Access takes: their line numbers must
+// leave the tag word's two flag bits free.
+const maxCacheAddr = 1 << 61
 
 // NewCache builds a cache from the configuration.
 func NewCache(cfg CacheConfig) (*Cache, error) {
@@ -69,17 +76,12 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	numSets := uint64(cfg.SizeBytes / (cfg.LineBytes * cfg.Ways))
 	return &Cache{
 		cfg:       cfg,
-		lines:     make([]cacheLine, cfg.SizeBytes/cfg.LineBytes),
+		tags:      make([]uint64, cfg.SizeBytes/cfg.LineBytes),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		numSets:   numSets,
 		setMask:   numSets - 1,
 		pow2Sets:  numSets&(numSets-1) == 0,
 	}, nil
-}
-
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr int64) int64 {
-	return addr &^ int64(c.cfg.LineBytes-1)
 }
 
 // AccessResult describes the outcome of one cache access.
@@ -90,13 +92,13 @@ type AccessResult struct {
 	WritebackAddr int64
 }
 
-// Access looks up (and on miss, fills) the line containing addr. Writes
-// allocate and mark the line dirty.
+// Access looks up (and on miss, fills) the line containing addr, which
+// must lie in [0, 2^61). Writes allocate and mark the line dirty.
 func (c *Cache) Access(addr int64, write bool) AccessResult {
-	c.tick++
-	line := c.LineAddr(addr)
-	// line is aligned, so the shift is exactly the division by LineBytes.
-	lineNo := uint64(line >> c.lineShift)
+	if uint64(addr) >= maxCacheAddr {
+		panic(fmt.Sprintf("memctl: cache address %#x out of range", addr))
+	}
+	lineNo := uint64(addr) >> c.lineShift
 	var set uint64
 	if c.pow2Sets {
 		set = lineNo & c.setMask
@@ -105,36 +107,34 @@ func (c *Cache) Access(addr int64, write bool) AccessResult {
 	}
 	n := c.cfg.Ways
 	base := int(set) * n
-	ways := c.lines[base : base+n : base+n]
+	ways := c.tags[base : base+n : base+n]
+	tag := lineNo<<2 | tagValid
+	var dirty uint64
+	if write {
+		dirty = tagDirty
+	}
 
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == line {
-			ways[i].used = c.tick
-			if write {
-				ways[i].dirty = true
-			}
+	// One pass both looks the line up and shifts the ways it passes down
+	// by one, with the accessed line already at the front: a hit stops the
+	// shift at the hit's way, and a miss shifts the whole set and leaves
+	// the old tail in victim.
+	victim := tag | dirty
+	for i, w := range ways {
+		ways[i] = victim
+		if w&^tagDirty == tag {
+			ways[0] |= w & tagDirty // a hit keeps the line's dirty bit
 			c.hits++
 			return AccessResult{Hit: true, WritebackAddr: -1}
 		}
+		victim = w
 	}
 
 	c.misses++
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].used < ways[victim].used {
-			victim = i
-		}
-	}
 	res := AccessResult{Hit: false, WritebackAddr: -1}
-	if ways[victim].valid && ways[victim].dirty {
-		res.WritebackAddr = ways[victim].tag
+	if victim&(tagValid|tagDirty) == tagValid|tagDirty {
+		res.WritebackAddr = int64(victim>>2) << c.lineShift
 		c.writebacks++
 	}
-	ways[victim] = cacheLine{tag: line, valid: true, dirty: write, used: c.tick}
 	return res
 }
 
@@ -142,9 +142,9 @@ func (c *Cache) Access(addr int64, write bool) AccessResult {
 // (in no particular order) so the controller can write them back.
 func (c *Cache) Flush() []int64 {
 	var dirty []int64
-	for _, l := range c.lines {
-		if l.valid && l.dirty {
-			dirty = append(dirty, l.tag)
+	for _, w := range c.tags {
+		if w&(tagValid|tagDirty) == tagValid|tagDirty {
+			dirty = append(dirty, int64(w>>2)<<c.lineShift)
 		}
 	}
 	c.invalidate()
@@ -152,7 +152,7 @@ func (c *Cache) Flush() []int64 {
 }
 
 // invalidate drops every line, dirty or not, without writing any back.
-func (c *Cache) invalidate() { clear(c.lines) }
+func (c *Cache) invalidate() { clear(c.tags) }
 
 // Stats returns hit, miss and write-back counts since construction.
 func (c *Cache) Stats() (hits, misses, writebacks uint64) {

@@ -38,6 +38,7 @@ type Controller struct {
 	dev   *dram.Device
 	geom  addrmap.Geometry
 	cache *Cache
+	words int // geom.WordsPerRow()
 
 	trefp float64
 	vdd   float64
@@ -71,6 +72,7 @@ func NewController(cfg Config, dev *dram.Device) (*Controller, error) {
 		dev:     dev,
 		geom:    geom,
 		cache:   cache,
+		words:   geom.WordsPerRow(),
 		trefp:   MinTREFP,
 		vdd:     MaxVDD,
 		openRow: make([]int32, geom.Ranks*geom.Banks),
@@ -126,18 +128,43 @@ func (c *Controller) queueWriteback(addr int64) {
 // drainWritebacks issues all queued write-backs back to back.
 func (c *Controller) drainWritebacks() {
 	for _, addr := range c.wbQueue {
-		c.dramAccess(c.geom.Map(addr), true)
+		c.dramAccess(c.rowOf(addr, c.geom.Map(addr)), true)
 	}
 	c.wbQueue = c.wbQueue[:0]
 }
 
+// RowRef is a DRAM row decoded once: the byte address of its column 0 and
+// its dense bank and row indexes. Loads through a RowRef skip the address
+// decode, so a caller that replays many loads into one row resolves it
+// once with RowAt and then issues LoadCol per word.
+type RowRef struct {
+	base int64
+	bank int32 // rank*Banks + bank
+	row  int32
+}
+
+// RowAt resolves chunk i of a rank (addrmap.Geometry.ChunkIndex) to its
+// row. It panics on a rank or chunk outside the geometry.
+func (c *Controller) RowAt(rank, chunk int) RowRef {
+	l := c.geom.ChunkLoc(rank, chunk)
+	return c.rowOf(c.geom.Unmap(l), l)
+}
+
+// rowOf is the RowRef of the row holding addr, which maps to l.
+func (c *Controller) rowOf(addr int64, l addrmap.Loc) RowRef {
+	return RowRef{
+		base: addr - int64(l.Col)*8,
+		bank: int32(l.Rank*c.geom.Banks + l.Bank),
+		row:  int32(l.Row),
+	}
+}
+
 // dramAccess models one line transfer between controller and DRAM,
 // accounting for row activations through the per-bank row buffer.
-func (c *Controller) dramAccess(loc addrmap.Loc, write bool) {
-	bank := loc.Rank*c.geom.Banks + loc.Bank
-	if c.openRow[bank] != int32(loc.Row) {
-		c.openRow[bank] = int32(loc.Row)
-		c.activate(bank*c.geom.Rows + loc.Row)
+func (c *Controller) dramAccess(r RowRef, write bool) {
+	if c.openRow[r.bank] != r.row {
+		c.openRow[r.bank] = r.row
+		c.activate(int(r.bank)*c.geom.Rows + int(r.row))
 	}
 	if write {
 		c.dramWrites++
@@ -158,10 +185,10 @@ func (c *Controller) activate(i int) {
 	c.activations++
 }
 
-// cached routes one access at addr (mapped to loc) through the cache: a hit
+// cached routes one access at addr (in row r) through the cache: a hit
 // costs HitLatencyNs; a miss queues the victim's write-back and fills the
 // line from DRAM.
-func (c *Controller) cached(addr int64, loc addrmap.Loc, write bool) {
+func (c *Controller) cached(addr int64, r RowRef, write bool) {
 	res := c.cache.Access(addr, write)
 	if res.Hit {
 		c.clockNs += HitLatencyNs
@@ -171,20 +198,34 @@ func (c *Controller) cached(addr int64, loc addrmap.Loc, write bool) {
 	if res.WritebackAddr >= 0 {
 		c.queueWriteback(res.WritebackAddr)
 	}
-	c.dramAccess(loc, false) // line fill
+	c.dramAccess(r, false) // line fill
 }
 
 // Load issues a cached read of the word at a byte address for its traffic
 // alone: the cache, row-buffer, clock and traffic effects of ReadWord
-// without fetching the value. Access viruses replay loads whose values
-// nothing consumes.
-func (c *Controller) Load(addr int64) { c.cached(addr, c.geom.Map(addr), false) }
+// without fetching the value. It decodes the address and then does what
+// LoadCol does.
+func (c *Controller) Load(addr int64) {
+	l := c.geom.Map(addr)
+	c.LoadCol(c.rowOf(addr, l), l.Col)
+}
+
+// LoadCol issues a cached read of word col of row r for its traffic alone.
+// Access viruses replay loads whose values nothing consumes, many per row,
+// so they resolve each row once (RowAt) and load by column. It panics on a
+// column outside [0, WordsPerRow).
+func (c *Controller) LoadCol(r RowRef, col int) {
+	if uint(col) >= uint(c.words) {
+		panic(fmt.Sprintf("memctl: column %d outside a %d-word row", col, c.words))
+	}
+	c.cached(r.base+int64(col)*8, r, false)
+}
 
 // ReadWord loads the 64-bit word at a byte address through the cache
 // hierarchy. Unwritten memory reads as zero.
 func (c *Controller) ReadWord(addr int64) uint64 {
 	loc := c.geom.Map(addr)
-	c.cached(addr, loc, false)
+	c.cached(addr, c.rowOf(addr, loc), false)
 	v, _ := c.dev.ReadWord(loc)
 	return v
 }
@@ -195,10 +236,17 @@ func (c *Controller) ReadWord(addr int64) uint64 {
 // order of magnitude more activations per second than cached loads.
 func (c *Controller) ReadWordUncached(addr int64) uint64 {
 	loc := c.geom.Map(addr)
-	c.clockNs += MissLatencyNs
-	c.dramAccess(loc, false)
+	c.LoadUncached(c.rowOf(addr, loc))
 	v, _ := c.dev.ReadWord(loc)
 	return v
+}
+
+// LoadUncached issues ReadWordUncached's traffic into row r without
+// fetching a value. Which word of the row it reads changes nothing: an
+// uncached load touches no cache line, only the row buffer.
+func (c *Controller) LoadUncached(r RowRef) {
+	c.clockNs += MissLatencyNs
+	c.dramAccess(r, false)
 }
 
 // WriteWord stores a 64-bit word. Data is propagated to the device image
@@ -206,7 +254,7 @@ func (c *Controller) ReadWordUncached(addr int64) uint64 {
 // activations follow the write-back cache model.
 func (c *Controller) WriteWord(addr int64, v uint64) {
 	loc := c.geom.Map(addr)
-	c.cached(addr, loc, true)
+	c.cached(addr, c.rowOf(addr, loc), true)
 	c.dev.WriteWord(loc, v)
 }
 

@@ -459,3 +459,42 @@ func TestDataOnlyControllerNeverAllocatesActs(t *testing.T) {
 		t.Fatalf("after a load: %d counters, want %d", len(c.acts), want)
 	}
 }
+
+// TestDecodedLoadsRejectBadInput pins the bounds checks of the decoded
+// path: RowAt panics outside the geometry, LoadCol on a column outside
+// the row, and Cache.Access on an address its tag word cannot hold — each
+// before any counter moves.
+func TestDecodedLoadsRejectBadInput(t *testing.T) {
+	c := testController(t)
+	g := c.Device().Geometry()
+	r := c.RowAt(1, g.Banks*g.Rows-1)
+	bad := map[string]func(){
+		"rank":      func() { c.RowAt(g.Ranks, 0) },
+		"chunk":     func() { c.RowAt(0, g.Banks*g.Rows) },
+		"col -1":    func() { c.LoadCol(r, -1) },
+		"col words": func() { c.LoadCol(r, g.WordsPerRow()) },
+		"cache":     func() { c.cache.Access(maxCacheAddr, false) },
+		"negative":  func() { c.cache.Access(-64, false) },
+	}
+	for name, f := range bad {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	hits, misses, _ := c.CacheStats()
+	if hits+misses != 0 || c.ElapsedNs() != 0 || c.Activations() != 0 {
+		t.Fatalf("rejected loads moved counters: %d hits, %d misses, %d ns, %d activations",
+			hits, misses, c.ElapsedNs(), c.Activations())
+	}
+	// The last chunk of rank 1 is the last row of the last bank.
+	c.LoadCol(r, g.WordsPerRow()-1)
+	if c.Activations() != 1 || c.acts[len(c.acts)-1] != 1 {
+		t.Fatalf("a load of the last word activated %d rows, the last one %d times",
+			c.Activations(), c.acts[len(c.acts)-1])
+	}
+}

@@ -3,6 +3,7 @@ package memctl
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dstress/internal/addrmap"
@@ -20,7 +21,8 @@ type refLine struct {
 // refController is the controller model written the plain way: a slice
 // per cache set scanned for its LRU way, and the row buffer and activation
 // counts in maps keyed by bank and row. The differential tests hold the
-// Controller's dense counters and flat cache to it, op for op.
+// Controller's dense counters and recency-ordered tag cache to it, op for
+// op.
 type refController struct {
 	geom                     addrmap.Geometry
 	lineBytes                int64
@@ -35,6 +37,7 @@ type refController struct {
 	reads, writes            uint64
 	hits, misses, writebacks uint64
 	bursts                   int // full write-back queues drained
+	flushedDirty             int // dirty lines flush returned
 }
 
 func newRefController(geom addrmap.Geometry, cfg CacheConfig, trefp float64) *refController {
@@ -108,6 +111,21 @@ func (r *refController) cached(addr int64, write bool) {
 	r.dram(addr, false)
 }
 
+// flush invalidates the cache and returns its dirty lines' addresses.
+func (r *refController) flush() []int64 {
+	var dirty []int64
+	for _, ways := range r.sets {
+		for _, l := range ways {
+			if l.valid && l.dirty {
+				dirty = append(dirty, l.tag)
+			}
+		}
+		clear(ways)
+	}
+	r.flushedDirty += len(dirty)
+	return dirty
+}
+
 func (r *refController) uncached(addr int64) {
 	r.clockNs += MissLatencyNs
 	r.dram(addr, false)
@@ -154,6 +172,12 @@ var diffConfigs = []diffConfig{
 		CacheConfig{SizeBytes: 1536, LineBytes: 128, Ways: 2}},
 	{"one-set", addrmap.Geometry{Ranks: 2, Banks: 8, Rows: 4, RowBytes: 256},
 		CacheConfig{SizeBytes: 512, LineBytes: 64, Ways: 8}},
+	// The edges of a set's recency list: one way has nothing to shift,
+	// sixteen ways shift far.
+	{"direct-mapped", addrmap.Geometry{Ranks: 2, Banks: 4, Rows: 8, RowBytes: 512},
+		CacheConfig{SizeBytes: 2048, LineBytes: 64, Ways: 1}},
+	{"ways16-sets3", addrmap.Geometry{Ranks: 2, Banks: 8, Rows: 6, RowBytes: 1024},
+		CacheConfig{SizeBytes: 3072, LineBytes: 64, Ways: 16}},
 }
 
 // Controller operations of the differential op stream.
@@ -165,6 +189,8 @@ const (
 	opResetStats
 	opResetCounters
 	opActsPerWindow
+	opLoadCol // Load through RowAt and LoadCol
+	opFlush   // Cache.Flush, compared as a set of dirty line addresses
 	numOps
 )
 
@@ -242,6 +268,18 @@ func (p *diffPair) apply(i int, op diffOp) {
 			p.t.Fatalf("%s op %d: ActsPerWindow\n got %v\nwant %v",
 				p.cfg.name, i, got, want)
 		}
+	case opLoadCol:
+		r.cached(op.addr, false)
+		l := p.cfg.geom.Map(op.addr)
+		c.LoadCol(c.RowAt(l.Rank, p.cfg.geom.ChunkIndex(l)), l.Col)
+	case opFlush:
+		got, want := c.cache.Flush(), r.flush()
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			p.t.Fatalf("%s op %d: Flush dirty lines\n got %#x\nwant %#x",
+				p.cfg.name, i, got, want)
+		}
 	}
 	l := p.cfg.geom.Map(op.addr)
 	var rowActs uint64
@@ -282,12 +320,14 @@ func randomOps(rng *xrand.Rand, cfg diffConfig, n int) []diffOp {
 			op.kind = opResetStats
 		case k == 1:
 			op.kind = opResetCounters
-		case k < 4:
+		case k == 2:
+			op.kind = opFlush
+		case k < 5:
 			op.kind = opActsPerWindow
 		case k < span/16:
 			op.kind = opReadWordUncached
 		default:
-			op.kind = []int{opReadWord, opLoad, opWriteWord}[k%3]
+			op.kind = []int{opReadWord, opLoad, opWriteWord, opLoadCol}[k%4]
 		}
 		ops[i] = op
 	}
@@ -298,13 +338,13 @@ func randomOps(rng *xrand.Rand, cfg diffConfig, n int) []diffOp {
 // with seeded random op streams on every differential config, among them
 // non-power-of-two set and row counts, and requires them to agree after
 // every op. Each config must exercise hits, dirty write-backs, full
-// write-back bursts and activations.
+// write-back bursts, flushes of dirty lines and activations.
 func TestControllerMatchesReference(t *testing.T) {
 	for _, cfg := range diffConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			// About eight resets per stream.
 			n := 8 * max(256, 4*cfg.cache.SizeBytes/cfg.cache.LineBytes)
-			var bursts int
+			var bursts, flushed int
 			var hits, wbs, acts uint64
 			for seed := uint64(1); seed <= 4; seed++ {
 				p := newDiffPair(t, cfg)
@@ -313,13 +353,14 @@ func TestControllerMatchesReference(t *testing.T) {
 				}
 				p.apply(n, diffOp{kind: opActsPerWindow})
 				bursts += p.ref.bursts
+				flushed += p.ref.flushedDirty
 				hits += p.ref.hits
 				wbs += p.ref.writebacks
 				acts += p.ref.activations
 			}
-			if bursts == 0 || hits == 0 || wbs == 0 || acts == 0 {
-				t.Fatalf("op streams missed a path: %d bursts, %d hits, %d write-backs, %d activations",
-					bursts, hits, wbs, acts)
+			if bursts == 0 || flushed == 0 || hits == 0 || wbs == 0 || acts == 0 {
+				t.Fatalf("op streams missed a path: %d bursts, %d flushed dirty lines, %d hits, %d write-backs, %d activations",
+					bursts, flushed, hits, wbs, acts)
 			}
 		})
 	}
