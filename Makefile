@@ -43,9 +43,12 @@ check:
 # The access-virus deploy matrix: the deploy digest of the three
 # access-driven specs, the memory controller against its plain reference
 # model (cached, decoded-row and uncached loads, writes, flushes, resets),
-# the table-driven replay against a per-address one, and Fig 11's
-# access-over-data gain. Then once more under the race detector.
-ACCESS_TESTS = 'TestAccessDeployActsGolden|TestControllerMatchesReference|TestAccessReplayMatchesLoads|TestAccessRowsBeatsDataOnly'
+# the rank-0 mirror against a full replay on every rank (1-4 ranks, 4-64
+# rows, every cache shape) and its rejection of any state but rank-0 loads,
+# the mirrored table-driven replay against a per-address one over every
+# rank, and Fig 11's access-over-data gain. Then once more under the race
+# detector.
+ACCESS_TESTS = 'TestAccessDeployActsGolden|TestControllerMatchesReference|TestMirrorMatchesFullReplay|TestMirrorRejectsBadState|TestAccessReplayMatchesLoads|TestAccessRowsBeatsDataOnly'
 
 access-test:
 	$(GO) test -count 1 -run $(ACCESS_TESTS) ./internal/memctl ./internal/core

@@ -25,8 +25,7 @@ type accessSpecBase struct {
 	// refresh period.
 	SweepLen int
 
-	targets []int // error-prone chunk indexes, per rank
-	ranks   int
+	targets []int // rank-0 error-prone chunk indexes
 }
 
 func (b *accessSpecBase) prepare(f *Framework) error {
@@ -35,11 +34,10 @@ func (b *accessSpecBase) prepare(f *Framework) error {
 	geom := dev.Geometry()
 	dev.Reset()
 	dev.FillAllUniform(b.FillWord)
-	b.ranks = geom.Ranks
 	b.targets = b.targets[:0]
 	for _, k := range dev.WeakRows() {
 		if k.Rank != 0 {
-			continue // target rank-0 rows; rank 1 chunks mirror them
+			continue // target rank-0 rows; replay mirrors them onto the other ranks
 		}
 		b.targets = append(b.targets, geom.ChunkIndex(k.Loc()))
 	}
@@ -58,12 +56,14 @@ type chunkRow struct {
 	i   int // offset index
 }
 
-// replay issues the virus's reads for every target chunk on both ranks, in
+// replay issues the virus's reads for every target chunk on every rank, in
 // (rank, target, x, offset) order. wordIdx receives (offset index, x) and
 // returns the word index to read within the chunk; replay tabulates it once
 // per deploy, checking every entry against the row length, and then walks
 // the table. Only the reads' traffic matters, so they are issued as loads
-// into rows resolved once per target.
+// into rows resolved once per target. Every rank reads the same chunks, so
+// replay loads rank 0's and the controller mirrors them onto the others
+// (memctl.Controller.MirrorRank0).
 func (b *accessSpecBase) replay(f *Framework,
 	offsets []int, wordIdx func(i, x int) int) error {
 	ctl := f.Srv.MCU(f.MCU)
@@ -87,22 +87,21 @@ func (b *accessSpecBase) replay(f *Framework,
 	}
 	rows := rowsBuf[:0] // one target's in-range chunks, in offset order
 	ctl.ResetStats()
-	for rank := 0; rank < b.ranks; rank++ {
-		for _, target := range b.targets {
-			rows = rows[:0]
-			for i, off := range offsets {
-				if c := target + off; c >= 0 && c < nchunks {
-					rows = append(rows, chunkRow{ctl.RowAt(rank, c), i})
-				}
+	for _, target := range b.targets {
+		rows = rows[:0]
+		for i, off := range offsets {
+			if c := target + off; c >= 0 && c < nchunks {
+				rows = append(rows, chunkRow{ctl.RowAt(0, c), i})
 			}
-			for x := 0; x < b.SweepLen; x++ {
-				xw := words[x*n : (x+1)*n]
-				for _, r := range rows {
-					ctl.LoadCol(r.row, int(xw[r.i]))
-				}
+		}
+		for x := 0; x < b.SweepLen; x++ {
+			xw := words[x*n : (x+1)*n]
+			for _, r := range rows {
+				ctl.LoadCol(r.row, int(xw[r.i]))
 			}
 		}
 	}
+	ctl.MirrorRank0()
 	return nil
 }
 

@@ -90,14 +90,15 @@ func TestAccessDeployActsGolden(t *testing.T) {
 	}
 }
 
-// loadReplay is replay written the plain way: the word function is called
-// for every load, and every load decodes its byte address through Load.
+// loadReplay is replay written the plain way: every rank's loads are
+// issued, the word function is called for every load, and every load
+// decodes its byte address through Load.
 func loadReplay(f *Framework, b *accessSpecBase, offsets []int, wordIdx func(i, x int) int) {
 	ctl := f.Srv.MCU(f.MCU)
 	geom := ctl.Device().Geometry()
 	nchunks := geom.Banks * geom.Rows
 	ctl.ResetStats()
-	for rank := 0; rank < b.ranks; rank++ {
+	for rank := 0; rank < geom.Ranks; rank++ {
 		for _, target := range b.targets {
 			for x := 0; x < b.SweepLen; x++ {
 				for i, off := range offsets {

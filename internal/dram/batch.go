@@ -50,7 +50,9 @@ type BatchItem struct {
 	// are shared. It is called once, directly after Apply — controller-level
 	// producers drain pending writebacks into the device at that point, so
 	// the call must precede the plan splice. The returned map must not be
-	// mutated afterwards.
+	// mutated, and is read only while this item is evaluated: a memory
+	// controller's map is valid until its next ActsPerWindow or reset, and
+	// it refills the same map for the next item.
 	Acts func() map[RowKey]float64
 
 	// RNG is the item's pre-split generator — the same generator a

@@ -54,6 +54,8 @@ type Cache struct {
 	numSets   uint64 // set count
 	setMask   uint64 // numSets-1 when numSets is a power of two
 	pow2Sets  bool
+	// mirrorSrc is mirror's copy of the tags, allocated by its first call.
+	mirrorSrc []uint64
 
 	hits, misses, writebacks uint64
 }
@@ -149,6 +151,41 @@ func (c *Cache) Flush() []int64 {
 	}
 	c.invalidate()
 	return dirty
+}
+
+// mirror rebuilds the tags as Controller.MirrorRank0 describes: set s
+// holds, for r from ranks-1 down to 0, the lines of set s - r·stride (mod
+// the set count) shifted by r·stride, each set's in recency order, cut to
+// Ways. It panics, before changing the tags, on a dirty word or a line at
+// or above stride.
+func (c *Cache) mirror(ranks int, stride uint64) {
+	if c.mirrorSrc == nil {
+		c.mirrorSrc = make([]uint64, len(c.tags))
+	}
+	src := c.mirrorSrc
+	copy(src, c.tags)
+	for _, w := range src {
+		if w&tagDirty != 0 || w>>2 >= stride {
+			panic(fmt.Sprintf("memctl: cannot mirror tag word %#x of a %d-line rank", w, stride))
+		}
+	}
+	n := uint64(c.cfg.Ways)
+	shift := stride % c.numSets // the set shift of one rank
+	for s := uint64(0); s < c.numSets; s++ {
+		dst := c.tags[s*n : (s+1)*n]
+		k := 0
+		for r := ranks - 1; r >= 0 && k < len(dst); r-- {
+			from := (s + c.numSets - uint64(r)*shift%c.numSets) % c.numSets
+			for _, w := range src[from*n : (from+1)*n] {
+				if w == 0 || k == len(dst) {
+					break
+				}
+				dst[k] = w + (uint64(r)*stride)<<2
+				k++
+			}
+		}
+		clear(dst[k:])
+	}
 }
 
 // invalidate drops every line, dirty or not, without writing any back.

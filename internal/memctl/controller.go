@@ -54,11 +54,20 @@ type Controller struct {
 	acts    []uint64
 	touched []int
 	wbQueue []int64
+	// rates is ActsPerWindow's result, cleared and refilled by each call.
+	rates map[dram.RowKey]float64
 
 	clockNs     uint64
 	activations uint64
 	dramReads   uint64
 	dramWrites  uint64
+
+	// mirrorable holds while everything since the last ResetStats was
+	// loads: no write, bare ResetCounters, idle time or mirror. hits0 and
+	// misses0 are the cache counters ResetStats saw. MirrorRank0 reads
+	// all three.
+	mirrorable     bool
+	hits0, misses0 uint64
 }
 
 // NewController wraps a device in an MCU at nominal operating parameters.
@@ -69,13 +78,14 @@ func NewController(cfg Config, dev *dram.Device) (*Controller, error) {
 	}
 	geom := dev.Geometry()
 	c := &Controller{
-		dev:     dev,
-		geom:    geom,
-		cache:   cache,
-		words:   geom.WordsPerRow(),
-		trefp:   MinTREFP,
-		vdd:     MaxVDD,
-		openRow: make([]int32, geom.Ranks*geom.Banks),
+		dev:        dev,
+		geom:       geom,
+		cache:      cache,
+		words:      geom.WordsPerRow(),
+		trefp:      MinTREFP,
+		vdd:        MaxVDD,
+		openRow:    make([]int32, geom.Ranks*geom.Banks),
+		mirrorable: true,
 	}
 	c.closeRows()
 	return c, nil
@@ -254,6 +264,7 @@ func (c *Controller) LoadUncached(r RowRef) {
 // activations follow the write-back cache model.
 func (c *Controller) WriteWord(addr int64, v uint64) {
 	loc := c.geom.Map(addr)
+	c.mirrorable = false
 	c.cached(addr, c.rowOf(addr, loc), true)
 	c.dev.WriteWord(loc, v)
 }
@@ -277,7 +288,10 @@ func (c *Controller) FillRegion(startAddr, bytes int64, word uint64) error {
 func (c *Controller) ElapsedNs() uint64 { return c.clockNs }
 
 // AdvanceNs adds idle time to the clock (e.g. compute-only phases).
-func (c *Controller) AdvanceNs(ns uint64) { c.clockNs += ns }
+func (c *Controller) AdvanceNs(ns uint64) {
+	c.clockNs += ns
+	c.mirrorable = false
+}
 
 // Activations returns the total row-activation count.
 func (c *Controller) Activations() uint64 { return c.activations }
@@ -295,14 +309,21 @@ func (c *Controller) DRAMTraffic() (reads, writes uint64) {
 // ActsPerWindow converts the accumulated activation counts into activations
 // per refresh window (the disturbance unit of the device model),
 // extrapolating the observed access rate over the programmed TREFP. It
-// returns nil if no time has elapsed.
+// returns nil if no time has elapsed. The map is the controller's own and
+// is refilled by every call: it is valid until the controller's next
+// ActsPerWindow, ResetStats or ResetCounters, and callers must not keep or
+// mutate it.
 func (c *Controller) ActsPerWindow() map[dram.RowKey]float64 {
 	c.drainWritebacks()
 	if c.clockNs == 0 || len(c.touched) == 0 {
 		return nil
 	}
 	seconds := float64(c.clockNs) * 1e-9
-	out := make(map[dram.RowKey]float64, len(c.touched))
+	if c.rates == nil {
+		c.rates = make(map[dram.RowKey]float64, len(c.touched))
+	}
+	out := c.rates
+	clear(out)
 	for _, i := range c.touched {
 		bank := i / c.geom.Rows
 		k := dram.RowKey{
@@ -322,6 +343,8 @@ func (c *Controller) ResetStats() {
 	c.cache.invalidate()
 	c.closeRows()
 	c.ResetCounters()
+	c.hits0, c.misses0, _ = c.cache.Stats()
+	c.mirrorable = true
 }
 
 // closeRows precharges every bank.
@@ -337,6 +360,7 @@ func (c *Controller) closeRows() {
 // measured phase — otherwise a short epoch of compulsory misses would be
 // extrapolated as the steady-state access rate.
 func (c *Controller) ResetCounters() {
+	c.mirrorable = false
 	c.wbQueue = c.wbQueue[:0]
 	for _, i := range c.touched {
 		c.acts[i] = 0
@@ -346,4 +370,65 @@ func (c *Controller) ResetCounters() {
 	c.activations = 0
 	c.dramReads = 0
 	c.dramWrites = 0
+}
+
+// MirrorRank0 extends the loads issued since the last ResetStats, all of
+// them clean loads into rank 0, to every rank: it leaves the controller
+// exactly as replaying the same load stream on rank 0, then rank 1, and so
+// on up to the last rank would. An access virus hammers every rank's
+// neighbours of the same rank-0 rows, so it issues rank 0's loads and
+// mirrors them.
+//
+// The other ranks' traffic is determined by rank 0's. After ResetStats the
+// cache is invalid and every bank closed. Row buffers are per (rank,
+// bank), so rank r activates rank 0's rows, row for row. A rank spans a
+// whole number of cache lines, so shifting a line by r ranks shifts its
+// set index by one constant, mapping sets one to one: lines that share a
+// set on rank 0 share one on rank r. Every line of an earlier rank was
+// last used before rank r's first load, so LRU evicts those lines before
+// any of rank r's, exactly as it would invalid ways, and no rank-r load
+// can hit them: rank r hits and misses as rank 0 did. Each set thus ends
+// as the last rank's lines in recency order, then the rank before's, down
+// to rank 0's, cut to Ways; and clean loads queue no write-backs.
+//
+// It panics, before changing any state, unless since the last ResetStats
+// nothing but loads was issued (no write, bare ResetCounters, AdvanceNs or
+// earlier MirrorRank0), no write-back is queued, no tag word is dirty and
+// every touched row and cached line is on rank 0, or if a rank does not
+// span a whole number of cache lines.
+func (c *Controller) MirrorRank0() {
+	g := c.geom
+	rankRows := g.Banks * g.Rows
+	switch {
+	case !c.mirrorable:
+		panic("memctl: MirrorRank0 after a write, a bare ResetCounters, idle time or a mirror")
+	case len(c.wbQueue) != 0:
+		panic("memctl: MirrorRank0 with queued write-backs")
+	case g.RankBytes()%int64(c.cache.cfg.LineBytes) != 0:
+		panic(fmt.Sprintf("memctl: MirrorRank0 on %d-byte ranks of %d-byte lines",
+			g.RankBytes(), c.cache.cfg.LineBytes))
+	}
+	for _, i := range c.touched {
+		if i >= rankRows {
+			panic(fmt.Sprintf("memctl: MirrorRank0 with traffic on rank %d", i/rankRows))
+		}
+	}
+	c.cache.mirror(g.Ranks, uint64(g.RankBytes())>>c.cache.lineShift)
+
+	n := len(c.touched)
+	for r := 1; r < g.Ranks; r++ {
+		copy(c.openRow[r*g.Banks:(r+1)*g.Banks], c.openRow[:g.Banks])
+		for _, i := range c.touched[:n] {
+			j := i + r*rankRows
+			c.acts[j] = c.acts[i]
+			c.touched = append(c.touched, j)
+		}
+	}
+	ranks := uint64(g.Ranks)
+	c.clockNs *= ranks
+	c.activations *= ranks
+	c.dramReads *= ranks
+	c.cache.hits += (ranks - 1) * (c.cache.hits - c.hits0)
+	c.cache.misses += (ranks - 1) * (c.cache.misses - c.misses0)
+	c.mirrorable = false
 }

@@ -2,6 +2,7 @@ package memctl
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -143,6 +144,41 @@ func (r *refController) actsPerWindow() map[dram.RowKey]float64 {
 	return out
 }
 
+// tagWords is the reference cache in the Cache's tag layout: each set's
+// valid lines, most recently used first, as lineNo<<2 | valid<<1 | dirty,
+// then zero words for its invalid ways.
+func (r *refController) tagWords() []uint64 {
+	var out []uint64
+	for _, ways := range r.sets {
+		lines := slices.Clone(ways)
+		slices.SortFunc(lines, func(a, b refLine) int {
+			switch {
+			case a.valid != b.valid:
+				if a.valid {
+					return -1
+				}
+				return 1
+			case a.used > b.used:
+				return -1
+			case a.used < b.used:
+				return 1
+			}
+			return 0
+		})
+		for _, l := range lines {
+			var w uint64
+			if l.valid {
+				w = uint64(l.tag/r.lineBytes)<<2 | tagValid
+				if l.dirty {
+					w |= tagDirty
+				}
+			}
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 func (r *refController) resetStats() {
 	for _, ways := range r.sets {
 		clear(ways)
@@ -191,6 +227,10 @@ const (
 	opActsPerWindow
 	opLoadCol // Load through RowAt and LoadCol
 	opFlush   // Cache.Flush, compared as a set of dirty line addresses
+	// opMirror is a mirrored segment: ResetStats, then seg's rank-0 loads,
+	// then MirrorRank0 on the Controller, while the reference issues seg
+	// on every rank in turn. The whole cache is compared after it.
+	opMirror
 	numOps
 )
 
@@ -198,6 +238,7 @@ type diffOp struct {
 	kind int
 	addr int64
 	val  uint64
+	seg  []diffOp // opMirror's loads: opLoad, opLoadCol or opReadWordUncached
 }
 
 // diffPair is a Controller and the reference, driven in lockstep.
@@ -210,23 +251,48 @@ type diffPair struct {
 
 const diffTREFP = 1.0
 
-func newDiffPair(t testing.TB, cfg diffConfig) *diffPair {
+// newDiffController builds a Controller over a fresh device of the given
+// geometry, refreshing every diffTREFP seconds.
+func newDiffController(t testing.TB, geom addrmap.Geometry, cache CacheConfig) *Controller {
 	t.Helper()
-	dcfg := dram.DefaultConfig(cfg.geom.Rows, 1)
-	dcfg.Geometry = cfg.geom
+	dcfg := dram.DefaultConfig(geom.Rows, 1)
+	dcfg.Geometry = geom
 	dev, err := dram.NewDevice(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewController(Config{Cache: cfg.cache}, dev)
+	ctl, err := NewController(Config{Cache: cache}, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ctl.SetTREFP(diffTREFP); err != nil {
 		t.Fatal(err)
 	}
-	return &diffPair{t: t, cfg: cfg, ctl: ctl,
+	return ctl
+}
+
+func newDiffPair(t testing.TB, cfg diffConfig) *diffPair {
+	t.Helper()
+	return &diffPair{t: t, cfg: cfg, ctl: newDiffController(t, cfg.geom, cfg.cache),
 		ref: newRefController(cfg.geom, cfg.cache, diffTREFP)}
+}
+
+// issueLoad issues load op, shifted by shift bytes, on a Controller:
+// opLoad through Load, opLoadCol through RowAt and LoadCol, and
+// opReadWordUncached through LoadUncached.
+func issueLoad(c *Controller, op diffOp, shift int64) {
+	addr := op.addr + shift
+	l := c.geom.Map(addr)
+	switch op.kind {
+	case opLoad:
+		c.Load(addr)
+	case opLoadCol:
+		c.LoadCol(c.RowAt(l.Rank, c.geom.ChunkIndex(l)), l.Col)
+	case opReadWordUncached:
+		c.LoadUncached(c.RowAt(l.Rank, c.geom.ChunkIndex(l)))
+	default:
+		panic(fmt.Sprintf("op %d is not a load", op.kind))
+	}
 }
 
 // apply runs op on both models and compares everything observable:
@@ -278,6 +344,27 @@ func (p *diffPair) apply(i int, op diffOp) {
 		slices.Sort(want)
 		if !slices.Equal(got, want) {
 			p.t.Fatalf("%s op %d: Flush dirty lines\n got %#x\nwant %#x",
+				p.cfg.name, i, got, want)
+		}
+	case opMirror:
+		r.resetStats()
+		for rank := 0; rank < p.cfg.geom.Ranks; rank++ {
+			shift := int64(rank) * p.cfg.geom.RankBytes()
+			for _, l := range op.seg {
+				if l.kind == opReadWordUncached {
+					r.uncached(l.addr + shift)
+				} else {
+					r.cached(l.addr+shift, false)
+				}
+			}
+		}
+		c.ResetStats()
+		for _, l := range op.seg {
+			issueLoad(c, l, 0)
+		}
+		c.MirrorRank0()
+		if got, want := c.cache.tags, r.tagWords(); !slices.Equal(got, want) {
+			p.t.Fatalf("%s op %d: mirrored tags\n got %#x\nwant %#x",
 				p.cfg.name, i, got, want)
 		}
 	}
@@ -366,34 +453,79 @@ func TestControllerMatchesReference(t *testing.T) {
 	}
 }
 
+// mirrorLoads are the load kinds of an opMirror segment.
+var mirrorLoads = []int{opLoad, opLoadCol, opReadWordUncached}
+
 // decodeOps turns arbitrary bytes into a config choice and an op stream
 // with in-range addresses: one config byte, then 9 bytes per op (kind,
-// then a little-endian word index folded into the address space).
+// then a little-endian word index folded into the address space). An
+// opMirror record's word, mod 64, is its segment length k, and the next k
+// records are its loads: kind mod 3 picks the load and the word index is
+// folded into rank 0.
 func decodeOps(data []byte) (diffConfig, []diffOp) {
 	if len(data) == 0 {
 		return diffConfigs[0], nil
 	}
 	cfg := diffConfigs[int(data[0])%len(diffConfigs)]
 	words := uint64(cfg.geom.TotalBytes() / 8)
+	rankWords := uint64(cfg.geom.RankBytes() / 8)
 	var ops []diffOp
+	var seg *diffOp // the opMirror still taking loads
 	for b := data[1:]; len(b) >= 9; b = b[9:] {
 		w := binary.LittleEndian.Uint64(b[1:9])
-		ops = append(ops, diffOp{kind: int(b[0]) % numOps,
-			addr: int64(w%words) * 8, val: w})
+		if seg != nil {
+			seg.seg = append(seg.seg, diffOp{kind: mirrorLoads[int(b[0])%len(mirrorLoads)],
+				addr: int64(w%rankWords) * 8})
+			if len(seg.seg) == cap(seg.seg) {
+				seg = nil
+			}
+			continue
+		}
+		op := diffOp{kind: int(b[0]) % numOps, addr: int64(w%words) * 8, val: w}
+		if op.kind == opMirror {
+			op.addr = 0
+			if k := int(w % 64); k > 0 {
+				op.seg = make([]diffOp, 0, k)
+			}
+		}
+		ops = append(ops, op)
+		if op.seg != nil {
+			seg = &ops[len(ops)-1]
+		}
 	}
 	return cfg, ops
 }
 
+// encodeOp appends decodeOps's records for op: its kind byte and word
+// index, then, for opMirror, one record per load of its segment.
+func encodeOp(b []byte, op diffOp) []byte {
+	w := uint64(op.addr / 8)
+	if op.kind == opMirror {
+		w = uint64(len(op.seg))
+	}
+	b = appendRecord(b, byte(op.kind), w)
+	for _, l := range op.seg {
+		b = appendRecord(b, byte(slices.Index(mirrorLoads, l.kind)), uint64(l.addr/8))
+	}
+	return b
+}
+
+func appendRecord(b []byte, kind byte, w uint64) []byte {
+	return binary.LittleEndian.AppendUint64(append(b, kind), w)
+}
+
 // FuzzControllerTrace runs the differential comparison on fuzzer-chosen op
-// streams.
+// streams, mirrored segments among them.
 func FuzzControllerTrace(f *testing.F) {
 	for i, cfg := range diffConfigs {
 		seed := []byte{byte(i)}
-		for _, op := range randomOps(xrand.New(uint64(i)), cfg, 64) {
-			var b [9]byte
-			b[0] = byte(op.kind)
-			binary.LittleEndian.PutUint64(b[1:], uint64(op.addr/8))
-			seed = append(seed, b[:]...)
+		rng := xrand.New(uint64(i))
+		for _, op := range randomOps(rng, cfg, 64) {
+			seed = encodeOp(seed, op)
+		}
+		seed = encodeOp(seed, diffOp{kind: opMirror, seg: rank0Loads(rng, cfg, 48)})
+		for _, op := range randomOps(rng, cfg, 16) {
+			seed = encodeOp(seed, op)
 		}
 		f.Add(seed)
 	}
