@@ -78,18 +78,22 @@ islands-test:
 		./internal/ga ./internal/islands ./internal/core ./cmd/dstressd
 
 # The persistence crash matrix: subprocess SIGKILL mid-append, mid-rotation
-# and mid-compaction of the segmented store (every acknowledged record must
-# replay after a strict reopen), the staged crash windows of the
+# and mid-compaction of the segmented store, and mid-append of multi-MB
+# header-plus-tail frames (every acknowledged record must replay after a
+# strict reopen, a torn tail cut off), the staged crash windows of the
 # legacy-file migration (virusdb JSON array, farm whole-doc journal), the
 # salvage/validation regression suites, frame locators and CRC-checked
-# reads, virusdb pages against a scan-and-sort reference, the hand-framed
-# journal checkpoint op, and the bit-identity of the bulk mutation draw and
-# the fitness-cache key. Then one -race iteration of the store and database
-# packages: they are shared by concurrent campaign jobs, and virusdb's own
-# test races appends, page reads and compactions.
+# reads, virusdb pages against a scan-and-sort reference, the
+# header-plus-tail payload layout and its three writers (journal ops
+# carrying opaque checkpoint bytes, virusdb frames, the core checkpoint
+# codec) beside the JSON frames of the previous format, and the
+# bit-identity of the bulk mutation draw and the fitness-cache key. Then
+# one -race iteration of the store and database packages: they are shared
+# by concurrent campaign jobs, and virusdb's own test races appends, page
+# reads and compactions.
 store-test:
-	$(GO) test -run 'Seglog|Migrat|Torn|Corrupt|Compact|Manifest|Salvage|Journal|FlipBools|MutateMatches|GenomeKeyDigest' \
-		./internal/seglog ./internal/virusdb ./internal/farm ./internal/xrand ./internal/ga
+	$(GO) test -run 'Seglog|Migrat|Torn|Corrupt|Compact|Manifest|Salvage|Journal|Payload|JSONPacked|CheckpointCodec|FlipBools|MutateMatches|GenomeKeyDigest' \
+		./internal/seglog ./internal/virusdb ./internal/farm ./internal/core ./internal/xrand ./internal/ga
 	$(GO) test -race -count 1 ./internal/seglog ./internal/virusdb
 
 # The population-batched evaluation differential matrix: batch-vs-serial
@@ -151,11 +155,14 @@ lint:
 
 # Kill-and-resume integration: SIGKILL a live dstressd mid-search, restart
 # it over the same journal, and require the re-queued job to finish with a
-# result bit-identical to an uninterrupted run (plus the in-process
-# kill-at-generation-N resume tests at 1 and 8 workers).
+# result bit-identical to an uninterrupted run; the same for a drained
+# daemon's journal rewritten in the previous JSON format, and for a
+# journaled job whose checkpoint no longer decodes (re-queued from
+# scratch). Plus the in-process kill-at-generation-N resume tests at 1 and
+# 8 workers, and a resume through the journal's checkpoint codec.
 resume-test:
-	$(GO) test -v -run 'TestDaemonKillResumeIntegration' ./cmd/dstressd
-	$(GO) test -run 'TestRunSearchFrom|TestResume' ./internal/core ./internal/ga
+	$(GO) test -v -run 'TestDaemonKillResumeIntegration|TestRecoverJobsRestartsUndecodableCheckpoint|TestRecoverJSONJournal' ./cmd/dstressd
+	$(GO) test -run 'TestRunSearchFrom|TestResume|TestCheckpointCodecResumes' ./internal/core ./internal/ga
 
 # Distributed-fabric integration: a coordinator daemon plus two real worker
 # subprocesses, one SIGKILLed mid-job (its shard must re-queue onto the
@@ -201,21 +208,27 @@ experiments-full:
 
 # Short fuzzing pass over the two parsers, the interpreter, the daemon's
 # job-request parser (its -run skips the daemon's subprocess tests), the
-# two decoders of stored chromosomes (checkpoint genome records and virusdb
-# frames, in both their packed and legacy bit-string forms), the journal's
-# op replay on arbitrary frames, the memory controller against its plain
-# reference model on arbitrary op streams, and the segmented store's open
-# over arbitrary segment and manifest bytes.
+# decoders of stored chromosomes (checkpoint genome records, virusdb frames
+# and whole journal checkpoints, in their header-plus-tail, packed JSON and
+# legacy bit-string forms), the journal's op replay on arbitrary frames, the
+# memory controller against its plain reference model on arbitrary op
+# streams, and the segmented store's open over arbitrary segment and
+# manifest bytes. Go minimizes each new interesting input for up to 60 s by
+# default, and the pass runs no new inputs meanwhile; FUZZ caps that at 500
+# executions per input so a 30-s pass spends its window fuzzing.
+FUZZ = -fuzztime=30s -fuzzminimizetime=500x
+
 fuzz:
-	$(GO) test -fuzz=FuzzParseStmts -fuzztime=30s ./internal/minicc
-	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/minicc
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/vpl
-	$(GO) test -run=FuzzJobRequest -fuzz=FuzzJobRequest -fuzztime=30s ./cmd/dstressd
-	$(GO) test -run=FuzzDecodeGenome -fuzz=FuzzDecodeGenome -fuzztime=30s ./internal/ga
-	$(GO) test -run=FuzzDecodeFrame -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/virusdb
-	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/farm
-	$(GO) test -run=FuzzControllerTrace -fuzz=FuzzControllerTrace -fuzztime=30s ./internal/memctl
-	$(GO) test -run=FuzzSeglogOpen -fuzz=FuzzSeglogOpen -fuzztime=30s ./internal/seglog
+	$(GO) test -fuzz=FuzzParseStmts $(FUZZ) ./internal/minicc
+	$(GO) test -fuzz=FuzzInterpreter $(FUZZ) ./internal/minicc
+	$(GO) test -fuzz=FuzzParse $(FUZZ) ./internal/vpl
+	$(GO) test -run=FuzzJobRequest -fuzz=FuzzJobRequest $(FUZZ) ./cmd/dstressd
+	$(GO) test -run=FuzzDecodeGenome -fuzz=FuzzDecodeGenome $(FUZZ) ./internal/ga
+	$(GO) test -run=FuzzDecodeFrame -fuzz=FuzzDecodeFrame $(FUZZ) ./internal/virusdb
+	$(GO) test -run=FuzzDecodeCheckpoint -fuzz=FuzzDecodeCheckpoint $(FUZZ) ./internal/core
+	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay $(FUZZ) ./internal/farm
+	$(GO) test -run=FuzzControllerTrace -fuzz=FuzzControllerTrace $(FUZZ) ./internal/memctl
+	$(GO) test -run=FuzzSeglogOpen -fuzz=FuzzSeglogOpen $(FUZZ) ./internal/seglog
 
 clean:
 	rm -f results.md viruses.json

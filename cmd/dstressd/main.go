@@ -348,14 +348,19 @@ func (d *daemon) prepare(req jobRequest) (prepared, error) {
 	return p, nil
 }
 
-// launch schedules a prepared job. ckpt, when non-empty, is a serialized
-// core.Checkpoint the search continues from (a re-queued interrupted job).
-func (d *daemon) launch(p prepared, ckpt json.RawMessage) (*farm.Job, error) {
+// errBadCheckpoint marks a journaled checkpoint that does not decode.
+var errBadCheckpoint = errors.New("bad checkpoint")
+
+// launch schedules a prepared job. ckpt, when non-empty, is a
+// core.EncodeCheckpoint encoding the search continues from (a re-queued
+// interrupted job); one that does not decode is an errBadCheckpoint error,
+// returned before anything is scheduled.
+func (d *daemon) launch(p prepared, ckpt []byte) (*farm.Job, error) {
 	var cp *core.Checkpoint
 	if len(ckpt) > 0 {
-		cp = new(core.Checkpoint)
-		if err := json.Unmarshal(ckpt, cp); err != nil {
-			return nil, fmt.Errorf("bad checkpoint for %q: %w", p.name, err)
+		var err error
+		if cp, err = core.DecodeCheckpoint(ckpt); err != nil {
+			return nil, fmt.Errorf("%w for %q: %v", errBadCheckpoint, p.name, err)
 		}
 	}
 	fn := func(ctx context.Context, j *farm.Job) (any, error) {
@@ -415,7 +420,9 @@ func (d *daemon) submitJob(w http.ResponseWriter, r *http.Request) {
 
 // recoverJobs re-queues every job a previous process left in the journal,
 // each resuming from its last flushed checkpoint (or from scratch if it
-// never reached one).
+// never reached one, or if that checkpoint no longer decodes: the job's
+// spec alone reproduces its result, so it is never dropped for its
+// checkpoint).
 func (d *daemon) recoverJobs() {
 	for _, e := range d.journal.Recovered() {
 		var req jobRequest
@@ -445,13 +452,20 @@ func (d *daemon) recoverJobs() {
 				"budget %d, clamping", e.ID, e.Name, p.req.Workers, budget)
 			p.req.Workers = budget
 		}
-		j, err := d.launch(p, e.Checkpoint)
+		ckpt := []byte(e.Checkpoint)
+		j, err := d.launch(p, ckpt)
+		if errors.Is(err, errBadCheckpoint) {
+			log.Printf("dstressd: journal entry %d (%s): %v; restarting it from scratch",
+				e.ID, e.Name, err)
+			ckpt = nil
+			j, err = d.launch(p, nil)
+		}
 		if err != nil {
 			log.Printf("dstressd: re-queueing %q: %v", e.Name, err)
 			continue
 		}
 		from := "from scratch"
-		if len(e.Checkpoint) > 0 {
+		if len(ckpt) > 0 {
 			from = "from its last checkpoint"
 		}
 		log.Printf("dstressd: re-queued interrupted job %q as #%d, resuming %s",
@@ -508,7 +522,7 @@ func (d *daemon) runSearch(ctx context.Context, j *farm.Job, p prepared,
 	if d.journal != nil {
 		cfg.CheckpointEvery = req.CheckpointEvery
 		cfg.OnCheckpoint = func(c *core.Checkpoint) {
-			raw, err := json.Marshal(c)
+			raw, err := core.EncodeCheckpoint(c)
 			if err == nil {
 				err = j.Checkpoint(raw)
 			}

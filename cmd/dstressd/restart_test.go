@@ -1,16 +1,24 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"dstress/internal/core"
 	"dstress/internal/farm"
+	"dstress/internal/fleet"
+	"dstress/internal/seglog"
 )
 
 // openRecoveredSet reads what a restarted daemon would find to re-queue.
@@ -176,5 +184,196 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	if *resumed.Result != *ref.Result {
 		t.Fatalf("kill+resume diverged from the uninterrupted run:\n got %+v\nwant %+v",
 			*resumed.Result, *ref.Result)
+	}
+}
+
+// journaledDaemon starts an in-process daemon over the journal at path,
+// re-queueing whatever the journal holds, the way main does on startup.
+func journaledDaemon(t *testing.T, path string) (*daemon, *httptest.Server) {
+	t.Helper()
+	jl, err := farm.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon(2, 4, 7, nil, jl, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.handler())
+	t.Cleanup(func() {
+		d.sched.Close()
+		d.sched.Wait()
+		ts.Close()
+		jl.Close()
+	})
+	d.recoverJobs()
+	return d, ts
+}
+
+// finishedJob long-polls job id to its end through the wait endpoint, which
+// answers once the job's result is attached; a status poll can already
+// read "done" while the journal retires the entry, before it is.
+func finishedJob(t *testing.T, base string, id int) jobView {
+	t.Helper()
+	var view jobView
+	if code := getJSON(t, fmt.Sprintf("%s/api/v1/jobs/%d/wait", base, id), &view); code != http.StatusOK {
+		t.Fatalf("wait for job %d: HTTP %d", id, code)
+	}
+	return view
+}
+
+// referenceResult runs req uninterrupted on a daemon without a journal.
+func referenceResult(t *testing.T, req jobRequest) jobResult {
+	t.Helper()
+	_, ts := testDaemon(t, 2, false)
+	var status struct {
+		ID int `json:"id"`
+	}
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", req, &status); code != http.StatusAccepted {
+		t.Fatalf("reference submit: HTTP %d", code)
+	}
+	ref := finishedJob(t, ts.URL, status.ID)
+	if ref.Result == nil {
+		t.Fatalf("reference job: state %s, error %q", ref.State, ref.Error)
+	}
+	return *ref.Result
+}
+
+// writeJSONJournal writes entries as a journal of the previous format:
+// one plain-JSON "add" op each, its checkpoint embedded as JSON.
+func writeJSONJournal(t *testing.T, path string, entries ...farm.JournalEntry) {
+	t.Helper()
+	st, _, err := seglog.Open(path, seglog.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := range entries {
+		op, err := json.Marshal(map[string]any{"op": "add", "entry": &entries[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoverJobsRestartsUndecodableCheckpoint: a journaled job whose
+// checkpoint no longer decodes is re-queued from scratch, with the reason
+// logged, instead of being dropped, and finishes with the result an
+// uninterrupted run gives.
+func TestRecoverJobsRestartsUndecodableCheckpoint(t *testing.T) {
+	req := jobRequest{Template: "data64", Criterion: "max-ce", TempC: 55,
+		Generations: 3, Population: 8, Workers: 2, Seed: 31, Rows: 4, Runs: 1}
+	spec, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A header-plus-tail checkpoint whose tail holds a byte no genome owns.
+	bad := append(seglog.AppendHeader(nil, []byte(`{"experiment":"data64/max-ce/55C"}`)), 7)
+	if _, err := core.DecodeCheckpoint(bad); err == nil {
+		t.Fatal("the planted checkpoint decodes")
+	}
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	st, _, err := seglog.Open(path, seglog.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := json.Marshal(map[string]any{"op": "add", "entry": farm.JournalEntry{
+		ID: 1, Name: "planted", Workers: 2, Spec: spec, State: "running", Submitted: time.Now()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.AppendPayloads(seglog.Payload{Header: hdr, Tail: bad})
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := openRecoveredSet(path); err != nil || len(rec) != 1 ||
+		!bytes.Equal(rec[0].Checkpoint, bad) {
+		t.Fatalf("the bad checkpoint was not planted (%v)", err)
+	}
+
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	_, ts := journaledDaemon(t, path)
+	view := finishedJob(t, ts.URL, 1)
+	log.SetOutput(os.Stderr)
+	if view.State.String() != "done" || view.Result == nil {
+		t.Fatalf("recovered job finished %s (error %q)", view.State, view.Error)
+	}
+	if !strings.Contains(logs.String(), "restarting it from scratch") {
+		t.Fatalf("no log line says why the job restarted:\n%s", logs.String())
+	}
+	if want := referenceResult(t, req); *view.Result != want {
+		t.Fatalf("restarted job diverged from the uninterrupted run:\n got %+v\nwant %+v",
+			*view.Result, want)
+	}
+}
+
+// TestRecoverJSONJournal drains a daemon mid-search, then restarts
+// from its journal twice: as written, and rewritten in the previous
+// format, plain-JSON ops with the checkpoint embedded as JSON. Both resume
+// to the result of the uninterrupted run.
+func TestRecoverJSONJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a block-virus search three times")
+	}
+	// Long enough that the drain lands mid-search.
+	req := jobRequest{Template: "data24k", Criterion: "max-ce", TempC: 55,
+		Generations: 24, Population: 8, Workers: 2, Seed: 77, Rows: 32, Runs: 16}
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	d, ts := journaledDaemon(t, path)
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", req, nil); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		var view jobView
+		getJSON(t, ts.URL+"/api/v1/jobs/1", &view)
+		if view.State.String() == "done" {
+			t.Fatal("job finished before the drain; slow the search down")
+		}
+		if view.Generation >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never reached generation 2")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	d.sched.Drain(30 * time.Second)
+	d.journal.Close()
+
+	rec, err := openRecoveredSet(path)
+	if err != nil || len(rec) != 1 || len(rec[0].Checkpoint) == 0 {
+		t.Fatalf("drained journal: %d entries (%v)", len(rec), err)
+	}
+	cp, err := core.DecodeCheckpoint(rec[0].Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Generation() < 2 {
+		t.Fatalf("journaled checkpoint at generation %d", cp.Generation())
+	}
+	old := rec[0]
+	if old.Checkpoint, err = json.Marshal(cp); err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(t.TempDir(), "json.journal")
+	writeJSONJournal(t, oldPath, old)
+
+	want := referenceResult(t, req)
+	for name, p := range map[string]string{"journal as written": path, "previous format": oldPath} {
+		_, ts := journaledDaemon(t, p)
+		view := finishedJob(t, ts.URL, 1)
+		if view.State.String() != "done" || view.Result == nil {
+			t.Fatalf("%s: resumed job finished %s (error %q)", name, view.State, view.Error)
+		}
+		if *view.Result != want {
+			t.Fatalf("%s: resumed job diverged from the uninterrupted run:\n got %+v\nwant %+v",
+				name, *view.Result, want)
+		}
 	}
 }

@@ -179,11 +179,15 @@ func (v *Vec) Words() []uint64 { return v.words }
 // Bytes returns the packed form of the vector: its words little-endian, 8
 // bytes each. FromBytes reads it back.
 func (v *Vec) Bytes() []byte {
-	b := make([]byte, 8*len(v.words))
-	for i, w := range v.words {
-		binary.LittleEndian.PutUint64(b[8*i:], w)
+	return v.AppendBytes(make([]byte, 0, 8*len(v.words)))
+}
+
+// AppendBytes appends the packed form of the vector to dst.
+func (v *Vec) AppendBytes(dst []byte) []byte {
+	for _, w := range v.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return b
+	return dst
 }
 
 // FromBytes rebuilds an n-bit vector from its packed form. Only the

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"dstress/internal/checkpoint"
 	"dstress/internal/dram"
 	"dstress/internal/ga"
 	"dstress/internal/islands"
+	"dstress/internal/seglog"
 )
 
 // Checkpoint is a resumable synthesis search: the GA engine's snapshot plus
@@ -75,6 +79,149 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: %s holds no usable checkpoint", path)
 	}
 	return &cp, nil
+}
+
+// EncodeCheckpoint serializes cp in seglog's header-plus-tail layout (see
+// seglog.Payload), the form the daemon journals every generation. The
+// header is the checkpoint's JSON with the packed words of every bit genome
+// left out; the words follow as the tail, genome after genome in the order
+// eachGenome visits them. A checkpoint without packed genomes has no tail
+// and encodes as its plain JSON. The words are copied once, into the
+// returned buffer.
+func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
+	hdr := cp.ownRecords()
+	var words [][]byte
+	tailLen := 0
+	err := hdr.eachGenome(func(r *ga.GenomeRecord) error {
+		if r.Type != "bit" || r.Bits != "" {
+			return nil // not packed: the header carries it as it is
+		}
+		if r.N < 0 || len(r.Packed) != packedLen(r.N) {
+			return fmt.Errorf("core: bit genome of %d bits with %d packed bytes",
+				r.N, len(r.Packed))
+		}
+		words = append(words, r.Packed)
+		tailLen += len(r.Packed)
+		r.Packed = nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	h, err := json.Marshal(hdr)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	if tailLen == 0 {
+		return h, nil
+	}
+	out := make([]byte, 0, len(h)+1+binary.MaxVarintLen64+tailLen)
+	out = seglog.AppendHeader(out, h)
+	for _, w := range words {
+		out = append(out, w...)
+	}
+	return out, nil
+}
+
+// DecodeCheckpoint reads a checkpoint EncodeCheckpoint wrote, or one
+// written as plain JSON (json.Marshal of a Checkpoint, which is what
+// journals held before the tail layout). The tail must hold exactly the
+// words of the header's bit genomes. The packed words of the returned
+// genome records share data's memory.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	p, err := seglog.SplitPayload(data)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	cp := new(Checkpoint)
+	if err := json.Unmarshal(p.Header, cp); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	if len(p.Tail) == 0 {
+		return cp, nil
+	}
+	tail := p.Tail
+	err = cp.eachGenome(func(r *ga.GenomeRecord) error {
+		if r.Type != "bit" || r.Bits != "" {
+			return nil
+		}
+		switch {
+		case r.Packed != nil:
+			return fmt.Errorf("core: checkpoint: packed words in the header")
+		case r.N < 0 || r.N > 8*len(tail) || packedLen(r.N) > len(tail):
+			return fmt.Errorf("core: checkpoint: tail ends inside a %d-bit genome", r.N)
+		}
+		n := packedLen(r.N)
+		if n > 0 {
+			r.Packed = tail[:n:n]
+		}
+		tail = tail[n:]
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(tail) != 0 {
+		return nil, fmt.Errorf("core: checkpoint: %d tail bytes past the last genome", len(tail))
+	}
+	return cp, nil
+}
+
+// packedLen is the length of the packed form of an n-bit chromosome.
+func packedLen(n int) int { return (n + 63) / 64 * 8 }
+
+// eachGenome calls fn on every genome record cp holds, in tail order: the
+// engine population, each island's population in island order, and the
+// surrogate's training window.
+func (cp *Checkpoint) eachGenome(fn func(*ga.GenomeRecord) error) error {
+	visit := func(recs []ga.GenomeRecord) error {
+		for i := range recs {
+			if err := fn(&recs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := visit(cp.Engine.Population); err != nil {
+		return err
+	}
+	if cp.Islands == nil {
+		return nil
+	}
+	for i := range cp.Islands.Islands {
+		if err := visit(cp.Islands.Islands[i].Population); err != nil {
+			return err
+		}
+	}
+	if s := cp.Islands.Surrogate; s != nil {
+		for i := range s.Samples {
+			if err := fn(&s.Samples[i].Genome); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// ownRecords returns a shallow copy of cp whose genome records are its
+// own, so that they can be changed without touching cp's.
+func (cp *Checkpoint) ownRecords() *Checkpoint {
+	c := *cp
+	c.Engine.Population = slices.Clone(cp.Engine.Population)
+	if cp.Islands != nil {
+		isl := *cp.Islands
+		isl.Islands = slices.Clone(isl.Islands)
+		for i := range isl.Islands {
+			isl.Islands[i].Population = slices.Clone(isl.Islands[i].Population)
+		}
+		if isl.Surrogate != nil {
+			s := *isl.Surrogate
+			s.Samples = slices.Clone(s.Samples)
+			isl.Surrogate = &s
+		}
+		c.Islands = &isl
+	}
+	return &c
 }
 
 // ckptEmitter forwards engine snapshots as Checkpoints: to the OnCheckpoint

@@ -1,10 +1,10 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -31,7 +31,11 @@ type JournalEntry struct {
 	// never interprets it.
 	Spec json.RawMessage `json:"spec"`
 	// Checkpoint is the job's newest resumable state, nil until the job
-	// first checkpoints.
+	// first checkpoints: the bytes the job handed Job.Checkpoint, opaque to
+	// the farm. The journal writes them as the tail of an op frame (see
+	// journalOp); only the JSON spellings of an entry written before that
+	// layout (the whole-doc journal, all-JSON "add" ops) embed them,
+	// which held because those checkpoints were JSON.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 	// State is informational: "pending", "running", or "interrupted".
 	State     string    `json:"state"`
@@ -50,6 +54,14 @@ type journalDoc struct {
 // document on every state change — O(journal size) per update, O(N²)
 // cumulative; now each change appends one CRC'd frame and the live set is
 // the result of replaying them.
+//
+// An op is a seglog payload. One that carries a checkpoint — a
+// "checkpoint" op, or an "add" op whose entry has one — is written in the
+// header-plus-tail layout: the op's JSON with the checkpoint left out is the
+// header, the checkpoint's bytes are the tail, and nothing reads them as
+// JSON. Any other op is its plain JSON. Ops written before the tail layout
+// embed a (JSON) checkpoint in the "checkpoint" members; replay still reads
+// them.
 type journalOp struct {
 	Op         string          `json:"op"` // "add", "state", "checkpoint", "remove"
 	ID         int             `json:"id,omitempty"`
@@ -74,6 +86,11 @@ var journalStoreOptions = seglog.Options{
 // set), bounding on-disk growth over a long-running daemon.
 const journalCompactMinOps = 1024
 
+// journalCompactMinBytes is the same trigger by appended bytes: one
+// checkpoint op of a block-virus search is megabytes, and a thousand of
+// them are gigabytes of superseded checkpoints on disk.
+const journalCompactMinBytes = 64 << 20
+
 // Journal persists a scheduler's durable jobs with the crash-safe seglog
 // discipline. Entries live from submission to terminal state; whatever the
 // journal holds when the process dies is exactly the set of jobs a restart
@@ -88,8 +105,9 @@ type Journal struct {
 	// recoveredLive is true while the previous process's entries are still
 	// on disk. The first mutation of the new live set retires them — the
 	// same moment the old whole-doc rewrite implicitly dropped them.
-	recoveredLive   bool
-	opsSinceCompact int
+	recoveredLive     bool
+	opsSinceCompact   int
+	bytesSinceCompact int
 }
 
 // OpenJournal opens (or creates) the journal at path and sets aside any
@@ -114,11 +132,11 @@ func OpenJournal(path string) (*Journal, error) {
 		}
 		payloads := make([][]byte, 0, len(doc.Jobs))
 		for i := range doc.Jobs {
-			p, err := json.Marshal(journalOp{Op: "add", Entry: &doc.Jobs[i]})
+			p, err := encodeOp(journalOp{Op: "add", Entry: &doc.Jobs[i]})
 			if err != nil {
-				return nil, fmt.Errorf("farm: journal: %w", err)
+				return nil, err
 			}
-			payloads = append(payloads, p)
+			payloads = append(payloads, p.Bytes())
 		}
 		return payloads, nil
 	}
@@ -131,8 +149,8 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	live := make(map[int]*JournalEntry)
 	for _, p := range res.Payloads {
-		var op journalOp
-		if err := json.Unmarshal(p, &op); err != nil {
+		op, err := decodeOp(p)
+		if err != nil {
 			continue // CRC-intact but undecodable: skip, never invent state
 		}
 		switch op.Op {
@@ -166,6 +184,8 @@ func OpenJournal(path string) (*Journal, error) {
 	for _, id := range ids {
 		e := *live[id]
 		e.State = "interrupted" // whatever it was doing, it is not anymore
+		// A tail shares the segment's read buffer; keep only the bytes.
+		e.Checkpoint = bytes.Clone(e.Checkpoint)
 		jl.recovered = append(jl.recovered, e)
 	}
 	jl.recoveredLive = len(jl.recovered) > 0
@@ -245,44 +265,59 @@ func (jl *Journal) setState(id int, state string) error {
 	return jl.appendLocked(journalOp{Op: "state", ID: id, State: state})
 }
 
-func (jl *Journal) setCheckpoint(id int, cp json.RawMessage) error {
+// setCheckpoint journals cp as the entry's checkpoint. The entry keeps cp
+// itself, and the store writes it from cp's buffer.
+func (jl *Journal) setCheckpoint(id int, cp []byte) error {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
 	e, ok := jl.entries[id]
 	if !ok {
 		return nil // job already retired; a late checkpoint is not an error
 	}
-	p, raw, err := checkpointOp(id, cp)
-	if err != nil {
-		return err
-	}
-	e.Checkpoint = raw
-	return jl.writeLocked(p)
+	e.Checkpoint = cp
+	return jl.appendLocked(journalOp{Op: "checkpoint", ID: id, Checkpoint: cp})
 }
 
-// checkpointOp frames a "checkpoint" op around cp by hand and returns the
-// frame with the checkpoint's bytes inside it, which the live entry shares
-// instead of copying. json.Marshal(journalOp{...}) would scan and copy a
-// checkpoint of megabytes once more only to re-compact what its caller
-// already marshalled; for encoding/json output (compact, HTML-escaped) the
-// bytes here are the same. json.Valid still refuses what is not JSON.
-func checkpointOp(id int, cp json.RawMessage) (frame []byte, raw json.RawMessage, err error) {
-	if len(cp) > 0 && !json.Valid(cp) {
-		return nil, nil, fmt.Errorf("farm: journal: checkpoint of job %d is not valid JSON", id)
+// encodeOp lays op out as a seglog payload; see journalOp.
+func encodeOp(op journalOp) (seglog.Payload, error) {
+	var tail []byte
+	switch {
+	case len(op.Checkpoint) > 0:
+		tail, op.Checkpoint = op.Checkpoint, nil
+	case op.Entry != nil && len(op.Entry.Checkpoint) > 0:
+		e := *op.Entry
+		tail, e.Checkpoint = e.Checkpoint, nil
+		op.Entry = &e
 	}
-	frame = make([]byte, 0, len(cp)+48)
-	frame = append(frame, `{"op":"checkpoint"`...)
-	if id != 0 {
-		frame = append(frame, `,"id":`...)
-		frame = strconv.AppendInt(frame, int64(id), 10)
+	h, err := json.Marshal(op)
+	if err != nil {
+		return seglog.Payload{}, fmt.Errorf("farm: journal: %w", err)
 	}
-	if len(cp) > 0 {
-		frame = append(frame, `,"checkpoint":`...)
-		start := len(frame)
-		frame = append(frame, cp...)
-		raw = frame[start:len(frame):len(frame)]
+	return seglog.Payload{Header: h, Tail: tail}, nil
+}
+
+// decodeOp reads an op in either layout. A tail goes where encodeOp took
+// it from; an op whose header already holds a checkpoint there, or that
+// has no place for one, is undecodable.
+func decodeOp(p []byte) (journalOp, error) {
+	var op journalOp
+	pl, err := seglog.SplitPayload(p)
+	if err != nil {
+		return op, err
 	}
-	return append(frame, '}'), raw, nil
+	if err := json.Unmarshal(pl.Header, &op); err != nil {
+		return op, err
+	}
+	switch {
+	case len(pl.Tail) == 0:
+	case op.Op == "checkpoint" && op.Checkpoint == nil:
+		op.Checkpoint = pl.Tail
+	case op.Op == "add" && op.Entry != nil && op.Entry.Checkpoint == nil:
+		op.Entry.Checkpoint = pl.Tail
+	default:
+		return op, fmt.Errorf("farm: journal: %q op with a tail it has no place for", op.Op)
+	}
+	return op, nil
 }
 
 func (jl *Journal) remove(id int) error {
@@ -300,40 +335,46 @@ func (jl *Journal) remove(id int) error {
 // disk — by then the caller has had its chance to re-queue them, and the
 // old whole-doc rewrite dropped them at exactly this point.
 func (jl *Journal) appendLocked(ops ...journalOp) error {
-	payloads := make([][]byte, 0, len(ops))
-	for _, op := range ops {
-		p, err := json.Marshal(op)
-		if err != nil {
-			return fmt.Errorf("farm: journal: %w", err)
-		}
-		payloads = append(payloads, p)
-	}
-	return jl.writeLocked(payloads...)
-}
-
-// writeLocked appends encoded ops; see appendLocked.
-func (jl *Journal) writeLocked(payloads ...[]byte) error {
 	if jl.recoveredLive {
-		rm := make([][]byte, 0, len(jl.recovered)+len(payloads))
+		rm := make([]journalOp, 0, len(jl.recovered)+len(ops))
 		for _, e := range jl.recovered {
-			p, err := json.Marshal(journalOp{Op: "remove", ID: e.ID})
-			if err != nil {
-				return fmt.Errorf("farm: journal: %w", err)
-			}
-			rm = append(rm, p)
+			rm = append(rm, journalOp{Op: "remove", ID: e.ID})
 		}
-		payloads = append(rm, payloads...)
+		ops = append(rm, ops...)
 	}
-	if _, err := jl.log.Append(payloads...); err != nil {
+	payloads := make([]seglog.Payload, len(ops))
+	for i, op := range ops {
+		p, err := encodeOp(op)
+		if err != nil {
+			return err
+		}
+		payloads[i] = p
+	}
+	if _, err := jl.log.AppendPayloads(payloads...); err != nil {
 		return fmt.Errorf("farm: journal: %w", err)
 	}
 	jl.recoveredLive = false
 	jl.opsSinceCompact += len(payloads)
+	for _, p := range payloads {
+		jl.bytesSinceCompact += p.Len()
+	}
 	if jl.opsSinceCompact >= journalCompactMinOps &&
-		jl.opsSinceCompact > 8*(len(jl.entries)+1) {
+		jl.opsSinceCompact > 8*(len(jl.entries)+1) ||
+		jl.bytesSinceCompact >= journalCompactMinBytes &&
+			jl.bytesSinceCompact > 8*jl.liveBytesLocked() {
 		return jl.compactLocked()
 	}
 	return nil
+}
+
+// liveBytesLocked is about what a compaction writes: the live entries'
+// specs and checkpoints.
+func (jl *Journal) liveBytesLocked() int {
+	n := 0
+	for _, e := range jl.entries {
+		n += len(e.Spec) + len(e.Checkpoint)
+	}
+	return n
 }
 
 // compactLocked rewrites the store to one "add" op per live entry (the
@@ -350,15 +391,15 @@ func (jl *Journal) compactLocked() error {
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
 	payloads := make([][]byte, 0, len(jobs))
 	for i := range jobs {
-		p, err := json.Marshal(journalOp{Op: "add", Entry: &jobs[i]})
+		p, err := encodeOp(journalOp{Op: "add", Entry: &jobs[i]})
 		if err != nil {
-			return fmt.Errorf("farm: journal: %w", err)
+			return err
 		}
-		payloads = append(payloads, p)
+		payloads = append(payloads, p.Bytes())
 	}
 	if _, err := jl.log.Compact(payloads); err != nil {
 		return fmt.Errorf("farm: journal: %w", err)
 	}
-	jl.opsSinceCompact = 0
+	jl.opsSinceCompact, jl.bytesSinceCompact = 0, 0
 	return nil
 }

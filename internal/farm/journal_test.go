@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -254,6 +255,40 @@ func TestJournalDeltasStayBounded(t *testing.T) {
 	defer jl2.Close()
 	if len(jl2.Recovered()) != 0 {
 		t.Fatal("retired jobs resurrected by replay")
+	}
+}
+
+// TestJournalCheckpointBytesStayBounded: a job that keeps journaling
+// multi-megabyte checkpoints triggers compaction by bytes long before it
+// has appended enough ops to trigger it by count, so the store holds a
+// bounded number of superseded checkpoints.
+func TestJournalCheckpointBytesStayBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	jl, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	if err := jl.add(JournalEntry{ID: 1, Name: "j", Spec: json.RawMessage(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	cp := make([]byte, 3<<20)
+	for i := 0; i < 40; i++ {
+		cp[0] = byte(i)
+		if err := jl.setCheckpoint(1, bytes.Clone(cp)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if size := jl.log.Size(); size > journalCompactMinBytes+8<<20 {
+		t.Fatalf("journal holds %d MB after 40 checkpoints of 3 MB", size>>20)
+	}
+	jl2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl2.Close()
+	if rec := jl2.Recovered(); len(rec) != 1 || rec[0].Checkpoint[0] != 39 {
+		t.Fatal("compaction lost the newest checkpoint")
 	}
 }
 

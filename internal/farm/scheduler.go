@@ -190,14 +190,15 @@ func (j *Job) notifyLocked() {
 	}
 }
 
-// Checkpoint journals the job's newest resumable state (raw JSON, opaque to
-// the farm). A restarted daemon re-queues the job from the last state this
-// call durably recorded. No-op for jobs without a journal.
-func (j *Job) Checkpoint(raw json.RawMessage) error {
+// Checkpoint journals the job's newest resumable state, bytes opaque to the
+// farm. A restarted daemon re-queues the job from the last state this call
+// durably recorded. The journal keeps cp, so the caller must not change it
+// afterwards. No-op for jobs without a journal.
+func (j *Job) Checkpoint(cp []byte) error {
 	if j.journal == nil {
 		return nil
 	}
-	return j.journal.setCheckpoint(j.id, raw)
+	return j.journal.setCheckpoint(j.id, cp)
 }
 
 // Result returns the job's outcome once Done is closed.
@@ -330,7 +331,7 @@ type JobSpec struct {
 	Workers    int
 	Timeout    time.Duration
 	Payload    json.RawMessage
-	Checkpoint json.RawMessage
+	Checkpoint []byte
 	// Recovered marks a journal-recovery re-submission: the work was already
 	// admitted (and quota-checked) by a previous process, so the tenant's
 	// caps are not re-checked — a durable job must not be stranded in the

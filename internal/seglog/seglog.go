@@ -16,7 +16,9 @@
 //
 // Each segment starts with the text line "dstress-seglog v1\n" followed by
 // binary frames: a little-endian uint32 payload length, a little-endian
-// uint32 CRC-32C of the payload, then the payload bytes. The manifest is the
+// uint32 CRC-32C of the payload, then the payload bytes. Payloads are
+// opaque to the store; payload.go defines the header-plus-tail layout the
+// records that carry chromosome words share. The manifest is the
 // authority on which segments exist and in what order; segment files it does
 // not list are debris from a crashed rotation or compaction and are deleted
 // on open. The manifest itself is one CRC'd line rewritten atomically (temp
@@ -151,8 +153,9 @@ type Store struct {
 	next       uint64   // next segment number
 	active     *os.File
 	activeSize int64
-	pending    int // frames written since the last fsync
-	appended   int // frames appended over this handle's lifetime
+	pending    int    // frames written since the last fsync
+	wbuf       []byte // AppendPayloads' write buffer, kept between calls
+	appended   int    // frames appended over this handle's lifetime
 	closed     bool
 	// poisoned is set when a failed write left bytes in the active segment
 	// that could not be cut back off; further appends would land beyond the
@@ -450,15 +453,34 @@ func frameHeader(p []byte) (hdr [frameHeaderLen]byte, crc uint32) {
 // with SyncEvery <= 1 (the default) every call fsyncs once, covering its
 // whole batch.
 func (s *Store) Append(payloads ...[]byte) ([]Loc, error) {
-	if len(payloads) == 0 {
+	ps := make([]Payload, len(payloads))
+	for i, p := range payloads {
+		ps[i] = Payload{Header: p}
+	}
+	return s.AppendPayloads(ps...)
+}
+
+// directWrite is the size from which a payload's bulk — its tail, or the
+// whole of a tail-less payload — is written straight from the caller's
+// buffer. Smaller frames are gathered in the store's write buffer, so a
+// batch of small records still costs one write.
+const directWrite = 8 << 10
+
+// maxWriteBuf bounds the write buffer a store keeps between appends.
+const maxWriteBuf = 256 << 10
+
+// AppendPayloads is Append for payloads given in pieces: each frame holds
+// p.Bytes(), but no payload is assembled in memory. Frame headers, tail
+// prefixes and small payloads go through the store's reused write buffer;
+// a large tail is written from the caller's buffer as it is.
+func (s *Store) AppendPayloads(ps ...Payload) ([]Loc, error) {
+	if len(ps) == 0 {
 		return nil, nil
 	}
-	size := 0
-	for _, p := range payloads {
-		if len(p) == 0 || len(p) > maxFrame {
-			return nil, fmt.Errorf("seglog: bad payload length %d", len(p))
+	for _, p := range ps {
+		if err := p.check(); err != nil {
+			return nil, err
 		}
-		size += frameHeaderLen + len(p)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -469,14 +491,42 @@ func (s *Store) Append(payloads ...[]byte) ([]Loc, error) {
 		return nil, errors.New("seglog: active segment poisoned by an earlier failed write; reopen to recover")
 	}
 	seg, _ := segNumber(s.segs[len(s.segs)-1])
-	buf := make([]byte, 0, size)
-	locs := make([]Loc, len(payloads))
-	for i, p := range payloads {
-		hdr, crc := frameHeader(p)
-		locs[i] = Loc{Seg: seg, Off: s.activeSize + int64(len(buf)), Len: uint32(len(p)), CRC: crc}
-		buf = append(append(buf, hdr[:]...), p...)
+	locs := make([]Loc, len(ps))
+	buf := s.wbuf[:0]
+	var size int64 // bytes of this call's frames so far
+	var werr error
+	write := func(b []byte) {
+		if werr == nil && len(b) > 0 {
+			_, werr = s.active.Write(b)
+		}
 	}
-	if _, err := s.active.Write(buf); err != nil {
+	for i, p := range ps {
+		start := len(buf)
+		buf = append(buf, make([]byte, frameHeaderLen)...)
+		bulk := p.Header
+		if len(p.Tail) > 0 {
+			buf = AppendHeader(buf, p.Header)
+			bulk = p.Tail
+		}
+		crc := crc32.Update(crc32.Checksum(buf[start+frameHeaderLen:], crcTable), crcTable, bulk)
+		length := uint32(p.Len())
+		binary.LittleEndian.PutUint32(buf[start:], length)
+		binary.LittleEndian.PutUint32(buf[start+4:], crc)
+		locs[i] = Loc{Seg: seg, Off: s.activeSize + size, Len: length, CRC: crc}
+		size += frameHeaderLen + int64(length)
+		if len(bulk) < directWrite {
+			buf = append(buf, bulk...)
+			continue
+		}
+		write(buf)
+		write(bulk)
+		buf = buf[:0]
+	}
+	write(buf)
+	if cap(buf) <= maxWriteBuf {
+		s.wbuf = buf[:0]
+	}
+	if werr != nil {
 		// A partial write leaves junk after the last intact frame; if a
 		// later append then succeeded, replay would stop at the junk and
 		// silently discard the acknowledged frames beyond it as a torn
@@ -486,11 +536,11 @@ func (s *Store) Append(payloads ...[]byte) ([]Loc, error) {
 		if terr := s.active.Truncate(s.activeSize); terr != nil {
 			s.poisoned = true
 		}
-		return nil, fmt.Errorf("seglog: %w", err)
+		return nil, fmt.Errorf("seglog: %w", werr)
 	}
-	s.activeSize += int64(len(buf))
-	s.pending += len(payloads)
-	s.appended += len(payloads)
+	s.activeSize += size
+	s.pending += len(ps)
+	s.appended += len(ps)
 	if s.opts.SyncEvery <= 1 || s.pending >= s.opts.SyncEvery ||
 		s.activeSize >= s.opts.RotateBytes {
 		if err := s.syncLocked(); err != nil {

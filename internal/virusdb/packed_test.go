@@ -114,6 +114,56 @@ func TestLegacyBitsFramesOpenAndCompactPacked(t *testing.T) {
 	check(re, "compacted")
 }
 
+// TestJSONPackedFramesOpen writes a store the way the previous version
+// did — one JSON frame per record, a bit chromosome as "n" plus base64
+// "packed" — and requires the same records back, before and after Compact
+// rewrites the frames in the tail layout, which holds the words raw.
+func TestJSONPackedFramesOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "json.db")
+	rng := xrand.New(12)
+	var want []Record
+	st, _, err := seglog.Open(path, storeOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{64, 130, 24 * 1024 * 8} {
+		v := bitvec.Random(n, 0.5, rng)
+		r := Record{Experiment: "e", Fitness: float64(i), MeanCE: 1.5, Generation: i,
+			TempC: 55, TREFP: 2.283, VDD: 1.428}
+		p, err := json.Marshal(frame{Record: r, N: n, Packed: v.Bytes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		r.Bits = v.BitString()
+		want = append([]Record{r}, want...) // strongest first
+	}
+	st.Close()
+	for _, stage := range []string{"previous format", "compacted"} {
+		db, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		got, err := db.Query("e", noFloor, 0, 0)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: records differ (%v)", stage, err)
+		}
+		if stage == "previous format" {
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Close()
+	}
+	for i, p := range openPayloads(t, path) {
+		if p[0] != seglog.TailMarker || bytes.Contains(p, []byte(`"packed"`)) {
+			t.Fatalf("frame %d is not in the tail layout after Compact", i)
+		}
+	}
+}
+
 // noFloor is a minimum fitness that filters nothing out.
 var noFloor = math.Inf(-1)
 
@@ -232,8 +282,22 @@ func FuzzDecodeFrame(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	// Header-plus-tail frames: a whole one, one cut short, bits set past
+	// the length, a zero length, and a chromosome both in the header and
+	// the tail.
+	tailed := func(hdr string, tail ...byte) []byte {
+		return append(seglog.AppendHeader(nil, []byte(hdr)), tail...)
+	}
+	f.Add(tailed(`{"experiment":"e","fitness":2}`, 4, 0x0b, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(tailed(`{"experiment":"e"}`, 70, 1, 2, 3))
+	f.Add(tailed(`{"experiment":"e"}`, 4, 0x1f, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(tailed(`{"experiment":"e"}`, 0))
+	f.Add(tailed(`{"experiment":"e","bits":"1"}`, 1, 1, 0, 0, 0, 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := decodeFrame(data)
+		if _, ierr := indexFrame(data); (ierr == nil) != (err == nil) {
+			t.Fatalf("Open's index and reads disagree on the frame: %v vs %v", ierr, err)
+		}
 		if err != nil {
 			return
 		}
