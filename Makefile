@@ -18,8 +18,9 @@ test-short:
 
 # Static checks + the race detector over the whole tree, with a quick
 # short-mode -race pass over the concurrency-heavy packages first so their
-# failures surface before the long campaign tests run, a focused
-# checkpoint/resume pass over the durability-critical packages, and one
+# failures surface before the long campaign tests run, the legacy journal
+# reader, a focused checkpoint/resume pass over the durability-critical
+# packages, and one
 # iteration of each dram micro-benchmark under -race so the evaluation fast
 # path stays race-clean against farm workers sharing cloned servers. The
 # full pass needs an explicit -timeout: the campaign test runs ~90s
@@ -28,8 +29,9 @@ test-short:
 check:
 	$(GO) vet ./...
 	$(GO) test -race -short ./internal/farm ./internal/fleet ./internal/ga ./internal/virusdb
+	$(GO) test -race ./internal/checkpoint
 	$(GO) test -race -run 'Checkpoint|Resume|Journal|Snapshot' \
-		./internal/checkpoint ./internal/ga ./internal/core ./internal/farm
+		./internal/ga ./internal/core ./internal/farm
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x ./internal/dram
 	$(MAKE) access-test
 	$(MAKE) detv2-test
@@ -133,7 +135,9 @@ service-test:
 # Static analysis over the island/surrogate/persistence/batch-evaluation
 # subsystems and the farm and core they plug into: vet, gofmt cleanliness,
 # and staticcheck when one is already on PATH (the build never installs
-# tools).
+# tools). The benchmark harness is its own module, which the root
+# `go build ./...` skips, so lint also vets and builds it: a change to a
+# name it imports from the tree fails here.
 LINT_PKGS  = ./internal/islands ./internal/predict ./internal/seglog \
 	./internal/fleet ./internal/ga ./internal/bitvec ./internal/virusdb \
 	./internal/memctl ./internal/addrmap ./internal/dram ./internal/server \
@@ -147,6 +151,8 @@ LINT_DIRS  = internal/islands internal/predict internal/seglog \
 
 lint:
 	$(GO) vet $(LINT_PKGS)
+	$(GO) -C cmd/dstressbench vet ./...
+	$(GO) -C cmd/dstressbench build -o /dev/null ./...
 	@out=$$(gofmt -l $(LINT_DIRS)); \
 	if [ -n "$$out" ]; then echo "gofmt -w needed on:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -207,7 +213,8 @@ experiments-full:
 	$(GO) run ./cmd/experiments -ext -markdown results.md
 
 # Short fuzzing pass over the two parsers, the interpreter, the daemon's
-# job-request parser (its -run skips the daemon's subprocess tests), the
+# job-request parser and -auth file loader (their -run skips the daemon's
+# subprocess tests), the
 # decoders of stored chromosomes (checkpoint genome records, virusdb frames
 # and whole journal checkpoints, in their header-plus-tail, packed JSON and
 # legacy bit-string forms), the journal's op replay on arbitrary frames, the
@@ -223,6 +230,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzInterpreter $(FUZZ) ./internal/minicc
 	$(GO) test -fuzz=FuzzParse $(FUZZ) ./internal/vpl
 	$(GO) test -run=FuzzJobRequest -fuzz=FuzzJobRequest $(FUZZ) ./cmd/dstressd
+	$(GO) test -run=FuzzLoadAuthConfig -fuzz=FuzzLoadAuthConfig $(FUZZ) ./cmd/dstressd
 	$(GO) test -run=FuzzDecodeGenome -fuzz=FuzzDecodeGenome $(FUZZ) ./internal/ga
 	$(GO) test -run=FuzzDecodeFrame -fuzz=FuzzDecodeFrame $(FUZZ) ./internal/virusdb
 	$(GO) test -run=FuzzDecodeCheckpoint -fuzz=FuzzDecodeCheckpoint $(FUZZ) ./internal/core

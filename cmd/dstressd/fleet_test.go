@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -141,18 +142,20 @@ func TestRecoverJobsClampsToBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-craft the journal a budget-8 daemon would have left behind.
-	file, err := checkpoint.Open(path, checkpoint.DefaultKeep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = file.Save(struct {
+	// Hand-craft the journal a budget-8 daemon would have left behind, in
+	// the pre-seglog checkpoint line format that OpenJournal migrates.
+	doc, err := json.Marshal(struct {
 		Jobs []farm.JournalEntry `json:"jobs"`
 	}{Jobs: []farm.JournalEntry{{
 		ID: 1, Name: "big", Workers: 8, Spec: spec, State: "running",
 		Submitted: time.Now(),
 	}}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	crc := crc32.Checksum(doc, crc32.MakeTable(crc32.Castagnoli))
+	legacy := fmt.Sprintf("%s v%d\nrec 1 %08x %s\n", checkpoint.Magic, checkpoint.Version, crc, doc)
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -642,16 +642,20 @@ type jobView struct {
 	Result *jobResult `json:"result,omitempty"`
 }
 
+// viewOf reports a job with its result once the job is terminal. It goes by
+// the state, not by Done(): the scheduler sets the state and the result in
+// one locked section, but closes Done() only after the journal has retired
+// the job, so a done job would otherwise answer without its result for the
+// length of that fsync.
 func viewOf(j *farm.Job) jobView {
 	view := jobView{JobStatus: j.Status()}
-	select {
-	case <-j.Done():
-		if res, _ := j.Result(); res != nil {
-			if jr, ok := res.(jobResult); ok {
-				view.Result = &jr
-			}
+	if view.State == farm.JobPending || view.State == farm.JobRunning {
+		return view
+	}
+	if res, _ := j.Result(); res != nil {
+		if jr, ok := res.(jobResult); ok {
+			view.Result = &jr
 		}
-	default:
 	}
 	return view
 }

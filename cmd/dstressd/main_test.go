@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dstress/internal/farm"
 	"dstress/internal/fleet"
 	"dstress/internal/virusdb"
 )
@@ -84,13 +85,61 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) jobView {
 			t.Fatalf("GET job: HTTP %d", code)
 		}
 		switch view.State.String() {
-		case "done", "failed", "canceled":
+		case "done":
+			// A done job's result is set with its state: a done view
+			// without one is the window before the journal retires it.
+			if view.Result == nil {
+				t.Fatalf("job %s is done but its view carries no result", id)
+			}
+			return view
+		case "failed", "canceled":
 			return view
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatal("job did not finish in time")
 	return jobView{}
+}
+
+// TestJobViewCarriesResultOnceDone polls durable jobs' views as they
+// finish: a view that says done must carry the result. The scheduler closes
+// Done() only after the journal's fsynced retirement of the job, so a view
+// keyed on Done() answers done without a result for that long; a tight
+// poll catches that window on most jobs.
+func TestJobViewCarriesResultOnceDone(t *testing.T) {
+	jl, err := farm.OpenJournal(filepath.Join(t.TempDir(), "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	s, err := farm.NewScheduler(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Wait()
+	defer s.Close()
+	s.SetJournal(jl)
+	for i := 0; i < 50; i++ {
+		j, err := s.SubmitDurable(farm.JobSpec{Name: "quick", Workers: 1,
+			Payload: json.RawMessage(`{}`)},
+			func(context.Context, *farm.Job) (any, error) {
+				return jobResult{BestFitness: 1}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			v := viewOf(j)
+			if v.State == farm.JobPending || v.State == farm.JobRunning {
+				continue
+			}
+			if v.State != farm.JobDone || v.Result == nil {
+				t.Fatalf("job %d: state %v with result %v", i, v.State, v.Result)
+			}
+			break
+		}
+		<-j.Done()
+	}
 }
 
 func TestDaemonEndToEnd(t *testing.T) {

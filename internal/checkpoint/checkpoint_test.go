@@ -1,9 +1,10 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
+	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
@@ -14,34 +15,43 @@ type payload struct {
 	RNG  [4]uint64 `json:"rng"`
 }
 
-func tmpPath(t *testing.T) string {
-	t.Helper()
-	return filepath.Join(t.TempDir(), "search.ckpt")
-}
-
-func mustSave(t *testing.T, f *File, p payload) {
-	t.Helper()
-	if err := f.Save(p); err != nil {
-		t.Fatal(err)
+// recLine spells one record line the way earlier builds wrote it.
+func recLine(seq uint64, p payload) string {
+	data, err := json.Marshal(p)
+	if err != nil {
+		panic(err)
 	}
+	return fmt.Sprintf("rec %d %08x %s\n", seq, crc32.Checksum(data, crcTable), data)
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	path := tmpPath(t)
-	f, err := Open(path, 0)
+// file spells a whole checkpoint file: the header, then one record per
+// payload with sequence numbers from 1.
+func file(ps ...payload) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s v%d\n", Magic, Version)
+	for i, p := range ps {
+		sb.WriteString(recLine(uint64(i+1), p))
+	}
+	return sb.String()
+}
+
+func load(t *testing.T, data string) (payload, LoadResult) {
+	t.Helper()
+	res, err := LoadBytes([]byte(data), "search.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var got payload
+	if err := json.Unmarshal(res.Payload, &got); err != nil {
+		t.Fatal(err)
+	}
+	return got, res
+}
+
+func TestLoadReturnsNewestRecord(t *testing.T) {
 	// Full-range uint64 words must survive: the RNG state exceeds 2^53.
 	want := payload{Gen: 7, Best: 42.5, RNG: [4]uint64{^uint64(0), 1, 2, 3}}
-	mustSave(t, f, payload{Gen: 6, Best: 40})
-	mustSave(t, f, want)
-
-	var got payload
-	res, err := LoadInto(path, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, res := load(t, file(payload{Gen: 6, Best: 40}, want))
 	if got != want {
 		t.Fatalf("loaded %+v, want %+v", got, want)
 	}
@@ -50,166 +60,51 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenContinuesSequence(t *testing.T) {
-	path := tmpPath(t)
-	f, err := Open(path, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gen := 1; gen <= 5; gen++ {
-		mustSave(t, f, payload{Gen: gen})
-	}
-	// A restarted process re-opens the same file: sequence numbers keep
-	// rising, so the newest record is always unambiguous.
-	f2, err := Open(path, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSave(t, f2, payload{Gen: 6})
-	res, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seq != 6 {
-		t.Fatalf("seq after reopen = %d, want 6", res.Seq)
-	}
-}
-
-func TestKeepBoundsFileSize(t *testing.T) {
-	path := tmpPath(t)
-	f, err := Open(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gen := 1; gen <= 200; gen++ {
-		mustSave(t, f, payload{Gen: gen})
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(string(data), "\n")
-	if lines != 3 { // header + 2 records
-		t.Fatalf("file has %d lines, want 3:\n%s", lines, data)
-	}
-}
-
 func TestLoadSalvagesPartialFinalRecord(t *testing.T) {
-	path := tmpPath(t)
-	f, err := Open(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSave(t, f, payload{Gen: 1})
-	mustSave(t, f, payload{Gen: 2})
-
 	// Cut the final record mid-payload, as a crash during a non-atomic
 	// write would.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-9], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var got payload
-	res, err := LoadInto(path, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := file(payload{Gen: 1}, payload{Gen: 2})
+	got, res := load(t, data[:len(data)-9])
 	if got.Gen != 1 {
 		t.Fatalf("salvage returned gen %d, want the intact predecessor 1", got.Gen)
 	}
 	if res.Salvaged == 0 {
 		t.Fatal("salvage not reported")
 	}
-
-	// Open over the damaged file adopts the intact prefix and keeps writing.
-	f2, err := Open(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSave(t, f2, payload{Gen: 3})
-	if res, err := Load(path); err != nil || res.Salvaged != 0 {
-		t.Fatalf("after repair: res=%+v err=%v", res, err)
-	}
 }
 
 func TestLoadTruncatedToHeaderFailsLoudly(t *testing.T) {
-	path := tmpPath(t)
-	f, err := Open(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSave(t, f, payload{Gen: 1})
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := file(payload{Gen: 1})
 	// Keep only the header line: every record is gone.
-	head := data[:strings.Index(string(data), "\n")+1]
-	if err := os.WriteFile(path, head, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); !errors.Is(err, ErrNoRecord) {
+	head := data[:strings.Index(data, "\n")+1]
+	if _, err := LoadBytes([]byte(head), "search.ckpt"); !errors.Is(err, ErrNoRecord) {
 		t.Fatalf("err = %v, want ErrNoRecord", err)
 	}
 	// Truncated to nothing at all.
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); !errors.Is(err, ErrNoRecord) {
+	if _, err := LoadBytes(nil, "search.ckpt"); !errors.Is(err, ErrNoRecord) {
 		t.Fatalf("empty file: err = %v, want ErrNoRecord", err)
 	}
 }
 
 func TestLoadWrongVersionAndForeignFiles(t *testing.T) {
-	path := tmpPath(t)
-	if err := os.WriteFile(path,
-		[]byte("dstress-checkpoint v99\nrec 1 00000000 {}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); !errors.Is(err, ErrVersion) {
+	future := []byte("dstress-checkpoint v99\nrec 1 00000000 {}\n")
+	if _, err := LoadBytes(future, "search.ckpt"); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future version: err = %v, want ErrVersion", err)
 	}
-	// Open must refuse too: adopting a future-format file and rewriting it
-	// as v1 would destroy data this build cannot read.
-	if _, err := Open(path, 2); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Open on future version: err = %v", err)
-	}
-
-	if err := os.WriteFile(path, []byte("totally a json file\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); !errors.Is(err, ErrBadHeader) {
+	foreign := []byte("totally a json file\n")
+	if _, err := LoadBytes(foreign, "search.ckpt"); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("foreign file: err = %v, want ErrBadHeader", err)
-	}
-	if _, err := Open(path, 2); !errors.Is(err, ErrBadHeader) {
-		t.Fatalf("Open on foreign file: err = %v", err)
 	}
 }
 
 func TestLoadRejectsBitrotChecksum(t *testing.T) {
-	path := tmpPath(t)
-	f, err := Open(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSave(t, f, payload{Gen: 9, Best: 1})
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := file(payload{Gen: 9, Best: 1})
 	// Flip one payload byte without touching the structure.
-	flipped := strings.Replace(string(data), `"gen":9`, `"gen":8`, 1)
-	if flipped == string(data) {
+	flipped := strings.Replace(data, `"gen":9`, `"gen":8`, 1)
+	if flipped == data {
 		t.Fatal("test setup: payload not found")
 	}
-	if err := os.WriteFile(path, []byte(flipped), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); !errors.Is(err, ErrNoRecord) {
+	if _, err := LoadBytes([]byte(flipped), "search.ckpt"); !errors.Is(err, ErrNoRecord) {
 		t.Fatalf("bitrot record loaded: err = %v", err)
 	}
 }
@@ -217,63 +112,11 @@ func TestLoadRejectsBitrotChecksum(t *testing.T) {
 func TestLoadStopsAtFirstDamagedLine(t *testing.T) {
 	// Records after a damaged line must not be trusted, even if they look
 	// intact: they may be newer state the writer never committed in order.
-	path := tmpPath(t)
-	f, err := Open(path, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSave(t, f, payload{Gen: 1})
-	mustSave(t, f, payload{Gen: 2})
-	mustSave(t, f, payload{Gen: 3})
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
+	lines := strings.SplitAfter(file(payload{Gen: 1}, payload{Gen: 2}, payload{Gen: 3}), "\n")
 	lines[2] = "rec garbage\n" // damage the middle record
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var got payload
-	res, err := LoadInto(path, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, res := load(t, strings.Join(lines, ""))
 	if got.Gen != 1 || res.Salvaged != 2 {
 		t.Fatalf("got gen %d (salvaged %d), want gen 1 salvaging 2 lines",
 			got.Gen, res.Salvaged)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	path := tmpPath(t)
-	f, err := Open(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Remove(); err != nil {
-		t.Fatalf("Remove before any Save: %v", err)
-	}
-	mustSave(t, f, payload{Gen: 1})
-	if err := f.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("file survived Remove")
-	}
-	if _, err := Load(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("err = %v, want fs not-exist", err)
-	}
-	// The handle stays usable after Remove.
-	mustSave(t, f, payload{Gen: 2})
-	var got payload
-	if _, err := LoadInto(path, &got); err != nil || got.Gen != 2 {
-		t.Fatalf("save after remove: %+v, %v", got, err)
-	}
-}
-
-func TestOpenValidation(t *testing.T) {
-	if _, err := Open("", 2); err == nil {
-		t.Fatal("empty path accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 
-	"dstress/internal/checkpoint"
 	"dstress/internal/dram"
 	"dstress/internal/ga"
 	"dstress/internal/islands"
@@ -62,23 +61,6 @@ func (cp *Checkpoint) Generation() int {
 		return cp.Islands.Generation
 	}
 	return cp.Engine.Generation
-}
-
-// LoadCheckpoint reads a Checkpoint persisted under CheckpointPath (or by
-// any checkpoint.File). Damage is surfaced, never papered over: a corrupt
-// tail falls back to the newest intact record, and a file without one is an
-// error.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	var cp Checkpoint
-	if _, err := checkpoint.LoadInto(path, &cp); err != nil {
-		return nil, err
-	}
-	usable := len(cp.Engine.Population) > 0 ||
-		(cp.Islands != nil && len(cp.Islands.Islands) > 0)
-	if cp.Experiment == "" || !usable {
-		return nil, fmt.Errorf("core: %s holds no usable checkpoint", path)
-	}
-	return &cp, nil
 }
 
 // EncodeCheckpoint serializes cp in seglog's header-plus-tail layout (see
@@ -224,218 +206,66 @@ func (cp *Checkpoint) ownRecords() *Checkpoint {
 	return &c
 }
 
-// ckptEmitter forwards engine snapshots as Checkpoints: to the OnCheckpoint
-// hook, to the CheckpointPath file, or both. A nil *ckptEmitter (checkpoints
-// not requested) is valid and does nothing.
+// ckptEmitter forwards a search's checkpoints to cfg.OnCheckpoint: the
+// search builds one at every generation boundary and the emitter forwards
+// it on the CheckpointEvery interval. A nil *ckptEmitter (no hook set) is
+// valid and does nothing.
 type ckptEmitter struct {
-	cfg        SearchConfig
-	params     ga.Params
-	workers    int
-	noise      func() [4]uint64
-	file       *checkpoint.File
+	on         func(*Checkpoint)
 	every      int
 	cancel     context.CancelFunc
 	last       *Checkpoint // newest built checkpoint, emitted or not
 	emittedGen int         // generation of the last forwarded checkpoint
-	err        error       // first persistence failure; aborts the search
+	err        error       // a checkpoint that could not be built
 }
 
-// newCkptEmitter returns nil when cfg requests no checkpointing. cancel is
-// used to stop the search when persistence fails: running on for hours with
-// broken durability would be the quiet version of the crash this subsystem
-// exists to survive.
-func newCkptEmitter(cfg SearchConfig, params ga.Params, workers int,
-	noise func() [4]uint64, cancel context.CancelFunc) (*ckptEmitter, error) {
-	if cfg.OnCheckpoint == nil && cfg.CheckpointPath == "" {
-		return nil, nil
+// newCkptEmitter returns nil when cfg sets no OnCheckpoint hook. cancel
+// stops the search when a checkpoint cannot be built: running on for hours
+// without the resumable state the caller asked for would be the quiet
+// version of the crash checkpoints exist to survive.
+func newCkptEmitter(cfg SearchConfig, cancel context.CancelFunc) *ckptEmitter {
+	if cfg.OnCheckpoint == nil {
+		return nil
 	}
-	em := &ckptEmitter{
-		cfg:     cfg,
-		params:  params,
-		workers: workers,
-		noise:   noise,
-		every:   cfg.CheckpointEvery,
-		cancel:  cancel,
-	}
-	if em.every <= 0 {
-		em.every = 1
-	}
-	if cfg.CheckpointPath != "" {
-		file, err := checkpoint.Open(cfg.CheckpointPath, checkpoint.DefaultKeep)
-		if err != nil {
-			return nil, err
-		}
-		em.file = file
-	}
-	return em, nil
+	return &ckptEmitter{on: cfg.OnCheckpoint, every: max(cfg.CheckpointEvery, 1), cancel: cancel}
 }
 
-// install hooks the emitter into the engine.
-func (em *ckptEmitter) install(eng *ga.Engine) {
-	if em == nil {
-		return
-	}
-	eng.OnSnapshot = em.onSnapshot
-}
-
-func (em *ckptEmitter) onSnapshot(s ga.Snapshot) {
+// take receives the checkpoint of a closed generation.
+func (em *ckptEmitter) take(cp *Checkpoint) {
 	if em.err != nil {
 		return
 	}
-	cp := &Checkpoint{
-		Experiment:  em.cfg.experimentKey(),
-		Params:      em.params,
-		Point:       em.cfg.Point,
-		Determinism: em.cfg.Determinism,
-		Workers:     em.workers,
-		NoiseRNG:    em.noise(),
-		Engine:      s,
-	}
 	em.last = cp
-	if s.Generation%em.every == 0 {
+	if cp.Generation()%em.every == 0 {
 		em.emit(cp)
 	}
 }
 
-func (em *ckptEmitter) emit(cp *Checkpoint) {
-	if em.file != nil {
-		if err := em.file.Save(cp); err != nil {
-			em.err = fmt.Errorf("core: checkpointing %s: %w", cp.Experiment, err)
-			em.cancel()
-			return
-		}
+// fail records a checkpoint that could not be built and stops the search.
+func (em *ckptEmitter) fail(err error) {
+	if em.err == nil {
+		em.err = err
+		em.cancel()
 	}
-	if em.cfg.OnCheckpoint != nil {
-		em.cfg.OnCheckpoint(cp)
-	}
-	em.emittedGen = cp.Engine.Generation
 }
 
-// finish settles the checkpoint after the engine returns: a persistence
-// failure surfaces as the search error; a cancelled search gets its final
-// generation flushed regardless of the interval (the graceful-drain
-// guarantee); an uninterrupted finish retires the checkpoint file.
-func (em *ckptEmitter) finish(res ga.Result, runErr error) error {
-	if em == nil {
+func (em *ckptEmitter) emit(cp *Checkpoint) {
+	em.on(cp)
+	em.emittedGen = cp.Generation()
+}
+
+// finish settles the emitter after the search returns: a checkpoint that
+// could not be built surfaces as the search error, and a cancelled search
+// gets its final generation forwarded regardless of the interval (the
+// graceful-drain guarantee).
+func (em *ckptEmitter) finish(canceled bool, runErr error) error {
+	switch {
+	case em == nil:
 		return nil
-	}
-	if em.err != nil {
+	case em.err != nil:
 		return em.err
-	}
-	if runErr != nil {
-		return nil // engine error wins; keep the last checkpoint on disk
-	}
-	if res.Canceled {
-		if em.last != nil && em.last.Engine.Generation > em.emittedGen {
-			if em.emit(em.last); em.err != nil {
-				return em.err
-			}
-		}
-		return nil
-	}
-	if em.file != nil {
-		return em.file.Remove()
+	case runErr == nil && canceled && em.last != nil && em.last.Generation() > em.emittedGen:
+		em.emit(em.last)
 	}
 	return nil
-}
-
-// RunSearchFrom continues a checkpointed search to completion. The spec,
-// criterion and database come from cfg exactly as in RunSearchContext; the
-// engine parameters, operating point, population and both RNG streams come
-// from the checkpoint, so the remaining generations replay the exact
-// deterministic stream of the interrupted run. cfg.Workers may differ from
-// the checkpoint's — farm results are bit-identical at any worker count —
-// but a serial-protocol checkpoint (Workers 0) must stay serial.
-func (f *Framework) RunSearchFrom(ctx context.Context, cfg SearchConfig,
-	cp *Checkpoint) (*SearchResult, error) {
-	if cfg.Spec == nil {
-		return nil, fmt.Errorf("core: nil spec")
-	}
-	if cp == nil {
-		return nil, fmt.Errorf("core: nil checkpoint")
-	}
-	if cp.Islands != nil {
-		// The checkpoint is authoritative about the search topology, exactly
-		// as it is about Point and Determinism.
-		return f.resumeIslandSearch(ctx, cfg, cp)
-	}
-	cfg.Islands = islands.Config{}
-	cfg.Point = cp.Point
-	cfg.Determinism = cp.Determinism
-	if key := cfg.experimentKey(); key != cp.Experiment {
-		return nil, fmt.Errorf("core: checkpoint is for %q, config describes %q",
-			cp.Experiment, key)
-	}
-	params := cp.Params
-	if cfg.MaxDuration > 0 {
-		params.MaxDuration = cfg.MaxDuration // fresh budget for the resumed leg
-	}
-	if err := f.Srv.SetDeterminism(cfg.Determinism); err != nil {
-		return nil, err
-	}
-	if err := f.Apply(cp.Point); err != nil {
-		return nil, err
-	}
-	if err := cfg.Spec.Prepare(f); err != nil {
-		return nil, err
-	}
-
-	// Mirror RunSearchContext's split protocol so the framework RNG ends up
-	// where the uninterrupted run would have it (the winner's re-measurement
-	// draws from it); the engine and noise streams are then restored to
-	// their checkpointed positions instead of their fresh ones.
-	engRNG := f.RNG.Split()
-	_ = f.RNG.Split() // initial population, carried by the checkpoint instead
-
-	workers := cfg.Workers
-	if cp.Workers >= 1 && workers < 1 {
-		workers = cp.Workers
-	}
-	if cp.Workers < 1 && workers >= 1 {
-		return nil, fmt.Errorf("core: %s was checkpointed under the serial "+
-			"noise protocol; resume with Workers 0", cp.Experiment)
-	}
-	var (
-		batch ga.BatchFitness
-		noise func() [4]uint64
-	)
-	if workers >= 1 {
-		root := f.RNG.Split() // consume the split, then rewind the child
-		if err := root.Restore(cp.NoiseRNG); err != nil {
-			return nil, fmt.Errorf("core: resuming %s: %w", cp.Experiment, err)
-		}
-		pool, err := f.NewEvalPool(cfg, workers, root)
-		if err != nil {
-			return nil, err
-		}
-		if batch, noise, err = f.fleetOrPool(cfg, pool); err != nil {
-			return nil, err
-		}
-	} else {
-		// The serial protocol draws measurement noise from f.RNG itself.
-		if err := f.RNG.Restore(cp.NoiseRNG); err != nil {
-			return nil, fmt.Errorf("core: resuming %s: %w", cp.Experiment, err)
-		}
-		var err error
-		if batch, noise, err = f.newBatch(cfg, 0); err != nil {
-			return nil, err
-		}
-	}
-
-	eng, err := ga.NewBatch(params, batch, engRNG)
-	if err != nil {
-		return nil, err
-	}
-	eng.OnGeneration = cfg.OnGeneration
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	em, err := newCkptEmitter(cfg, params, workers, noise, cancel)
-	if err != nil {
-		return nil, err
-	}
-	em.install(eng)
-
-	res, err := eng.ResumeContext(ctx, cp.Engine)
-	return f.finishSearch(cfg, eng, em, res, err)
 }

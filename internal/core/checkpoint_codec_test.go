@@ -118,24 +118,7 @@ func TestCheckpointCodecResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "search.ckpt")
-		if cfg.Islands.Enabled() {
-			killIslandsAt(t, cfg, 3, path)
-		} else {
-			killAt(t, cfg, 3, path)
-		}
-		cp, err := LoadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := EncodeCheckpoint(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := DecodeCheckpoint(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		back := killAt(t, cfg, 3)
 		got, err := resumeFramework(t).RunSearchFrom(context.Background(), resumeConfig(2), back)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -73,13 +72,7 @@ func TestDetV2ResumeBitIdentical(t *testing.T) {
 			want.Generations)
 	}
 	for _, resumeWorkers := range []int{1, 8} {
-		path := filepath.Join(t.TempDir(), "search.ckpt")
-		killAt(t, v2Config(1), 2, path)
-
-		cp, err := LoadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cp := killAt(t, v2Config(1), 2)
 		if cp.Determinism.Normalize() != dram.DeterminismV2 {
 			t.Fatalf("checkpoint records determinism %v, want v2", cp.Determinism)
 		}
@@ -101,12 +94,7 @@ func TestDetV2ResumeSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "search.ckpt")
-	killAt(t, v2Config(0), 2, path)
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := killAt(t, v2Config(0), 2)
 	got, err := resumeFramework(t).RunSearchFrom(context.Background(),
 		resumeConfig(0), cp)
 	if err != nil {

@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"dstress/internal/dram"
@@ -29,28 +26,6 @@ func surrogateOn(cfg SearchConfig) SearchConfig {
 		Enabled: true, Overbreed: 2, MinTrain: 16, Neighbors: 4, Capacity: 64,
 	}
 	return cfg
-}
-
-// killIslandsAt runs the island search and cancels at generation gen,
-// persisting checkpoints to path.
-func killIslandsAt(t *testing.T, cfg SearchConfig, gen int, path string) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.CheckpointPath = path
-	cfg.OnGeneration = func(st ga.GenStats) {
-		if st.Generation == gen {
-			cancel()
-		}
-	}
-	res, err := resumeFramework(t).RunSearchContext(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Canceled || res.Generations != gen {
-		t.Fatalf("kill run: canceled=%v at generation %d, want kill at %d",
-			res.Canceled, res.Generations, gen)
-	}
 }
 
 func TestIslandsBitIdenticalAcrossWorkers(t *testing.T) {
@@ -83,13 +58,7 @@ func TestIslandsKillResumeBitIdentical(t *testing.T) {
 			if want.Generations < 4 {
 				t.Fatalf("reference run too short (%d generations)", want.Generations)
 			}
-			path := filepath.Join(t.TempDir(), "islands.ckpt")
-			killIslandsAt(t, islandsConfig(2, count, det), 3, path)
-
-			cp, err := LoadCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cp := killAt(t, islandsConfig(2, count, det), 3)
 			if cp.Islands == nil || cp.Generation() != 3 ||
 				len(cp.IslandNoise) != count || len(cp.Islands.Islands) != count {
 				t.Fatalf("island checkpoint malformed: gen=%d islands=%v",
@@ -106,15 +75,11 @@ func TestIslandsKillResumeBitIdentical(t *testing.T) {
 			for _, w := range resumeWorkers {
 				cfg := resumeConfig(w)
 				cfg.Islands = islands.Config{Count: count + 1}
-				cfg.CheckpointPath = path
 				got, err := resumeFramework(t).RunSearchFrom(context.Background(), cfg, cp)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertSameOutcome(t, labelOf("resume", det, count), got, want)
-				if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-					t.Fatal("checkpoint file survived a finished island search")
-				}
 			}
 		}
 	}
@@ -128,12 +93,7 @@ func TestIslandsSurrogateKillResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "islands.ckpt")
-	killIslandsAt(t, cfgOf(2), 3, path)
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := killAt(t, cfgOf(2), 3)
 	if cp.Islands.Surrogate == nil {
 		t.Fatal("checkpoint dropped the surrogate training window")
 	}

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -80,12 +77,21 @@ func assertSameOutcome(t *testing.T, label string, got, want *SearchResult) {
 }
 
 // killAt runs the search and cancels it the moment generation gen's
-// statistics are recorded, persisting checkpoints to path.
-func killAt(t *testing.T, cfg SearchConfig, gen int, path string) {
+// statistics are recorded. It captures every checkpoint the way dstressd
+// journals them — OnCheckpoint, then EncodeCheckpoint — and returns the last
+// one decoded from those bytes, as a restarted daemon would read it.
+func killAt(t *testing.T, cfg SearchConfig, gen int) *Checkpoint {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.CheckpointPath = path
+	var last []byte
+	cfg.OnCheckpoint = func(cp *Checkpoint) {
+		b, err := EncodeCheckpoint(cp)
+		if err != nil {
+			t.Error(err)
+		}
+		last = b
+	}
 	prev := cfg.OnGeneration
 	cfg.OnGeneration = func(st ga.GenStats) {
 		if prev != nil {
@@ -103,6 +109,11 @@ func killAt(t *testing.T, cfg SearchConfig, gen int, path string) {
 		t.Fatalf("kill run: canceled=%v at generation %d, want kill at %d",
 			res.Canceled, res.Generations, gen)
 	}
+	cp, err := DecodeCheckpoint(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
 }
 
 func TestRunSearchFromBitIdenticalFarm(t *testing.T) {
@@ -117,33 +128,20 @@ func TestRunSearchFromBitIdenticalFarm(t *testing.T) {
 
 	for _, killGen := range []int{1, 3} {
 		for _, resumeWorkers := range []int{1, 8} {
-			path := filepath.Join(t.TempDir(), "search.ckpt")
-			killAt(t, resumeConfig(1), killGen, path)
-
-			cp, err := LoadCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cp := killAt(t, resumeConfig(1), killGen)
 			if cp.Generation() != killGen || cp.Workers != 1 {
 				t.Fatalf("checkpoint at generation %d (workers %d), want %d",
 					cp.Generation(), cp.Workers, killGen)
 			}
 
-			cfg := resumeConfig(resumeWorkers)
-			cfg.CheckpointPath = path
 			got, err := resumeFramework(t).RunSearchFrom(
-				context.Background(), cfg, cp)
+				context.Background(), resumeConfig(resumeWorkers), cp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := "kill@" + string(rune('0'+killGen)) + "/workers=" +
 				string(rune('0'+resumeWorkers))
 			assertSameOutcome(t, label, got, want)
-
-			// The finished search retires its checkpoint file.
-			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("%s: checkpoint file survived a finished search", label)
-			}
 		}
 	}
 }
@@ -153,12 +151,7 @@ func TestRunSearchFromBitIdenticalSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "search.ckpt")
-	killAt(t, resumeConfig(0), 2, path)
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := killAt(t, resumeConfig(0), 2)
 	if cp.Workers != 0 {
 		t.Fatalf("serial checkpoint records workers %d", cp.Workers)
 	}
@@ -186,12 +179,7 @@ func TestRunSearchFromLegacyBitsCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "search.ckpt")
-	killAt(t, resumeConfig(1), 2, path)
-	packed, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := killAt(t, resumeConfig(1), 2)
 
 	// Spell every genome out as bits and send the result through JSON, as
 	// a checkpoint file from an earlier version would arrive.
@@ -228,12 +216,7 @@ func TestRunSearchFromLegacyBitsCheckpoint(t *testing.T) {
 }
 
 func TestRunSearchFromRejectsWrongExperiment(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "search.ckpt")
-	killAt(t, resumeConfig(1), 2, path)
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := killAt(t, resumeConfig(1), 2)
 	cfg := resumeConfig(1)
 	cfg.Criterion = MinCE // same spec, different objective
 	if _, err := resumeFramework(t).RunSearchFrom(context.Background(), cfg, cp); err == nil {

@@ -14,6 +14,7 @@ import (
 	"dstress/internal/ga"
 	"dstress/internal/islands"
 	"dstress/internal/virusdb"
+	"dstress/internal/xrand"
 )
 
 // SearchConfig describes one synthesis run.
@@ -84,12 +85,6 @@ type SearchConfig struct {
 	// CheckpointEvery is the emission interval in generations; <= 0 means
 	// every generation.
 	CheckpointEvery int
-	// CheckpointPath, when non-empty, persists each emitted checkpoint to
-	// this file with the crash-safe internal/checkpoint discipline and
-	// removes the file when the search finishes uninterrupted. A failed
-	// checkpoint write aborts the search: silently running on without
-	// durability would defeat the point of asking for it.
-	CheckpointPath string
 }
 
 // experimentKey identifies the search in the virus database.
@@ -121,136 +116,335 @@ func (f *Framework) RunSearch(cfg SearchConfig) (*SearchResult, error) {
 // can resume from it, the paper's interrupted-search mechanism) and
 // returned with Result.Canceled set.
 func (f *Framework) RunSearchContext(ctx context.Context, cfg SearchConfig) (*SearchResult, error) {
-	if cfg.Spec == nil {
-		return nil, fmt.Errorf("core: nil spec")
+	return f.runSearch(ctx, cfg, nil)
+}
+
+// RunSearchFrom continues a checkpointed search to completion. The spec,
+// criterion and database come from cfg exactly as in RunSearchContext; the
+// engine parameters, operating point, determinism contract, island topology,
+// population and every RNG stream come from the checkpoint, so the
+// remaining generations replay the exact deterministic stream of the
+// interrupted run. cfg.Workers may differ from the checkpoint's — farm
+// results are bit-identical at any worker count — but a serial-protocol
+// checkpoint (Workers 0) must stay serial.
+func (f *Framework) RunSearchFrom(ctx context.Context, cfg SearchConfig,
+	cp *Checkpoint) (*SearchResult, error) {
+	if cp == nil {
+		return nil, fmt.Errorf("core: nil checkpoint")
 	}
-	params := cfg.GA
-	if params.PopulationSize == 0 {
-		params = ga.DefaultParams()
-	}
-	if cfg.MaxDuration > 0 {
-		params.MaxDuration = cfg.MaxDuration
-	}
-	if cfg.Criterion == MaxUE && !params.UseConvergeMinBest {
-		// A UE search must not stop on a population that merely agreed on
-		// a strong CE pattern without ever triggering an uncorrectable
-		// error.
-		params.UseConvergeMinBest = true
-		params.ConvergeMinBest = ueScale * 0.5
-	}
-	if err := f.Srv.SetDeterminism(cfg.Determinism); err != nil {
+	return f.runSearch(ctx, cfg, cp)
+}
+
+// runSearch is the one search driver: a nil cp starts a fresh search, any
+// other continues the search cp holds. A classic search runs one ga.Engine;
+// an island search (cfg.Islands, DESIGN.md §11) runs the islands model over
+// K steppers. Both take their streams through splitStreams and emit their
+// checkpoints through one ckptEmitter.
+func (f *Framework) runSearch(ctx context.Context, cfg SearchConfig,
+	cp *Checkpoint) (*SearchResult, error) {
+	params, err := f.prologue(&cfg, cp)
+	if err != nil {
 		return nil, err
 	}
-	if err := f.Apply(cfg.Point); err != nil {
-		return nil, err
-	}
-	if err := cfg.Spec.Prepare(f); err != nil {
-		return nil, err
-	}
+	k := 1
 	if cfg.Islands.Enabled() {
-		return f.runIslandSearch(ctx, cfg, params)
+		k = cfg.Islands.Count
 	}
-
-	// The RNG split order is part of the reproducible protocol: engine
-	// stream, then initial population, then (farm mode only) the pool's
-	// noise root. The legacy serial path consumes exactly the splits it
-	// always did.
-	engRNG := f.RNG.Split()
-	initial := cfg.Spec.NewPopulation(f, params.PopulationSize, f.RNG.Split())
-	if cfg.Resume && f.DB != nil {
-		recs, err := f.DB.TopN(cfg.experimentKey(), params.PopulationSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: resuming %s: %w", cfg.experimentKey(), err)
-		}
-		seeded := 0
-		for _, rec := range recs {
-			g, err := cfg.Spec.Decode(rec)
-			if err != nil {
-				return nil, fmt.Errorf("core: resuming %s: %w",
-					cfg.experimentKey(), err)
-			}
-			initial[seeded] = g
-			seeded++
-		}
-	}
-
-	batch, noise, err := f.newBatch(cfg, cfg.Workers)
+	engRNGs, initial, roots, err := f.splitStreams(cfg, params.PopulationSize, k, cp)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := ga.NewBatch(params, batch, engRNG)
+	if cp == nil {
+		// Database seeding replaces the first population's random
+		// individuals; other islands stay random so the archipelago keeps
+		// its diversity.
+		if err := f.seedFromDB(cfg, initial[0]); err != nil {
+			return nil, err
+		}
+	}
+	batches, noise, err := f.searchBatches(cfg, roots)
 	if err != nil {
 		return nil, err
 	}
-	eng.OnGeneration = cfg.OnGeneration
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	em, err := newCkptEmitter(cfg, params, cfg.Workers, noise, cancel)
+	em := newCkptEmitter(cfg, cancel)
+	base := Checkpoint{
+		Experiment:  cfg.experimentKey(),
+		Params:      params,
+		Point:       cfg.Point,
+		Determinism: cfg.Determinism,
+		Workers:     cfg.Workers,
+	}
+
+	if !cfg.Islands.Enabled() {
+		eng, err := ga.NewBatch(params, batches[0], engRNGs[0])
+		if err != nil {
+			return nil, err
+		}
+		eng.OnGeneration = cfg.OnGeneration
+		if em != nil {
+			eng.OnSnapshot = func(s ga.Snapshot) {
+				c := base
+				c.NoiseRNG, c.Engine = noise()[0], s
+				em.take(&c)
+			}
+		}
+		var res ga.Result
+		if cp == nil {
+			res, err = eng.RunContext(ctx, initial[0])
+		} else {
+			res, err = eng.ResumeContext(ctx, cp.Engine)
+		}
+		return f.finishSearch(cfg, em, res, eng.Evaluations, err)
+	}
+
+	model, err := islands.New(params, cfg.Islands, batches, engRNGs)
 	if err != nil {
 		return nil, err
 	}
-	em.install(eng)
-
-	res, err := eng.RunContext(ctx, initial)
-	return f.finishSearch(cfg, eng, em, res, err)
+	model.OnGeneration = cfg.OnGeneration
+	model.SetMetrics(cfg.IslandMetrics)
+	if em != nil {
+		model.AfterGeneration = func() {
+			s, err := model.Snapshot()
+			if err != nil {
+				em.fail(fmt.Errorf("core: snapshotting %s: %w", base.Experiment, err))
+				return
+			}
+			c := base
+			c.Islands, c.IslandNoise = &s, noise()
+			em.take(&c)
+		}
+	}
+	var res islands.Result
+	if cp == nil {
+		res, err = model.Run(ctx, initial)
+	} else {
+		res, err = model.Resume(ctx, *cp.Islands)
+	}
+	return f.finishSearch(cfg, em, res.Result, res.Evaluations, err)
 }
 
-// newBatch builds the generation evaluator for cfg: a worker farm over
-// cloned servers for workers >= 1, the legacy serial loop otherwise. The
-// second return reads the noise-stream position a checkpoint must record —
-// the pool's root in farm mode, the framework RNG in serial mode.
-func (f *Framework) newBatch(cfg SearchConfig, workers int) (
-	ga.BatchFitness, func() [4]uint64, error) {
-	if workers >= 1 {
-		pool, err := f.NewEvalPool(cfg, workers, f.RNG.Split())
+// prologue settles cfg and the engine parameters, then programs the
+// framework for the search. A checkpoint is authoritative for the operating
+// point, the determinism contract, the island topology and the parameters:
+// the remaining generations must run under the exact configuration that
+// produced it. It also settles the noise protocol into cfg.Workers.
+func (f *Framework) prologue(cfg *SearchConfig, cp *Checkpoint) (ga.Params, error) {
+	if cfg.Spec == nil {
+		return ga.Params{}, fmt.Errorf("core: nil spec")
+	}
+	params := cfg.GA
+	if cp == nil {
+		if params.PopulationSize == 0 {
+			params = ga.DefaultParams()
+		}
+		if cfg.Criterion == MaxUE && !params.UseConvergeMinBest {
+			// A UE search must not stop on a population that merely agreed
+			// on a strong CE pattern without ever triggering an
+			// uncorrectable error.
+			params.UseConvergeMinBest = true
+			params.ConvergeMinBest = ueScale * 0.5
+		}
+	} else {
+		params = cp.Params
+		cfg.Point, cfg.Determinism = cp.Point, cp.Determinism
+		cfg.Islands = islands.Config{}
+		if cp.Islands != nil {
+			cfg.Islands = cp.Islands.Config
+		}
+		if key := cfg.experimentKey(); key != cp.Experiment {
+			return ga.Params{}, fmt.Errorf("core: checkpoint is for %q, config describes %q",
+				cp.Experiment, key)
+		}
+		if cp.Workers >= 1 && cfg.Workers < 1 {
+			cfg.Workers = cp.Workers
+		}
+		if cp.Workers < 1 && cfg.Workers >= 1 {
+			return ga.Params{}, fmt.Errorf("core: %s was checkpointed under the serial "+
+				"noise protocol; resume with Workers 0", cp.Experiment)
+		}
+	}
+	if cfg.MaxDuration > 0 {
+		params.MaxDuration = cfg.MaxDuration // a resumed leg gets a fresh budget
+	}
+	cfg.Islands = cfg.Islands.Normalize()
+	if cfg.Islands.Enabled() {
+		if err := cfg.Islands.Validate(params); err != nil {
+			return ga.Params{}, err
+		}
+		if cfg.Workers < 1 {
+			return ga.Params{}, fmt.Errorf("core: island search runs the farm noise protocol; set Workers >= 1")
+		}
+		if cp != nil && (len(cp.Islands.Islands) != cfg.Islands.Count ||
+			len(cp.IslandNoise) != cfg.Islands.Count) {
+			return ga.Params{}, fmt.Errorf("core: island checkpoint for %q holds %d islands / %d roots, config says %d",
+				cp.Experiment, len(cp.Islands.Islands), len(cp.IslandNoise), cfg.Islands.Count)
+		}
+	}
+	if err := f.Srv.SetDeterminism(cfg.Determinism); err != nil {
+		return ga.Params{}, err
+	}
+	if err := f.Apply(cfg.Point); err != nil {
+		return ga.Params{}, err
+	}
+	if err := cfg.Spec.Prepare(f); err != nil {
+		return ga.Params{}, err
+	}
+	return params, nil
+}
+
+// splitStreams takes a search's streams off the framework RNG. The split
+// order is part of the reproducible protocol: K engine streams, then K
+// initial populations, then — under the farm noise protocol — K pool noise
+// roots, island order throughout; a classic search is K = 1.
+//
+//	f.RNG ─┬─ split 1..K    → engine RNGs
+//	       ├─ split K+1..2K → initial populations
+//	       └─ split 2K+1..3K→ pool noise roots (Workers >= 1)
+//
+// The serial protocol (Workers 0) splits no root: it draws measurement
+// noise from f.RNG itself. A resumed search takes the same splits, so the
+// framework RNG ends where the uninterrupted run left it (the winner's
+// re-measurement draws from it); its populations ride in the checkpoint
+// instead, and the noise streams are rewound to their recorded positions.
+// The engine streams are rewound by the engine's own restore.
+func (f *Framework) splitStreams(cfg SearchConfig, size, k int, cp *Checkpoint) (
+	engRNGs []*xrand.Rand, initial [][]ga.Genome, roots []*xrand.Rand, err error) {
+	engRNGs = make([]*xrand.Rand, k)
+	for i := range engRNGs {
+		engRNGs[i] = f.RNG.Split()
+	}
+	initial = make([][]ga.Genome, k)
+	for i := range initial {
+		rng := f.RNG.Split()
+		if cp == nil {
+			initial[i] = cfg.Spec.NewPopulation(f, size, rng)
+		}
+	}
+	var noise [][4]uint64
+	if cp != nil {
+		noise = cp.IslandNoise
+		if cp.Islands == nil {
+			noise = [][4]uint64{cp.NoiseRNG}
+		}
+	}
+	if cfg.Workers < 1 {
+		if cp != nil {
+			if err := f.RNG.Restore(noise[0]); err != nil {
+				return nil, nil, nil, fmt.Errorf("core: resuming %s: %w", cp.Experiment, err)
+			}
+		}
+		return engRNGs, initial, nil, nil
+	}
+	roots = make([]*xrand.Rand, k)
+	for i := range roots {
+		roots[i] = f.RNG.Split()
+		if cp != nil {
+			if err := roots[i].Restore(noise[i]); err != nil {
+				return nil, nil, nil, fmt.Errorf("core: resuming %s: %w", cp.Experiment, err)
+			}
+		}
+	}
+	return engRNGs, initial, roots, nil
+}
+
+// seedFromDB replaces the first individuals of pop with the strongest
+// recorded viruses of the experiment when cfg.Resume asks for it.
+func (f *Framework) seedFromDB(cfg SearchConfig, pop []ga.Genome) error {
+	if !cfg.Resume || f.DB == nil {
+		return nil
+	}
+	recs, err := f.DB.TopN(cfg.experimentKey(), len(pop))
+	if err != nil {
+		return fmt.Errorf("core: resuming %s: %w", cfg.experimentKey(), err)
+	}
+	for i, rec := range recs {
+		g, err := cfg.Spec.Decode(rec)
+		if err != nil {
+			return fmt.Errorf("core: resuming %s: %w", cfg.experimentKey(), err)
+		}
+		pop[i] = g
+	}
+	return nil
+}
+
+// searchBatches builds one generation evaluator per noise root: a farm pool
+// over cfg.Workers/K workers (at least one), wrapped in a fleet session when
+// cfg asks for one. Without roots it builds the legacy serial loop. The
+// returned noise function reads every noise stream's position, in island
+// order — the pool roots in farm mode, the framework RNG in serial mode.
+//
+// Island searches do not consult the shared fitness cache: cache hits
+// depend on what concurrent searches evaluated earlier and do not survive a
+// restart, so cache-dependent results could not be bit-identical across
+// kill-and-resume. The surrogate training window — which IS checkpointed —
+// takes over the memoization role.
+func (f *Framework) searchBatches(cfg SearchConfig, roots []*xrand.Rand) (
+	[]ga.BatchFitness, func() [][4]uint64, error) {
+	if roots == nil {
+		batch := ga.SerialBatch(func(g ga.Genome) (float64, error) {
+			if err := cfg.Spec.Deploy(f, g); err != nil {
+				return 0, err
+			}
+			m, err := f.Measure()
+			if err != nil {
+				return 0, err
+			}
+			return cfg.Criterion.Fitness(m), nil
+		})
+		noise := func() [][4]uint64 { return [][4]uint64{f.RNG.State()} }
+		return []ga.BatchFitness{batch}, noise, nil
+	}
+	if cfg.Islands.Enabled() {
+		cfg.Cache = nil
+	}
+	per := max(cfg.Workers/len(roots), 1)
+	batches := make([]ga.BatchFitness, len(roots))
+	states := make([]func() [4]uint64, len(roots))
+	for i, root := range roots {
+		pool, err := f.NewEvalPool(cfg, per, root)
 		if err != nil {
 			return nil, nil, err
 		}
-		return f.fleetOrPool(cfg, pool)
+		batches[i], states[i] = pool.Batch(), pool.RootState
+		if cfg.Fleet != nil {
+			if len(cfg.FleetContext) == 0 {
+				return nil, nil, fmt.Errorf("core: Fleet set without FleetContext")
+			}
+			// The session's root state is the pool's, so checkpoints are
+			// unaffected.
+			sess := cfg.Fleet.NewSession(cfg.FleetContext, pool)
+			batches[i], states[i] = sess.Batch(), sess.RootState
+		}
 	}
-	batch := ga.SerialBatch(func(g ga.Genome) (float64, error) {
-		if err := cfg.Spec.Deploy(f, g); err != nil {
-			return 0, err
+	noise := func() [][4]uint64 {
+		out := make([][4]uint64, len(states))
+		for i, st := range states {
+			out[i] = st()
 		}
-		m, err := f.Measure()
-		if err != nil {
-			return 0, err
-		}
-		return cfg.Criterion.Fitness(m), nil
-	})
-	return batch, f.RNG.State, nil
+		return out
+	}
+	return batches, noise, nil
 }
 
-// fleetOrPool wraps the pool in a fleet session when cfg asks for one; the
-// session's root state is the pool's, so checkpoints are unaffected.
-func (f *Framework) fleetOrPool(cfg SearchConfig, pool *farm.Pool) (
-	ga.BatchFitness, func() [4]uint64, error) {
-	if cfg.Fleet == nil {
-		return pool.Batch(), pool.RootState, nil
-	}
-	if len(cfg.FleetContext) == 0 {
-		return nil, nil, fmt.Errorf("core: Fleet set without FleetContext")
-	}
-	sess := cfg.Fleet.NewSession(cfg.FleetContext, pool)
-	return sess.Batch(), sess.RootState, nil
-}
-
-// finishSearch is the common tail of a fresh and a resumed search: flush or
-// retire the checkpoint, re-measure the winner, record the population.
-func (f *Framework) finishSearch(cfg SearchConfig, eng *ga.Engine,
-	em *ckptEmitter, res ga.Result, runErr error) (*SearchResult, error) {
-	if err := em.finish(res, runErr); err != nil {
+// finishSearch is the common tail of every search: settle the checkpoint
+// emitter, re-measure the winner, record the population.
+func (f *Framework) finishSearch(cfg SearchConfig, em *ckptEmitter,
+	res ga.Result, evals int, runErr error) (*SearchResult, error) {
+	if err := em.finish(res.Canceled, runErr); err != nil {
 		return nil, err
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
-	return f.recordResult(cfg, res, eng.Evaluations)
+	return f.recordResult(cfg, res, evals)
 }
 
 // recordResult re-measures the winner and records the final population in
-// the database — the shared tail of the single-population and island paths.
+// the database.
 func (f *Framework) recordResult(cfg SearchConfig, res ga.Result,
 	evals int) (*SearchResult, error) {
 	out := &SearchResult{

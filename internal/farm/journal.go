@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -121,7 +122,7 @@ func OpenJournal(path string) (*Journal, error) {
 	convert := func(data []byte) ([][]byte, error) {
 		res, err := checkpoint.LoadBytes(data, path)
 		if err != nil {
-			if checkpoint.IsEmpty(err) {
+			if errors.Is(err, checkpoint.ErrNoRecord) {
 				return nil, nil
 			}
 			return nil, fmt.Errorf("farm: journal: %w", err)
@@ -130,15 +131,7 @@ func OpenJournal(path string) (*Journal, error) {
 		if err := json.Unmarshal(res.Payload, &doc); err != nil {
 			return nil, fmt.Errorf("farm: journal: %s: %w", path, err)
 		}
-		payloads := make([][]byte, 0, len(doc.Jobs))
-		for i := range doc.Jobs {
-			p, err := encodeOp(journalOp{Op: "add", Entry: &doc.Jobs[i]})
-			if err != nil {
-				return nil, err
-			}
-			payloads = append(payloads, p.Bytes())
-		}
-		return payloads, nil
+		return addOps(doc.Jobs)
 	}
 	if err := seglog.Migrate(path, journalStoreOptions, convert); err != nil {
 		return nil, fmt.Errorf("farm: journal: %w", err)
@@ -147,8 +140,28 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: journal: %w", err)
 	}
+	jl := &Journal{
+		path:      path,
+		log:       st,
+		entries:   make(map[int]*JournalEntry),
+		recovered: replayOps(res.Payloads),
+	}
+	jl.recoveredLive = len(jl.recovered) > 0
+	// Compact on open: the log restarts as exactly the interrupted-state
+	// recovery set, dropping the old process's delta history.
+	if err := jl.compactLocked(); err != nil {
+		st.Close()
+		return nil, err
+	}
+	return jl, nil
+}
+
+// replayOps folds a journal's op payloads into the entries they leave live,
+// in submission order, each marked interrupted: whatever it was doing, it is
+// not anymore.
+func replayOps(payloads [][]byte) []JournalEntry {
 	live := make(map[int]*JournalEntry)
-	for _, p := range res.Payloads {
+	for _, p := range payloads {
 		op, err := decodeOp(p)
 		if err != nil {
 			continue // CRC-intact but undecodable: skip, never invent state
@@ -171,31 +184,34 @@ func OpenJournal(path string) (*Journal, error) {
 			delete(live, op.ID)
 		}
 	}
-	jl := &Journal{
-		path:    path,
-		log:     st,
-		entries: make(map[int]*JournalEntry),
-	}
 	ids := make([]int, 0, len(live))
 	for id := range live {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids) // ids rise with submission, so this is submission order
+	var out []JournalEntry
 	for _, id := range ids {
 		e := *live[id]
-		e.State = "interrupted" // whatever it was doing, it is not anymore
+		e.State = "interrupted"
 		// A tail shares the segment's read buffer; keep only the bytes.
 		e.Checkpoint = bytes.Clone(e.Checkpoint)
-		jl.recovered = append(jl.recovered, e)
+		out = append(out, e)
 	}
-	jl.recoveredLive = len(jl.recovered) > 0
-	// Compact on open: the log restarts as exactly the interrupted-state
-	// recovery set, dropping the old process's delta history.
-	if err := jl.compactLocked(); err != nil {
-		st.Close()
-		return nil, err
+	return out
+}
+
+// addOps encodes one add op per entry: the whole content of a compacted
+// journal.
+func addOps(jobs []JournalEntry) ([][]byte, error) {
+	payloads := make([][]byte, 0, len(jobs))
+	for i := range jobs {
+		p, err := encodeOp(journalOp{Op: "add", Entry: &jobs[i]})
+		if err != nil {
+			return nil, err
+		}
+		payloads = append(payloads, p.Bytes())
 	}
-	return jl, nil
+	return payloads, nil
 }
 
 // Path returns the journal file location.
@@ -389,13 +405,9 @@ func (jl *Journal) compactLocked() error {
 		jobs = append(jobs, *e)
 	}
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
-	payloads := make([][]byte, 0, len(jobs))
-	for i := range jobs {
-		p, err := encodeOp(journalOp{Op: "add", Entry: &jobs[i]})
-		if err != nil {
-			return err
-		}
-		payloads = append(payloads, p.Bytes())
+	payloads, err := addOps(jobs)
+	if err != nil {
+		return err
 	}
 	if _, err := jl.log.Compact(payloads); err != nil {
 		return fmt.Errorf("farm: journal: %w", err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -171,6 +173,22 @@ func TestJournalSurvivesKillWithoutDrain(t *testing.T) {
 	s.Wait()
 }
 
+// writeLegacyJournal writes v as the one record of a file in the
+// pre-seglog checkpoint line format, which earlier builds used for the
+// journal.
+func writeLegacyJournal(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc := crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
+	file := fmt.Sprintf("%s v%d\nrec 1 %08x %s\n", checkpoint.Magic, checkpoint.Version, crc, data)
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJournalMigratesLegacyFile: a journal in the pre-seglog whole-doc
 // checkpoint format is converted on open with its entries recoverable, the
 // original bytes preserved at <path>.legacy, and the converted store
@@ -184,13 +202,7 @@ func TestJournalMigratesLegacyFile(t *testing.T) {
 		{ID: 1, Name: "alpha", Workers: 1, State: "pending",
 			Spec: json.RawMessage(`{"template":"rowhammer"}`)},
 	}}
-	cf, err := checkpoint.Open(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cf.Save(doc); err != nil {
-		t.Fatal(err)
-	}
+	writeLegacyJournal(t, path, doc)
 
 	jl, err := OpenJournal(path)
 	if err != nil {

@@ -105,36 +105,6 @@ type Snapshot struct {
 	History     []GenStats     `json:"history,omitempty"`
 }
 
-// snapshot captures the engine state at the current generation boundary.
-// pop is sorted by descending fitness and the engine RNG has not yet been
-// consumed for the next generation's breeding.
-func (e *Engine) snapshot(gen int, pop []Genome, fits []float64,
-	history []GenStats) (Snapshot, error) {
-	return newSnapshot(gen, pop, fits, e.rng.State(), e.Evaluations, history)
-}
-
-// newSnapshot builds a Snapshot from explicit state — shared by the Engine
-// and the Stepper, whose snapshots are interchangeable on disk.
-func newSnapshot(gen int, pop []Genome, fits []float64, rng [4]uint64,
-	evals int, history []GenStats) (Snapshot, error) {
-	s := Snapshot{
-		Generation:  gen,
-		Population:  make([]GenomeRecord, len(pop)),
-		Fitnesses:   append([]float64(nil), fits...),
-		RNG:         rng,
-		Evaluations: evals,
-		History:     append([]GenStats(nil), history...),
-	}
-	for i, g := range pop {
-		rec, err := EncodeGenome(g)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		s.Population[i] = rec
-	}
-	return s, nil
-}
-
 // validate checks the structural invariants a snapshot must satisfy before
 // an engine built with params may resume from it, and returns the decoded
 // population. Every chromosome must decode and all must share one type and

@@ -132,7 +132,8 @@ type Result struct {
 	History  []GenStats
 }
 
-// Engine runs one genetic search.
+// Engine runs one genetic search to its end, driving a Stepper a generation
+// at a time.
 type Engine struct {
 	params Params
 	batch  BatchFitness
@@ -197,30 +198,7 @@ func (e *Engine) Run(initial []Genome) (Result, error) {
 // that arrives before the initial population is evaluated, or a fitness
 // error, yields an error.
 func (e *Engine) RunContext(ctx context.Context, initial []Genome) (Result, error) {
-	p := e.params
-	if p.MaxDuration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.MaxDuration)
-		defer cancel()
-	}
-	if len(initial) != p.PopulationSize {
-		return Result{}, fmt.Errorf("ga: initial population %d, want %d",
-			len(initial), p.PopulationSize)
-	}
-	pop := make([]Genome, len(initial))
-	for i, g := range initial {
-		if g == nil {
-			return Result{}, fmt.Errorf("ga: nil genome at %d", i)
-		}
-		pop[i] = g.Clone()
-	}
-
-	fits, err := e.batch(ctx, pop)
-	if err != nil {
-		return Result{}, err
-	}
-	e.Evaluations += len(pop)
-	return e.evolve(ctx, pop, fits, 1, Result{}, false)
+	return e.run(ctx, initial, nil)
 }
 
 // Resume is ResumeContext under context.Background.
@@ -235,77 +213,45 @@ func (e *Engine) Resume(snap Snapshot) (Result, error) {
 // exact deterministic stream and the final Result is bit-identical to the
 // uninterrupted run's.
 func (e *Engine) ResumeContext(ctx context.Context, snap Snapshot) (Result, error) {
+	return e.run(ctx, nil, &snap)
+}
+
+// run drives a Stepper over the engine's RNG and evaluator: started from
+// initial, or restored from snap when it is non-nil. A restored generation's
+// statistics were recorded by the original run (they ride in the snapshot's
+// history), so the hooks do not fire for it again; the convergence check,
+// which consumes no randomness, is deterministically redone.
+func (e *Engine) run(ctx context.Context, initial []Genome, snap *Snapshot) (Result, error) {
 	p := e.params
 	if p.MaxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.MaxDuration)
 		defer cancel()
 	}
-	pop, err := snap.validate(p)
-	if err != nil {
-		return Result{}, err
-	}
-	fits := append([]float64(nil), snap.Fitnesses...)
-	if err := e.rng.Restore(snap.RNG); err != nil {
-		return Result{}, fmt.Errorf("ga: resuming: %w", err)
-	}
-	e.Evaluations = snap.Evaluations
-	res := Result{History: append([]GenStats(nil), snap.History...)}
-	return e.evolve(ctx, pop, fits, snap.Generation, res, true)
-}
-
-// evolve runs the generation loop from startGen over an already evaluated
-// population. When resumed, the first iteration's statistics were already
-// recorded by the original run (they ride in via res.History), so stats
-// recording and the hooks are skipped for it; the convergence check, which
-// consumes no randomness, is deterministically redone.
-func (e *Engine) evolve(ctx context.Context, pop []Genome, fits []float64,
-	startGen int, res Result, resumed bool) (Result, error) {
-	p := e.params
-	perGene := p.MutationPerGene
-	if perGene == 0 {
-		perGene = 1.5 / float64(pop[0].Len())
-	}
-
-	// Generation scratch, allocated once and recycled by capacity-preserving
-	// truncation: populations are fixed-size, so after the first generation
-	// the breeding loop allocates nothing but the genomes themselves. The
-	// incoming slices are copied first so the ping-pong between pop and the
-	// scratch arrays never clobbers a caller-owned backing array.
-	n := len(pop)
-	pop = append(make([]Genome, 0, n), pop...)
-	fits = append(make([]float64, 0, n), fits...)
-	popBuf := make([]Genome, 0, n)
-	fitsBuf := make([]float64, 0, n)
-	childBuf := make([]Genome, 0, n)
-	weights := selectionWeights(n)
-
-	for gen := startGen; gen <= p.MaxGenerations; gen++ {
-		sortByFitness(pop, fits)
-		sim := meanPairwiseSimilarity(pop)
-		if !(resumed && gen == startGen) {
-			st := GenStats{
-				Generation: gen,
-				Best:       fits[0],
-				Mean:       mean(fits),
-				Similarity: sim,
-			}
-			res.History = append(res.History, st)
-			if e.OnGeneration != nil {
-				e.OnGeneration(st)
-			}
-			if e.OnSnapshot != nil {
-				snap, err := e.snapshot(gen, pop, fits, res.History)
-				if err != nil {
-					return Result{}, err
-				}
-				e.OnSnapshot(snap)
-			}
+	s := &Stepper{params: p, batch: e.batch, rng: e.rng, evals: e.Evaluations}
+	defer func() { e.Evaluations = s.evals }()
+	var sim float64
+	if snap != nil {
+		if err := s.Restore(*snap); err != nil {
+			return Result{}, err
 		}
-		res.Generations = gen
+		sim = s.Similarity()
+	} else {
+		st, err := s.Start(ctx, initial)
+		if err != nil {
+			return Result{}, err
+		}
+		if err := e.observe(s, st); err != nil {
+			return Result{}, err
+		}
+		sim = st.Similarity
+	}
+
+	var res Result
+	for {
+		res.Generations = s.gen
 		res.FinalSimilarity = sim
-		if sim >= p.ConvergenceSim &&
-			(!p.UseConvergeMinBest || fits[0] >= p.ConvergeMinBest) {
+		if s.convergedAt(sim) {
 			res.Converged = true
 			break
 		}
@@ -313,40 +259,8 @@ func (e *Engine) evolve(ctx context.Context, pop []Genome, fits []float64,
 			res.Canceled = true
 			break
 		}
-
-		next := popBuf[:0]
-		nextFits := fitsBuf[:0]
-		for i := 0; i < p.ElitismCount; i++ {
-			next = append(next, pop[i].Clone())
-			nextFits = append(nextFits, fits[i])
-		}
-
-		// Breed the full offspring set first, then evaluate it as one
-		// batch. The genetic operators draw from e.rng in exactly the order
-		// the serial engine did, so results are unchanged; only the fitness
-		// calls move into the batch, where a farm can spread them over
-		// workers.
-		children := childBuf[:0]
-		for len(next)+len(children) < len(pop) {
-			a := pop[roulette(e.rng, weights)]
-			b := pop[roulette(e.rng, weights)]
-			var c1, c2 Genome
-			if e.rng.Bool(p.CrossoverProb) {
-				c1, c2 = a.Crossover(b, e.rng)
-			} else {
-				c1, c2 = a.Clone(), b.Clone()
-			}
-			for _, child := range []Genome{c1, c2} {
-				if len(next)+len(children) >= len(pop) {
-					break
-				}
-				if e.rng.Bool(p.MutationProb) {
-					child.Mutate(e.rng, perGene)
-				}
-				children = append(children, child)
-			}
-		}
-		cfits, err := e.batch(ctx, children)
+		children := s.Breed(s.Need())
+		fits, err := s.Evaluate(ctx, children)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancelled mid-generation: the half-evaluated offspring
@@ -356,24 +270,47 @@ func (e *Engine) evolve(ctx context.Context, pop []Genome, fits []float64,
 			}
 			return Result{}, err
 		}
-		e.Evaluations += len(children)
-		childBuf = children
-		// Ping-pong: the new population lives in the scratch arrays; the old
-		// one's arrays become next generation's scratch.
-		popBuf, fitsBuf = pop[:0], fits[:0]
-		pop = append(next, children...)
-		fits = append(nextFits, cfits...)
+		if s.gen == p.MaxGenerations {
+			// The final offspring generation becomes the result without
+			// statistics of its own (see OnGeneration).
+			if err := s.advance(children, fits); err != nil {
+				return Result{}, err
+			}
+			sortByFitness(s.pop, s.fits)
+			break
+		}
+		st, err := s.Advance(children, fits)
+		if err != nil {
+			return Result{}, err
+		}
+		if err := e.observe(s, st); err != nil {
+			return Result{}, err
+		}
+		sim = st.Similarity
 	}
 
-	sortByFitness(pop, fits)
-	res.Population = pop
-	res.Fitnesses = fits
-	res.Best = pop[0]
-	res.BestFitness = fits[0]
+	res.Population, res.Fitnesses = s.pop, s.fits
+	res.Best, res.BestFitness = s.pop[0], s.fits[0]
+	res.History = s.history
 	if res.FinalSimilarity == 0 && len(res.History) > 0 {
 		res.FinalSimilarity = res.History[len(res.History)-1].Similarity
 	}
 	return res, nil
+}
+
+// observe fires the hooks for a newly recorded generation.
+func (e *Engine) observe(s *Stepper, st GenStats) error {
+	if e.OnGeneration != nil {
+		e.OnGeneration(st)
+	}
+	if e.OnSnapshot != nil {
+		snap, err := s.Snapshot()
+		if err != nil {
+			return err
+		}
+		e.OnSnapshot(snap)
+	}
+	return nil
 }
 
 // selectionWeights returns rank-based roulette weights for a population

@@ -11,14 +11,13 @@ import (
 // control. It exists for orchestrators — the island model in
 // internal/islands — that need to interleave several searches in lockstep,
 // inject migrants between generations, and screen offspring before paying
-// for real evaluation. The genetic operators (rank-roulette selection,
-// crossover, mutation, elitism, the similarity convergence criterion) are
-// the same code the Engine runs, but the breeding protocol differs: a
-// Stepper breeds an explicit offspring count in one call, so its RNG stream
-// is NOT draw-for-draw compatible with an Engine run. Determinism is
-// guaranteed within the Stepper protocol itself: the same params, RNG seed
-// and fitness stream reproduce the same search bit-for-bit, and a Stepper
-// restored from its Snapshot continues the exact stream.
+// for real evaluation. The Engine is a driver over a Stepper: breeding
+// Need() offspring per generation, as the Engine does, reproduces an Engine
+// run draw for draw, and the Engine's result differs only in leaving the
+// extra final generation out of its history. Determinism holds within the
+// Stepper protocol itself: the same params, RNG seed and fitness stream
+// reproduce the same search bit-for-bit, and a Stepper restored from its
+// Snapshot continues the exact stream.
 //
 // The call sequence per generation is:
 //
@@ -131,11 +130,10 @@ func (s *Stepper) Need() int { return s.params.PopulationSize - s.params.Elitism
 
 // Breed draws n offspring from the current population, consuming the RNG.
 // Parents are selected by rank roulette over the sorted population; pairs
-// are crossed with CrossoverProb and each child mutated with MutationProb,
-// exactly as the Engine breeds. When n is odd the second child of the final
-// pair is discarded before its mutation draw — the same truncation rule the
-// Engine applies at the population boundary. n may exceed Need() (surrogate
-// overbreeding); the caller chooses which offspring to evaluate.
+// are crossed with CrossoverProb and each child mutated with MutationProb.
+// When n is odd the second child of the final pair is discarded before its
+// mutation draw. n may exceed Need() (surrogate overbreeding); the caller
+// chooses which offspring to evaluate.
 //
 // The returned slice aliases the stepper's internal brood buffer: it is
 // valid until the next Breed call, which recycles the backing array. Callers
@@ -186,11 +184,20 @@ func (s *Stepper) Evaluate(ctx context.Context, children []Genome) ([]float64, e
 // evaluated offspring (which must number exactly Need()), sorted by
 // descending fitness, and the new generation's statistics are recorded.
 func (s *Stepper) Advance(children []Genome, fits []float64) (GenStats, error) {
+	if err := s.advance(children, fits); err != nil {
+		return GenStats{}, err
+	}
+	return s.record(), nil
+}
+
+// advance is Advance without the statistics: the population it leaves is
+// unsorted.
+func (s *Stepper) advance(children []Genome, fits []float64) error {
 	if s.gen == 0 {
-		return GenStats{}, fmt.Errorf("ga: stepper not started")
+		return fmt.Errorf("ga: stepper not started")
 	}
 	if len(children) != s.Need() || len(fits) != len(children) {
-		return GenStats{}, fmt.Errorf("ga: advance with %d offspring / %d fitnesses, need %d",
+		return fmt.Errorf("ga: advance with %d offspring / %d fitnesses, need %d",
 			len(children), len(fits), s.Need())
 	}
 	next := s.popBuf[:0]
@@ -207,7 +214,7 @@ func (s *Stepper) Advance(children []Genome, fits []float64) (GenStats, error) {
 	s.popBuf, s.fitsBuf = s.pop[:0], s.fits[:0]
 	s.pop, s.fits = next, nextFits
 	s.gen++
-	return s.record(), nil
+	return nil
 }
 
 // record sorts the population and appends the current generation's stats.
@@ -266,7 +273,12 @@ func (s *Stepper) Converged() bool {
 	if s.gen == 0 {
 		return false
 	}
-	sim := meanPairwiseSimilarity(s.pop)
+	return s.convergedAt(meanPairwiseSimilarity(s.pop))
+}
+
+// convergedAt is the stop criterion for the current population, given its
+// similarity.
+func (s *Stepper) convergedAt(sim float64) bool {
 	return sim >= s.params.ConvergenceSim &&
 		(!s.params.UseConvergeMinBest || s.fits[0] >= s.params.ConvergeMinBest)
 }
@@ -278,7 +290,22 @@ func (s *Stepper) Snapshot() (Snapshot, error) {
 	if s.gen == 0 {
 		return Snapshot{}, fmt.Errorf("ga: stepper not started")
 	}
-	return newSnapshot(s.gen, s.pop, s.fits, s.rng.State(), s.evals, s.history)
+	snap := Snapshot{
+		Generation:  s.gen,
+		Population:  make([]GenomeRecord, len(s.pop)),
+		Fitnesses:   append([]float64(nil), s.fits...),
+		RNG:         s.rng.State(),
+		Evaluations: s.evals,
+		History:     append([]GenStats(nil), s.history...),
+	}
+	for i, g := range s.pop {
+		rec, err := EncodeGenome(g)
+		if err != nil {
+			return Snapshot{}, err
+		}
+		snap.Population[i] = rec
+	}
+	return snap, nil
 }
 
 // Generation returns the index of the last completed generation (0 before
