@@ -89,12 +89,13 @@ islands-test:
 # header-plus-tail payload layout and its three writers (journal ops
 # carrying opaque checkpoint bytes, virusdb frames, the core checkpoint
 # codec) beside the JSON frames of the previous format, and the
-# bit-identity of the bulk mutation draw and the fitness-cache key. Then
+# bit-identity of the bulk mutation draw (whole and split by jump-ahead)
+# and the fitness-cache key. Then
 # one -race iteration of the store and database packages: they are shared
 # by concurrent campaign jobs, and virusdb's own test races appends, page
 # reads and compactions.
 store-test:
-	$(GO) test -run 'Seglog|Migrat|Torn|Corrupt|Compact|Manifest|Salvage|Journal|Payload|JSONPacked|CheckpointCodec|FlipBools|MutateMatches|GenomeKeyDigest' \
+	$(GO) test -run 'Seglog|Migrat|Torn|Corrupt|Compact|Manifest|Salvage|Journal|Payload|JSONPacked|CheckpointCodec|FlipBools|Jump|MutateMatches|GenomeKeyDigest' \
 		./internal/seglog ./internal/virusdb ./internal/farm ./internal/core ./internal/xrand ./internal/ga
 	$(GO) test -race -count 1 ./internal/seglog ./internal/virusdb
 
@@ -219,8 +220,9 @@ experiments-full:
 # and whole journal checkpoints, in their header-plus-tail, packed JSON and
 # legacy bit-string forms), the journal's op replay on arbitrary frames, the
 # memory controller against its plain reference model on arbitrary op
-# streams, and the segmented store's open over arbitrary segment and
-# manifest bytes. Go minimizes each new interesting input for up to 60 s by
+# streams, the segmented store's open over arbitrary segment and
+# manifest bytes, and the bulk mutation draw (split across goroutines past
+# 2^17 bits) against a Bool loop from arbitrary generator states. Go minimizes each new interesting input for up to 60 s by
 # default, and the pass runs no new inputs meanwhile; FUZZ caps that at 500
 # executions per input so a 30-s pass spends its window fuzzing.
 FUZZ = -fuzztime=30s -fuzzminimizetime=500x
@@ -237,6 +239,7 @@ fuzz:
 	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay $(FUZZ) ./internal/farm
 	$(GO) test -run=FuzzControllerTrace -fuzz=FuzzControllerTrace $(FUZZ) ./internal/memctl
 	$(GO) test -run=FuzzSeglogOpen -fuzz=FuzzSeglogOpen $(FUZZ) ./internal/seglog
+	$(GO) test -run=FuzzFlipBools -fuzz=FuzzFlipBools $(FUZZ) ./internal/xrand
 
 clean:
 	rm -f results.md viruses.json

@@ -356,21 +356,6 @@ func sortByFitness(pop []Genome, fits []float64) {
 	}
 }
 
-func meanPairwiseSimilarity(pop []Genome) float64 {
-	if len(pop) < 2 {
-		return 1
-	}
-	var sum float64
-	var n int
-	for i := 0; i < len(pop); i++ {
-		for j := i + 1; j < len(pop); j++ {
-			sum += pop[i].SimilarityTo(pop[j])
-			n++
-		}
-	}
-	return sum / float64(n)
-}
-
 func mean(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {

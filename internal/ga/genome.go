@@ -190,3 +190,42 @@ func (g *IntGenome) SimilarityTo(other Genome) float64 {
 	}
 	return s
 }
+
+// meanPairwiseSimilarity is the mean SimilarityTo over the pairs (i, j),
+// i < j, summed in that order. A population of bit genomes goes to
+// similarity.MeanPairwiseBits, which gives the same float.
+func meanPairwiseSimilarity(pop []Genome) float64 {
+	if len(pop) < 2 {
+		return 1
+	}
+	if vs := bitVecs(pop); vs != nil {
+		s, err := similarity.MeanPairwiseBits(vs)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+	var sum float64
+	var n int
+	for i := 0; i < len(pop); i++ {
+		for j := i + 1; j < len(pop); j++ {
+			sum += pop[i].SimilarityTo(pop[j])
+			n++
+		}
+	}
+	return sum / float64(n)
+}
+
+// bitVecs returns the bit vectors of a population of bit genomes, or nil if
+// any member is another kind.
+func bitVecs(pop []Genome) []*bitvec.Vec {
+	vs := make([]*bitvec.Vec, len(pop))
+	for i, g := range pop {
+		b, ok := g.(*BitGenome)
+		if !ok {
+			return nil
+		}
+		vs[i] = b.Bits
+	}
+	return vs
+}

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"math/bits"
 	"testing"
 
 	"dstress/internal/xrand"
@@ -161,5 +162,75 @@ func TestEngineOutcomeGolden(t *testing.T) {
 
 	if got := hex.EncodeToString(h.Sum(nil)); got != engineOutcomeGolden {
 		t.Fatalf("engine outcome digest %s, want %s", got, engineOutcomeGolden)
+	}
+}
+
+// engineOutcomeGolden24K is the digest TestEngineOutcomeGolden24K covers:
+// block-virus-sized chromosomes, where mutation draws and the similarity
+// pass take their bulk paths.
+const engineOutcomeGolden24K = "cdbb4360869a940b4b82543984a370d8f1a9ff7caa76751817d37fcb6f746956"
+
+// wordWeightedOnes scores a bit genome by its ones count per word, weighted
+// by word position: cheap at 196,608 bits, and a change to any flip moves it.
+func wordWeightedOnes(g Genome) (float64, error) {
+	s := 0
+	for i, w := range g.(*BitGenome).Bits.Words() {
+		s += bits.OnesCount64(w) * (i%7 + 1)
+	}
+	return float64(s), nil
+}
+
+// TestEngineOutcomeGolden24K runs the Engine over 196,608-bit genomes
+// (population 64, elitism 2, 3 generations) from two seeds, plus one search
+// resumed from its generation-2 snapshot, and compares the digest of every
+// outcome with the recorded one. It runs under -short too, so the race
+// detector sees the bulk draw and similarity paths.
+func TestEngineOutcomeGolden24K(t *testing.T) {
+	const n = 196608
+	p := DefaultParams()
+	p.PopulationSize = 64
+	p.ElitismCount = 2
+	p.MaxGenerations = 3
+	p.ConvergenceSim = 0.9
+	h := sha256.New()
+	for seed := uint64(1); seed <= 2; seed++ {
+		eng, err := New(p, wordWeightedOnes, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snaps []Snapshot
+		var snap2 Snapshot
+		eng.OnSnapshot = func(s Snapshot) {
+			snaps = append(snaps, Snapshot{Generation: s.Generation,
+				Evaluations: s.Evaluations, RNG: s.RNG})
+			if s.Generation == 2 {
+				snap2 = s
+			}
+		}
+		res, err := eng.Run(RandomBitPopulation(p.PopulationSize, n, xrand.New(seed+1000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		digestOutcome(h, res, eng.Evaluations, snaps)
+		if seed != 2 {
+			continue
+		}
+		resumed, err := New(p, wordWeightedOnes, xrand.New(9999))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = nil
+		resumed.OnSnapshot = func(s Snapshot) {
+			snaps = append(snaps, Snapshot{Generation: s.Generation,
+				Evaluations: s.Evaluations, RNG: s.RNG})
+		}
+		res, err = resumed.Resume(snap2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digestOutcome(h, res, resumed.Evaluations, snaps)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != engineOutcomeGolden24K {
+		t.Fatalf("24K engine outcome digest %s, want %s", got, engineOutcomeGolden24K)
 	}
 }

@@ -15,6 +15,9 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Rand is a xoshiro256** generator. The zero value is invalid; use New.
@@ -117,9 +120,12 @@ func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 // The draws, the flips and the generator's final state are exactly those of
 // n Bool(p) calls: Float64() < p compares the 53-bit integer u>>11 scaled by
 // 2^-53 against p, which is u>>11 < ceil(p·2^53) — exact, because scaling p
-// by a power of two loses nothing. The loop keeps the state in locals and
-// builds each word's mask without a branch. It panics if words holds fewer
-// than n bits.
+// by a power of two loses nothing. A call of at least 2·flipSplitBits draws
+// is cut at word boundaries into up to GOMAXPROCS parts, each after the
+// first starting from the state Jump reaches at its first draw and running
+// on its own goroutine: draw i's outcome depends only on the state at draw
+// i, so the parts make the same draws. It panics if words holds fewer than
+// n bits.
 func (r *Rand) FlipBools(words []uint64, n int, p float64) int {
 	if n <= 0 {
 		return 0
@@ -131,34 +137,94 @@ func (r *Rand) FlipBools(words []uint64, n int, p float64) int {
 	switch {
 	case !(p > 0): // NaN too: Float64() < NaN never holds
 	case p >= 1:
-		thr = 1 << 53
+		// Every draw comes up true; thr<<11 would not fit a word.
+		for i := 0; i < n/64; i++ {
+			words[i] = ^words[i]
+		}
+		if t := n % 64; t != 0 {
+			words[n/64] ^= 1<<uint(t) - 1
+		}
+		r.Jump(uint64(n))
+		return n
 	default:
 		thr = uint64(math.Ceil(p * (1 << 53)))
 	}
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	parts := min(runtime.GOMAXPROCS(0), n/flipSplitBits)
+	if parts < 2 {
+		return flipRun(&r.s, words, n, thr<<11)
+	}
+	chunk := (n/parts + 63) &^ 63
+	poly := jumpPoly(uint64(chunk))
+	var (
+		wg    sync.WaitGroup
+		flips atomic.Int64
+		end   [4]uint64 // the state after the last part's draws
+	)
+	s := r.s
+	for lo := chunk; lo < n; lo += chunk {
+		s = applyPoly(s, poly)
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func(s [4]uint64, lo, hi int) {
+			defer wg.Done()
+			flips.Add(int64(flipRun(&s, words[lo/64:], hi-lo, thr<<11)))
+			if hi == n {
+				end = s
+			}
+		}(s, lo, hi)
+	}
+	first := flipRun(&r.s, words, chunk, thr<<11)
+	wg.Wait()
+	r.s = end
+	return first + int(flips.Load())
+}
+
+// flipSplitBits is the least number of draws a FlipBools part takes: below
+// it the goroutine and the jump cost more than the draws they move off the
+// calling goroutine. A 24 KB chromosome (196,608 bits) splits; a 64-bit one
+// and every integer genome never do.
+const flipSplitBits = 1 << 16
+
+// flipRun makes n draws from the state *st, XORing the mask of those with
+// u < thr11 (u>>11 < thr, for thr11 = thr<<11) into words, and leaves *st at
+// the state after them.
+func flipRun(st *[4]uint64, words []uint64, n int, thr11 uint64) int {
+	s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
 	flips := 0
 	for w := 0; n > 0; w++ {
 		k := min(n, 64)
 		var m uint64
-		for j := 0; j < k; j++ {
-			u := bits.RotateLeft64(s1*5, 7) * 9
-			t := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= t
-			s3 = bits.RotateLeft64(s3, 45)
-			// Both sides are below 2^54, so the difference wraps to a set
-			// top bit exactly when u>>11 < thr.
-			m |= (u>>11 - thr) >> 63 << j
-		}
+		m, s0, s1, s2, s3 = drawMask(s0, s1, s2, s3, thr11, k)
+		// Draw j sits at bit k-1-j; a short final word's draws end at the
+		// top after the reversal.
+		m = bits.Reverse64(m) >> uint(64-k)
 		words[w] ^= m
 		flips += bits.OnesCount64(m)
 		n -= k
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
+	*st = [4]uint64{s0, s1, s2, s3}
 	return flips
+}
+
+// drawMask makes k ≤ 64 draws from the state s0..s3 and returns the mask of
+// those with u < thr11, the last draw at bit 0, and the state after them.
+// The borrow of u - thr11 is the draw's outcome, and m+m+borrow shifts it
+// in: a subtract and an add-with-carry, with no variable shift. It is its
+// own function so the loop keeps every value in a register.
+func drawMask(s0, s1, s2, s3, thr11 uint64, k int) (m, t0, t1, t2, t3 uint64) {
+	for ; k > 0; k-- {
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		_, b := bits.Sub64(u, thr11, 0)
+		m, _ = bits.Add64(m, m, b)
+	}
+	return m, s0, s1, s2, s3
 }
 
 // Norm returns a normally distributed value with the given mean and standard

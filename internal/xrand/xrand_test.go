@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -255,40 +256,117 @@ func TestRestoreRejectsZeroState(t *testing.T) {
 
 // TestFlipBoolsMatchesBool pins the bulk draw to n Bool(p) calls: the same
 // bits flip and the generator ends in the same state, including at the
-// threshold's edges (p just past one half, p past one, NaN, negative).
+// threshold's edges (p just past one half, p past one, NaN, negative) and
+// on calls long enough to split across goroutines, with tails that end
+// inside a word. GOMAXPROCS is raised so the split runs three parts even
+// on a machine with fewer CPUs.
 func TestFlipBoolsMatchesBool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ps := []float64{0, 1.5 / 196608, 1.0 / 3, 0.5, math.Nextafter(0.5, 1), 1, 2,
 		math.NaN(), -1}
 	for _, n := range []int{1, 63, 64, 65, 196608} {
 		for _, p := range ps {
-			seed := uint64(n)*1000003 + math.Float64bits(p)
-			bulk, ref := New(seed), New(seed)
-			words := make([]uint64, (n+63)/64+1)
-			for i := range words {
-				words[i] = bulk.Uint64() // flips must XOR into existing bits
+			checkFlipBools(t, uint64(n)*1000003+math.Float64bits(p), n, p)
+		}
+	}
+	for _, n := range []int{2*flipSplitBits - 1, 2 * flipSplitBits,
+		2*flipSplitBits + 1, 196608 + 37, 4*flipSplitBits + 63} {
+		for _, p := range []float64{0, math.NaN(), 1, 1.5 / float64(n), 0.5} {
+			checkFlipBools(t, uint64(n)*1000003+math.Float64bits(p), n, p)
+		}
+	}
+}
+
+// checkFlipBools runs FlipBools(n, p) and n Bool(p) calls from the same seed
+// over the same random words and fails unless the flips, the words and the
+// final states agree.
+func checkFlipBools(t *testing.T, seed uint64, n int, p float64) {
+	t.Helper()
+	bulk, ref := New(seed), New(seed)
+	words := make([]uint64, (n+63)/64+1)
+	for i := range words {
+		words[i] = bulk.Uint64() // flips must XOR into existing bits
+	}
+	want := append([]uint64(nil), words...)
+	for range words {
+		ref.Uint64()
+	}
+	wantFlips := 0
+	for i := 0; i < n; i++ {
+		if ref.Bool(p) {
+			want[i/64] ^= 1 << (i % 64)
+			wantFlips++
+		}
+	}
+	if got := bulk.FlipBools(words, n, p); got != wantFlips {
+		t.Fatalf("n=%d p=%v: %d flips, Bool gave %d", n, p, got, wantFlips)
+	}
+	for i := range words {
+		if words[i] != want[i] {
+			t.Fatalf("n=%d p=%v: word %d = %#x, Bool gave %#x",
+				n, p, i, words[i], want[i])
+		}
+	}
+	if bulk.State() != ref.State() {
+		t.Fatalf("n=%d p=%v: final state differs from n Bool calls", n, p)
+	}
+}
+
+// FuzzFlipBools checks the bulk draw against a Bool loop from arbitrary
+// start states, lengths up to past the split threshold and any p.
+func FuzzFlipBools(f *testing.F) {
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), uint(196608), 1.5/196608)
+	f.Add(uint64(5), uint64(0), uint64(0), uint64(0), uint(65), 0.5)
+	f.Add(uint64(7), uint64(8), uint64(9), uint64(10), uint(2*flipSplitBits+1), 1.0)
+	f.Add(uint64(11), uint64(12), uint64(13), uint64(14), uint(1), math.NaN())
+	f.Fuzz(func(t *testing.T, s0, s1, s2, s3 uint64, n uint, p float64) {
+		st := [4]uint64{s0, s1, s2, s3}
+		if st == ([4]uint64{}) {
+			return
+		}
+		n %= 4*flipSplitBits + 128
+		bulk, _ := FromState(st)
+		ref, _ := FromState(st)
+		words := make([]uint64, (n+63)/64)
+		want := make([]uint64, len(words))
+		wantFlips := 0
+		for i := 0; i < int(n); i++ {
+			if ref.Bool(p) {
+				want[i/64] ^= 1 << (i % 64)
+				wantFlips++
 			}
-			want := append([]uint64(nil), words...)
-			for range words {
-				ref.Uint64()
+		}
+		if got := bulk.FlipBools(words, int(n), p); got != wantFlips {
+			t.Fatalf("n=%d p=%v: %d flips, Bool gave %d", n, p, got, wantFlips)
+		}
+		for i := range words {
+			if words[i] != want[i] {
+				t.Fatalf("n=%d p=%v: word %d = %#x, Bool gave %#x",
+					n, p, i, words[i], want[i])
 			}
-			wantFlips := 0
-			for i := 0; i < n; i++ {
-				if ref.Bool(p) {
-					want[i/64] ^= 1 << (i % 64)
-					wantFlips++
-				}
+		}
+		if bulk.State() != ref.State() {
+			t.Fatalf("n=%d p=%v: final state differs from n Bool calls", n, p)
+		}
+	})
+}
+
+// TestJumpMatchesSequential pins Jump(n) to n Uint64 calls on both sides
+// of the point where it switches from stepping to the polynomial.
+func TestJumpMatchesSequential(t *testing.T) {
+	for _, n := range []uint64{0, 1, 63, 64, 255, 256, 257, 4095, 4096, 4097,
+		1<<20 + 3} {
+		for _, seed := range []uint64{1, 2020} {
+			jumped, seq := New(seed+n), New(seed+n)
+			jumped.Jump(n)
+			for i := uint64(0); i < n; i++ {
+				seq.Uint64()
 			}
-			if got := bulk.FlipBools(words, n, p); got != wantFlips {
-				t.Fatalf("n=%d p=%v: %d flips, Bool gave %d", n, p, got, wantFlips)
+			if jumped.State() != seq.State() {
+				t.Fatalf("seed %d: Jump(%d) state differs from %d draws", seed, n, n)
 			}
-			for i := range words {
-				if words[i] != want[i] {
-					t.Fatalf("n=%d p=%v: word %d = %#x, Bool gave %#x",
-						n, p, i, words[i], want[i])
-				}
-			}
-			if bulk.State() != ref.State() {
-				t.Fatalf("n=%d p=%v: final state differs from n Bool calls", n, p)
+			if a, b := jumped.Uint64(), seq.Uint64(); a != b {
+				t.Fatalf("seed %d: draw after Jump(%d) = %#x, want %#x", seed, n, a, b)
 			}
 		}
 	}
@@ -329,6 +407,16 @@ func BenchmarkFlipBools196608(b *testing.B) {
 	}
 }
 
+// BenchmarkFlipBools196608Breed draws at the rate breeding uses for a 24 KB
+// chromosome, 1.5 expected flips per child.
+func BenchmarkFlipBools196608Breed(b *testing.B) {
+	r := New(1)
+	words := make([]uint64, 196608/64)
+	for i := 0; i < b.N; i++ {
+		r.FlipBools(words, 196608, 1.5/196608)
+	}
+}
+
 func BenchmarkBool196608(b *testing.B) {
 	r := New(1)
 	words := make([]uint64, 196608/64)
@@ -338,5 +426,12 @@ func BenchmarkBool196608(b *testing.B) {
 				words[j/64] ^= 1 << (j % 64)
 			}
 		}
+	}
+}
+
+func BenchmarkJump98304(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		r.Jump(98304)
 	}
 }
