@@ -18,9 +18,8 @@ test-short:
 
 # Static checks + the race detector over the whole tree, with a quick
 # short-mode -race pass over the concurrency-heavy packages first so their
-# failures surface before the long campaign tests run, the legacy journal
-# reader, a focused checkpoint/resume pass over the durability-critical
-# packages, and one
+# failures surface before the long campaign tests run, a focused
+# checkpoint/resume pass over the durability-critical packages, and one
 # iteration of each dram micro-benchmark under -race so the evaluation fast
 # path stays race-clean against farm workers sharing cloned servers. The
 # full pass needs an explicit -timeout: the campaign test runs ~90s
@@ -29,7 +28,6 @@ test-short:
 check:
 	$(GO) vet ./...
 	$(GO) test -race -short ./internal/farm ./internal/fleet ./internal/ga ./internal/virusdb
-	$(GO) test -race ./internal/checkpoint
 	$(GO) test -race -run 'Checkpoint|Resume|Journal|Snapshot' \
 		./internal/ga ./internal/core ./internal/farm
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x ./internal/dram
@@ -82,20 +80,18 @@ islands-test:
 # The persistence crash matrix: subprocess SIGKILL mid-append, mid-rotation
 # and mid-compaction of the segmented store, and mid-append of multi-MB
 # header-plus-tail frames (every acknowledged record must replay after a
-# strict reopen, a torn tail cut off), the staged crash windows of the
-# legacy-file migration (virusdb JSON array, farm whole-doc journal), the
-# salvage/validation regression suites, frame locators and CRC-checked
-# reads, virusdb pages against a scan-and-sort reference, the
-# header-plus-tail payload layout and its three writers (journal ops
-# carrying opaque checkpoint bytes, virusdb frames, the core checkpoint
-# codec) beside the JSON frames of the previous format, and the
-# bit-identity of the bulk mutation draw (whole and split by jump-ahead)
-# and the fitness-cache key. Then
+# strict reopen, a torn tail cut off), the salvage/validation regression
+# suites, frame locators and CRC-checked reads, virusdb pages against a
+# scan-and-sort reference, the header-plus-tail payload layout and its
+# three writers (journal ops carrying opaque checkpoint bytes, virusdb
+# frames, the core checkpoint codec) with the digests that pin what each
+# writes, and the bit-identity of the bulk mutation draw (whole and split
+# by jump-ahead) and the fitness-cache key. Then
 # one -race iteration of the store and database packages: they are shared
 # by concurrent campaign jobs, and virusdb's own test races appends, page
 # reads and compactions.
 store-test:
-	$(GO) test -run 'Seglog|Migrat|Torn|Corrupt|Compact|Manifest|Salvage|Journal|Payload|JSONPacked|CheckpointCodec|FlipBools|Jump|MutateMatches|GenomeKeyDigest' \
+	$(GO) test -run 'Seglog|Torn|Corrupt|Compact|Manifest|Salvage|Journal|Payload|WriterDigest|CheckpointCodec|FlipBools|Jump|MutateMatches|GenomeKeyDigest' \
 		./internal/seglog ./internal/virusdb ./internal/farm ./internal/core ./internal/xrand ./internal/ga
 	$(GO) test -race -count 1 ./internal/seglog ./internal/virusdb
 
@@ -163,12 +159,13 @@ lint:
 # Kill-and-resume integration: SIGKILL a live dstressd mid-search, restart
 # it over the same journal, and require the re-queued job to finish with a
 # result bit-identical to an uninterrupted run; the same for a drained
-# daemon's journal rewritten in the previous JSON format, and for a
-# journaled job whose checkpoint no longer decodes (re-queued from
-# scratch). Plus the in-process kill-at-generation-N resume tests at 1 and
+# daemon's journal, and for a journaled job whose checkpoint no longer
+# decodes (re-queued from scratch). Stores and checkpoints in the layouts
+# only earlier builds wrote are refused, or their jobs re-queued from
+# scratch. Plus the in-process kill-at-generation-N resume tests at 1 and
 # 8 workers, and a resume through the journal's checkpoint codec.
 resume-test:
-	$(GO) test -v -run 'TestDaemonKillResumeIntegration|TestRecoverJobsRestartsUndecodableCheckpoint|TestRecoverJSONJournal' ./cmd/dstressd
+	$(GO) test -v -run 'TestDaemonKillResumeIntegration|TestRecoverJobsRestartsUndecodableCheckpoint|TestRecoverJSONJournal|TestRemovedLayoutsRefused' ./cmd/dstressd
 	$(GO) test -run 'TestRunSearchFrom|TestResume|TestCheckpointCodecResumes' ./internal/core ./internal/ga
 
 # Distributed-fabric integration: a coordinator daemon plus two real worker
@@ -196,13 +193,12 @@ bench:
 	$(BENCH_MICRO)
 
 # bench-json also runs the islands-vs-single-population campaign (see
-# cmd/benchjson/campaign.go), the persistence benchmark (store.go) and the
-# batched-evaluation comparison (batch.go) so every snapshot carries the
-# campaign_* ratios, the store append-latency trajectory and the
+# cmd/benchjson/campaign.go) and the batched-evaluation comparison
+# (batch.go) so every snapshot carries the campaign_* ratios and the
 # speedup_batch_pop* / batch-allocation ratios.
 bench-json:
 	{ $(BENCH_FIGS) ; $(BENCH_MICRO) ; } \
-		| $(GO) run ./cmd/benchjson -campaign -store -batch \
+		| $(GO) run ./cmd/benchjson -campaign -batch \
 			-out BENCH_$$(date +%Y%m%d).json
 
 # Quick-scale campaign: every figure in a couple of minutes.
@@ -217,8 +213,8 @@ experiments-full:
 # job-request parser and -auth file loader (their -run skips the daemon's
 # subprocess tests), the
 # decoders of stored chromosomes (checkpoint genome records, virusdb frames
-# and whole journal checkpoints, in their header-plus-tail, packed JSON and
-# legacy bit-string forms), the journal's op replay on arbitrary frames, the
+# and whole journal checkpoints, each with the layouts earlier builds wrote
+# as must-reject seeds), the journal's op replay on arbitrary frames, the
 # memory controller against its plain reference model on arbitrary op
 # streams, the segmented store's open over arbitrary segment and
 # manifest bytes, and the bulk mutation draw (split across goroutines past

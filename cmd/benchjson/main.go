@@ -15,10 +15,6 @@
 // synthesis campaign (see campaign.go): both searches are timed to the same
 // target fitness at the same seed, and the snapshot gains a "campaign"
 // section plus campaign_wallclock_ratio / campaign_evals_ratio derived keys.
-// With -store it runs the persistence benchmark (see store.go): p50/p99
-// append latency and bytes written per append for the virus database at 10k
-// and 100k preloaded records, legacy whole-file-rewrite layout vs the
-// seglog store, recorded as a "store" section plus store_* derived ratios.
 // With -batch it runs the population-batched evaluation comparison (see
 // batch.go): per-genome v2 evaluation vs AverageRunsBatch at populations
 // 32/128/512, recorded as a "batch" section plus speedup_batch_pop* and
@@ -30,7 +26,6 @@
 //
 //	go test -run '^$' -bench . ./... | benchjson [-out file] [-indent]
 //	benchjson -campaign [-campaign-seed n] -merge BENCH_2026.json
-//	benchjson -store -merge BENCH_2026.json
 //	benchjson -batch [-batch-runs n] -merge BENCH_2026.json
 package main
 
@@ -67,9 +62,10 @@ type Snapshot struct {
 	Derived map[string]float64 `json:"derived,omitempty"`
 	// Campaign is the islands-vs-single-population comparison (-campaign).
 	Campaign *Campaign `json:"campaign,omitempty"`
-	// Store is the virusdb persistence comparison (-store): legacy
-	// whole-file rewrites vs seglog appends at growing database sizes.
-	Store *StoreBench `json:"store,omitempty"`
+	// Store is the virusdb persistence comparison earlier snapshots carry
+	// (whole-file rewrites against seglog appends). Nothing measures it any
+	// more; it is kept raw so that -merge round-trips it untouched.
+	Store json.RawMessage `json:"store,omitempty"`
 	// Batch is the population-batched vs per-genome evaluation comparison
 	// (-batch) at growing population sizes.
 	Batch *BatchBench `json:"batch,omitempty"`
@@ -87,10 +83,6 @@ func main() {
 		"run the islands-vs-single-population campaign and record its ratios")
 	campaignSeed := flag.Uint64("campaign-seed", 2020,
 		"deterministic seed both campaign searches run at")
-	store := flag.Bool("store", false,
-		"run the virusdb persistence benchmark and record its latencies")
-	storeAppends := flag.Int("store-appends", 256,
-		"timed appends per store benchmark point")
 	batch := flag.Bool("batch", false,
 		"run the batched-vs-per-genome evaluation benchmark and record its ratios")
 	batchRuns := flag.Int("batch-runs", 10,
@@ -114,8 +106,8 @@ func main() {
 		os.Exit(1)
 	}
 	// An empty benchmark set is only an error when benchmarks are the point;
-	// a campaign or store run carries its own payload.
-	if len(snap.Benchmarks) == 0 && !*campaign && !*store && !*batch {
+	// a campaign or batch run carries its own payload.
+	if len(snap.Benchmarks) == 0 && !*campaign && !*batch {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
@@ -126,15 +118,6 @@ func main() {
 			os.Exit(1)
 		}
 		snap.Campaign = c
-		mergeDerived(snap, derived)
-	}
-	if *store {
-		sb, derived, err := runStoreBench([]int{10_000, 100_000}, *storeAppends)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		snap.Store = sb
 		mergeDerived(snap, derived)
 	}
 	if *batch {

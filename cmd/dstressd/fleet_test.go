@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,9 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"dstress/internal/checkpoint"
 	"dstress/internal/farm"
 	"dstress/internal/fleet"
+	"dstress/internal/seglog"
 )
 
 // fastFleetConfig keeps failure detection snappy enough for tests: a killed
@@ -142,20 +141,20 @@ func TestRecoverJobsClampsToBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-craft the journal a budget-8 daemon would have left behind, in
-	// the pre-seglog checkpoint line format that OpenJournal migrates.
-	doc, err := json.Marshal(struct {
-		Jobs []farm.JournalEntry `json:"jobs"`
-	}{Jobs: []farm.JournalEntry{{
-		ID: 1, Name: "big", Workers: 8, Spec: spec, State: "running",
-		Submitted: time.Now(),
-	}}})
+	// Hand-craft the journal a budget-8 daemon would have left behind: one
+	// "add" op for a running job.
+	op, err := json.Marshal(map[string]any{"op": "add", "entry": farm.JournalEntry{
+		ID: 1, Name: "big", Workers: 8, Spec: spec, State: "running", Submitted: time.Now()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	crc := crc32.Checksum(doc, crc32.MakeTable(crc32.Castagnoli))
-	legacy := fmt.Sprintf("%s v%d\nrec 1 %08x %s\n", checkpoint.Magic, checkpoint.Version, crc, doc)
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	st, _, err := seglog.Open(path, seglog.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.AppendPayloads(seglog.Payload{Header: op})
+	st.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -344,33 +343,12 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
-	addr := freeAddr(t)
-	cmd := exec.Command(os.Args[0],
-		"-addr", addr, "-budget", "2",
+	cmd, base := startDaemonProc(t, "-budget", "2",
 		"-fleet-lease", "2s", "-fleet-worker-ttl", "500ms")
-	cmd.Env = append(os.Environ(), "DSTRESSD_RUN_MAIN=1")
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
 	defer func() {
 		cmd.Process.Kill()
 		cmd.Wait()
 	}()
-	base := "http://" + addr
-	upDeadline := time.Now().Add(20 * time.Second)
-	for {
-		if time.Now().After(upDeadline) {
-			t.Fatal("daemon process did not come up")
-		}
-		resp, err := http.Get(base + "/api/v1/jobs")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 
 	w1 := startWorkerProc(t, base, "w1")
 	defer func() {

@@ -23,6 +23,10 @@
 // final checkpoint, and the daemon exits once they settle (or the -drain
 // deadline passes — the journal still holds whatever was flushed).
 //
+// -db and -journal name store directories (internal/seglog). A file at
+// either path is a single-file store from an earlier build, which the
+// daemon refuses to open; the error names the build that converts it.
+//
 // Endpoints (each registered once, under /api/v1):
 //
 //	POST /api/v1/jobs            submit a search (JSON body, see jobRequest)
@@ -62,6 +66,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	netpprof "net/http/pprof"
 	"os"
@@ -943,9 +948,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	budget := flag.Int("budget", 8, "global worker budget shared by all jobs")
 	dbPath := flag.String("db", "",
-		"shared virus database path (optional); legacy JSON files auto-migrate to the segmented store, keeping the original at <path>.legacy")
+		"shared virus database directory (optional); a single-file database from an earlier build is refused")
 	journalPath := flag.String("journal", "",
-		"job journal path: submissions survive restarts and resume from their last checkpoint (optional); legacy files auto-migrate like -db")
+		"job journal directory: submissions survive restarts and resume from their last checkpoint (optional); a single-file journal from an earlier build is refused")
 	drain := flag.Duration("drain", 30*time.Second,
 		"graceful-shutdown deadline for running jobs to checkpoint and exit")
 	rows := flag.Int("rows", 16, "default rows per bank of simulated DIMMs")
@@ -1037,7 +1042,11 @@ func main() {
 		os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Addr: *addr, Handler: d.handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("dstressd: %v", err)
+	}
+	hs := &http.Server{Handler: d.handler()}
 	go func() {
 		<-ctx.Done()
 		log.Print("dstressd: draining jobs")
@@ -1052,8 +1061,9 @@ func main() {
 		hs.Shutdown(sctx)
 	}()
 
-	log.Printf("dstressd: listening on %s (budget %d workers)", *addr, *budget)
-	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	// The bound address, not the flag: with port 0 the kernel picks one.
+	log.Printf("dstressd: listening on %s (budget %d workers)", ln.Addr(), *budget)
+	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("dstressd: %v", err)
 	}
 }

@@ -1,16 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +29,7 @@ func openRecoveredSet(path string) ([]farm.JournalEntry, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer jl.Close()
 	return jl.Recovered(), nil
 }
 
@@ -41,41 +44,58 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func freeAddr(t *testing.T) string {
+// listeningRE matches the line a daemon logs once its listener is bound.
+var listeningRE = regexp.MustCompile(`dstressd: listening on (\S+) `)
+
+// startDaemonProc launches the daemon as a child process with args on a
+// port the kernel picks, and returns it with its base URL, read from the
+// address its log says it bound: no other server can answer there. It
+// fails the test at once if the child exits before it listens. The child's
+// log is copied to the test's stderr.
+func startDaemonProc(t *testing.T, args ...string) (*exec.Cmd, string) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	cmd := exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	cmd.Env = append(os.Environ(), "DSTRESSD_RUN_MAIN=1")
+	cmd.Stdout = os.Stderr
+	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
-
-// startDaemonProc launches the daemon as a child process and waits for its
-// HTTP API to come up.
-func startDaemonProc(t *testing.T, addr, journal string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(os.Args[0],
-		"-addr", addr, "-budget", "2", "-journal", journal, "-drain", "20s")
-	cmd.Env = append(os.Environ(), "DSTRESSD_RUN_MAIN=1")
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
+	cmd.Stderr = w
+	err = cmd.Start()
+	w.Close()
+	if err != nil {
+		r.Close()
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/api/v1/jobs")
-		if err == nil {
-			resp.Body.Close()
-			return cmd
+	addrc := make(chan string, 1)
+	go func() {
+		defer r.Close()
+		defer close(addrc) // at EOF: the child has exited
+		sc := bufio.NewScanner(r)
+		sent := false
+		for sc.Scan() {
+			fmt.Fprintln(os.Stderr, sc.Text())
+			if m := listeningRE.FindStringSubmatch(sc.Text()); m != nil && !sent {
+				addrc <- m[1]
+				sent = true
+			}
 		}
-		time.Sleep(20 * time.Millisecond)
+		io.Copy(os.Stderr, r) // past a line too long to scan: keep the pipe drained
+	}()
+	select {
+	case addr, ok := <-addrc:
+		if !ok {
+			cmd.Wait()
+			t.Fatal("daemon process exited before listening")
+		}
+		return cmd, "http://" + addr
+	case <-time.After(20 * time.Second):
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatal("daemon process did not come up")
+		return nil, ""
 	}
-	cmd.Process.Kill()
-	t.Fatal("daemon process did not come up")
-	return nil
 }
 
 // TestDaemonKillResumeIntegration is the acceptance scenario: SIGKILL a
@@ -102,9 +122,8 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 		Runs:        16,
 	}
 
-	addr1 := freeAddr(t)
-	proc1 := startDaemonProc(t, addr1, journal)
-	base1 := "http://" + addr1
+	daemonArgs := []string{"-budget", "2", "-journal", journal, "-drain", "20s"}
+	proc1, base1 := startDaemonProc(t, daemonArgs...)
 
 	if code := postJSON(t, base1+"/api/v1/jobs", req, nil); code != http.StatusAccepted {
 		proc1.Process.Kill()
@@ -135,13 +154,11 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	proc1.Wait()
 
 	// Restart over the same journal: the job must be re-queued and complete.
-	addr2 := freeAddr(t)
-	proc2 := startDaemonProc(t, addr2, journal)
+	proc2, base2 := startDaemonProc(t, daemonArgs...)
 	defer func() {
 		proc2.Process.Kill()
 		proc2.Wait()
 	}()
-	base2 := "http://" + addr2
 
 	var jobs []jobView
 	if code := getJSON(t, base2+"/api/v1/jobs", &jobs); code != http.StatusOK {
@@ -239,26 +256,6 @@ func referenceResult(t *testing.T, req jobRequest) jobResult {
 	return *ref.Result
 }
 
-// writeJSONJournal writes entries as a journal of the previous format:
-// one plain-JSON "add" op each, its checkpoint embedded as JSON.
-func writeJSONJournal(t *testing.T, path string, entries ...farm.JournalEntry) {
-	t.Helper()
-	st, _, err := seglog.Open(path, seglog.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i := range entries {
-		op, err := json.Marshal(map[string]any{"op": "add", "entry": &entries[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Append(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestRecoverJobsRestartsUndecodableCheckpoint: a journaled job whose
 // checkpoint no longer decodes is re-queued from scratch, with the reason
 // logged, instead of being dropped, and finishes with the result an
@@ -312,13 +309,13 @@ func TestRecoverJobsRestartsUndecodableCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecoverJSONJournal drains a daemon mid-search, then restarts
-// from its journal twice: as written, and rewritten in the previous
-// format, plain-JSON ops with the checkpoint embedded as JSON. Both resume
-// to the result of the uninterrupted run.
+// TestRecoverJSONJournal drains a daemon mid-search, then restarts from its
+// journal as written — each op a JSON header, the checkpoint its tail —
+// and requires the resumed job to finish with the result of the
+// uninterrupted run.
 func TestRecoverJSONJournal(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a block-virus search three times")
+		t.Skip("runs a block-virus search twice")
 	}
 	// Long enough that the drain lands mid-search.
 	req := jobRequest{Template: "data24k", Criterion: "max-ce", TempC: 55,
@@ -357,23 +354,14 @@ func TestRecoverJSONJournal(t *testing.T) {
 	if cp.Generation() < 2 {
 		t.Fatalf("journaled checkpoint at generation %d", cp.Generation())
 	}
-	old := rec[0]
-	if old.Checkpoint, err = json.Marshal(cp); err != nil {
-		t.Fatal(err)
-	}
-	oldPath := filepath.Join(t.TempDir(), "json.journal")
-	writeJSONJournal(t, oldPath, old)
 
-	want := referenceResult(t, req)
-	for name, p := range map[string]string{"journal as written": path, "previous format": oldPath} {
-		_, ts := journaledDaemon(t, p)
-		view := finishedJob(t, ts.URL, 1)
-		if view.State.String() != "done" || view.Result == nil {
-			t.Fatalf("%s: resumed job finished %s (error %q)", name, view.State, view.Error)
-		}
-		if *view.Result != want {
-			t.Fatalf("%s: resumed job diverged from the uninterrupted run:\n got %+v\nwant %+v",
-				name, *view.Result, want)
-		}
+	_, ts = journaledDaemon(t, path)
+	view := finishedJob(t, ts.URL, 1)
+	if view.State.String() != "done" || view.Result == nil {
+		t.Fatalf("resumed job finished %s (error %q)", view.State, view.Error)
+	}
+	if want := referenceResult(t, req); *view.Result != want {
+		t.Fatalf("resumed job diverged from the uninterrupted run:\n got %+v\nwant %+v",
+			*view.Result, want)
 	}
 }

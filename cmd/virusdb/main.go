@@ -12,8 +12,9 @@
 // salvage mode instead (the readable records are kept, the loss is reported
 // on stderr) so the compaction can reclaim the dropped space.
 //
-// A database in the pre-seglog single-file format is migrated to the
-// segmented store on open (the original bytes are kept at <path>.legacy).
+// -db names a store directory. A single-file database from a build before
+// the segmented store is refused; this command built from commit 67701f1
+// converts one with -compact.
 package main
 
 import (
@@ -25,7 +26,7 @@ import (
 )
 
 func main() {
-	dbPath := flag.String("db", "viruses.json", "virus database file")
+	dbPath := flag.String("db", "viruses.json", "virus database directory")
 	experiment := flag.String("experiment", "", "experiment to dump")
 	top := flag.Int("top", 10, "number of strongest viruses to show")
 	compact := flag.Bool("compact", false,

@@ -75,7 +75,7 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	var words [][]byte
 	tailLen := 0
 	err := hdr.eachGenome(func(r *ga.GenomeRecord) error {
-		if r.Type != "bit" || r.Bits != "" {
+		if r.Type != "bit" {
 			return nil // not packed: the header carries it as it is
 		}
 		if r.N < 0 || len(r.Packed) != packedLen(r.N) {
@@ -105,10 +105,12 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeCheckpoint reads a checkpoint EncodeCheckpoint wrote, or one
-// written as plain JSON (json.Marshal of a Checkpoint, which is what
-// journals held before the tail layout). The tail must hold exactly the
-// words of the header's bit genomes. The packed words of the returned
+// DecodeCheckpoint reads a checkpoint EncodeCheckpoint wrote. Every bit
+// genome in the header must name a length and no words, and the tail must
+// hold exactly their words; a checkpoint without bit genomes is plain JSON.
+// Any other form is an error: bit genome words in the JSON (json.Marshal of
+// a Checkpoint, which journals held before the tail layout) and genomes
+// spelled as '0'/'1' strings among them. The packed words of the returned
 // genome records share data's memory.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	p, err := seglog.SplitPayload(data)
@@ -119,24 +121,21 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := json.Unmarshal(p.Header, cp); err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if len(p.Tail) == 0 {
-		return cp, nil
-	}
 	tail := p.Tail
 	err = cp.eachGenome(func(r *ga.GenomeRecord) error {
-		if r.Type != "bit" || r.Bits != "" {
+		if r.Type != "bit" {
 			return nil
 		}
 		switch {
 		case r.Packed != nil:
 			return fmt.Errorf("core: checkpoint: packed words in the header")
-		case r.N < 0 || r.N > 8*len(tail) || packedLen(r.N) > len(tail):
+		case r.N <= 0:
+			return fmt.Errorf("core: checkpoint: bit genome of %d bits", r.N)
+		case r.N > 8*len(tail) || packedLen(r.N) > len(tail):
 			return fmt.Errorf("core: checkpoint: tail ends inside a %d-bit genome", r.N)
 		}
 		n := packedLen(r.N)
-		if n > 0 {
-			r.Packed = tail[:n:n]
-		}
+		r.Packed = tail[:n:n]
 		tail = tail[n:]
 		return nil
 	})

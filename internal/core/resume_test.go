@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -167,51 +165,6 @@ func TestRunSearchFromBitIdenticalSerial(t *testing.T) {
 	if _, err := resumeFramework(t).RunSearchFrom(context.Background(),
 		resumeConfig(4), cp); err == nil {
 		t.Fatal("serial checkpoint accepted under the farm protocol")
-	}
-}
-
-// TestRunSearchFromLegacyBitsCheckpoint resumes a checkpoint written the
-// way earlier versions wrote it — bit genomes as '0'/'1' strings — and the
-// same checkpoint in the packed form: both must reach the uninterrupted
-// run's result.
-func TestRunSearchFromLegacyBitsCheckpoint(t *testing.T) {
-	want, err := resumeFramework(t).RunSearch(resumeConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed := killAt(t, resumeConfig(1), 2)
-
-	// Spell every genome out as bits and send the result through JSON, as
-	// a checkpoint file from an earlier version would arrive.
-	legacy := *packed
-	legacy.Engine.Population = make([]ga.GenomeRecord, len(packed.Engine.Population))
-	for i, rec := range packed.Engine.Population {
-		g, err := ga.DecodeGenome(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy.Engine.Population[i] = ga.GenomeRecord{Type: "bit",
-			Bits: g.(*ga.BitGenome).Bits.BitString()}
-	}
-	data, err := json.Marshal(&legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(data, []byte(`"packed"`)) || !bytes.Contains(data, []byte(`"bits"`)) {
-		t.Fatal("legacy checkpoint is not in the bit-string form")
-	}
-	var fromDisk Checkpoint
-	if err := json.Unmarshal(data, &fromDisk); err != nil {
-		t.Fatal(err)
-	}
-
-	for label, cp := range map[string]*Checkpoint{"packed": packed, "legacy bits": &fromDisk} {
-		got, err := resumeFramework(t).RunSearchFrom(context.Background(),
-			resumeConfig(1), cp)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		assertSameOutcome(t, label, got, want)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"dstress/internal/checkpoint"
 	"dstress/internal/seglog"
 )
 
@@ -34,21 +33,11 @@ type JournalEntry struct {
 	// Checkpoint is the job's newest resumable state, nil until the job
 	// first checkpoints: the bytes the job handed Job.Checkpoint, opaque to
 	// the farm. The journal writes them as the tail of an op frame (see
-	// journalOp); only the JSON spellings of an entry written before that
-	// layout (the whole-doc journal, all-JSON "add" ops) embed them,
-	// which held because those checkpoints were JSON.
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+	// journalOp), never in the entry's JSON.
+	Checkpoint json.RawMessage `json:"-"`
 	// State is informational: "pending", "running", or "interrupted".
 	State     string    `json:"state"`
 	Submitted time.Time `json:"submitted"`
-}
-
-// journalDoc is the pre-seglog persisted form — the whole journal as one
-// checkpoint record. It survives only as the migration source: a legacy
-// journal file found at the path is converted to the segmented store on
-// open.
-type journalDoc struct {
-	Jobs []JournalEntry `json:"jobs"`
 }
 
 // journalOp is one persisted delta. The journal used to rewrite the whole
@@ -58,17 +47,15 @@ type journalDoc struct {
 //
 // An op is a seglog payload. One that carries a checkpoint — a
 // "checkpoint" op, or an "add" op whose entry has one — is written in the
-// header-plus-tail layout: the op's JSON with the checkpoint left out is the
-// header, the checkpoint's bytes are the tail, and nothing reads them as
-// JSON. Any other op is its plain JSON. Ops written before the tail layout
-// embed a (JSON) checkpoint in the "checkpoint" members; replay still reads
-// them.
+// header-plus-tail layout: the op's JSON, which never holds a checkpoint, is
+// the header, the checkpoint's bytes are the tail, and nothing reads them as
+// JSON. Any other op is its plain JSON.
 type journalOp struct {
 	Op         string          `json:"op"` // "add", "state", "checkpoint", "remove"
 	ID         int             `json:"id,omitempty"`
 	Entry      *JournalEntry   `json:"entry,omitempty"`
 	State      string          `json:"state,omitempty"`
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+	Checkpoint json.RawMessage `json:"-"`
 }
 
 // journalStoreOptions: full durability (each op fsynced before the mutation
@@ -114,29 +101,18 @@ type Journal struct {
 // OpenJournal opens (or creates) the journal at path and sets aside any
 // entries a previous process left behind — see Recovered. The new process
 // starts with an empty live set; re-queueing recovered jobs re-journals
-// them under fresh ids. A journal in the pre-seglog single-file format is
-// migrated to the segmented store in place (the original bytes are kept at
-// <path>.legacy), and the store is compacted on open so recovered entries
+// them under fresh ids. The store is compacted on open so recovered entries
 // are rewritten in their interrupted state as the log's canonical contents.
+//
+// A file at path is refused: it is a single-file journal from a build
+// before the segmented store, and only such a build reads it.
 func OpenJournal(path string) (*Journal, error) {
-	convert := func(data []byte) ([][]byte, error) {
-		res, err := checkpoint.LoadBytes(data, path)
-		if err != nil {
-			if errors.Is(err, checkpoint.ErrNoRecord) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("farm: journal: %w", err)
-		}
-		var doc journalDoc
-		if err := json.Unmarshal(res.Payload, &doc); err != nil {
-			return nil, fmt.Errorf("farm: journal: %s: %w", path, err)
-		}
-		return addOps(doc.Jobs)
-	}
-	if err := seglog.Migrate(path, journalStoreOptions, convert); err != nil {
-		return nil, fmt.Errorf("farm: journal: %w", err)
-	}
 	st, res, err := seglog.Open(path, journalStoreOptions)
+	if errors.Is(err, seglog.ErrNotDir) {
+		return nil, fmt.Errorf("farm: journal: %w; a single-file journal from an earlier "+
+			"build: drain it with dstressd built from commit 67701f1, running that build "+
+			"over it until its jobs finish", err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("farm: journal: %w", err)
 	}
@@ -296,14 +272,9 @@ func (jl *Journal) setCheckpoint(id int, cp []byte) error {
 
 // encodeOp lays op out as a seglog payload; see journalOp.
 func encodeOp(op journalOp) (seglog.Payload, error) {
-	var tail []byte
-	switch {
-	case len(op.Checkpoint) > 0:
-		tail, op.Checkpoint = op.Checkpoint, nil
-	case op.Entry != nil && len(op.Entry.Checkpoint) > 0:
-		e := *op.Entry
-		tail, e.Checkpoint = e.Checkpoint, nil
-		op.Entry = &e
+	tail := op.Checkpoint
+	if op.Entry != nil {
+		tail = op.Entry.Checkpoint
 	}
 	h, err := json.Marshal(op)
 	if err != nil {
@@ -312,9 +283,9 @@ func encodeOp(op journalOp) (seglog.Payload, error) {
 	return seglog.Payload{Header: h, Tail: tail}, nil
 }
 
-// decodeOp reads an op in either layout. A tail goes where encodeOp took
-// it from; an op whose header already holds a checkpoint there, or that
-// has no place for one, is undecodable.
+// decodeOp reads an op encodeOp wrote. A tail goes where encodeOp took it
+// from; an op that has no place for one is undecodable. A checkpoint in the
+// header's JSON is not read: the entry comes back without it.
 func decodeOp(p []byte) (journalOp, error) {
 	var op journalOp
 	pl, err := seglog.SplitPayload(p)
@@ -326,9 +297,9 @@ func decodeOp(p []byte) (journalOp, error) {
 	}
 	switch {
 	case len(pl.Tail) == 0:
-	case op.Op == "checkpoint" && op.Checkpoint == nil:
+	case op.Op == "checkpoint":
 		op.Checkpoint = pl.Tail
-	case op.Op == "add" && op.Entry != nil && op.Entry.Checkpoint == nil:
+	case op.Op == "add" && op.Entry != nil:
 		op.Entry.Checkpoint = pl.Tail
 	default:
 		return op, fmt.Errorf("farm: journal: %q op with a tail it has no place for", op.Op)

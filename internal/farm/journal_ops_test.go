@@ -2,6 +2,8 @@ package farm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -100,56 +102,51 @@ func TestJournalCheckpointBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalReplaysJSONOps: a journal whose ops are the plain JSON
-// the previous format wrote for every op, checkpoints embedded in them,
-// replays to the same entries, and so does the store that replay compacts
-// it into. Ops without a checkpoint are still written as exactly those
-// bytes.
+// TestJournalReplaysJSONOps: ops without a checkpoint are plain JSON, and a
+// journal of them replays to the entries they leave live. A checkpoint
+// embedded in an op's JSON, as builds before the tail layout wrote it, is
+// not read: its entry recovers without a checkpoint, so the job restarts
+// from scratch.
 func TestJournalReplaysJSONOps(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	e1 := JournalEntry{ID: 1, Name: "one", Tenant: "alpha", Priority: 3, Workers: 2,
-		TimeoutS: 1.5, Spec: json.RawMessage(`{"template":"data64"}`),
-		Checkpoint: json.RawMessage(`{"engine":{"generation":1}}`), State: "pending", Submitted: at}
+		TimeoutS: 1.5, Spec: json.RawMessage(`{"template":"data64"}`), State: "pending", Submitted: at}
 	e2 := JournalEntry{ID: 2, Name: "two", Workers: 1,
 		Spec: json.RawMessage(`{"template":"data24k"}`), State: "pending", Submitted: at}
 	e3 := JournalEntry{ID: 3, Name: "gone", Workers: 1, Spec: json.RawMessage(`{}`),
 		State: "pending", Submitted: at}
-	ops := []journalOp{
+	var frames [][]byte
+	for _, op := range []journalOp{
 		{Op: "add", Entry: &e1},
 		{Op: "add", Entry: &e2},
 		{Op: "state", ID: 2, State: "running"},
-		{Op: "checkpoint", ID: 2, Checkpoint: json.RawMessage(`{"engine":{"generation":4}}`)},
 		{Op: "add", Entry: &e3},
-		{Op: "checkpoint", ID: 1, Checkpoint: json.RawMessage(`{"engine":{"generation":2}}`)},
 		{Op: "remove", ID: 3},
+	} {
+		p, err := encodeOp(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Tail) != 0 || !json.Valid(p.Header) {
+			t.Fatalf("%s op without a checkpoint is not plain JSON: %q", op.Op, p.Bytes())
+		}
+		frames = append(frames, p.Header)
 	}
+	frames = append(frames,
+		[]byte(`{"op":"checkpoint","id":2,"checkpoint":{"engine":{"generation":4}}}`))
 	st, _, err := seglog.Open(path, journalStoreOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		p, err := json.Marshal(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Append(p); err != nil {
-			t.Fatal(err)
-		}
-		if len(op.Checkpoint) > 0 || op.Entry != nil && len(op.Entry.Checkpoint) > 0 {
-			continue
-		}
-		if got, err := encodeOp(op); err != nil || !bytes.Equal(got.Bytes(), p) {
-			t.Fatalf("%s op without a checkpoint encodes as %q, want %q", op.Op, got.Bytes(), p)
-		}
+	if _, err := st.Append(frames...); err != nil {
+		t.Fatal(err)
 	}
 	st.Close()
 
 	want1, want2 := e1, e2
-	want1.Checkpoint = json.RawMessage(`{"engine":{"generation":2}}`)
-	want2.Checkpoint = json.RawMessage(`{"engine":{"generation":4}}`)
 	want1.State, want2.State = "interrupted", "interrupted"
-	for _, stage := range []string{"previous format", "compacted"} {
+	for _, stage := range []string{"written", "compacted"} {
 		jl, err := OpenJournal(path)
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
@@ -197,7 +194,8 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(`{"op":"add","entry":null}` + "\n" + `{"op":7}` + "\n" + `null`))
 	// Header-plus-tail ops: a checkpoint op and an add op carrying the
 	// checkpoint as their tail, a tail where the op has no place for one,
-	// and a tail beside an embedded checkpoint.
+	// and a tail beside a checkpoint in the header's JSON, which is not
+	// read.
 	tailed := func(hdr, tail string) string {
 		return string(append(seglog.AppendHeader(nil, []byte(hdr)), tail...))
 	}
@@ -250,4 +248,39 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOpWriterDigest pins the bytes encodeOp writes for each op kind, with
+// and without a checkpoint tail, so that a change to the replay cannot move
+// the layout journals are written in.
+func TestOpWriterDigest(t *testing.T) {
+	entry := func(cp []byte) *JournalEntry {
+		return &JournalEntry{ID: 7, Name: "data64/max-ce/55C", Tenant: "alpha", Priority: 3,
+			Workers: 2, TimeoutS: 1.5, Spec: json.RawMessage(`{"template":"data64","seed":5}`),
+			Checkpoint: cp, State: "running", Submitted: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)}
+	}
+	cp := append(seglog.AppendHeader(nil, []byte(`{"experiment":"e"}`)), 1, 2, 3, 4, 5, 6, 7, 8)
+	h := sha256.New()
+	for _, op := range []journalOp{
+		{Op: "add", Entry: entry(nil)},
+		{Op: "add", Entry: entry(cp)},
+		{Op: "add", Entry: entry([]byte(`{"gen":2}`))},
+		{Op: "state", ID: 7, State: "running"},
+		{Op: "checkpoint", ID: 7, Checkpoint: cp},
+		{Op: "checkpoint", ID: 7, Checkpoint: []byte("not json")},
+		{Op: "checkpoint", ID: 7},
+		{Op: "remove", ID: 7},
+	} {
+		p, err := encodeOp(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := p.Bytes()
+		fmt.Fprintf(h, "%d:", len(b))
+		h.Write(b)
+	}
+	const want = "ab8aff17c8a1de70206fa4a462397d882fa74ec87cae03bf94e63cd92e941b39"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("encodeOp digest %s, want %s", got, want)
+	}
 }

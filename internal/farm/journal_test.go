@@ -4,14 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"dstress/internal/checkpoint"
 )
 
 func journaledScheduler(t *testing.T, path string, budget int) (*Scheduler, *Journal) {
@@ -171,67 +166,6 @@ func TestJournalSurvivesKillWithoutDrain(t *testing.T) {
 	}
 	s.Close() // cleanup of the "dead" process
 	s.Wait()
-}
-
-// writeLegacyJournal writes v as the one record of a file in the
-// pre-seglog checkpoint line format, which earlier builds used for the
-// journal.
-func writeLegacyJournal(t *testing.T, path string, v any) {
-	t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crc := crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
-	file := fmt.Sprintf("%s v%d\nrec 1 %08x %s\n", checkpoint.Magic, checkpoint.Version, crc, data)
-	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestJournalMigratesLegacyFile: a journal in the pre-seglog whole-doc
-// checkpoint format is converted on open with its entries recoverable, the
-// original bytes preserved at <path>.legacy, and the converted store
-// reusable across further opens.
-func TestJournalMigratesLegacyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.journal")
-	doc := journalDoc{Jobs: []JournalEntry{
-		{ID: 3, Name: "beta", Workers: 2, State: "running",
-			Spec:       json.RawMessage(`{"template":"data64"}`),
-			Checkpoint: json.RawMessage(`{"gen":9}`)},
-		{ID: 1, Name: "alpha", Workers: 1, State: "pending",
-			Spec: json.RawMessage(`{"template":"rowhammer"}`)},
-	}}
-	writeLegacyJournal(t, path, doc)
-
-	jl, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := jl.Recovered()
-	if len(rec) != 2 || rec[0].ID != 1 || rec[1].ID != 3 {
-		t.Fatalf("recovered = %+v", rec)
-	}
-	if rec[1].Name != "beta" || rec[1].State != "interrupted" ||
-		string(rec[1].Checkpoint) != `{"gen":9}` {
-		t.Fatalf("migrated entry = %+v", rec[1])
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatal("journal path is not a store directory after migration")
-	}
-	if _, err := os.Stat(path + ".legacy"); err != nil {
-		t.Fatalf("legacy journal bytes not preserved: %v", err)
-	}
-	jl.Close()
-	// Idempotent: nothing was mutated, so a further open still recovers both.
-	jl2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := jl2.Recovered(); len(rec) != 2 {
-		t.Fatalf("re-open recovered %d jobs, want 2", len(rec))
-	}
-	jl2.Close()
 }
 
 // TestJournalDeltasStayBounded: the on-disk journal must not retain one

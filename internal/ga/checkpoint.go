@@ -14,12 +14,9 @@ import (
 //
 // A bit genome is written packed: its length N plus its 64-bit words
 // little-endian in Packed (base64 in JSON), about a sixth of the size of a
-// '0'/'1' string. Bits is the legacy spelling of the same chromosome, still
-// read so that checkpoints and journals written before packing resume; a
-// record carrying both is rejected.
+// '0'/'1' string.
 type GenomeRecord struct {
 	Type   string `json:"type"` // "bit", "int" or "mixed"
-	Bits   string `json:"bits,omitempty"`
 	N      int    `json:"n,omitempty"`
 	Packed []byte `json:"packed,omitempty"`
 	Vals   []int  `json:"vals,omitempty"`
@@ -58,7 +55,11 @@ func EncodeGenome(g Genome) (GenomeRecord, error) {
 func DecodeGenome(rec GenomeRecord) (Genome, error) {
 	switch rec.Type {
 	case "bit":
-		v, err := decodeBitRecord(rec)
+		// An empty chromosome is corrupt: no search breeds one.
+		if rec.N <= 0 {
+			return nil, fmt.Errorf("ga: bit genome: empty chromosome (n=%d)", rec.N)
+		}
+		v, err := bitvec.FromBytes(rec.N, rec.Packed)
 		if err != nil {
 			return nil, fmt.Errorf("ga: bit genome: %w", err)
 		}
@@ -74,20 +75,6 @@ func DecodeGenome(rec GenomeRecord) (Genome, error) {
 			append([]int(nil), rec.Lo...), append([]int(nil), rec.Hi...))
 	}
 	return nil, fmt.Errorf("ga: unknown genome type %q", rec.Type)
-}
-
-// decodeBitRecord reads a bit chromosome from whichever of its two forms
-// the record carries. An empty chromosome is corrupt: no search breeds one.
-func decodeBitRecord(rec GenomeRecord) (*bitvec.Vec, error) {
-	switch {
-	case rec.Bits != "" && (rec.N != 0 || rec.Packed != nil):
-		return nil, fmt.Errorf("record carries both bits and packed forms")
-	case rec.Bits != "":
-		return bitvec.Parse(rec.Bits)
-	case rec.N <= 0:
-		return nil, fmt.Errorf("empty chromosome (n=%d)", rec.N)
-	}
-	return bitvec.FromBytes(rec.N, rec.Packed)
 }
 
 // Snapshot is the engine's resumable state, captured at a generation

@@ -89,6 +89,9 @@ var (
 	// ErrCorrupt marks damage before the final segment's tail — data that
 	// was acknowledged as durable and is now unreadable.
 	ErrCorrupt = errors.New("seglog: corrupt store")
+	// ErrNotDir marks a store path that holds something other than a
+	// directory, such as a file in a layout that predates the store.
+	ErrNotDir = errors.New("seglog: not a store directory")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -182,7 +185,7 @@ func Open(dir string, opts Options) (*Store, *OpenResult, error) {
 		opts.RotateBytes = DefaultRotateBytes
 	}
 	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
-		return nil, nil, fmt.Errorf("seglog: %s exists and is not a directory", dir)
+		return nil, nil, fmt.Errorf("%w: %s exists and is not a directory", ErrNotDir, dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("seglog: %w", err)

@@ -320,121 +320,3 @@ func TestConcurrentAppend(t *testing.T) {
 		t.Fatalf("replayed %d of %d", len(res.Payloads), writers*each)
 	}
 }
-
-func TestMigrateFromLegacyFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.json")
-	legacy := []byte(`legacy-body`)
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	convert := func(data []byte) ([][]byte, error) {
-		if !bytes.Equal(data, legacy) {
-			t.Fatalf("convert saw %q", data)
-		}
-		return [][]byte{payload(0), payload(1)}, nil
-	}
-	if err := Migrate(path, Options{}, convert); err != nil {
-		t.Fatal(err)
-	}
-	_, res := openT(t, path, Options{})
-	wantPayloads(t, res, 2)
-	// The legacy bytes are preserved, and a second Migrate is a no-op.
-	bak, err := os.ReadFile(path + legacySuffix)
-	if err != nil || !bytes.Equal(bak, legacy) {
-		t.Fatalf("legacy backup: %q err=%v", bak, err)
-	}
-	if err := Migrate(path, Options{}, func([]byte) ([][]byte, error) {
-		t.Fatal("convert called on an already-migrated path")
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMigrateConvertErrorLeavesLegacy(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.json")
-	os.WriteFile(path, []byte("x"), 0o644)
-	wantErr := errors.New("nope")
-	err := Migrate(path, Options{}, func([]byte) ([][]byte, error) {
-		return nil, wantErr
-	})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.IsDir() {
-		t.Fatal("legacy file not left untouched")
-	}
-}
-
-// TestMigrateCrashWindows constructs each on-disk state a crash inside
-// Migrate can leave behind and verifies a re-run converges losslessly.
-func TestMigrateCrashWindows(t *testing.T) {
-	convert := func(data []byte) ([][]byte, error) {
-		return [][]byte{payload(0), payload(1), payload(2)}, nil
-	}
-	build := func(t *testing.T) (string, string) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "db.json")
-		if err := os.WriteFile(path, []byte("legacy"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return dir, path
-	}
-	verify := func(t *testing.T, path string) {
-		t.Helper()
-		if err := Migrate(path, Options{}, convert); err != nil {
-			t.Fatal(err)
-		}
-		_, res := openT(t, path, Options{})
-		wantPayloads(t, res, 3)
-	}
-
-	t.Run("stale-partial-build", func(t *testing.T) {
-		// Crash during step 1: legacy file intact, half-built store dir.
-		_, path := build(t)
-		tmp := path + migrateSuffix
-		os.MkdirAll(tmp, 0o755)
-		os.WriteFile(filepath.Join(tmp, "seg-000000001.log"),
-			[]byte(SegMagic+" v1\n\x05\x00\x00"), 0o644)
-		verify(t, path)
-	})
-	t.Run("between-renames", func(t *testing.T) {
-		// Crash between steps 2 and 3: path missing, built store waiting.
-		_, path := build(t)
-		st, _ := openT(t, path+migrateSuffix, Options{})
-		st.Append(payload(0), payload(1), payload(2))
-		st.Close()
-		os.Rename(path, path+legacySuffix)
-		verify(t, path)
-	})
-	t.Run("only-legacy-backup", func(t *testing.T) {
-		// Step 2 done but the built store is gone or unusable: rebuild from
-		// the backup.
-		_, path := build(t)
-		os.Rename(path, path+legacySuffix)
-		verify(t, path)
-	})
-	t.Run("backup-plus-incomplete-build", func(t *testing.T) {
-		_, path := build(t)
-		os.Rename(path, path+legacySuffix)
-		os.MkdirAll(path+migrateSuffix, 0o755) // no manifest: incomplete
-		verify(t, path)
-	})
-	t.Run("orphan-incomplete-build", func(t *testing.T) {
-		// Neither path nor backup exists, only an incomplete .migrate dir:
-		// there is nothing to migrate, and the debris — which no later open
-		// would ever touch — must be cleaned up rather than left forever.
-		dir := t.TempDir()
-		path := filepath.Join(dir, "db.json")
-		tmp := path + migrateSuffix
-		os.MkdirAll(tmp, 0o755) // no manifest: incomplete
-		if err := Migrate(path, Options{}, convert); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-			t.Fatal(".migrate debris survived a no-op migration")
-		}
-	})
-}

@@ -2,11 +2,11 @@ package virusdb
 
 import (
 	"bytes"
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -24,144 +24,6 @@ func openPayloads(t *testing.T, path string) [][]byte {
 	}
 	defer st.Close()
 	return res.Payloads
-}
-
-// legacyRecords are records as the previous version wrote them: bit
-// chromosomes spelled out in Bits, beside an integer one.
-func legacyRecords() []Record {
-	rng := xrand.New(8)
-	var recs []Record
-	for i, n := range []int{64, 130, 24 * 1024 * 8} {
-		recs = append(recs, Record{Experiment: fmt.Sprintf("e%d", i%2),
-			Bits: bitvec.Random(n, 0.5, rng).BitString(), Fitness: float64(i),
-			MeanCE: float64(i), Generation: i, TempC: 55, TREFP: 2.283, VDD: 1.428})
-	}
-	return append(recs, Record{Experiment: "e0", Ints: []int{3, 1, 4},
-		Fitness: 7, TempC: 60})
-}
-
-// TestLegacyBitsFramesOpenAndCompactPacked writes a store the way the
-// previous version did — one JSON Record per frame, chromosome as a bit
-// string — straight through seglog. The new code must read back identical
-// records, and Compact must leave only packed frames with the same
-// contents.
-func TestLegacyBitsFramesOpenAndCompactPacked(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.db")
-	want := legacyRecords()
-	st, _, err := seglog.Open(path, storeOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range want {
-		p, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(db *DB, stage string) {
-		t.Helper()
-		for _, exp := range []string{"e0", "e1"} {
-			var exact []Record
-			for _, r := range want {
-				if r.Experiment == exp {
-					exact = append(exact, r)
-				}
-			}
-			got := db.Records(exp)
-			byFit := map[float64]Record{}
-			for _, r := range got {
-				byFit[r.Fitness] = r
-			}
-			if len(got) != len(exact) {
-				t.Fatalf("%s: %s holds %d records, want %d", stage, exp, len(got), len(exact))
-			}
-			for _, r := range exact {
-				if !reflect.DeepEqual(byFit[r.Fitness], r) {
-					t.Fatalf("%s: record %v did not survive", stage, r.Fitness)
-				}
-			}
-			if page, err := db.Query(exp, noFloor, 0, 0); err != nil || !reflect.DeepEqual(page, got) {
-				t.Fatalf("%s: Query differs from Records", stage)
-			}
-		}
-	}
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(db, "legacy")
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	for i, p := range openPayloads(t, path) {
-		if bytes.Contains(p, []byte(`"bits"`)) {
-			t.Fatalf("frame %d still carries a bit string after Compact", i)
-		}
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	check(re, "compacted")
-}
-
-// TestJSONPackedFramesOpen writes a store the way the previous version
-// did — one JSON frame per record, a bit chromosome as "n" plus base64
-// "packed" — and requires the same records back, before and after Compact
-// rewrites the frames in the tail layout, which holds the words raw.
-func TestJSONPackedFramesOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "json.db")
-	rng := xrand.New(12)
-	var want []Record
-	st, _, err := seglog.Open(path, storeOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range []int{64, 130, 24 * 1024 * 8} {
-		v := bitvec.Random(n, 0.5, rng)
-		r := Record{Experiment: "e", Fitness: float64(i), MeanCE: 1.5, Generation: i,
-			TempC: 55, TREFP: 2.283, VDD: 1.428}
-		p, err := json.Marshal(frame{Record: r, N: n, Packed: v.Bytes()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Append(p); err != nil {
-			t.Fatal(err)
-		}
-		r.Bits = v.BitString()
-		want = append([]Record{r}, want...) // strongest first
-	}
-	st.Close()
-	for _, stage := range []string{"previous format", "compacted"} {
-		db, err := Open(path)
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		got, err := db.Query("e", noFloor, 0, 0)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: records differ (%v)", stage, err)
-		}
-		if stage == "previous format" {
-			if err := db.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		db.Close()
-	}
-	for i, p := range openPayloads(t, path) {
-		if p[0] != seglog.TailMarker || bytes.Contains(p, []byte(`"packed"`)) {
-			t.Fatalf("frame %d is not in the tail layout after Compact", i)
-		}
-	}
 }
 
 // noFloor is a minimum fitness that filters nothing out.
@@ -270,9 +132,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(p)
 	}
-	legacy, _ := json.Marshal(Record{Experiment: "e", Bits: "0110", Fitness: 2})
-	f.Add(legacy)
+	// All-JSON bit frames, as builds before the tail layout wrote them (a
+	// bit string, or the words base64 in "packed"), and frames with no
+	// chromosome are corrupt.
 	for _, s := range []string{
+		`{"experiment":"e","bits":"0110","fitness":2}`,
 		`{"experiment":"e","bits":"01x"}`,
 		`{"experiment":"e","n":4,"packed":"EAAAAAAAAAA="}`,
 		`{"experiment":"e","n":64,"packed":"AQIDBAUGBwg=","bits":"1"}`,
@@ -280,6 +144,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		`{"experiment":"e"}`,
 		`{"experiment":"e","ints":[]}`,
 	} {
+		if _, err := decodeFrame([]byte(s)); err == nil {
+			f.Fatalf("frame %s decodes", s)
+		}
 		f.Add([]byte(s))
 	}
 	// Header-plus-tail frames: a whole one, one cut short, bits set past
@@ -317,4 +184,37 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-encoding is not stable: %s vs %s", again, p)
 		}
 	})
+}
+
+// TestFrameWriterDigest pins the bytes encodeFrame writes for fixed bit and
+// integer records, so that a change to the readers cannot move the layout
+// stores are written in.
+func TestFrameWriterDigest(t *testing.T) {
+	rng := xrand.New(27)
+	var recs []Record
+	for i, n := range []int{1, 64, 130, 24 * 1024 * 8} {
+		recs = append(recs, Record{Experiment: "data24k/max-ce/55C",
+			Vec: bitvec.Random(n, 0.5, rng), Fitness: float64(i) + 0.25, MeanCE: 1.5,
+			UEFrac: 0.125, Generation: i, TempC: 55, TREFP: 2.283, VDD: 1.428})
+	}
+	recs = append(recs,
+		Record{Experiment: "access/max-ue/60C", Ints: []int{3, 1, 4, 1, 5}, Fitness: 7, TempC: 60},
+		Record{Experiment: "e", Bits: "0110", Fitness: -1})
+	h := sha256.New()
+	for _, r := range recs {
+		e, err := newEntry(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := encodeFrame(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%d:", len(p))
+		h.Write(p)
+	}
+	const want = "8241233304e759360ddb3418ce660233f39fe1c1a06740464104d4a906efcd51"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("encodeFrame digest %s, want %s", got, want)
+	}
 }

@@ -4,18 +4,15 @@
 // interrupted search seeds a new GA run (the framework's resume mechanism).
 //
 // Storage is a seglog store (see internal/seglog): one CRC-32C-framed append
-// per record, so insert cost is independent of database size. Earlier
-// versions kept a single JSON array and re-marshalled and re-fsynced all of
-// it on every insert — O(N²) cumulative write cost over a campaign. A legacy
-// JSON-array file found at the database path is migrated into a store
-// directory transparently on open (the original bytes are kept at
-// <path>.legacy).
+// per record, so insert cost is independent of database size. A file at the
+// database path is a single-file database from a build before the segmented
+// store; Open refuses it with an error that names the build that converts
+// it.
 //
 // A bit chromosome is stored packed, in seglog's header-plus-tail layout:
 // the record's fields are the frame's JSON header, and the chromosome's
-// length and 64-bit words are its binary tail. Frames written as one JSON
-// record — with the words base64 in "packed", or the '0'/'1' string of
-// Record.Bits — still open, and Compact rewrites them in the tail layout.
+// length and 64-bit words are its binary tail. Open and reads accept only
+// this layout, the one Append writes.
 //
 // Chromosomes stay on disk. In memory the database keeps, per experiment,
 // each record's fitness and the locator of its frame, strongest first; a
@@ -24,10 +21,10 @@
 package virusdb
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"math"
@@ -135,23 +132,12 @@ func (e entry) record() Record {
 	return r
 }
 
-// frame is the JSON of a stored record: the record's own fields. A bit
-// chromosome follows as the payload's tail — its length as a uvarint, then
-// its words little-endian — and an integer chromosome stays in Ints, with
-// no tail. Frames written before the tail layout are all JSON and carry a
-// bit chromosome in the JSON too: as its length N plus its words (base64)
-// in Packed, or, before packing, as the embedded Record's Bits string. A
-// frame carrying a chromosome twice is corrupt.
-type frame struct {
-	Record
-	N      int    `json:"n,omitempty"`
-	Packed []byte `json:"packed,omitempty"`
-}
-
-// encodeFrame is the payload of one stored entry. A bit chromosome's words
-// are copied once, into the payload.
+// encodeFrame is the payload of one stored entry, its frame: the record's
+// own fields as JSON. A bit chromosome follows as the payload's tail — its
+// length as a uvarint, then its words little-endian, copied once into the
+// payload — and an integer chromosome stays in Ints, with no tail.
 func encodeFrame(e entry) ([]byte, error) {
-	h, err := json.Marshal(frame{Record: e.rec})
+	h, err := json.Marshal(e.rec)
 	if err != nil {
 		return nil, fmt.Errorf("virusdb: %w", err)
 	}
@@ -164,20 +150,27 @@ func encodeFrame(e entry) ([]byte, error) {
 	return e.bits.AppendBytes(p), nil
 }
 
-// parseFrame splits a payload in any frame form and decodes its JSON; tail
-// is the bit chromosome's tail, nil for a frame that is all JSON.
-func parseFrame(p []byte) (f frame, tail []byte, err error) {
+// parseFrame splits a frame and decodes its JSON; tail is the bit
+// chromosome's tail, nil for an integer chromosome. A frame whose JSON
+// spells a bit string, or that carries no chromosome or two, is corrupt:
+// encodeFrame writes none of them.
+func parseFrame(p []byte) (rec Record, tail []byte, err error) {
 	pl, err := seglog.SplitPayload(p)
 	if err != nil {
-		return frame{}, nil, err
+		return Record{}, nil, err
 	}
-	if err := json.Unmarshal(pl.Header, &f); err != nil {
-		return frame{}, nil, err
+	if err := json.Unmarshal(pl.Header, &rec); err != nil {
+		return Record{}, nil, err
 	}
-	if len(pl.Tail) > 0 && (f.Bits != "" || f.Ints != nil || f.N != 0 || f.Packed != nil) {
-		return frame{}, nil, fmt.Errorf("frame carries its chromosome twice")
+	switch {
+	case rec.Bits != "":
+		return Record{}, nil, fmt.Errorf("bit string in the frame's JSON")
+	case pl.Tail != nil && rec.Ints != nil:
+		return Record{}, nil, fmt.Errorf("frame carries its chromosome twice")
+	case pl.Tail == nil && len(rec.Ints) == 0:
+		return Record{}, nil, fmt.Errorf("frame carries no chromosome")
 	}
-	return f, pl.Tail, nil
+	return rec, pl.Tail, nil
 }
 
 // tailWords splits a frame tail into the chromosome's length and its
@@ -203,28 +196,20 @@ func tailWords(tail []byte) (n int, words []byte, err error) {
 // a tail's words are checked but not read out. It accepts exactly the
 // payloads decodeFrame accepts.
 func indexFrame(p []byte) (Record, error) {
-	f, tail, err := parseFrame(p)
-	if err != nil {
-		return Record{}, err
+	rec, tail, err := parseFrame(p)
+	if err == nil && tail != nil {
+		_, _, err = tailWords(tail)
 	}
-	if tail != nil {
-		_, _, err := tailWords(tail)
-		return f.Record, err
-	}
-	e, err := f.entry()
-	return e.rec, err
+	return rec, err
 }
 
-// decodeFrame reads a payload in any frame form. Beyond the chromosome
-// encodings it checks nothing: stores hold whatever earlier versions
-// accepted, and refusing those records now would strand them.
+// decodeFrame reads a frame back. Beyond the chromosome it checks nothing:
+// a store holds whatever earlier builds accepted, and refusing those
+// records now would strand them.
 func decodeFrame(p []byte) (entry, error) {
-	f, tail, err := parseFrame(p)
-	if err != nil {
-		return entry{}, err
-	}
-	if tail == nil {
-		return f.entry()
+	rec, tail, err := parseFrame(p)
+	if err != nil || tail == nil {
+		return entry{rec: rec}, err
 	}
 	n, words, err := tailWords(tail)
 	if err != nil {
@@ -234,33 +219,7 @@ func decodeFrame(p []byte) (entry, error) {
 	if err != nil {
 		return entry{}, err
 	}
-	return entry{rec: f.Record, bits: v}, nil
-}
-
-// entry reads the chromosome of a frame that is all JSON.
-func (f frame) entry() (entry, error) {
-	e := entry{rec: f.Record}
-	packed := f.N != 0 || f.Packed != nil
-	switch {
-	case packed && f.Bits != "":
-		return entry{}, fmt.Errorf("frame carries both bits and packed forms")
-	case packed && f.N <= 0:
-		return entry{}, fmt.Errorf("packed chromosome of %d bits", f.N)
-	case packed:
-		v, err := bitvec.FromBytes(f.N, f.Packed)
-		if err != nil {
-			return entry{}, err
-		}
-		e.bits = v
-	case f.Bits != "":
-		v, err := bitvec.Parse(f.Bits)
-		if err != nil {
-			return entry{}, err
-		}
-		e.bits = v
-	}
-	e.rec.Bits = ""
-	return e, nil
+	return entry{rec: rec, bits: v}, nil
 }
 
 // DB is a seglog-backed virus database. It is safe for concurrent use:
@@ -346,12 +305,11 @@ func (db *DB) read(loc seglog.Loc) (Record, error) {
 var storeOptions = seglog.Options{SyncEvery: 1}
 
 // Open loads the database at path, creating an empty one if nothing exists
-// there. A legacy JSON-array file is migrated to the segmented store in
-// place; one that does not parse — e.g. truncated by a crash of a writer
-// without atomic saves — is an error, and OpenSalvage recovers the readable
-// prefix instead. (A torn tail on the store's own active segment is not
-// damage: it is the unacknowledged in-flight record of a crashed writer,
-// and is truncated silently.)
+// there. A damaged store or a corrupt frame is an error, and OpenSalvage
+// keeps the intact records instead. (A torn tail on the store's own active
+// segment is not damage: it is the unacknowledged in-flight record of a
+// crashed writer, and is truncated silently.) A file at path is refused:
+// it is a single-file database from a build before the segmented store.
 func Open(path string) (*DB, error) {
 	db, _, err := open(path, false)
 	return db, err
@@ -368,36 +326,18 @@ func open(path string, salvage bool) (*DB, int, error) {
 	if path == "" {
 		return nil, 0, fmt.Errorf("virusdb: empty path")
 	}
-	legacyDropped := 0
-	convert := func(data []byte) ([][]byte, error) {
-		recs, dropped, err := parseLegacy(path, data, salvage)
-		if err != nil {
-			return nil, err
-		}
-		legacyDropped = dropped
-		payloads := make([][]byte, 0, len(recs))
-		for _, r := range recs {
-			// Legacy frames, as the array held them: opening decodes them
-			// like any other, and Compact rewrites them packed.
-			p, err := json.Marshal(r)
-			if err != nil {
-				return nil, fmt.Errorf("virusdb: %w", err)
-			}
-			payloads = append(payloads, p)
-		}
-		return payloads, nil
-	}
-	if err := seglog.Migrate(path, storeOptions, convert); err != nil {
-		return nil, 0, err
-	}
 	opts := storeOptions
 	opts.Salvage = salvage
 	st, res, err := seglog.Open(path, opts)
+	if errors.Is(err, seglog.ErrNotDir) {
+		return nil, 0, fmt.Errorf("virusdb: %w; a single-file database from an earlier build: "+
+			"convert it with \"virusdb -db %s -compact\" built from commit 67701f1", err, path)
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("virusdb: %w", err)
 	}
 	db := &DB{path: path, log: st, exps: map[string][]slot{}}
-	dropped := legacyDropped + res.Stats.DroppedFrames
+	dropped := res.Stats.DroppedFrames
 	byExp := map[string][]slot{}
 	for i, p := range res.Payloads {
 		rec, err := indexFrame(p)
@@ -416,76 +356,6 @@ func open(path string, salvage bool) (*DB, int, error) {
 		db.insert(exp, add)
 	}
 	return db, dropped, nil
-}
-
-// parseLegacy decodes a legacy JSON-array database. In salvage mode it keeps
-// the valid prefix and reports how many visible records were lost; in strict
-// mode any damage is an error.
-func parseLegacy(path string, data []byte, salvage bool) ([]Record, int, error) {
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, 0, nil
-	}
-	var recs []Record
-	if err := json.Unmarshal(data, &recs); err == nil {
-		return recs, 0, nil
-	} else if !salvage {
-		return nil, 0, fmt.Errorf("virusdb: corrupt database %s: %w", path, err)
-	}
-	recs, ok := salvageRecords(data)
-	if !ok {
-		return nil, 0, fmt.Errorf("virusdb: corrupt database %s: not a JSON array", path)
-	}
-	dropped := countLegacyRecords(data) - len(recs)
-	if dropped < 0 {
-		dropped = 0
-	}
-	return recs, dropped, nil
-}
-
-// salvageRecords decodes complete records from the front of a (possibly
-// truncated) JSON array. The second result is false when data does not even
-// start with an array.
-func salvageRecords(data []byte) ([]Record, bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	tok, err := dec.Token()
-	if err != nil || tok != json.Delim('[') {
-		return nil, false
-	}
-	var out []Record
-	for dec.More() {
-		var r Record
-		if err := dec.Decode(&r); err != nil {
-			break
-		}
-		if r.Validate() != nil {
-			break
-		}
-		out = append(out, r)
-	}
-	return out, true
-}
-
-// countLegacyRecords counts the records visible in a (possibly truncated)
-// legacy array by tokenizing it: every element that decodes is one record,
-// plus one for a partial element chopped by the truncation. Substring
-// counting (the old estimate) over-counted whenever an experiment *name* was
-// itself the string "experiment", because its serialized value then
-// contained the `"experiment"` key bytes a second time.
-func countLegacyRecords(data []byte) int {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	tok, err := dec.Token()
-	if err != nil || tok != json.Delim('[') {
-		return 0
-	}
-	n := 0
-	for dec.More() {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return n + 1 // a partial trailing record is visible in the bytes
-		}
-		n++
-	}
-	return n
 }
 
 // Path returns the database location.
@@ -539,10 +409,10 @@ func (db *DB) Append(recs ...Record) error {
 }
 
 // Compact rewrites the store into a single fresh segment — reclaiming the
-// space of salvage-dropped frames, collapsing accumulated segments and
-// rewriting legacy bit-string frames packed — with an atomic manifest swap,
-// so a crash leaves either the old store or the new one, never a mix. It
-// reads every indexed frame back and writes them in their old order.
+// space of salvage-dropped frames and collapsing accumulated segments —
+// with an atomic manifest swap, so a crash leaves either the old store or
+// the new one, never a mix. It reads every indexed frame back, CRC-checked,
+// and writes them unchanged in their old order.
 func (db *DB) Compact() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
@@ -560,13 +430,7 @@ func (db *DB) Compact() error {
 		if err != nil {
 			return fmt.Errorf("virusdb: %w", err)
 		}
-		e, err := decodeFrame(p)
-		if err != nil {
-			return fmt.Errorf("virusdb: %s: %w", db.path, err)
-		}
-		if payloads[i], err = encodeFrame(e); err != nil {
-			return err
-		}
+		payloads[i] = p
 	}
 	locs, err := db.log.Compact(payloads)
 	if err != nil {

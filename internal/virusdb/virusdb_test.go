@@ -1,8 +1,6 @@
 package virusdb
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,20 +25,6 @@ func tempDB(t *testing.T) *DB {
 func rec(exp string, fitness float64) Record {
 	return Record{Experiment: exp, Bits: "1100", Fitness: fitness,
 		MeanCE: fitness, TempC: 55, TREFP: 2.283, VDD: 1.428}
-}
-
-// writeLegacy writes records in the pre-seglog single-file format: one
-// indented JSON array, exactly what the old save() produced.
-func writeLegacy(t *testing.T, path string, recs []Record) []byte {
-	t.Helper()
-	data, err := json.MarshalIndent(recs, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 func TestOpenMissingFile(t *testing.T) {
@@ -157,90 +141,9 @@ func TestCorruptFileRejected(t *testing.T) {
 	if _, err := Open(path); err == nil {
 		t.Fatal("corrupt database accepted")
 	}
-	// The rejected legacy file is left exactly where it was.
+	// The rejected file is left exactly where it was.
 	if fi, err := os.Stat(path); err != nil || fi.IsDir() {
-		t.Fatal("rejected legacy file was disturbed")
-	}
-}
-
-// writeTruncatedLegacy writes a legacy-format database with n records and
-// chops the file after frac of its bytes, simulating a crash mid-write of a
-// non-atomic writer. exp names the experiments (cycled over two suffixes).
-func writeTruncatedLegacy(t *testing.T, n int, frac float64, exp func(i int) string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "trunc.json")
-	recs := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		recs = append(recs, rec(exp(i), float64(i)))
-	}
-	data := writeLegacy(t, path, recs)
-	cut := int(float64(len(data)) * frac)
-	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestOpenSalvageTruncatedLegacy(t *testing.T) {
-	for _, frac := range []float64{0.3, 0.6, 0.9} {
-		path := writeTruncatedLegacy(t, 8, frac,
-			func(i int) string { return fmt.Sprintf("e%d", i%2) })
-		if _, err := Open(path); err == nil {
-			t.Fatalf("frac %.1f: Open accepted a truncated file", frac)
-		}
-		db, dropped, err := OpenSalvage(path)
-		if err != nil {
-			t.Fatalf("frac %.1f: salvage failed: %v", frac, err)
-		}
-		// dropped counts only what is visible in the truncated bytes, so
-		// salvaged+dropped is at most the original count and at least one
-		// trailing record must have been lost to the cut.
-		if db.Len() == 0 || db.Len() >= 8 {
-			t.Fatalf("frac %.1f: salvaged %d of 8", frac, db.Len())
-		}
-		if dropped < 1 || db.Len()+dropped > 8 {
-			t.Fatalf("frac %.1f: salvaged %d, dropped %d", frac,
-				db.Len(), dropped)
-		}
-		// The salvaged prefix must be the original records, in order, and
-		// the database must be fully usable: append and reload cleanly.
-		for i, r := range db.Records("e0") {
-			if r.Fitness != float64(2*(len(db.Records("e0"))-1-i)) &&
-				r.Experiment != "e0" {
-				t.Fatalf("frac %.1f: wrong salvaged record %+v", frac, r)
-			}
-		}
-		if err := db.Append(rec("after", 99)); err != nil {
-			t.Fatalf("frac %.1f: append after salvage: %v", frac, err)
-		}
-		db.Close()
-		re, err := Open(path)
-		if err != nil {
-			t.Fatalf("frac %.1f: reload after salvage: %v", frac, err)
-		}
-		if best, ok, err := re.Best("after"); err != nil || !ok || best.Fitness != 99 {
-			t.Fatalf("frac %.1f: repaired file lost the new record", frac)
-		}
-	}
-}
-
-// TestSalvageCountSelfNamedExperiment pins the dropped-count fix: an
-// experiment literally named "experiment" serializes its value as the same
-// bytes as the key, which the old substring estimate counted as a second
-// record. Tokenizing counts each array element once.
-func TestSalvageCountSelfNamedExperiment(t *testing.T) {
-	path := writeTruncatedLegacy(t, 4, 0.6,
-		func(i int) string { return "experiment" })
-	db, dropped, err := OpenSalvage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() == 0 || db.Len() >= 4 {
-		t.Fatalf("salvaged %d of 4", db.Len())
-	}
-	if dropped < 1 || db.Len()+dropped > 4 {
-		t.Fatalf("salvaged %d, dropped %d: count inflated by the "+
-			"experiment name", db.Len(), dropped)
+		t.Fatal("rejected file was disturbed")
 	}
 }
 
@@ -273,7 +176,11 @@ func TestSalvageStoreThenAppendDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		p, err := json.Marshal(rec("e", float64(i)))
+		e, err := newEntry(rec("e", float64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := encodeFrame(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,63 +252,6 @@ func TestOpenSalvageHopeless(t *testing.T) {
 	}
 	if _, _, err := OpenSalvage(path); err == nil {
 		t.Fatal("salvage invented records from junk")
-	}
-}
-
-// TestMigrationLosslessIdempotent: opening a legacy JSON-array database
-// converts it to the segmented store with every record intact, keeps the
-// original bytes at <path>.legacy, and re-opening converges (no re-migration,
-// no duplication).
-func TestMigrationLosslessIdempotent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "viruses.json")
-	recs := []Record{rec("a", 1), rec("b", 2), rec("a", 3)}
-	original := writeLegacy(t, path, recs)
-
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 3 {
-		t.Fatalf("migrated %d of 3 records", db.Len())
-	}
-	if got := db.Records("a"); len(got) != 2 || got[0].Fitness != 3 {
-		t.Fatalf("migrated records wrong: %+v", got)
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatal("path is not a store directory after migration")
-	}
-	bak, err := os.ReadFile(path + ".legacy")
-	if err != nil || !bytes.Equal(bak, original) {
-		t.Fatalf("legacy bytes not preserved: err=%v", err)
-	}
-	if err := db.Append(rec("c", 9)); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	for i := 0; i < 2; i++ { // idempotent across repeated opens
-		re, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Len() != 4 {
-			t.Fatalf("reopen %d: %d records, want 4", i, re.Len())
-		}
-		re.Close()
-	}
-}
-
-func TestMigrationEmptyLegacyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 0 {
-		t.Fatalf("empty legacy file produced %d records", db.Len())
 	}
 }
 
