@@ -86,12 +86,15 @@ islands-test:
 # three writers (journal ops carrying opaque checkpoint bytes, virusdb
 # frames, the core checkpoint codec) with the digests that pin what each
 # writes, and the bit-identity of the bulk mutation draw (whole and split
-# by jump-ahead) and the fitness-cache key. Then
+# by jump-ahead) and the fitness-cache key; virusdb's index snapshot: an
+# open through it against a full scan over every state the snapshot can
+# be in against its store, its decoder's seeds, the header scan against
+# json.Unmarshal, and Close racing reads and appends. Then
 # one -race iteration of the store and database packages: they are shared
-# by concurrent campaign jobs, and virusdb's own test races appends, page
-# reads and compactions.
+# by concurrent campaign jobs, and virusdb's own tests race appends, page
+# reads, compactions and Close.
 store-test:
-	$(GO) test -run 'Seglog|Torn|Corrupt|Compact|Manifest|Salvage|Journal|Payload|WriterDigest|CheckpointCodec|FlipBools|Jump|MutateMatches|GenomeKeyDigest' \
+	$(GO) test -run 'Seglog|Torn|Corrupt|Compact|Manifest|Salvage|Journal|Payload|WriterDigest|CheckpointCodec|FlipBools|Jump|MutateMatches|GenomeKeyDigest|Index|HeaderFields|CloseWaits' \
 		./internal/seglog ./internal/virusdb ./internal/farm ./internal/core ./internal/xrand ./internal/ga
 	$(GO) test -race -count 1 ./internal/seglog ./internal/virusdb
 
@@ -181,12 +184,12 @@ fleet-test:
 # regeneration each) plus the evaluation-path micro-benchmarks (dram fast
 # path vs reference, farm speedup, one access-rows generation and one
 # access-rows deploy through the memory controller, controller hit and
-# thrash loads). bench prints;
+# thrash loads, virusdb's Open with and without its index snapshot). bench prints;
 # bench-json also snapshots the results — including the fast-vs-reference
 # speedup ratios — into a dated BENCH_<date>.json for the perf trajectory.
 BENCH_FIGS  = $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -timeout 60m .
 BENCH_MICRO = $(GO) test -run '^$$' -bench . -benchmem ./internal/dram ./internal/farm ./internal/ecc \
-	./internal/core ./internal/memctl
+	./internal/core ./internal/memctl ./internal/virusdb
 
 bench:
 	$(BENCH_FIGS)
@@ -214,7 +217,8 @@ experiments-full:
 # subprocess tests), the
 # decoders of stored chromosomes (checkpoint genome records, virusdb frames
 # and whole journal checkpoints, each with the layouts earlier builds wrote
-# as must-reject seeds), the journal's op replay on arbitrary frames, the
+# as must-reject seeds), virusdb's index snapshot decoder and an open
+# through arbitrary snapshot bytes, the journal's op replay on arbitrary frames, the
 # memory controller against its plain reference model on arbitrary op
 # streams, the segmented store's open over arbitrary segment and
 # manifest bytes, and the bulk mutation draw (split across goroutines past
@@ -231,6 +235,7 @@ fuzz:
 	$(GO) test -run=FuzzLoadAuthConfig -fuzz=FuzzLoadAuthConfig $(FUZZ) ./cmd/dstressd
 	$(GO) test -run=FuzzDecodeGenome -fuzz=FuzzDecodeGenome $(FUZZ) ./internal/ga
 	$(GO) test -run=FuzzDecodeFrame -fuzz=FuzzDecodeFrame $(FUZZ) ./internal/virusdb
+	$(GO) test -run=FuzzDecodeIndex -fuzz=FuzzDecodeIndex $(FUZZ) ./internal/virusdb
 	$(GO) test -run=FuzzDecodeCheckpoint -fuzz=FuzzDecodeCheckpoint $(FUZZ) ./internal/core
 	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay $(FUZZ) ./internal/farm
 	$(GO) test -run=FuzzControllerTrace -fuzz=FuzzControllerTrace $(FUZZ) ./internal/memctl

@@ -144,6 +144,9 @@ func main() {
 		}
 	}
 	if f.DB != nil {
+		if err := f.DB.Close(); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("recorded %d viruses in %s\n", len(res.Population), *dbPath)
 	}
 }

@@ -1047,7 +1047,9 @@ func main() {
 		log.Fatalf("dstressd: %v", err)
 	}
 	hs := &http.Server{Handler: d.handler()}
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		log.Print("dstressd: draining jobs")
 		// Cancelled searches flush their final checkpoint on the way out, so
@@ -1065,5 +1067,19 @@ func main() {
 	log.Printf("dstressd: listening on %s (budget %d workers)", ln.Addr(), *budget)
 	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("dstressd: %v", err)
+	}
+	// Serve returns as Shutdown begins; close the stores once the jobs and
+	// requests are done with them. Closing the database writes its index
+	// snapshot, which the next start opens from.
+	<-drained
+	if db != nil {
+		if err := db.Close(); err != nil {
+			log.Printf("dstressd: %v", err)
+		}
+	}
+	if journal != nil {
+		if err := journal.Close(); err != nil {
+			log.Printf("dstressd: %v", err)
+		}
 	}
 }

@@ -12,8 +12,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,6 +23,7 @@ import (
 	"dstress/internal/farm"
 	"dstress/internal/fleet"
 	"dstress/internal/seglog"
+	"dstress/internal/virusdb"
 )
 
 // openRecoveredSet reads what a restarted daemon would find to re-queue.
@@ -101,15 +104,18 @@ func startDaemonProc(t *testing.T, args ...string) (*exec.Cmd, string) {
 // TestDaemonKillResumeIntegration is the acceptance scenario: SIGKILL a
 // daemon mid-search, restart it over the same journal, and require the
 // re-queued job to finish with exactly the result an uninterrupted daemon
-// produces.
+// produces. The restarted daemon then exits on SIGTERM, which must close
+// its database: the index snapshot is written, and a reopen through it
+// reads what a full scan reads.
 func TestDaemonKillResumeIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
 	journal := filepath.Join(t.TempDir(), "jobs.journal")
+	dbPath := filepath.Join(t.TempDir(), "viruses.db")
 
-	// Slow enough (~200ms/generation) that the kill lands mid-search, fast
-	// enough that the resumed leg and the reference finish in test time.
+	// Slow enough that the kill lands mid-search, fast enough that the
+	// resumed leg and the reference finish in test time.
 	req := jobRequest{
 		Template:    "data24k",
 		Criterion:   "max-ce",
@@ -118,11 +124,11 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 		Population:  8,
 		Workers:     2,
 		Seed:        99,
-		Rows:        32,
+		Rows:        256,
 		Runs:        16,
 	}
 
-	daemonArgs := []string{"-budget", "2", "-journal", journal, "-drain", "20s"}
+	daemonArgs := []string{"-budget", "2", "-journal", journal, "-db", dbPath, "-drain", "20s"}
 	proc1, base1 := startDaemonProc(t, daemonArgs...)
 
 	if code := postJSON(t, base1+"/api/v1/jobs", req, nil); code != http.StatusAccepted {
@@ -141,7 +147,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 		getJSON(t, base1+"/api/v1/jobs/1", &view)
 		if view.State.String() == "done" {
 			proc1.Process.Kill()
-			t.Fatal("job finished before the kill; slow the search down")
+			t.Fatalf("job finished before the kill; slow the search down: %+v", view)
 		}
 		if view.Generation >= 2 {
 			break
@@ -176,6 +182,14 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 		t.Fatalf("resumed job: state %s, error %q", resumed.State, resumed.Error)
 	}
 
+	if err := proc2.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := proc2.Wait(); err != nil {
+		t.Fatalf("daemon exit on SIGTERM: %v", err)
+	}
+	checkSnapshotOpen(t, dbPath, req.Population)
+
 	// The journal must be clean again: nothing to re-queue next time.
 	jl, err := openRecoveredSet(journal)
 	if err != nil {
@@ -201,6 +215,59 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	if *resumed.Result != *ref.Result {
 		t.Fatalf("kill+resume diverged from the uninterrupted run:\n got %+v\nwant %+v",
 			*resumed.Result, *ref.Result)
+	}
+}
+
+// dbView is what a reader sees of a database: its experiments, each one's
+// count and top-10 page.
+type dbView struct {
+	Experiments []string
+	Counts      []int
+	Top         [][]virusdb.Record
+}
+
+func readDBView(t *testing.T, path string) dbView {
+	t.Helper()
+	db, err := virusdb.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	v := dbView{Experiments: db.Experiments()}
+	for _, exp := range v.Experiments {
+		top, err := db.TopN(exp, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Counts = append(v.Counts, db.Count(exp))
+		v.Top = append(v.Top, top)
+	}
+	return v
+}
+
+// checkSnapshotOpen requires the index snapshot a closed database leaves,
+// and the same view of the store through it as with it deleted, holding at
+// least minRecords records.
+func checkSnapshotOpen(t *testing.T, path string, minRecords int) {
+	t.Helper()
+	idx := filepath.Join(path, "INDEX")
+	if _, err := os.Stat(idx); err != nil {
+		t.Fatalf("no index snapshot after SIGTERM: %v", err)
+	}
+	with := readDBView(t, path)
+	if err := os.Remove(idx); err != nil {
+		t.Fatal(err)
+	}
+	scan := readDBView(t, path)
+	if !reflect.DeepEqual(with, scan) {
+		t.Fatalf("opened through the snapshot:\n%+v\nby a full scan:\n%+v", with, scan)
+	}
+	total := 0
+	for _, n := range scan.Counts {
+		total += n
+	}
+	if total < minRecords {
+		t.Fatalf("database holds %d records, want at least %d", total, minRecords)
 	}
 }
 

@@ -14,7 +14,9 @@
 //
 // -db names a store directory. A single-file database from a build before
 // the segmented store is refused; this command built from commit 67701f1
-// converts one with -compact.
+// converts one with -compact. Every run closes the database, which writes
+// its index snapshot when the one on disk is missing or stale, so the next
+// open skips decoding the records it names.
 package main
 
 import (
@@ -49,41 +51,54 @@ func main() {
 		fmt.Fprintf(os.Stderr, "virusdb: %s: damaged store salvaged, %d records dropped\n",
 			*dbPath, dropped)
 	}
-	if *compact {
+	err = run(db, *dbPath, *experiment, *top, *compact)
+	// Closing writes the index snapshot the next open reads.
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// run compacts the database or lists it: its experiments, or one
+// experiment's strongest records.
+func run(db *virusdb.DB, dbPath, experiment string, top int, compact bool) error {
+	if compact {
 		if err := db.Compact(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%s: compacted %d records\n", *dbPath, db.Len())
-		return
+		fmt.Printf("%s: compacted %d records\n", dbPath, db.Len())
+		return nil
 	}
 	if db.Len() == 0 {
-		fmt.Printf("%s: empty database\n", *dbPath)
-		return
+		fmt.Printf("%s: empty database\n", dbPath)
+		return nil
 	}
 
-	if *experiment == "" {
+	if experiment == "" {
 		fmt.Printf("%s: %d viruses across %d experiments\n\n",
-			*dbPath, db.Len(), len(db.Experiments()))
+			dbPath, db.Len(), len(db.Experiments()))
 		for _, name := range db.Experiments() {
 			best, _, err := db.Best(name)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("%-32s %3d viruses, best fitness %10.2f (TREFP %.3fs, VDD %.3fV, %.0f°C)\n",
 				name, db.Count(name), best.Fitness, best.TREFP, best.VDD, best.TempC)
 		}
-		return
+		return nil
 	}
 
-	recs, err := db.TopN(*experiment, *top)
+	recs, err := db.TopN(experiment, top)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(recs) == 0 {
-		fatal(fmt.Errorf("no records for experiment %q", *experiment))
+		return fmt.Errorf("no records for experiment %q", experiment)
 	}
-	fmt.Printf("%s: top %d of %d viruses\n", *experiment, len(recs),
-		db.Count(*experiment))
+	fmt.Printf("%s: top %d of %d viruses\n", experiment, len(recs),
+		db.Count(experiment))
 	for i, r := range recs {
 		chromo := r.Bits
 		if chromo == "" {
@@ -95,6 +110,7 @@ func main() {
 		fmt.Printf("%2d. fitness %10.2f  CE %8.2f  UE %.2f  gen %3d  %s\n",
 			i+1, r.Fitness, r.MeanCE, r.UEFrac, r.Generation, chromo)
 	}
+	return nil
 }
 
 func fatal(err error) {

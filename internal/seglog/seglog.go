@@ -316,7 +316,7 @@ func (s *Store) createSegment() (string, error) {
 }
 
 // removeDebris deletes segment and temp files the manifest does not list —
-// leftovers of a rotation, compaction or manifest swap that crashed after
+// leftovers of a rotation, compaction or WriteFileAtomic that crashed after
 // creating files but before publishing them.
 func (s *Store) removeDebris() {
 	live := make(map[string]bool, len(s.segs))
@@ -332,7 +332,7 @@ func (s *Store) removeDebris() {
 		switch {
 		case n == manifestName || live[n]:
 		case strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix),
-			strings.HasPrefix(n, ".manifest-"):
+			isTempFile(n):
 			os.Remove(filepath.Join(s.dir, n))
 		}
 	}
@@ -725,8 +725,7 @@ func (s *Store) compactLocked(payloads [][]byte) ([]Loc, error) {
 	return locs, nil
 }
 
-// writeManifest publishes the current segment list atomically: temp file,
-// fsync, rename over MANIFEST, directory fsync.
+// writeManifest publishes the current segment list atomically.
 func (s *Store) writeManifest() error {
 	body, err := json.Marshal(struct {
 		Next     uint64   `json:"next"`
@@ -738,12 +737,20 @@ func (s *Store) writeManifest() error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s v%d\n", ManifestMagic, Version)
 	fmt.Fprintf(&sb, "%08x %s\n", crc32.Checksum(body, crcTable), body)
-	tmp, err := os.CreateTemp(s.dir, ".manifest-*")
+	return WriteFileAtomic(s.dir, manifestName, []byte(sb.String()))
+}
+
+// WriteFileAtomic replaces the file name in dir with data: temp file,
+// fsync, rename over name, directory fsync. A crash leaves the old file or
+// the new one, never a mix; the temp file it may leave, "."+lower(name)+"-"
+// and digits, is debris that Open deletes.
+func WriteFileAtomic(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, "."+strings.ToLower(name)+"-*")
 	if err != nil {
 		return fmt.Errorf("seglog: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.WriteString(sb.String()); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("seglog: %w", err)
@@ -757,11 +764,31 @@ func (s *Store) writeManifest() error {
 		os.Remove(tmpName)
 		return fmt.Errorf("seglog: %w", err)
 	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, manifestName)); err != nil {
+	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("seglog: %w", err)
 	}
-	return FsyncDir(s.dir)
+	return FsyncDir(dir)
+}
+
+// isTempFile reports whether name is a temp file WriteFileAtomic creates:
+// a dot, lower-case letters, a dash and the digits os.CreateTemp adds.
+func isTempFile(name string) bool {
+	stem, digits, ok := strings.Cut(name, "-")
+	if !ok || len(stem) < 2 || stem[0] != '.' || digits == "" {
+		return false
+	}
+	for _, c := range stem[1:] {
+		if c < 'a' || c > 'z' {
+			return false
+		}
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // readManifest parses MANIFEST, returning the live segment names in order

@@ -149,6 +149,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add([]byte(s))
 	}
+	// Integer frames whose keys a header scan must not misread.
+	f.Add([]byte(`{"experiment":"e","fitness":1,"Fitness":2,"ints":[1]}`))
+	f.Add([]byte(`{"experiment":"e","ints":[1],"fitness":1,"x":{"fitness":2}}`))
 	// Header-plus-tail frames: a whole one, one cut short, bits set past
 	// the length, a zero length, and a chromosome both in the header and
 	// the tail.
@@ -162,11 +165,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(tailed(`{"experiment":"e","bits":"1"}`, 1, 1, 0, 0, 0, 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := decodeFrame(data)
-		if _, ierr := indexFrame(data); (ierr == nil) != (err == nil) {
+		rec, ierr := indexFrame(data)
+		if (ierr == nil) != (err == nil) {
 			t.Fatalf("Open's index and reads disagree on the frame: %v vs %v", ierr, err)
 		}
 		if err != nil {
 			return
+		}
+		// A frame the snapshot vouches for is indexed by a header scan,
+		// which must read what the full decode reads or decline.
+		if exp, fit, ok := headerFields(headerOf(data)); ok &&
+			(string(exp) != rec.Experiment || math.Float64bits(fit) != math.Float64bits(rec.Fitness)) {
+			t.Fatalf("header scan of %q reads (%q, %v), the decode (%q, %v)",
+				data, exp, fit, rec.Experiment, rec.Fitness)
 		}
 		p, err := encodeFrame(e)
 		if err != nil {

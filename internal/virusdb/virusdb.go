@@ -18,6 +18,13 @@
 // each record's fitness and the locator of its frame, strongest first; a
 // read picks its page from that index and reads back only the page's
 // frames, each checked against the CRC-32C it was written or replayed with.
+//
+// Close and Compact write an index snapshot, the file INDEX beside the
+// segments (snapshot.go). It names the frames the index held, by locator,
+// so the next Open reads their experiment and fitness with a plain scan of
+// the header instead of decoding its JSON. Open still reads and CRC-checks
+// every frame, and decodes in full every frame the snapshot does not name:
+// a missing or stale snapshot costs time, never records.
 package virusdb
 
 import (
@@ -235,10 +242,16 @@ type DB struct {
 	// Compact exclusively.
 	compactMu sync.RWMutex
 
+	// closed is set by Close, under compactMu held exclusively.
+	closed bool
+
 	mu sync.Mutex
 	// exps indexes each experiment's records strongest first; see slot.
 	exps map[string][]slot
 	n    int
+	// scanned counts the frames Open indexed by a header scan, as the
+	// snapshot vouched for them.
+	scanned int
 }
 
 // slot is what the database keeps in memory of one record: the fitness its
@@ -310,6 +323,12 @@ var storeOptions = seglog.Options{SyncEvery: 1}
 // segment is not damage: it is the unacknowledged in-flight record of a
 // crashed writer, and is truncated silently.) A file at path is refused:
 // it is a single-file database from a build before the segmented store.
+//
+// Every frame is read and CRC-checked. A frame the index snapshot names,
+// at the locator the snapshot recorded, was decoded in full by an earlier
+// Open or written by Append, so Open takes its experiment and fitness from
+// a scan of its header; every other frame is decoded and validated in
+// full. Open never writes the snapshot.
 func Open(path string) (*DB, error) {
 	db, _, err := open(path, false)
 	return db, err
@@ -338,8 +357,44 @@ func open(path string, salvage bool) (*DB, int, error) {
 	}
 	db := &DB{path: path, log: st, exps: map[string][]slot{}}
 	dropped := res.Stats.DroppedFrames
-	byExp := map[string][]slot{}
+	// Slots gather per experiment; a lookup by a header's bytes allocates
+	// nothing, so only a new experiment's name is copied out.
+	byExp := map[string]*[]slot{}
+	add := func(exp string, sl slot) {
+		sls := byExp[exp]
+		if sls == nil {
+			sls = new([]slot)
+			byExp[exp] = sls
+		}
+		*sls = append(*sls, sl)
+	}
+	// Merge-walk the frames against the snapshot's blocks, both in store
+	// order: a block whose locators all match vouches for its frames.
+	blocks := readSnapshot(path)
+	next, vouched := 0, 0
 	for i, p := range res.Payloads {
+		loc := res.Locs[i]
+		if vouched == 0 {
+			for next < len(blocks) && blocks[next].before(loc) {
+				next++
+			}
+			if next < len(blocks) && blocks[next].covers(res.Locs[i:]) {
+				vouched = int(blocks[next].frames)
+				next++
+			}
+		}
+		if vouched > 0 {
+			vouched--
+			if exp, fit, ok := headerFields(headerOf(p)); ok {
+				if sls := byExp[string(exp)]; sls != nil {
+					*sls = append(*sls, slot{fitness: fit, loc: loc})
+				} else {
+					add(string(exp), slot{fitness: fit, loc: loc})
+				}
+				db.scanned++
+				continue
+			}
+		}
 		rec, err := indexFrame(p)
 		if err != nil {
 			if !salvage {
@@ -349,13 +404,21 @@ func open(path string, salvage bool) (*DB, int, error) {
 			dropped++
 			continue
 		}
-		exp := rec.Experiment
-		byExp[exp] = append(byExp[exp], slot{fitness: rec.Fitness, loc: res.Locs[i]})
+		add(rec.Experiment, slot{fitness: rec.Fitness, loc: loc})
 	}
-	for exp, add := range byExp {
-		db.insert(exp, add)
+	for exp, sls := range byExp {
+		db.insert(exp, *sls)
 	}
 	return db, dropped, nil
+}
+
+// headerOf is the JSON header of a payload, nil if it splits badly.
+func headerOf(p []byte) []byte {
+	pl, err := seglog.SplitPayload(p)
+	if err != nil {
+		return nil
+	}
+	return pl.Header
 }
 
 // Path returns the database location.
@@ -389,6 +452,9 @@ func (db *DB) Append(recs ...Record) error {
 	}
 	db.compactMu.RLock()
 	defer db.compactMu.RUnlock()
+	if db.closed {
+		return errClosed
+	}
 	// Disk first, then memory: a failed append must not leave records that
 	// exist only until the process dies.
 	locs, err := db.log.Append(payloads...)
@@ -408,15 +474,12 @@ func (db *DB) Append(recs ...Record) error {
 	return nil
 }
 
-// Compact rewrites the store into a single fresh segment — reclaiming the
-// space of salvage-dropped frames and collapsing accumulated segments —
-// with an atomic manifest swap, so a crash leaves either the old store or
-// the new one, never a mix. It reads every indexed frame back, CRC-checked,
-// and writes them unchanged in their old order.
-func (db *DB) Compact() error {
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
-	// With compactMu held exclusively nothing else touches the index.
+// errClosed is what every read and write of a closed database returns.
+var errClosed = errors.New("virusdb: database closed")
+
+// storeOrder returns every slot of the index in the order of the frames in
+// the store; the caller holds compactMu exclusively.
+func (db *DB) storeOrder() []*slot {
 	all := make([]*slot, 0, db.n)
 	for _, ix := range db.exps {
 		for i := range ix {
@@ -424,6 +487,39 @@ func (db *DB) Compact() error {
 		}
 	}
 	slices.SortFunc(all, func(a, b *slot) int { return byLoc(*a, *b) })
+	return all
+}
+
+// snapshot writes the index snapshot of the indexed frames; the caller holds
+// compactMu exclusively.
+func (db *DB) snapshot() error {
+	all := db.storeOrder()
+	locs := make([]seglog.Loc, len(all))
+	for i, sl := range all {
+		locs[i] = sl.loc
+	}
+	err := seglog.WriteFileAtomic(db.path, snapName, encodeIndex(snapBlocks(locs)))
+	if err != nil {
+		return fmt.Errorf("virusdb: index snapshot: %w", err)
+	}
+	return nil
+}
+
+// Compact rewrites the store into a single fresh segment — reclaiming the
+// space of salvage-dropped frames and collapsing accumulated segments —
+// with an atomic manifest swap, so a crash leaves either the old store or
+// the new one, never a mix. It reads every indexed frame back, CRC-checked,
+// and writes them unchanged in their old order, then writes the index
+// snapshot of the new locators. An error after the swap says so: the store
+// is compacted, and Close tries the snapshot again.
+func (db *DB) Compact() error {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
+	if db.closed {
+		return errClosed
+	}
+	// With compactMu held exclusively nothing else touches the index.
+	all := db.storeOrder()
 	payloads := make([][]byte, len(all))
 	for i, sl := range all {
 		p, err := db.log.ReadFrame(sl.loc)
@@ -439,15 +535,28 @@ func (db *DB) Compact() error {
 	for i, sl := range all {
 		sl.loc = locs[i]
 	}
+	if err := db.snapshot(); err != nil {
+		return fmt.Errorf("%w (the store itself is compacted)", err)
+	}
 	return nil
 }
 
-// Close syncs and releases the underlying store handle. The DB must not be
-// used afterwards.
+// Close waits for the reads and appends in flight, syncs and releases the
+// store, and then writes the index snapshot. Every later call that can
+// fail returns an error; a second Close returns nil. A snapshot that
+// cannot be written is an error but loses nothing: the next Open decodes
+// the frames it would have named.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.log.Close()
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
+	if db.closed {
+		return nil
+	}
+	db.closed = true
+	if err := db.log.Close(); err != nil {
+		return fmt.Errorf("virusdb: %w", err)
+	}
+	return db.snapshot()
 }
 
 // Query returns one page of an experiment's records, strongest first: the
@@ -461,6 +570,9 @@ func (db *DB) Query(experiment string, minFitness float64, offset,
 	limit int) ([]Record, error) {
 	db.compactMu.RLock()
 	defer db.compactMu.RUnlock()
+	if db.closed {
+		return nil, errClosed
+	}
 	db.mu.Lock()
 	ix := db.exps[experiment]
 	// The records passing the filter are a prefix of the index.
