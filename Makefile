@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short check access-test detv2-test islands-test store-test batch-test service-test lint resume-test fleet-test bench bench-json experiments experiments-full fuzz clean
+.PHONY: all build test test-short check access-test detv2-test store-test batch-test service-test lint resume-test fleet-test bench bench-json experiments experiments-full fuzz clean
 
 all: build test
 
@@ -33,7 +33,6 @@ check:
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x ./internal/dram
 	$(MAKE) access-test
 	$(MAKE) detv2-test
-	$(MAKE) islands-test
 	$(MAKE) store-test
 	$(MAKE) batch-test
 	$(MAKE) service-test
@@ -62,20 +61,6 @@ access-test:
 detv2-test:
 	$(GO) test -race -run 'DetV2' \
 		./internal/xrand ./internal/dram ./internal/core ./cmd/dstressd
-
-# Island-model bit-identity matrix: stepper determinism and snapshot resume
-# (internal/ga, internal/islands), the core kill-and-resume matrix at
-# 1/2/4 islands × 1/8 farm workers under both determinism contracts with
-# surrogate screening on and off (internal/core), and the daemon surface —
-# fleet 0/2-node agreement, island job submission and the islands/eval
-# sections of /api/v1/metrics (cmd/dstressd). The suite then repeats once
-# under the race detector: island evaluation fans out one goroutine per
-# island over shared farm pools.
-islands-test:
-	$(GO) test -run 'Islands' \
-		./internal/ga ./internal/islands ./internal/core ./cmd/dstressd
-	$(GO) test -race -count 1 -run 'Islands' \
-		./internal/ga ./internal/islands ./internal/core ./cmd/dstressd
 
 # The persistence crash matrix: subprocess SIGKILL mid-append, mid-rotation
 # and mid-compaction of the segmented store, and mid-append of multi-MB
@@ -132,18 +117,18 @@ service-test:
 		-run 'TestScheduler|TestAuth|TestQuota|TestPriority|TestSSE|TestEvicted|TestFleetWorkerAuth' \
 		./internal/farm ./cmd/dstressd
 
-# Static analysis over the island/surrogate/persistence/batch-evaluation
-# subsystems and the farm and core they plug into: vet, gofmt cleanliness,
+# Static analysis over the persistence/batch-evaluation subsystems and the
+# farm and core they plug into: vet, gofmt cleanliness,
 # and staticcheck when one is already on PATH (the build never installs
 # tools). The benchmark harness is its own module, which the root
 # `go build ./...` skips, so lint also vets and builds it: a change to a
 # name it imports from the tree fails here.
-LINT_PKGS  = ./internal/islands ./internal/predict ./internal/seglog \
+LINT_PKGS  = ./internal/predict ./internal/seglog \
 	./internal/fleet ./internal/ga ./internal/bitvec ./internal/virusdb \
 	./internal/memctl ./internal/addrmap ./internal/dram ./internal/server \
 	./internal/xrand ./internal/farm ./internal/core ./cmd/benchjson \
 	./cmd/loadgen ./cmd/dstressd
-LINT_DIRS  = internal/islands internal/predict internal/seglog \
+LINT_DIRS  = internal/predict internal/seglog \
 	internal/fleet internal/ga internal/bitvec internal/virusdb \
 	internal/memctl internal/addrmap internal/dram internal/server \
 	internal/xrand internal/farm internal/core cmd/benchjson \
@@ -195,13 +180,12 @@ bench:
 	$(BENCH_FIGS)
 	$(BENCH_MICRO)
 
-# bench-json also runs the islands-vs-single-population campaign (see
-# cmd/benchjson/campaign.go) and the batched-evaluation comparison
-# (batch.go) so every snapshot carries the campaign_* ratios and the
-# speedup_batch_pop* / batch-allocation ratios.
+# bench-json also runs the batched-evaluation comparison (cmd/benchjson/
+# batch.go) so every snapshot carries the speedup_batch_pop* /
+# batch-allocation ratios.
 bench-json:
 	{ $(BENCH_FIGS) ; $(BENCH_MICRO) ; } \
-		| $(GO) run ./cmd/benchjson -campaign -batch \
+		| $(GO) run ./cmd/benchjson -batch \
 			-out BENCH_$$(date +%Y%m%d).json
 
 # Quick-scale campaign: every figure in a couple of minutes.

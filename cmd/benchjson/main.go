@@ -11,21 +11,16 @@
 // speedup_v2_vs_fast), so regressions of the dram evaluation plan are one
 // `git diff BENCH_*.json` away.
 //
-// With -campaign the tool additionally runs the islands-vs-single-population
-// synthesis campaign (see campaign.go): both searches are timed to the same
-// target fitness at the same seed, and the snapshot gains a "campaign"
-// section plus campaign_wallclock_ratio / campaign_evals_ratio derived keys.
-// With -batch it runs the population-batched evaluation comparison (see
+// With -batch the tool runs the population-batched evaluation comparison (see
 // batch.go): per-genome v2 evaluation vs AverageRunsBatch at populations
 // 32/128/512, recorded as a "batch" section plus speedup_batch_pop* and
 // batch_{allocs,bytes}_ratio_pop* derived keys.
-// -merge grafts these sections into an existing BENCH_*.json instead of
+// -merge grafts that section into an existing BENCH_*.json instead of
 // parsing stdin, leaving its benchmark records untouched.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . ./... | benchjson [-out file] [-indent]
-//	benchjson -campaign [-campaign-seed n] -merge BENCH_2026.json
 //	benchjson -batch [-batch-runs n] -merge BENCH_2026.json
 package main
 
@@ -58,10 +53,12 @@ type Snapshot struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 	// Derived holds fast-vs-reference speedup ratios keyed by the shared
 	// benchmark name (reference ns/op divided by fast ns/op), plus the
-	// campaign_* time-to-virus ratios when -campaign ran.
+	// batch ratios when -batch ran.
 	Derived map[string]float64 `json:"derived,omitempty"`
-	// Campaign is the islands-vs-single-population comparison (-campaign).
-	Campaign *Campaign `json:"campaign,omitempty"`
+	// Campaign is the search-strategy comparison earlier snapshots carry
+	// (DESIGN.md §11). Nothing measures it any more; it is kept raw so that
+	// -merge round-trips it untouched.
+	Campaign json.RawMessage `json:"campaign,omitempty"`
 	// Store is the virusdb persistence comparison earlier snapshots carry
 	// (whole-file rewrites against seglog appends). Nothing measures it any
 	// more; it is kept raw so that -merge round-trips it untouched.
@@ -79,10 +76,6 @@ type Snapshot struct {
 func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	indent := flag.Bool("indent", true, "indent the JSON output")
-	campaign := flag.Bool("campaign", false,
-		"run the islands-vs-single-population campaign and record its ratios")
-	campaignSeed := flag.Uint64("campaign-seed", 2020,
-		"deterministic seed both campaign searches run at")
 	batch := flag.Bool("batch", false,
 		"run the batched-vs-per-genome evaluation benchmark and record its ratios")
 	batchRuns := flag.Int("batch-runs", 10,
@@ -106,19 +99,10 @@ func main() {
 		os.Exit(1)
 	}
 	// An empty benchmark set is only an error when benchmarks are the point;
-	// a campaign or batch run carries its own payload.
-	if len(snap.Benchmarks) == 0 && !*campaign && !*batch {
+	// a batch run carries its own payload.
+	if len(snap.Benchmarks) == 0 && !*batch {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
-	}
-	if *campaign {
-		c, derived, err := runCampaign(*campaignSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		snap.Campaign = c
-		mergeDerived(snap, derived)
 	}
 	if *batch {
 		bb, derived, err := runBatchBench([]int{32, 128, 512}, *batchRuns)

@@ -171,3 +171,37 @@ func TestVirusDBPaging(t *testing.T) {
 		t.Errorf("page past the damaged frame: %v", got)
 	}
 }
+
+// TestIslandsBadSubmissionRejected: a submission carrying a key the request
+// does not know is a 400 naming the key, never a job that runs with the key
+// ignored. That covers the island model's "islands" and "surrogate" keys,
+// which earlier builds ran as an island search, and a misspelt field, which
+// would otherwise run the default it meant to override.
+func TestIslandsBadSubmissionRejected(t *testing.T) {
+	_, ts := testDaemon(t, 4, false)
+	for _, tc := range []struct{ key, body string }{
+		{"islands", islandsJobBody},
+		{"islands", `{"template":"data64","generations":1,"population":8,"runs":1,` +
+			`"islands":{"count":2}}`},
+		{"surrogate", `{"template":"data64","generations":1,"population":8,"runs":1,` +
+			`"surrogate":{"enabled":true}}`},
+		{"generatoins", `{"template":"data64","generatoins":3,"population":8,"runs":1}`},
+	} {
+		code, _, body := doRaw(t, http.MethodPost, ts.URL+"/api/v1/jobs", tc.body)
+		if code != http.StatusBadRequest || body.Error.Code != "bad_request" {
+			t.Errorf("%s: HTTP %d code %q, want 400 bad_request", tc.key, code, body.Error.Code)
+		}
+		if !strings.Contains(body.Error.Message, `"`+tc.key+`"`) {
+			t.Errorf("%s: message %q does not name the key", tc.key, body.Error.Message)
+		}
+	}
+	var jobs []json.RawMessage
+	if code := getJSON(t, ts.URL+"/api/v1/jobs", &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Fatalf("job list: HTTP %d, %d jobs after refused submissions", code, len(jobs))
+	}
+	code, _, body := doRaw(t, http.MethodPost, ts.URL+"/api/v1/jobs",
+		`{"template":"data64","generations":1,"population":8,"runs":1} {}`)
+	if code != http.StatusBadRequest {
+		t.Errorf("a body of two objects: HTTP %d %q, want 400", code, body.Error.Message)
+	}
+}

@@ -59,11 +59,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
@@ -82,8 +84,6 @@ import (
 	"dstress/internal/farm"
 	"dstress/internal/fleet"
 	"dstress/internal/ga"
-	"dstress/internal/islands"
-	"dstress/internal/predict"
 	"dstress/internal/server"
 	"dstress/internal/virusdb"
 	"dstress/internal/xrand"
@@ -91,16 +91,15 @@ import (
 
 // daemon owns the shared campaign state.
 type daemon struct {
-	sched      *farm.Scheduler
-	db         *virusdb.DB   // may be nil (no persistence)
-	journal    *farm.Journal // may be nil (jobs die with the process)
-	cache      *farm.Cache
-	metrics    *farm.Metrics
-	islandsMet *islands.Metrics
-	fleet      *fleet.Coordinator
-	auth       *authConfig // nil: auth off, every request is anonymous
-	rows       int
-	seed       uint64
+	sched   *farm.Scheduler
+	db      *virusdb.DB   // may be nil (no persistence)
+	journal *farm.Journal // may be nil (jobs die with the process)
+	cache   *farm.Cache
+	metrics *farm.Metrics
+	fleet   *fleet.Coordinator
+	auth    *authConfig // nil: auth off, every request is anonymous
+	rows    int
+	seed    uint64
 }
 
 // setAuth installs the token→tenant map and pushes the per-tenant limits
@@ -126,15 +125,14 @@ func newDaemon(budget, rows int, seed uint64, db *virusdb.DB,
 	// worth; a larger limit only grows the resident set as the store fills.
 	cache.SetLimit(1 << 12)
 	return &daemon{
-		sched:      sched,
-		db:         db,
-		journal:    journal,
-		cache:      cache,
-		metrics:    farm.NewMetrics(),
-		islandsMet: islands.NewMetrics(),
-		fleet:      fleet.NewCoordinator(fcfg),
-		rows:       rows,
-		seed:       seed,
+		sched:   sched,
+		db:      db,
+		journal: journal,
+		cache:   cache,
+		metrics: farm.NewMetrics(),
+		fleet:   fleet.NewCoordinator(fcfg),
+		rows:    rows,
+		seed:    seed,
 	}, nil
 }
 
@@ -169,14 +167,23 @@ type jobRequest struct {
 	// different noise for the same seed, so a job must not change contract
 	// mid-campaign — the setting rides in checkpoints and fleet shards.
 	Determinism string `json:"determinism,omitempty"`
-	// Islands, when non-nil, runs the search as an island model (see
-	// internal/islands and DESIGN.md §11): {"count":4,"migrate_every":5,
-	// "migrate_count":2}. Absent fields take the islands defaults.
-	Islands *islands.Config `json:"islands,omitempty"`
-	// Surrogate, when non-nil, overrides Islands.Surrogate — the screening
-	// policy can be toggled without restating the topology. Setting it alone
-	// (no Islands) runs a single island with screening.
-	Surrogate *predict.ScreenPolicy `json:"surrogate,omitempty"`
+}
+
+// decodeJobRequest reads a submission body or a journaled spec: one JSON
+// object of known keys. An unknown key is an error naming it: a search
+// option an earlier build had would otherwise be dropped without a word,
+// and a typo would run the daemon's default for the field it meant.
+func decodeJobRequest(r io.Reader) (jobRequest, error) {
+	var req jobRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return jobRequest{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return jobRequest{}, errors.New("data after the request object")
+	}
+	return req, nil
 }
 
 // maxPriority bounds the client-declared admission priority. The tenant
@@ -274,29 +281,16 @@ type jobResult struct {
 // prepared is a validated, default-filled job submission, ready to launch —
 // either fresh from the API or rebuilt from a journal entry on restart.
 type prepared struct {
-	req     jobRequest
-	spec    core.Spec
-	crit    core.Criterion
-	det     dram.DeterminismVersion
-	islands islands.Config
-	name    string
-	tenant  string // server-assigned: auth middleware or journal entry, never the body
+	req    jobRequest
+	spec   core.Spec
+	crit   core.Criterion
+	det    dram.DeterminismVersion
+	name   string
+	tenant string // server-assigned: auth middleware or journal entry, never the body
 	// recovered marks a journal re-queue: quota checks were already passed
 	// by the process that first admitted the job and are skipped on re-entry.
 	recovered bool
 	timeout   time.Duration
-}
-
-// gaParams builds the engine parameters exactly as runSearch will; prepare
-// validates the island configuration against them so a bad submission is a
-// 400 at the API, not a failed job minutes later.
-func (p prepared) gaParams() ga.Params {
-	params := ga.DefaultParams()
-	params.MaxGenerations = p.req.Generations
-	if p.req.Population > 0 {
-		params.PopulationSize = p.req.Population
-	}
-	return params
 }
 
 func (d *daemon) prepare(req jobRequest) (prepared, error) {
@@ -326,31 +320,18 @@ func (d *daemon) prepare(req jobRequest) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	var icfg islands.Config
-	if req.Islands != nil {
-		icfg = *req.Islands
-	}
-	if req.Surrogate != nil {
-		icfg.Surrogate = *req.Surrogate
-	}
-	icfg = icfg.Normalize()
 	name := req.Name
 	if name == "" {
 		name = fmt.Sprintf("%s/%s/%.0fC", spec.Name(), crit, req.TempC)
 	}
-	p := prepared{
+	return prepared{
 		req:     req,
 		spec:    spec,
 		crit:    crit,
 		det:     det,
-		islands: icfg,
 		name:    name,
 		timeout: time.Duration(req.TimeoutS * float64(time.Second)),
-	}
-	if err := icfg.Validate(p.gaParams()); err != nil {
-		return prepared{}, err
-	}
-	return p, nil
+	}, nil
 }
 
 // errBadCheckpoint marks a journaled checkpoint that does not decode.
@@ -392,9 +373,8 @@ func (d *daemon) launch(p prepared, ckpt []byte) (*farm.Job, error) {
 }
 
 func (d *daemon) submitJob(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
 		return
 	}
@@ -430,8 +410,8 @@ func (d *daemon) submitJob(w http.ResponseWriter, r *http.Request) {
 // checkpoint).
 func (d *daemon) recoverJobs() {
 	for _, e := range d.journal.Recovered() {
-		var req jobRequest
-		if err := json.Unmarshal(e.Spec, &req); err != nil {
+		req, err := decodeJobRequest(bytes.NewReader(e.Spec))
+		if err != nil {
 			log.Printf("dstressd: journal entry %d (%s): unreadable spec: %v",
 				e.ID, e.Name, err)
 			continue
@@ -497,20 +477,22 @@ func (d *daemon) runSearch(ctx context.Context, j *farm.Job, p prepared,
 		f.Runs = req.Runs
 	}
 	f.DB = d.db
-	params := p.gaParams()
+	params := ga.DefaultParams()
+	params.MaxGenerations = req.Generations
+	if req.Population > 0 {
+		params.PopulationSize = req.Population
+	}
 	maxGen := params.MaxGenerations
 	cfg := core.SearchConfig{
-		Spec:          p.spec,
-		Criterion:     p.crit,
-		Point:         core.Relaxed(req.TempC),
-		Determinism:   p.det,
-		GA:            params,
-		Resume:        req.Resume,
-		Workers:       req.Workers,
-		Cache:         d.cache,
-		Metrics:       d.metrics,
-		Islands:       p.islands,
-		IslandMetrics: d.islandsMet,
+		Spec:        p.spec,
+		Criterion:   p.crit,
+		Point:       core.Relaxed(req.TempC),
+		Determinism: p.det,
+		GA:          params,
+		Resume:      req.Resume,
+		Workers:     req.Workers,
+		Cache:       d.cache,
+		Metrics:     d.metrics,
 		OnGeneration: func(st ga.GenStats) {
 			j.Progress(st.Generation, maxGen, st.Best)
 		},
@@ -782,8 +764,7 @@ type metricsView struct {
 		Jobs       []farm.JobStatus    `json:"jobs"`
 		Tenants    []farm.TenantStatus `json:"tenants"`
 	} `json:"scheduler"`
-	Islands islands.MetricsSnapshot `json:"islands"`
-	Fleet   fleet.Status            `json:"fleet"`
+	Fleet fleet.Status `json:"fleet"`
 	// Eval exposes the population-batched evaluation engine's process-wide
 	// counters: v2 (batch) vs v1 (single) kernel runs, plan compiles vs
 	// splices, and the scratch-pool hit rate.
@@ -792,7 +773,7 @@ type metricsView struct {
 
 // getMetrics serves the metrics. The scheduler section names every tenant's
 // jobs and ledgers, so it is scoped to the caller like the job list (admin
-// tenants keep the full view); the aggregate farm/cache/islands/fleet/eval
+// tenants keep the full view); the aggregate farm/cache/fleet/eval
 // counters carry no per-tenant identity and stay whole.
 func (d *daemon) getMetrics(w http.ResponseWriter, r *http.Request) {
 	scope := d.scopedTenant(r)
@@ -805,7 +786,6 @@ func (d *daemon) getMetrics(w http.ResponseWriter, r *http.Request) {
 	mv.Sched.Jobs = scoped(scope, d.sched.Jobs(), jobTenant)
 	mv.Sched.Tenants = scoped(scope, d.sched.Tenants(),
 		func(tn farm.TenantStatus) string { return tn.Tenant })
-	mv.Islands = d.islandsMet.Snapshot()
 	mv.Fleet = d.fleet.Snapshot()
 	mv.Eval = dram.EvalSnapshot()
 	writeJSON(w, http.StatusOK, mv)

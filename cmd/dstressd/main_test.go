@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -214,6 +215,47 @@ func TestDaemonEndToEnd(t *testing.T) {
 	var jobs []json.RawMessage
 	if code := getJSON(t, ts.URL+"/api/v1/jobs", &jobs); code != http.StatusOK || len(jobs) != 1 {
 		t.Fatalf("job list: HTTP %d, %d jobs", code, len(jobs))
+	}
+}
+
+// TestMetricsSections pins the metrics contract: after a v2 job,
+// /api/v1/metrics serves the farm, cache, scheduler, fleet and eval
+// sections, and the eval section shows the batched work and a warm scratch
+// pool.
+func TestMetricsSections(t *testing.T) {
+	_, ts := testDaemon(t, 4, false)
+	var status struct {
+		ID int `json:"id"`
+	}
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", jobRequest{
+		Template: "data64", Criterion: "max-ce", TempC: 55, Generations: 4,
+		Population: 8, Workers: 2, Seed: 4321, Rows: 4, Runs: 2, Determinism: "v2",
+	}, &status); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	if view := waitJob(t, ts, fmt.Sprint(status.ID)); view.State.String() != "done" {
+		t.Fatalf("job: state %s, error %q", view.State, view.Error)
+	}
+
+	var v1 map[string]any
+	if code := getJSON(t, ts.URL+"/api/v1/metrics", &v1); code != http.StatusOK {
+		t.Fatalf("metrics: HTTP %d", code)
+	}
+	sections := []string{"farm", "cache", "scheduler", "fleet", "eval"}
+	for _, section := range sections {
+		if _, ok := v1[section]; !ok {
+			t.Errorf("section %q missing", section)
+		}
+	}
+	if len(v1) != len(sections) {
+		t.Errorf("metrics serve %d sections, want %d: %v", len(v1), len(sections), v1)
+	}
+	ev, ok := v1["eval"].(map[string]any)
+	if !ok || ev["batch_items"].(float64) < 1 || ev["batch_calls"].(float64) < 1 {
+		t.Fatalf("eval section not populated: %+v", v1["eval"])
+	}
+	if ev["pool_hit_rate"].(float64) <= 0 {
+		t.Fatalf("eval pool never warmed: %+v", v1["eval"])
 	}
 }
 

@@ -1,16 +1,31 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
 
-// FuzzJobRequest drives the shared request parser with arbitrary submission
-// bodies. It must never panic, every request it accepts must be within the
-// size caps, and an accepted request must survive the trip a fleet worker's
-// evaluation context takes — json.Marshal, then parse again — with the same
+// islandsJobBody is a submission an earlier build accepted and ran as an
+// island model with surrogate screening, as its journal recorded it. This
+// build has no such search and must refuse it rather than run a classic one
+// under its name.
+const islandsJobBody = `{"name":"","template":"data64","criterion":"max-ce","temp_c":55,` +
+	`"generations":4,"population":8,"workers":2,"seed":4321,"rows":4,"runs":2,"fill":"",` +
+	`"resume":false,"timeout_s":0,"checkpoint_every":0,"determinism":"v2",` +
+	`"islands":{"count":2,"migrate_every":2,"migrate_count":2,"surrogate":{}},` +
+	`"surrogate":{"enabled":true,"overbreed":2,"min_train":16,"neighbors":4,"capacity":64}}`
+
+// FuzzJobRequest drives the daemon's request decoder and the shared request
+// parser with arbitrary submission bodies. It must never panic, every
+// request it accepts must be within the size caps, and an accepted request
+// must survive the trip a journaled spec and a fleet worker's evaluation
+// context take — json.Marshal, then decode and parse again — with the same
 // spec, criterion and determinism contract.
 func FuzzJobRequest(f *testing.F) {
+	if _, err := decodeJobRequest(bytes.NewReader([]byte(islandsJobBody))); err == nil {
+		f.Fatal("the island job decodes")
+	}
 	// Seeds: the submission bodies the daemon tests send.
 	for _, req := range []jobRequest{
 		{Template: "data64", Criterion: "max-ce", TempC: 55, Generations: 2,
@@ -25,7 +40,6 @@ func FuzzJobRequest(f *testing.F) {
 		{Template: "access-rows", Fill: "0xNOPE"},
 		{Rows: maxRows + 1},
 		{Population: maxPopulation + 1},
-		islandsJobRequest("v2"),
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -33,14 +47,16 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	f.Add([]byte(islandsJobBody))
 	f.Add([]byte("{"))
 	f.Add([]byte(`{"template":"nope"}`))
 	f.Add([]byte(`{"template":"access-coeffs","fill":"0x5555555555555555",` +
 		`"criterion":"max-ue","determinism":"v2","rows":65536,"population":4096}`))
+	f.Add([]byte(`{"template":"data64","generatoins":3}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req jobRequest
-		if json.Unmarshal(body, &req) != nil {
+		req, err := decodeJobRequest(bytes.NewReader(body))
+		if err != nil {
 			return
 		}
 		spec, crit, det, err := parseJobRequest(req)
@@ -55,9 +71,9 @@ func FuzzJobRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted request does not marshal: %v", err)
 		}
-		var rebuilt jobRequest
-		if err := json.Unmarshal(shipped, &rebuilt); err != nil {
-			t.Fatalf("shipped request does not unmarshal: %v", err)
+		rebuilt, err := decodeJobRequest(bytes.NewReader(shipped))
+		if err != nil {
+			t.Fatalf("shipped request does not decode: %v", err)
 		}
 		spec2, crit2, det2, err := parseJobRequest(rebuilt)
 		if err != nil {

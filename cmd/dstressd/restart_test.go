@@ -376,6 +376,62 @@ func TestRecoverJobsRestartsUndecodableCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoverJobsRefusesIslandJob: a journaled job whose spec carries a key
+// the request does not know — an island job an earlier build journaled — is
+// logged with the key and not run; it is never re-queued as a classic
+// search under its name. The job journaled beside it still runs (as job 1:
+// a restarted daemon numbers the jobs it re-queues afresh).
+func TestRecoverJobsRefusesIslandJob(t *testing.T) {
+	req := jobRequest{Template: "data64", Criterion: "max-ce", TempC: 55,
+		Generations: 3, Population: 8, Workers: 2, Seed: 31, Rows: 4, Runs: 1}
+	spec, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	st, _, err := seglog.Open(path, seglog.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []seglog.Payload
+	for _, e := range []farm.JournalEntry{
+		{ID: 1, Name: "islands", Workers: 2, Spec: json.RawMessage(islandsJobBody),
+			State: "running", Submitted: time.Now()},
+		{ID: 2, Name: "classic", Workers: 2, Spec: spec, State: "queued",
+			Submitted: time.Now()},
+	} {
+		hdr, err := json.Marshal(map[string]any{"op": "add", "entry": e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, seglog.Payload{Header: hdr})
+	}
+	_, err = st.AppendPayloads(ops...)
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := openRecoveredSet(path); err != nil || len(rec) != 2 {
+		t.Fatalf("the journal was not planted: %d entries (%v)", len(rec), err)
+	}
+
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	_, ts := journaledDaemon(t, path)
+	view := finishedJob(t, ts.URL, 1)
+	log.SetOutput(os.Stderr)
+	if view.State.String() != "done" || view.Result == nil {
+		t.Fatalf("classic job finished %s (error %q)", view.State, view.Error)
+	}
+	var jobs []json.RawMessage
+	if code := getJSON(t, ts.URL+"/api/v1/jobs", &jobs); code != http.StatusOK || len(jobs) != 1 {
+		t.Fatalf("job list: HTTP %d, %d jobs, want the classic job alone", code, len(jobs))
+	}
+	if !strings.Contains(logs.String(), `journal entry 1 (islands): unreadable spec: json: unknown field "islands"`) {
+		t.Fatalf("no log line says why the island job did not run:\n%s", logs.String())
+	}
+}
+
 // TestRecoverJSONJournal drains a daemon mid-search, then restarts from its
 // journal as written — each op a JSON header, the checkpoint its tail —
 // and requires the resumed job to finish with the result of the

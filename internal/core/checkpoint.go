@@ -1,15 +1,15 @@
 package core
 
 import (
-	"context"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 
 	"dstress/internal/dram"
 	"dstress/internal/ga"
-	"dstress/internal/islands"
 	"dstress/internal/seglog"
 )
 
@@ -41,35 +41,19 @@ type Checkpoint struct {
 	// NoiseRNG is the noise-stream position: the pool root in farm mode,
 	// the framework RNG in serial mode.
 	NoiseRNG [4]uint64 `json:"noise_rng"`
-	// Engine is the GA state at the checkpointed generation boundary
-	// (single-population searches; unused when Islands is set).
+	// Engine is the GA state at the checkpointed generation boundary.
 	Engine ga.Snapshot `json:"engine"`
-
-	// Islands, when non-nil, marks an island-model checkpoint: the
-	// archipelago snapshot — config, every island's engine state, the
-	// migration/screening counters and the surrogate training window —
-	// replaces Engine, and IslandNoise (one farm root per island, island
-	// order) replaces NoiseRNG. Workers still records the total budget.
-	Islands *islands.Snapshot `json:"islands,omitempty"`
-	// IslandNoise holds each island pool's noise-root position.
-	IslandNoise [][4]uint64 `json:"island_noise,omitempty"`
 }
 
 // Generation returns the last completed generation the checkpoint holds.
-func (cp *Checkpoint) Generation() int {
-	if cp.Islands != nil {
-		return cp.Islands.Generation
-	}
-	return cp.Engine.Generation
-}
+func (cp *Checkpoint) Generation() int { return cp.Engine.Generation }
 
 // EncodeCheckpoint serializes cp in seglog's header-plus-tail layout (see
 // seglog.Payload), the form the daemon journals every generation. The
 // header is the checkpoint's JSON with the packed words of every bit genome
-// left out; the words follow as the tail, genome after genome in the order
-// eachGenome visits them. A checkpoint without packed genomes has no tail
-// and encodes as its plain JSON. The words are copied once, into the
-// returned buffer.
+// left out; the words follow as the tail, genome after genome in population
+// order. A checkpoint without packed genomes has no tail and encodes as its
+// plain JSON. The words are copied once, into the returned buffer.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	hdr := cp.ownRecords()
 	var words [][]byte
@@ -109,8 +93,10 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 // genome in the header must name a length and no words, and the tail must
 // hold exactly their words; a checkpoint without bit genomes is plain JSON.
 // Any other form is an error: bit genome words in the JSON (json.Marshal of
-// a Checkpoint, which journals held before the tail layout) and genomes
-// spelled as '0'/'1' strings among them. The packed words of the returned
+// a Checkpoint, which journals held before the tail layout), genomes
+// spelled as '0'/'1' strings among them, and a header key this build does
+// not know (a checkpoint of a search shape an earlier build ran would
+// otherwise decode as an empty search). The packed words of the returned
 // genome records share data's memory.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	p, err := seglog.SplitPayload(data)
@@ -118,8 +104,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	cp := new(Checkpoint)
-	if err := json.Unmarshal(p.Header, cp); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(p.Header))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cp); err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("core: checkpoint: data past the JSON header")
 	}
 	tail := p.Tail
 	err = cp.eachGenome(func(r *ga.GenomeRecord) error {
@@ -151,34 +142,12 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // packedLen is the length of the packed form of an n-bit chromosome.
 func packedLen(n int) int { return (n + 63) / 64 * 8 }
 
-// eachGenome calls fn on every genome record cp holds, in tail order: the
-// engine population, each island's population in island order, and the
-// surrogate's training window.
+// eachGenome calls fn on every genome record of the engine population, in
+// tail order.
 func (cp *Checkpoint) eachGenome(fn func(*ga.GenomeRecord) error) error {
-	visit := func(recs []ga.GenomeRecord) error {
-		for i := range recs {
-			if err := fn(&recs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := visit(cp.Engine.Population); err != nil {
-		return err
-	}
-	if cp.Islands == nil {
-		return nil
-	}
-	for i := range cp.Islands.Islands {
-		if err := visit(cp.Islands.Islands[i].Population); err != nil {
+	for i := range cp.Engine.Population {
+		if err := fn(&cp.Engine.Population[i]); err != nil {
 			return err
-		}
-	}
-	if s := cp.Islands.Surrogate; s != nil {
-		for i := range s.Samples {
-			if err := fn(&s.Samples[i].Genome); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -189,62 +158,36 @@ func (cp *Checkpoint) eachGenome(fn func(*ga.GenomeRecord) error) error {
 func (cp *Checkpoint) ownRecords() *Checkpoint {
 	c := *cp
 	c.Engine.Population = slices.Clone(cp.Engine.Population)
-	if cp.Islands != nil {
-		isl := *cp.Islands
-		isl.Islands = slices.Clone(isl.Islands)
-		for i := range isl.Islands {
-			isl.Islands[i].Population = slices.Clone(isl.Islands[i].Population)
-		}
-		if isl.Surrogate != nil {
-			s := *isl.Surrogate
-			s.Samples = slices.Clone(s.Samples)
-			isl.Surrogate = &s
-		}
-		c.Islands = &isl
-	}
 	return &c
 }
 
 // ckptEmitter forwards a search's checkpoints to cfg.OnCheckpoint: the
 // search builds one at every generation boundary and the emitter forwards
 // it on the CheckpointEvery interval. A nil *ckptEmitter (no hook set) is
-// valid and does nothing.
+// valid and does nothing. A checkpoint that cannot be built never reaches
+// it: the engine's snapshot hook fails, and the search stops with that
+// error rather than run on without the resumable state the caller asked
+// for.
 type ckptEmitter struct {
 	on         func(*Checkpoint)
 	every      int
-	cancel     context.CancelFunc
 	last       *Checkpoint // newest built checkpoint, emitted or not
 	emittedGen int         // generation of the last forwarded checkpoint
-	err        error       // a checkpoint that could not be built
 }
 
-// newCkptEmitter returns nil when cfg sets no OnCheckpoint hook. cancel
-// stops the search when a checkpoint cannot be built: running on for hours
-// without the resumable state the caller asked for would be the quiet
-// version of the crash checkpoints exist to survive.
-func newCkptEmitter(cfg SearchConfig, cancel context.CancelFunc) *ckptEmitter {
+// newCkptEmitter returns nil when cfg sets no OnCheckpoint hook.
+func newCkptEmitter(cfg SearchConfig) *ckptEmitter {
 	if cfg.OnCheckpoint == nil {
 		return nil
 	}
-	return &ckptEmitter{on: cfg.OnCheckpoint, every: max(cfg.CheckpointEvery, 1), cancel: cancel}
+	return &ckptEmitter{on: cfg.OnCheckpoint, every: max(cfg.CheckpointEvery, 1)}
 }
 
 // take receives the checkpoint of a closed generation.
 func (em *ckptEmitter) take(cp *Checkpoint) {
-	if em.err != nil {
-		return
-	}
 	em.last = cp
 	if cp.Generation()%em.every == 0 {
 		em.emit(cp)
-	}
-}
-
-// fail records a checkpoint that could not be built and stops the search.
-func (em *ckptEmitter) fail(err error) {
-	if em.err == nil {
-		em.err = err
-		em.cancel()
 	}
 }
 
@@ -253,18 +196,12 @@ func (em *ckptEmitter) emit(cp *Checkpoint) {
 	em.emittedGen = cp.Generation()
 }
 
-// finish settles the emitter after the search returns: a checkpoint that
-// could not be built surfaces as the search error, and a cancelled search
+// finish settles the emitter after the search returns: a cancelled search
 // gets its final generation forwarded regardless of the interval (the
 // graceful-drain guarantee).
-func (em *ckptEmitter) finish(canceled bool, runErr error) error {
-	switch {
-	case em == nil:
-		return nil
-	case em.err != nil:
-		return em.err
-	case runErr == nil && canceled && em.last != nil && em.last.Generation() > em.emittedGen:
+func (em *ckptEmitter) finish(canceled bool, runErr error) {
+	if em != nil && runErr == nil && canceled && em.last != nil &&
+		em.last.Generation() > em.emittedGen {
 		em.emit(em.last)
 	}
-	return nil
 }

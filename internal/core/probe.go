@@ -3,8 +3,9 @@ package core
 import "dstress/internal/server"
 
 // This file makes *Framework satisfy predict.Prober, the health-scan device
-// surface. predict cannot import core (the search layer imports predict for
-// surrogate screening), so the methods live here on the concrete type.
+// surface. predict does not import core — it declares the device surface it
+// needs and stays free of the simulator — so the methods live here on the
+// concrete type.
 
 // ApplyScanPoint sets the scan stress point — refresh period, voltage,
 // temperature — on every memory controller.

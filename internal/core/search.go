@@ -12,12 +12,13 @@ import (
 	"dstress/internal/farm"
 	"dstress/internal/fleet"
 	"dstress/internal/ga"
-	"dstress/internal/islands"
 	"dstress/internal/virusdb"
 	"dstress/internal/xrand"
 )
 
-// SearchConfig describes one synthesis run.
+// SearchConfig describes one synthesis run: one GA population searching
+// one spec under one criterion at one operating point (DESIGN.md §11 says
+// why one population).
 type SearchConfig struct {
 	Spec      Spec
 	Criterion Criterion
@@ -63,20 +64,6 @@ type SearchConfig struct {
 	// runs (progress reporting).
 	OnGeneration func(ga.GenStats)
 
-	// Islands selects the island-model search path (internal/islands): K
-	// subpopulations in lockstep with deterministic ring migration and,
-	// optionally, surrogate-assisted offspring screening. The zero value
-	// keeps the classic single-population path untouched. Island searches
-	// require Workers >= 1 (the farm noise protocol); Workers is the total
-	// budget, split evenly across islands with at least one worker each.
-	// The shared fitness Cache is not consulted in island mode — cache hits
-	// would not survive kill-and-resume bit-identically; the checkpointed
-	// surrogate takes over the memoization role. See DESIGN.md §11.
-	Islands islands.Config
-	// IslandMetrics, when non-nil, accumulates island/migration/surrogate
-	// counters across searches — the daemon's /metrics islands section.
-	IslandMetrics *islands.Metrics
-
 	// OnCheckpoint receives a resumable Checkpoint every CheckpointEvery
 	// generations (and, regardless of the interval, the final state of a
 	// cancelled search, so a graceful drain never loses generations). The
@@ -121,12 +108,12 @@ func (f *Framework) RunSearchContext(ctx context.Context, cfg SearchConfig) (*Se
 
 // RunSearchFrom continues a checkpointed search to completion. The spec,
 // criterion and database come from cfg exactly as in RunSearchContext; the
-// engine parameters, operating point, determinism contract, island topology,
-// population and every RNG stream come from the checkpoint, so the
-// remaining generations replay the exact deterministic stream of the
-// interrupted run. cfg.Workers may differ from the checkpoint's — farm
-// results are bit-identical at any worker count — but a serial-protocol
-// checkpoint (Workers 0) must stay serial.
+// engine parameters, operating point, determinism contract, population and
+// every RNG stream come from the checkpoint, so the remaining generations
+// replay the exact deterministic stream of the interrupted run. cfg.Workers
+// may differ from the checkpoint's — farm results are bit-identical at any
+// worker count — but a serial-protocol checkpoint (Workers 0) must stay
+// serial.
 func (f *Framework) RunSearchFrom(ctx context.Context, cfg SearchConfig,
 	cp *Checkpoint) (*SearchResult, error) {
 	if cp == nil {
@@ -136,102 +123,65 @@ func (f *Framework) RunSearchFrom(ctx context.Context, cfg SearchConfig,
 }
 
 // runSearch is the one search driver: a nil cp starts a fresh search, any
-// other continues the search cp holds. A classic search runs one ga.Engine;
-// an island search (cfg.Islands, DESIGN.md §11) runs the islands model over
-// K steppers. Both take their streams through splitStreams and emit their
-// checkpoints through one ckptEmitter.
+// other continues the search cp holds. Either way one ga.Engine runs the
+// population, its streams come from splitStreams and its checkpoints go
+// through one ckptEmitter.
 func (f *Framework) runSearch(ctx context.Context, cfg SearchConfig,
 	cp *Checkpoint) (*SearchResult, error) {
 	params, err := f.prologue(&cfg, cp)
 	if err != nil {
 		return nil, err
 	}
-	k := 1
-	if cfg.Islands.Enabled() {
-		k = cfg.Islands.Count
-	}
-	engRNGs, initial, roots, err := f.splitStreams(cfg, params.PopulationSize, k, cp)
+	engRNG, initial, root, err := f.splitStreams(cfg, params.PopulationSize, cp)
 	if err != nil {
 		return nil, err
 	}
 	if cp == nil {
-		// Database seeding replaces the first population's random
-		// individuals; other islands stay random so the archipelago keeps
-		// its diversity.
-		if err := f.seedFromDB(cfg, initial[0]); err != nil {
+		if err := f.seedFromDB(cfg, initial); err != nil {
 			return nil, err
 		}
 	}
-	batches, noise, err := f.searchBatches(cfg, roots)
+	batch, noise, err := f.searchBatch(cfg, root)
 	if err != nil {
 		return nil, err
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	em := newCkptEmitter(cfg, cancel)
-	base := Checkpoint{
-		Experiment:  cfg.experimentKey(),
-		Params:      params,
-		Point:       cfg.Point,
-		Determinism: cfg.Determinism,
-		Workers:     cfg.Workers,
-	}
-
-	if !cfg.Islands.Enabled() {
-		eng, err := ga.NewBatch(params, batches[0], engRNGs[0])
-		if err != nil {
-			return nil, err
-		}
-		eng.OnGeneration = cfg.OnGeneration
-		if em != nil {
-			eng.OnSnapshot = func(s ga.Snapshot) {
-				c := base
-				c.NoiseRNG, c.Engine = noise()[0], s
-				em.take(&c)
-			}
-		}
-		var res ga.Result
-		if cp == nil {
-			res, err = eng.RunContext(ctx, initial[0])
-		} else {
-			res, err = eng.ResumeContext(ctx, cp.Engine)
-		}
-		return f.finishSearch(cfg, em, res, eng.Evaluations, err)
-	}
-
-	model, err := islands.New(params, cfg.Islands, batches, engRNGs)
+	eng, err := ga.NewBatch(params, batch, engRNG)
 	if err != nil {
 		return nil, err
 	}
-	model.OnGeneration = cfg.OnGeneration
-	model.SetMetrics(cfg.IslandMetrics)
+	eng.OnGeneration = cfg.OnGeneration
+	em := newCkptEmitter(cfg)
 	if em != nil {
-		model.AfterGeneration = func() {
-			s, err := model.Snapshot()
-			if err != nil {
-				em.fail(fmt.Errorf("core: snapshotting %s: %w", base.Experiment, err))
-				return
-			}
+		base := Checkpoint{
+			Experiment:  cfg.experimentKey(),
+			Params:      params,
+			Point:       cfg.Point,
+			Determinism: cfg.Determinism,
+			Workers:     cfg.Workers,
+		}
+		eng.OnSnapshot = func(s ga.Snapshot) {
 			c := base
-			c.Islands, c.IslandNoise = &s, noise()
+			c.NoiseRNG, c.Engine = noise(), s
 			em.take(&c)
 		}
 	}
-	var res islands.Result
+	var res ga.Result
 	if cp == nil {
-		res, err = model.Run(ctx, initial)
+		res, err = eng.RunContext(ctx, initial)
 	} else {
-		res, err = model.Resume(ctx, *cp.Islands)
+		res, err = eng.ResumeContext(ctx, cp.Engine)
 	}
-	return f.finishSearch(cfg, em, res.Result, res.Evaluations, err)
+	em.finish(res.Canceled, err)
+	if err != nil {
+		return nil, err
+	}
+	return f.recordResult(cfg, res, eng.Evaluations)
 }
 
 // prologue settles cfg and the engine parameters, then programs the
 // framework for the search. A checkpoint is authoritative for the operating
-// point, the determinism contract, the island topology and the parameters:
-// the remaining generations must run under the exact configuration that
-// produced it. It also settles the noise protocol into cfg.Workers.
+// point, the determinism contract and the parameters: the remaining
+// generations must run under the exact configuration that produced it. It also settles the noise protocol into cfg.Workers.
 func (f *Framework) prologue(cfg *SearchConfig, cp *Checkpoint) (ga.Params, error) {
 	if cfg.Spec == nil {
 		return ga.Params{}, fmt.Errorf("core: nil spec")
@@ -251,10 +201,6 @@ func (f *Framework) prologue(cfg *SearchConfig, cp *Checkpoint) (ga.Params, erro
 	} else {
 		params = cp.Params
 		cfg.Point, cfg.Determinism = cp.Point, cp.Determinism
-		cfg.Islands = islands.Config{}
-		if cp.Islands != nil {
-			cfg.Islands = cp.Islands.Config
-		}
 		if key := cfg.experimentKey(); key != cp.Experiment {
 			return ga.Params{}, fmt.Errorf("core: checkpoint is for %q, config describes %q",
 				cp.Experiment, key)
@@ -270,20 +216,6 @@ func (f *Framework) prologue(cfg *SearchConfig, cp *Checkpoint) (ga.Params, erro
 	if cfg.MaxDuration > 0 {
 		params.MaxDuration = cfg.MaxDuration // a resumed leg gets a fresh budget
 	}
-	cfg.Islands = cfg.Islands.Normalize()
-	if cfg.Islands.Enabled() {
-		if err := cfg.Islands.Validate(params); err != nil {
-			return ga.Params{}, err
-		}
-		if cfg.Workers < 1 {
-			return ga.Params{}, fmt.Errorf("core: island search runs the farm noise protocol; set Workers >= 1")
-		}
-		if cp != nil && (len(cp.Islands.Islands) != cfg.Islands.Count ||
-			len(cp.IslandNoise) != cfg.Islands.Count) {
-			return ga.Params{}, fmt.Errorf("core: island checkpoint for %q holds %d islands / %d roots, config says %d",
-				cp.Experiment, len(cp.Islands.Islands), len(cp.IslandNoise), cfg.Islands.Count)
-		}
-	}
 	if err := f.Srv.SetDeterminism(cfg.Determinism); err != nil {
 		return ga.Params{}, err
 	}
@@ -297,58 +229,38 @@ func (f *Framework) prologue(cfg *SearchConfig, cp *Checkpoint) (ga.Params, erro
 }
 
 // splitStreams takes a search's streams off the framework RNG. The split
-// order is part of the reproducible protocol: K engine streams, then K
-// initial populations, then — under the farm noise protocol — K pool noise
-// roots, island order throughout; a classic search is K = 1.
+// order is part of the reproducible protocol: the engine stream, then the
+// initial population, then — under the farm noise protocol — the pool
+// noise root.
 //
-//	f.RNG ─┬─ split 1..K    → engine RNGs
-//	       ├─ split K+1..2K → initial populations
-//	       └─ split 2K+1..3K→ pool noise roots (Workers >= 1)
+//	f.RNG ─┬─ split 1 → engine RNG
+//	       ├─ split 2 → initial population
+//	       └─ split 3 → pool noise root (Workers >= 1)
 //
 // The serial protocol (Workers 0) splits no root: it draws measurement
 // noise from f.RNG itself. A resumed search takes the same splits, so the
 // framework RNG ends where the uninterrupted run left it (the winner's
-// re-measurement draws from it); its populations ride in the checkpoint
-// instead, and the noise streams are rewound to their recorded positions.
-// The engine streams are rewound by the engine's own restore.
-func (f *Framework) splitStreams(cfg SearchConfig, size, k int, cp *Checkpoint) (
-	engRNGs []*xrand.Rand, initial [][]ga.Genome, roots []*xrand.Rand, err error) {
-	engRNGs = make([]*xrand.Rand, k)
-	for i := range engRNGs {
-		engRNGs[i] = f.RNG.Split()
+// re-measurement draws from it); its population rides in the checkpoint
+// instead, and the noise stream is rewound to its recorded position. The
+// engine stream is rewound by the engine's own restore.
+func (f *Framework) splitStreams(cfg SearchConfig, size int, cp *Checkpoint) (
+	engRNG *xrand.Rand, initial []ga.Genome, root *xrand.Rand, err error) {
+	engRNG = f.RNG.Split()
+	popRNG := f.RNG.Split()
+	if cp == nil {
+		initial = cfg.Spec.NewPopulation(f, size, popRNG)
 	}
-	initial = make([][]ga.Genome, k)
-	for i := range initial {
-		rng := f.RNG.Split()
-		if cp == nil {
-			initial[i] = cfg.Spec.NewPopulation(f, size, rng)
-		}
+	noise := f.RNG // the serial protocol draws noise from f.RNG itself
+	if cfg.Workers >= 1 {
+		root = f.RNG.Split()
+		noise = root
 	}
-	var noise [][4]uint64
 	if cp != nil {
-		noise = cp.IslandNoise
-		if cp.Islands == nil {
-			noise = [][4]uint64{cp.NoiseRNG}
+		if err := noise.Restore(cp.NoiseRNG); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: resuming %s: %w", cp.Experiment, err)
 		}
 	}
-	if cfg.Workers < 1 {
-		if cp != nil {
-			if err := f.RNG.Restore(noise[0]); err != nil {
-				return nil, nil, nil, fmt.Errorf("core: resuming %s: %w", cp.Experiment, err)
-			}
-		}
-		return engRNGs, initial, nil, nil
-	}
-	roots = make([]*xrand.Rand, k)
-	for i := range roots {
-		roots[i] = f.RNG.Split()
-		if cp != nil {
-			if err := roots[i].Restore(noise[i]); err != nil {
-				return nil, nil, nil, fmt.Errorf("core: resuming %s: %w", cp.Experiment, err)
-			}
-		}
-	}
-	return engRNGs, initial, roots, nil
+	return engRNG, initial, root, nil
 }
 
 // seedFromDB replaces the first individuals of pop with the strongest
@@ -371,20 +283,14 @@ func (f *Framework) seedFromDB(cfg SearchConfig, pop []ga.Genome) error {
 	return nil
 }
 
-// searchBatches builds one generation evaluator per noise root: a farm pool
-// over cfg.Workers/K workers (at least one), wrapped in a fleet session when
-// cfg asks for one. Without roots it builds the legacy serial loop. The
-// returned noise function reads every noise stream's position, in island
-// order — the pool roots in farm mode, the framework RNG in serial mode.
-//
-// Island searches do not consult the shared fitness cache: cache hits
-// depend on what concurrent searches evaluated earlier and do not survive a
-// restart, so cache-dependent results could not be bit-identical across
-// kill-and-resume. The surrogate training window — which IS checkpointed —
-// takes over the memoization role.
-func (f *Framework) searchBatches(cfg SearchConfig, roots []*xrand.Rand) (
-	[]ga.BatchFitness, func() [][4]uint64, error) {
-	if roots == nil {
+// searchBatch builds the generation evaluator: a farm pool of cfg.Workers
+// workers over the noise root, wrapped in a fleet session when cfg asks for
+// one. Without a root it builds the legacy serial loop. The returned noise
+// function reads the noise stream's position: the pool root in farm mode,
+// the framework RNG in serial mode.
+func (f *Framework) searchBatch(cfg SearchConfig, root *xrand.Rand) (
+	ga.BatchFitness, func() [4]uint64, error) {
+	if root == nil {
 		batch := ga.SerialBatch(func(g ga.Genome) (float64, error) {
 			if err := cfg.Spec.Deploy(f, g); err != nil {
 				return 0, err
@@ -395,52 +301,21 @@ func (f *Framework) searchBatches(cfg SearchConfig, roots []*xrand.Rand) (
 			}
 			return cfg.Criterion.Fitness(m), nil
 		})
-		noise := func() [][4]uint64 { return [][4]uint64{f.RNG.State()} }
-		return []ga.BatchFitness{batch}, noise, nil
+		return batch, f.RNG.State, nil
 	}
-	if cfg.Islands.Enabled() {
-		cfg.Cache = nil
+	pool, err := f.NewEvalPool(cfg, cfg.Workers, root)
+	if err != nil {
+		return nil, nil, err
 	}
-	per := max(cfg.Workers/len(roots), 1)
-	batches := make([]ga.BatchFitness, len(roots))
-	states := make([]func() [4]uint64, len(roots))
-	for i, root := range roots {
-		pool, err := f.NewEvalPool(cfg, per, root)
-		if err != nil {
-			return nil, nil, err
-		}
-		batches[i], states[i] = pool.Batch(), pool.RootState
-		if cfg.Fleet != nil {
-			if len(cfg.FleetContext) == 0 {
-				return nil, nil, fmt.Errorf("core: Fleet set without FleetContext")
-			}
-			// The session's root state is the pool's, so checkpoints are
-			// unaffected.
-			sess := cfg.Fleet.NewSession(cfg.FleetContext, pool)
-			batches[i], states[i] = sess.Batch(), sess.RootState
-		}
+	if cfg.Fleet == nil {
+		return pool.Batch(), pool.RootState, nil
 	}
-	noise := func() [][4]uint64 {
-		out := make([][4]uint64, len(states))
-		for i, st := range states {
-			out[i] = st()
-		}
-		return out
+	if len(cfg.FleetContext) == 0 {
+		return nil, nil, fmt.Errorf("core: Fleet set without FleetContext")
 	}
-	return batches, noise, nil
-}
-
-// finishSearch is the common tail of every search: settle the checkpoint
-// emitter, re-measure the winner, record the population.
-func (f *Framework) finishSearch(cfg SearchConfig, em *ckptEmitter,
-	res ga.Result, evals int, runErr error) (*SearchResult, error) {
-	if err := em.finish(res.Canceled, runErr); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return f.recordResult(cfg, res, evals)
+	// The session's root state is the pool's, so checkpoints are unaffected.
+	sess := cfg.Fleet.NewSession(cfg.FleetContext, pool)
+	return sess.Batch(), sess.RootState, nil
 }
 
 // recordResult re-measures the winner and records the final population in

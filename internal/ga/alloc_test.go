@@ -10,7 +10,7 @@ import (
 // stepGeneration drives one full Breed/Evaluate/Advance cycle.
 func stepGeneration(t *testing.T, st *Stepper) []Genome {
 	t.Helper()
-	kids := st.Breed(st.Need())
+	kids := st.Breed()
 	fits, err := st.Evaluate(context.Background(), kids)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestStepperReuseHistoryIdentical(t *testing.T) {
 
 	copying := mk()
 	for g := 0; g < 8; g++ {
-		kids := append([]Genome(nil), copying.Breed(copying.Need())...)
+		kids := append([]Genome(nil), copying.Breed()...)
 		fits, err := copying.Evaluate(context.Background(), kids)
 		if err != nil {
 			t.Fatal(err)

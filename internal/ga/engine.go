@@ -259,7 +259,7 @@ func (e *Engine) run(ctx context.Context, initial []Genome, snap *Snapshot) (Res
 			res.Canceled = true
 			break
 		}
-		children := s.Breed(s.Need())
+		children := s.Breed()
 		fits, err := s.Evaluate(ctx, children)
 		if err != nil {
 			if ctx.Err() != nil {

@@ -7,26 +7,18 @@ import (
 	"dstress/internal/xrand"
 )
 
-// Stepper runs one genetic search a generation at a time under external
-// control. It exists for orchestrators — the island model in
-// internal/islands — that need to interleave several searches in lockstep,
-// inject migrants between generations, and screen offspring before paying
-// for real evaluation. The Engine is a driver over a Stepper: breeding
-// Need() offspring per generation, as the Engine does, reproduces an Engine
-// run draw for draw, and the Engine's result differs only in leaving the
-// extra final generation out of its history. Determinism holds within the
-// Stepper protocol itself: the same params, RNG seed and fitness stream
-// reproduce the same search bit-for-bit, and a Stepper restored from its
-// Snapshot continues the exact stream.
+// Stepper is one genetic search a generation at a time: the generation
+// loop the Engine drives. Stepping it by hand reproduces an Engine run draw
+// for draw; the Engine's result differs only in leaving the extra final
+// generation out of its history. The same params, RNG seed and fitness
+// stream reproduce the same search bit-for-bit, and a Stepper restored from
+// its Snapshot continues the exact stream.
 //
 // The call sequence per generation is:
 //
-//	children := st.Breed(n)            // n >= st.Need(), consumes RNG
-//	fits, err := st.Evaluate(ctx, sub) // any subset, in order
-//	st.Advance(sub, fits)              // elites + offspring, gen++
-//
-// Inject (migration) and Converged consume no randomness, so orchestrators
-// may call them at any generation boundary without perturbing the stream.
+//	children := st.Breed()                  // Need() offspring, consumes RNG
+//	fits, err := st.Evaluate(ctx, children) // in order
+//	st.Advance(children, fits)              // elites + offspring, gen++
 type Stepper struct {
 	params  Params
 	batch   BatchFitness
@@ -128,19 +120,19 @@ func (s *Stepper) Restore(snap Snapshot) error {
 // minus the elites carried over unchanged.
 func (s *Stepper) Need() int { return s.params.PopulationSize - s.params.ElitismCount }
 
-// Breed draws n offspring from the current population, consuming the RNG.
-// Parents are selected by rank roulette over the sorted population; pairs
-// are crossed with CrossoverProb and each child mutated with MutationProb.
-// When n is odd the second child of the final pair is discarded before its
-// mutation draw. n may exceed Need() (surrogate overbreeding); the caller
-// chooses which offspring to evaluate.
+// Breed draws Need() offspring from the current population, consuming the
+// RNG. Parents are selected by rank roulette over the sorted population;
+// pairs are crossed with CrossoverProb and each child mutated with
+// MutationProb. When Need() is odd the second child of the final pair is
+// discarded before its mutation draw.
 //
 // The returned slice aliases the stepper's internal brood buffer: it is
 // valid until the next Breed call, which recycles the backing array. Callers
 // that need the brood beyond that must copy the slice (the genomes
 // themselves are never recycled).
-func (s *Stepper) Breed(n int) []Genome {
+func (s *Stepper) Breed() []Genome {
 	p := s.params
+	n := s.Need()
 	if len(s.weights) != len(s.pop) {
 		s.weights = selectionWeights(len(s.pop))
 	}
@@ -210,7 +202,7 @@ func (s *Stepper) advance(children []Genome, fits []float64) error {
 	nextFits = append(nextFits, fits...)
 	// Ping-pong: the outgoing population's arrays become next generation's
 	// scratch. Safe because every external view of the old population
-	// (Emigrants, Snapshot, finalizers) clones or copies before this point.
+	// (Snapshot, finalizers) clones or copies before this point.
 	s.popBuf, s.fitsBuf = s.pop[:0], s.fits[:0]
 	s.pop, s.fits = next, nextFits
 	s.gen++
@@ -230,52 +222,6 @@ func (s *Stepper) record() GenStats {
 	return st
 }
 
-// Emigrants returns clones of the current top n genomes with their
-// fitnesses — the elite migrants shipped to a neighbour island. It consumes
-// no randomness.
-func (s *Stepper) Emigrants(n int) ([]Genome, []float64) {
-	if n > len(s.pop) {
-		n = len(s.pop)
-	}
-	gs := make([]Genome, n)
-	fs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		gs[i] = s.pop[i].Clone()
-		fs[i] = s.fits[i]
-	}
-	return gs, fs
-}
-
-// Inject replaces the worst len(gs) individuals with the given (already
-// evaluated) genomes and re-sorts. Incoming genomes are cloned, so the
-// sender and receiver never alias. It consumes no randomness, which keeps
-// migration schedulable at any generation boundary without perturbing the
-// RNG stream.
-func (s *Stepper) Inject(gs []Genome, fits []float64) {
-	n := len(gs)
-	if n > len(s.pop) {
-		n = len(s.pop)
-	}
-	base := len(s.pop) - n
-	for i := 0; i < n; i++ {
-		s.pop[base+i] = gs[i].Clone()
-		s.fits[base+i] = fits[i]
-	}
-	sortByFitness(s.pop, s.fits)
-}
-
-// Converged reports whether the similarity stop criterion holds for the
-// CURRENT population — including any migrants injected after the last
-// Advance. Computing it lazily (rather than storing a flag at Advance time)
-// makes the check identical when a search is resumed from a checkpoint
-// taken after migration.
-func (s *Stepper) Converged() bool {
-	if s.gen == 0 {
-		return false
-	}
-	return s.convergedAt(meanPairwiseSimilarity(s.pop))
-}
-
 // convergedAt is the stop criterion for the current population, given its
 // similarity.
 func (s *Stepper) convergedAt(sim float64) bool {
@@ -283,8 +229,8 @@ func (s *Stepper) convergedAt(sim float64) bool {
 		(!s.params.UseConvergeMinBest || s.fits[0] >= s.params.ConvergeMinBest)
 }
 
-// Snapshot captures the stepper at the current generation boundary,
-// including any injected migrants. Restore on a fresh stepper with the same
+// Snapshot captures the stepper at the current generation boundary.
+// Restore on a fresh stepper with the same
 // params and fitness stream continues bit-identically.
 func (s *Stepper) Snapshot() (Snapshot, error) {
 	if s.gen == 0 {
@@ -308,10 +254,6 @@ func (s *Stepper) Snapshot() (Snapshot, error) {
 	return snap, nil
 }
 
-// Generation returns the index of the last completed generation (0 before
-// Start).
-func (s *Stepper) Generation() int { return s.gen }
-
 // Evaluations returns the number of fitness calls so far.
 func (s *Stepper) Evaluations() int { return s.evals }
 
@@ -323,14 +265,6 @@ func (s *Stepper) History() []GenStats { return s.history }
 // stepper's own backing arrays; callers must not modify them.
 func (s *Stepper) Current() ([]Genome, []float64) { return s.pop, s.fits }
 
-// Best returns the current best genome and fitness.
-func (s *Stepper) Best() (Genome, float64) { return s.pop[0], s.fits[0] }
-
 // Similarity returns the mean pairwise similarity of the current
 // population.
 func (s *Stepper) Similarity() float64 { return meanPairwiseSimilarity(s.pop) }
-
-// SortByFitness sorts a population and its fitnesses in place by descending
-// fitness, with the engine's stable insertion order. Exported for
-// orchestrators that merge populations across searches.
-func SortByFitness(pop []Genome, fits []float64) { sortByFitness(pop, fits) }

@@ -38,7 +38,7 @@ func runStepper(t *testing.T, st *Stepper, seed uint64, gens int) []GenStats {
 		t.Fatal(err)
 	}
 	for g := 0; g < gens; g++ {
-		kids := st.Breed(st.Need())
+		kids := st.Breed()
 		fits, err := st.Evaluate(context.Background(), kids)
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func runStepper(t *testing.T, st *Stepper, seed uint64, gens int) []GenStats {
 	return st.History()
 }
 
-func TestIslandsStepperDeterministic(t *testing.T) {
+func TestStepperDeterministic(t *testing.T) {
 	p := stepperParams()
 	mk := func() *Stepper {
 		st, err := NewStepper(p, bitCountBatch(), xrand.New(7))
@@ -71,7 +71,7 @@ func TestIslandsStepperDeterministic(t *testing.T) {
 	}
 }
 
-func TestIslandsStepperSnapshotRestore(t *testing.T) {
+func TestStepperSnapshotRestore(t *testing.T) {
 	p := stepperParams()
 	full, err := NewStepper(p, bitCountBatch(), xrand.New(3))
 	if err != nil {
@@ -98,7 +98,7 @@ func TestIslandsStepperSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := 0; g < 6; g++ {
-		kids := resumed.Breed(resumed.Need())
+		kids := resumed.Breed()
 		fits, err := resumed.Evaluate(context.Background(), kids)
 		if err != nil {
 			t.Fatal(err)
@@ -126,67 +126,5 @@ func TestIslandsStepperSnapshotRestore(t *testing.T) {
 		if ff[i] != rf[i] || fp[i].SimilarityTo(rp[i]) != 1 {
 			t.Fatalf("final population differs at %d", i)
 		}
-	}
-}
-
-func TestIslandsStepperInjectAndConverge(t *testing.T) {
-	p := stepperParams()
-	p.UseConvergeMinBest = false
-	p.ConvergenceSim = 1
-	st, err := NewStepper(p, bitCountBatch(), xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(2)
-	if _, err := st.Start(context.Background(), RandomBitPopulation(10, 24, rng)); err != nil {
-		t.Fatal(err)
-	}
-	if st.Converged() {
-		t.Fatal("random population reported converged")
-	}
-	// Inject a full population of identical genomes: similarity hits 1 and
-	// the lazily computed convergence flips without an Advance.
-	ones := RandomBitGenome(24, xrand.New(9))
-	clones := make([]Genome, 10)
-	fits := make([]float64, 10)
-	for i := range clones {
-		clones[i] = ones.Clone()
-		fits[i] = 5
-	}
-	st.Inject(clones, fits)
-	if !st.Converged() {
-		t.Fatal("homogeneous population not reported converged")
-	}
-	g, f := st.Best()
-	if f != 5 || g.SimilarityTo(ones) != 1 {
-		t.Fatalf("best after inject: fit %v", f)
-	}
-}
-
-func TestIslandsStepperOverbreed(t *testing.T) {
-	p := stepperParams()
-	st, err := NewStepper(p, bitCountBatch(), xrand.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Start(context.Background(), RandomBitPopulation(10, 24, xrand.New(5))); err != nil {
-		t.Fatal(err)
-	}
-	// Overbreeding (odd count included) must return exactly n children and
-	// leave Advance workable with a screened-down subset.
-	kids := st.Breed(3 * st.Need())
-	if len(kids) != 3*st.Need() {
-		t.Fatalf("bred %d, want %d", len(kids), 3*st.Need())
-	}
-	sub := kids[:st.Need()]
-	fits, err := st.Evaluate(context.Background(), sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Advance(sub, fits); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Advance(kids, fits); err == nil {
-		t.Fatal("Advance accepted oversized offspring set")
 	}
 }

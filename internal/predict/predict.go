@@ -16,9 +16,9 @@ import (
 // ScanPoint is the stress operating point of a health scan. Scans run
 // under relaxed parameters so degradation is visible long before it
 // threatens nominal operation. It mirrors core.OperatingPoint field for
-// field; predict deliberately does not import core (core's search layer
-// imports predict for surrogate screening), so the probe target is the
-// Prober interface instead of the concrete framework.
+// field; predict does not import core, so that the health-scan analysis
+// depends on no simulator package, and the probe target is the Prober
+// interface instead of the concrete framework.
 type ScanPoint struct {
 	TREFP float64 // refresh period in seconds
 	VDD   float64 // supply voltage in volts
