@@ -44,10 +44,13 @@ check:
 # model (cached, decoded-row and uncached loads, writes, flushes, resets),
 # the rank-0 mirror against a full replay on every rank (1-4 ranks, 4-64
 # rows, every cache shape) and its rejection of any state but rank-0 loads,
-# the mirrored table-driven replay against a per-address one over every
-# rank, and Fig 11's access-over-data gain. Then once more under the race
-# detector.
-ACCESS_TESTS = 'TestAccessDeployActsGolden|TestControllerMatchesReference|TestMirrorMatchesFullReplay|TestMirrorRejectsBadState|TestAccessReplayMatchesLoads|TestAccessRowsBeatsDataOnly'
+# the repeated-sweep shortcut against a load-by-load replay (the same
+# ranks, rows and shapes, mirrored or not, with the shapes it must not
+# take) and its rejection of any state but sweeps of one shape, the
+# mirrored table-driven replay against a per-address one over every rank
+# at 1, 3, 16 and 17 sweeps, and Fig 11's access-over-data gain. Then once
+# more under the race detector.
+ACCESS_TESTS = 'TestAccessDeployActsGolden|TestControllerMatchesReference|TestMirrorMatchesFullReplay|TestMirrorRejectsBadState|TestSweepsMatchLoads|TestSweepsRejectBadState|TestAccessReplayMatchesLoads|TestAccessRowsBeatsDataOnly'
 
 access-test:
 	$(GO) test -count 1 -run $(ACCESS_TESTS) ./internal/memctl ./internal/core
@@ -167,9 +170,11 @@ fleet-test:
 
 # The benchmark story: the top-level figure benchmarks (one quick-scale
 # regeneration each) plus the evaluation-path micro-benchmarks (dram fast
-# path vs reference, farm speedup, one access-rows generation and one
-# access-rows deploy through the memory controller, controller hit and
-# thrash loads, virusdb's Open with and without its index snapshot). bench prints;
+# path vs reference, farm speedup, one access-rows generation, one
+# access-rows deploy (the controller repeats one simulated sweep) and one
+# access-coeffs deploy (loaded one by one) through the memory controller,
+# controller hit and thrash loads, virusdb's Open with and without its
+# index snapshot). bench prints;
 # bench-json also snapshots the results — including the fast-vs-reference
 # speedup ratios — into a dated BENCH_<date>.json for the perf trajectory.
 BENCH_FIGS  = $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -timeout 60m .
@@ -204,7 +209,7 @@ experiments-full:
 # as must-reject seeds), virusdb's index snapshot decoder and an open
 # through arbitrary snapshot bytes, the journal's op replay on arbitrary frames, the
 # memory controller against its plain reference model on arbitrary op
-# streams, the segmented store's open over arbitrary segment and
+# streams (mirrored and swept segments among them), the segmented store's open over arbitrary segment and
 # manifest bytes, and the bulk mutation draw (split across goroutines past
 # 2^17 bits) against a Bool loop from arbitrary generator states. Go minimizes each new interesting input for up to 60 s by
 # default, and the pass runs no new inputs meanwhile; FUZZ caps that at 500

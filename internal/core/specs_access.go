@@ -50,55 +50,73 @@ func (b *accessSpecBase) prepare(f *Framework) error {
 	return nil
 }
 
-// chunkRow is one of replay's target chunks, resolved to its row.
-type chunkRow struct {
-	row memctl.RowRef
-	i   int // offset index
-}
-
 // replay issues the virus's reads for every target chunk on every rank, in
 // (rank, target, x, offset) order. wordIdx receives (offset index, x) and
 // returns the word index to read within the chunk; replay tabulates it once
-// per deploy, checking every entry against the row length, and then walks
-// the table. Only the reads' traffic matters, so they are issued as loads
-// into rows resolved once per target. Every rank reads the same chunks, so
-// replay loads rank 0's and the controller mirrors them onto the others
-// (memctl.Controller.MirrorRank0).
+// per deploy, checking every entry against the row length. Only the reads'
+// traffic matters, so they are issued as loads into rows resolved once per
+// target, through memctl.Controller.LoadSweeps. When every x reads the
+// x = 0 words shifted by one stride (mod the row length), as the
+// access-rows sweep does, a target is one call of SweepLen sweeps, which
+// the controller simulates once and repeats; any other table, such as
+// access-coeffs' aᵢ·x+bᵢ, is SweepLen calls of one sweep each. Every rank
+// reads the same chunks, so replay loads rank 0's and the controller
+// mirrors them onto the others (memctl.Controller.MirrorRank0).
 func (b *accessSpecBase) replay(f *Framework,
 	offsets []int, wordIdx func(i, x int) int) error {
 	ctl := f.Srv.MCU(f.MCU)
 	geom := ctl.Device().Geometry()
 	nchunks := geom.Banks * geom.Rows
+	wordsPerRow := geom.WordsPerRow()
 	n := len(offsets)
 	// The buffers hold the default sweep over all 64 access-rows offsets on
 	// the stack, so a deploy allocates nothing for its tables.
 	var wordsBuf [16 * 64]int32
-	var rowsBuf [64]chunkRow
+	var rowsBuf [64]memctl.RowRef
+	var idxBuf [64]int
+	var colsBuf [64]int32
 	words := wordsBuf[:0] // words[x*n+i] is the word wordIdx gives
 	for x := 0; x < b.SweepLen; x++ {
 		for i := range offsets {
 			w := wordIdx(i, x)
-			if w < 0 || w >= geom.WordsPerRow() {
+			if w < 0 || w >= wordsPerRow {
 				return fmt.Errorf("core: access pattern reads word %d of a %d-word row",
-					w, geom.WordsPerRow())
+					w, wordsPerRow)
 			}
 			words = append(words, int32(w))
 		}
 	}
-	rows := rowsBuf[:0] // one target's in-range chunks, in offset order
+	// When every x reads x-1's words one stride on, a target is one call of
+	// SweepLen sweeps; otherwise it is SweepLen calls of one sweep.
+	sweeps, reps, stride := b.SweepLen, 1, 0
+	if n > 0 && sweeps > 1 {
+		stride = (int(words[n]) - int(words[0]) + wordsPerRow) % wordsPerRow
+	}
+	for k := n; k < len(words); k++ {
+		if int(words[k]) != (int(words[k-n])+stride)%wordsPerRow {
+			sweeps, reps, stride = 1, b.SweepLen, 0
+			break
+		}
+	}
 	ctl.ResetStats()
 	for _, target := range b.targets {
-		rows = rows[:0]
+		rows, idx := rowsBuf[:0], idxBuf[:0] // in-range chunks, in offset order
 		for i, off := range offsets {
 			if c := target + off; c >= 0 && c < nchunks {
-				rows = append(rows, chunkRow{ctl.RowAt(0, c), i})
+				rows = append(rows, ctl.RowAt(0, c))
+				idx = append(idx, i)
 			}
 		}
-		for x := 0; x < b.SweepLen; x++ {
-			xw := words[x*n : (x+1)*n]
-			for _, r := range rows {
-				ctl.LoadCol(r.row, int(xw[r.i]))
+		for x := 0; x < reps; x++ {
+			cols := words[x*n : (x+1)*n]
+			if len(rows) < n { // some offsets fall outside the rank
+				xw := cols
+				cols = colsBuf[:0]
+				for _, i := range idx {
+					cols = append(cols, xw[i])
+				}
 			}
+			ctl.LoadSweeps(rows, cols, sweeps, stride)
 		}
 	}
 	ctl.MirrorRank0()

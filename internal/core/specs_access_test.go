@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -129,61 +130,68 @@ func snapshotController(f *Framework) controllerState {
 // TestAccessReplayMatchesLoads deploys seeded access-rows and access-coeffs
 // genomes on 16- and 64-row servers through the table-driven replay on one
 // server and through loadReplay on a twin, and requires the same
-// activation rates and counters after every genome.
+// activation rates and counters after every genome. It runs the default
+// 16 sweeps, whose access-rows table the controller repeats from one
+// simulated sweep, and 1, 3 and 17: at 17 the access-rows sweep wraps past
+// the row's end, so its table is no longer a shift of its first sweep.
 func TestAccessReplayMatchesLoads(t *testing.T) {
 	const seed = 3
 	type accessSpec interface {
 		Spec
 		pattern(*Framework, ga.Genome) ([]int, func(i, x int) int, error)
 	}
-	for _, rows := range []int{16, 64} {
-		rowsSpec := NewAccessRowsSpec(0x3333333333333333)
-		coeffsSpec := NewAccessCoeffsSpec(0x3333333333333333)
-		for _, c := range []struct {
-			spec accessSpec
-			base *accessSpecBase
-		}{
-			{rowsSpec, &rowsSpec.accessSpecBase},
-			{coeffsSpec, &coeffsSpec.accessSpecBase},
-		} {
-			var fs [2]*Framework
-			for i := range fs {
-				srv, err := server.New(server.DefaultConfig(rows, seed))
-				if err != nil {
-					t.Fatal(err)
+	for _, sweepLen := range []int{16, 1, 3, 17} {
+		for _, rows := range []int{16, 64} {
+			rowsSpec := NewAccessRowsSpec(0x3333333333333333)
+			coeffsSpec := NewAccessCoeffsSpec(0x3333333333333333)
+			rowsSpec.SweepLen, coeffsSpec.SweepLen = sweepLen, sweepLen
+			for _, c := range []struct {
+				spec accessSpec
+				base *accessSpecBase
+			}{
+				{rowsSpec, &rowsSpec.accessSpecBase},
+				{coeffsSpec, &coeffsSpec.accessSpecBase},
+			} {
+				name := fmt.Sprintf("%d sweeps, %d rows, %s", sweepLen, rows, c.spec.Name())
+				var fs [2]*Framework
+				for i := range fs {
+					srv, err := server.New(server.DefaultConfig(rows, seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fs[i], err = New(srv, xrand.New(seed)); err != nil {
+						t.Fatal(err)
+					}
+					if err := fs[i].Apply(Relaxed(55)); err != nil {
+						t.Fatal(err)
+					}
+					// Both twins are built alike, so each Prepare finds
+					// the same targets.
+					if err := c.spec.Prepare(fs[i]); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if fs[i], err = New(srv, xrand.New(seed)); err != nil {
-					t.Fatal(err)
+				pop := c.spec.NewPopulation(fs[0], 40, xrand.New(seed))
+				rowsActivated := 0
+				for j, g := range pop {
+					if err := c.spec.Deploy(fs[0], g); err != nil {
+						t.Fatal(err)
+					}
+					offsets, wordIdx, err := c.spec.pattern(fs[1], g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					loadReplay(fs[1], c.base, offsets, wordIdx)
+					got, want := snapshotController(fs[0]), snapshotController(fs[1])
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s genome %d: replay left\n%+v\nloads left\n%+v",
+							name, j, got, want)
+					}
+					rowsActivated += len(got.acts)
 				}
-				if err := fs[i].Apply(Relaxed(55)); err != nil {
-					t.Fatal(err)
+				if rowsActivated == 0 {
+					t.Fatalf("%s: no genome activated a row", name)
 				}
-				// Both twins are built alike, so each Prepare finds
-				// the same targets.
-				if err := c.spec.Prepare(fs[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pop := c.spec.NewPopulation(fs[0], 40, xrand.New(seed))
-			rowsActivated := 0
-			for j, g := range pop {
-				if err := c.spec.Deploy(fs[0], g); err != nil {
-					t.Fatal(err)
-				}
-				offsets, wordIdx, err := c.spec.pattern(fs[1], g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				loadReplay(fs[1], c.base, offsets, wordIdx)
-				got, want := snapshotController(fs[0]), snapshotController(fs[1])
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%d rows, %s genome %d: replay left\n%+v\nloads left\n%+v",
-						rows, c.spec.Name(), j, got, want)
-				}
-				rowsActivated += len(got.acts)
-			}
-			if rowsActivated == 0 {
-				t.Fatalf("%d rows, %s: no genome activated a row", rows, c.spec.Name())
 			}
 		}
 	}
@@ -235,6 +243,29 @@ func BenchmarkAccessRowsDeploy(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := ga.RandomBitPopulation(1, 64, xrand.New(seed))[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := spec.Deploy(f, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAccessCoeffsDeploy is one access-coeffs genome's replay through
+// the memory controller on a 16-row server: a table that is not a shift
+// of its first sweep, so every load goes through the cache one by one.
+func BenchmarkAccessCoeffsDeploy(b *testing.B) {
+	const seed = 1
+	f := testFramework(b, seed)
+	if err := f.Apply(Relaxed(55)); err != nil {
+		b.Fatal(err)
+	}
+	spec := NewAccessCoeffsSpec(0x3333333333333333)
+	if err := spec.Prepare(f); err != nil {
+		b.Fatal(err)
+	}
+	g := ga.RandomIntPopulation(1, 32, 0, CoeffBound, xrand.New(seed))[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -26,20 +26,17 @@ func stepGeneration(t *testing.T, st *Stepper) []Genome {
 // Breed hands out the same brood buffer each call, and Advance ping-pongs
 // the population between exactly two backing arrays.
 func TestStepperScratchReuse(t *testing.T) {
-	st, err := NewStepper(stepperParams(), bitCountBatch(), xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := &Stepper{params: stepperParams(), batch: bitCountBatch(), rng: xrand.New(5)}
 	if _, err := st.Start(context.Background(), RandomBitPopulation(10, 24, xrand.New(6))); err != nil {
 		t.Fatal(err)
 	}
 
 	k1 := stepGeneration(t, st)
-	popB, _ := st.Current()
+	popB := st.pop
 	k2 := stepGeneration(t, st)
-	popC, _ := st.Current()
+	popC := st.pop
 	k3 := stepGeneration(t, st)
-	popD, _ := st.Current()
+	popD := st.pop
 
 	if &k1[0] != &k2[0] || &k2[0] != &k3[0] {
 		t.Error("Breed allocated a fresh brood buffer instead of recycling")
@@ -61,10 +58,7 @@ func TestStepperScratchReuse(t *testing.T) {
 func TestStepperReuseHistoryIdentical(t *testing.T) {
 	p := stepperParams()
 	mk := func() *Stepper {
-		st, err := NewStepper(p, bitCountBatch(), xrand.New(7))
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := &Stepper{params: p, batch: bitCountBatch(), rng: xrand.New(7)}
 		if _, err := st.Start(context.Background(), RandomBitPopulation(10, 24, xrand.New(11))); err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +82,7 @@ func TestStepperReuseHistoryIdentical(t *testing.T) {
 		}
 	}
 
-	h1, h2 := plain.History(), copying.History()
+	h1, h2 := plain.history, copying.history
 	if len(h1) != len(h2) {
 		t.Fatalf("history lengths differ: %d vs %d", len(h1), len(h2))
 	}

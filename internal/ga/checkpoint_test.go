@@ -221,10 +221,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		if _, err := eng.Resume(bad); err == nil {
 			t.Errorf("case %d: corrupt snapshot resumed silently", i)
 		}
-		st, err := NewStepper(params, SerialBatch(onesFitness), xrand.New(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := &Stepper{params: params, batch: SerialBatch(onesFitness), rng: xrand.New(1)}
 		if err := st.Restore(bad); err == nil {
 			t.Errorf("case %d: corrupt snapshot restored into a stepper", i)
 		}

@@ -42,21 +42,6 @@ type Stepper struct {
 	fitsBuf  []float64
 }
 
-// NewStepper builds a stepped engine. Like NewBatch, the batch evaluator and
-// RNG are mandatory and params are validated up front.
-func NewStepper(params Params, batch BatchFitness, rng *xrand.Rand) (*Stepper, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if batch == nil {
-		return nil, fmt.Errorf("ga: nil batch fitness")
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("ga: nil rng")
-	}
-	return &Stepper{params: params, batch: batch, rng: rng}, nil
-}
-
 // Start evaluates the initial population and records generation 1. It must
 // be called exactly once, before any other stepping call, unless the stepper
 // is restored from a Snapshot instead.
@@ -253,17 +238,6 @@ func (s *Stepper) Snapshot() (Snapshot, error) {
 	}
 	return snap, nil
 }
-
-// Evaluations returns the number of fitness calls so far.
-func (s *Stepper) Evaluations() int { return s.evals }
-
-// History returns the recorded per-generation statistics. The slice is the
-// stepper's own; callers must not modify it.
-func (s *Stepper) History() []GenStats { return s.history }
-
-// Current returns the sorted population and fitnesses. Both slices are the
-// stepper's own backing arrays; callers must not modify them.
-func (s *Stepper) Current() ([]Genome, []float64) { return s.pop, s.fits }
 
 // Similarity returns the mean pairwise similarity of the current
 // population.

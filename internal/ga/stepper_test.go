@@ -47,17 +47,13 @@ func runStepper(t *testing.T, st *Stepper, seed uint64, gens int) []GenStats {
 			t.Fatal(err)
 		}
 	}
-	return st.History()
+	return st.history
 }
 
 func TestStepperDeterministic(t *testing.T) {
 	p := stepperParams()
 	mk := func() *Stepper {
-		st, err := NewStepper(p, bitCountBatch(), xrand.New(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+		return &Stepper{params: p, batch: bitCountBatch(), rng: xrand.New(7)}
 	}
 	h1 := runStepper(t, mk(), 11, 8)
 	h2 := runStepper(t, mk(), 11, 8)
@@ -73,27 +69,18 @@ func TestStepperDeterministic(t *testing.T) {
 
 func TestStepperSnapshotRestore(t *testing.T) {
 	p := stepperParams()
-	full, err := NewStepper(p, bitCountBatch(), xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := &Stepper{params: p, batch: bitCountBatch(), rng: xrand.New(3)}
 	runStepper(t, full, 5, 10)
 
 	// Replay the first 4 generations, snapshot, restore into a fresh
 	// stepper, and run the remaining 6; the histories must agree exactly.
-	half, err := NewStepper(p, bitCountBatch(), xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	half := &Stepper{params: p, batch: bitCountBatch(), rng: xrand.New(3)}
 	runStepper(t, half, 5, 4)
 	snap, err := half.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := NewStepper(p, bitCountBatch(), xrand.New(999))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := &Stepper{params: p, batch: bitCountBatch(), rng: xrand.New(999)}
 	if err := resumed.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +94,7 @@ func TestStepperSnapshotRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hf, hr := full.History(), resumed.History()
+	hf, hr := full.history, resumed.history
 	if len(hf) != len(hr) {
 		t.Fatalf("history lengths differ: %d vs %d", len(hf), len(hr))
 	}
@@ -117,11 +104,11 @@ func TestStepperSnapshotRestore(t *testing.T) {
 				i+1, hf[i], hr[i])
 		}
 	}
-	if full.Evaluations() != resumed.Evaluations() {
-		t.Fatalf("evaluations differ: %d vs %d", full.Evaluations(), resumed.Evaluations())
+	if full.evals != resumed.evals {
+		t.Fatalf("evaluations differ: %d vs %d", full.evals, resumed.evals)
 	}
-	fp, ff := full.Current()
-	rp, rf := resumed.Current()
+	fp, ff := full.pop, full.fits
+	rp, rf := resumed.pop, resumed.fits
 	for i := range fp {
 		if ff[i] != rf[i] || fp[i].SimilarityTo(rp[i]) != 1 {
 			t.Fatalf("final population differs at %d", i)

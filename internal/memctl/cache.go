@@ -56,8 +56,21 @@ type Cache struct {
 	pow2Sets  bool
 	// mirrorSrc is mirror's copy of the tags, allocated by its first call.
 	mirrorSrc []uint64
+	// spread is the tag words the controller's sweep shortcut still owes;
+	// written is set by any write since the last invalidate.
+	spread  sweepSpread
+	written bool
 
 	hits, misses, writebacks uint64
+}
+
+// sweepSpread describes the sets Controller.LoadSweeps leaves to be
+// written: for x in [1, sweeps), set s + x·lines (mod the set count)
+// holds set s's lines shifted by x·lines, for every set s whose index is
+// in [lo, lo+lines) mod class. A zero sweeps owes nothing.
+type sweepSpread struct {
+	sweeps           int
+	lines, lo, class uint64
 }
 
 // Tag word bits below the line number.
@@ -95,7 +108,9 @@ type AccessResult struct {
 }
 
 // Access looks up (and on miss, fills) the line containing addr, which
-// must lie in [0, 2^61). Writes allocate and mark the line dirty.
+// must lie in [0, 2^61). Writes allocate and mark the line dirty. It does
+// not write the sets a sweep owes (settle): the controller writes them
+// before any access but its sweeps' own, which never reach them.
 func (c *Cache) Access(addr int64, write bool) AccessResult {
 	if uint64(addr) >= maxCacheAddr {
 		panic(fmt.Sprintf("memctl: cache address %#x out of range", addr))
@@ -114,6 +129,7 @@ func (c *Cache) Access(addr int64, write bool) AccessResult {
 	var dirty uint64
 	if write {
 		dirty = tagDirty
+		c.written = true
 	}
 
 	// One pass both looks the line up and shifts the ways it passes down
@@ -157,7 +173,10 @@ func (c *Cache) Flush() []int64 {
 // holds, for r from ranks-1 down to 0, the lines of set s - r·stride (mod
 // the set count) shifted by r·stride, each set's in recency order, cut to
 // Ways. It panics, before changing the tags, on a dirty word or a line at
-// or above stride.
+// or above stride. Sets a sweep owes stay owed: a rank is a whole number
+// of rows, so moving a line by ranks keeps it in its sweep's set class,
+// and writing the owed sets after the mirror leaves what writing them
+// before it would.
 func (c *Cache) mirror(ranks int, stride uint64) {
 	if c.mirrorSrc == nil {
 		c.mirrorSrc = make([]uint64, len(c.tags))
@@ -188,8 +207,43 @@ func (c *Cache) mirror(ranks int, stride uint64) {
 	}
 }
 
+// settle writes the sets c.spread owes, if any.
+func (c *Cache) settle() {
+	if c.spread.sweeps != 0 {
+		c.writeSpread()
+	}
+}
+
+// writeSpread writes the sets c.spread owes: each set of the first
+// sweep's class, shifted by x·lines, for every later sweep x.
+func (c *Cache) writeSpread() {
+	sp := c.spread
+	n := uint64(c.cfg.Ways)
+	for s := uint64(0); s < c.numSets; s++ {
+		if (s%sp.class+sp.class-sp.lo)%sp.class >= sp.lines {
+			continue
+		}
+		src := c.tags[s*n : (s+1)*n]
+		for x := uint64(1); x < uint64(sp.sweeps); x++ {
+			t := (s + x*sp.lines) % c.numSets
+			dst := c.tags[t*n : (t+1)*n]
+			for i, w := range src {
+				if w != 0 {
+					w += (x * sp.lines) << 2
+				}
+				dst[i] = w
+			}
+		}
+	}
+	c.spread = sweepSpread{}
+}
+
 // invalidate drops every line, dirty or not, without writing any back.
-func (c *Cache) invalidate() { clear(c.tags) }
+func (c *Cache) invalidate() {
+	clear(c.tags)
+	c.spread = sweepSpread{}
+	c.written = false
+}
 
 // Stats returns hit, miss and write-back counts since construction.
 func (c *Cache) Stats() (hits, misses, writebacks uint64) {

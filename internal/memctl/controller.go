@@ -68,6 +68,26 @@ type Controller struct {
 	// all three.
 	mirrorable     bool
 	hits0, misses0 uint64
+
+	// sweep is LoadSweeps's state since the last ResetStats, and
+	// missRows its scratch: the rows a first sweep missed in, in order.
+	sweep    sweepState
+	missRows []RowRef
+}
+
+// sweepState is what LoadSweeps needs to know of the calls since the last
+// ResetStats.
+type sweepState struct {
+	// ok holds while nothing but LoadSweeps ran: no other load, write,
+	// bare ResetCounters, idle time or mirror.
+	ok bool
+	// sweeps and stride are the calls' shape; 0 sweeps before the first.
+	sweeps, stride int
+	// spread is the set classes of the first call that took the
+	// shortcut; plain is set by the first that could not, after which
+	// every call loads one by one.
+	spread sweepSpread
+	plain  bool
 }
 
 // NewController wraps a device in an MCU at nominal operating parameters.
@@ -86,6 +106,7 @@ func NewController(cfg Config, dev *dram.Device) (*Controller, error) {
 		vdd:        MaxVDD,
 		openRow:    make([]int32, geom.Ranks*geom.Banks),
 		mirrorable: true,
+		sweep:      sweepState{ok: true},
 	}
 	c.closeRows()
 	return c, nil
@@ -138,7 +159,8 @@ func (c *Controller) queueWriteback(addr int64) {
 // drainWritebacks issues all queued write-backs back to back.
 func (c *Controller) drainWritebacks() {
 	for _, addr := range c.wbQueue {
-		c.dramAccess(c.rowOf(addr, c.geom.Map(addr)), true)
+		c.open(c.rowOf(addr, c.geom.Map(addr)), 1)
+		c.dramWrites++
 	}
 	c.wbQueue = c.wbQueue[:0]
 }
@@ -169,36 +191,33 @@ func (c *Controller) rowOf(addr int64, l addrmap.Loc) RowRef {
 	}
 }
 
-// dramAccess models one line transfer between controller and DRAM,
-// accounting for row activations through the per-bank row buffer.
-func (c *Controller) dramAccess(r RowRef, write bool) {
+// open opens row r for a line transfer between controller and DRAM through
+// the per-bank row buffer, counting n activations of it if its bank had
+// another row open.
+func (c *Controller) open(r RowRef, n uint64) {
 	if c.openRow[r.bank] != r.row {
 		c.openRow[r.bank] = r.row
-		c.activate(int(r.bank)*c.geom.Rows + int(r.row))
-	}
-	if write {
-		c.dramWrites++
-	} else {
-		c.dramReads++
+		c.activate(int(r.bank)*c.geom.Rows+int(r.row), n)
 	}
 }
 
-// activate counts one activation of the row at acts index i.
-func (c *Controller) activate(i int) {
+// activate counts n activations of the row at acts index i.
+func (c *Controller) activate(i int, n uint64) {
 	if c.acts == nil {
 		c.acts = make([]uint64, len(c.openRow)*c.geom.Rows)
 	}
 	if c.acts[i] == 0 {
 		c.touched = append(c.touched, i)
 	}
-	c.acts[i]++
-	c.activations++
+	c.acts[i] += n
+	c.activations += n
 }
 
-// cached routes one access at addr (in row r) through the cache: a hit
-// costs HitLatencyNs; a miss queues the victim's write-back and fills the
-// line from DRAM.
+// cached routes one access at addr (in row r) through the cache, once the
+// sets a LoadSweeps stream owes are written: a hit costs HitLatencyNs; a
+// miss queues the victim's write-back and fills the line from DRAM.
 func (c *Controller) cached(addr int64, r RowRef, write bool) {
+	c.cache.settle()
 	res := c.cache.Access(addr, write)
 	if res.Hit {
 		c.clockNs += HitLatencyNs
@@ -208,7 +227,8 @@ func (c *Controller) cached(addr int64, r RowRef, write bool) {
 	if res.WritebackAddr >= 0 {
 		c.queueWriteback(res.WritebackAddr)
 	}
-	c.dramAccess(r, false) // line fill
+	c.open(r, 1) // line fill
+	c.dramReads++
 }
 
 // Load issues a cached read of the word at a byte address for its traffic
@@ -228,6 +248,7 @@ func (c *Controller) LoadCol(r RowRef, col int) {
 	if uint(col) >= uint(c.words) {
 		panic(fmt.Sprintf("memctl: column %d outside a %d-word row", col, c.words))
 	}
+	c.sweep.ok = false
 	c.cached(r.base+int64(col)*8, r, false)
 }
 
@@ -235,6 +256,7 @@ func (c *Controller) LoadCol(r RowRef, col int) {
 // hierarchy. Unwritten memory reads as zero.
 func (c *Controller) ReadWord(addr int64) uint64 {
 	loc := c.geom.Map(addr)
+	c.sweep.ok = false
 	c.cached(addr, c.rowOf(addr, loc), false)
 	v, _ := c.dev.ReadWord(loc)
 	return v
@@ -255,8 +277,10 @@ func (c *Controller) ReadWordUncached(addr int64) uint64 {
 // fetching a value. Which word of the row it reads changes nothing: an
 // uncached load touches no cache line, only the row buffer.
 func (c *Controller) LoadUncached(r RowRef) {
+	c.sweep.ok = false
 	c.clockNs += MissLatencyNs
-	c.dramAccess(r, false)
+	c.open(r, 1)
+	c.dramReads++
 }
 
 // WriteWord stores a 64-bit word. Data is propagated to the device image
@@ -265,23 +289,9 @@ func (c *Controller) LoadUncached(r RowRef) {
 func (c *Controller) WriteWord(addr int64, v uint64) {
 	loc := c.geom.Map(addr)
 	c.mirrorable = false
+	c.sweep.ok = false
 	c.cached(addr, c.rowOf(addr, loc), true)
 	c.dev.WriteWord(loc, v)
-}
-
-// FillRegion writes the same word to every 64-bit location in
-// [startAddr, startAddr+bytes), bypassing the cache model. It corresponds
-// to the bulk initialization loop of a virus, which the paper's framework
-// does once before the measured run; its traffic is not part of the access
-// pattern under study.
-func (c *Controller) FillRegion(startAddr, bytes int64, word uint64) error {
-	if startAddr%8 != 0 || bytes%8 != 0 || bytes < 0 {
-		return fmt.Errorf("memctl: unaligned fill [%#x, +%d)", startAddr, bytes)
-	}
-	for a := startAddr; a < startAddr+bytes; a += 8 {
-		c.dev.WriteWord(c.geom.Map(a), word)
-	}
-	return nil
 }
 
 // ElapsedNs returns the simulated time consumed by accesses so far.
@@ -291,6 +301,7 @@ func (c *Controller) ElapsedNs() uint64 { return c.clockNs }
 func (c *Controller) AdvanceNs(ns uint64) {
 	c.clockNs += ns
 	c.mirrorable = false
+	c.sweep.ok = false
 }
 
 // Activations returns the total row-activation count.
@@ -345,6 +356,7 @@ func (c *Controller) ResetStats() {
 	c.ResetCounters()
 	c.hits0, c.misses0, _ = c.cache.Stats()
 	c.mirrorable = true
+	c.sweep = sweepState{ok: true}
 }
 
 // closeRows precharges every bank.
@@ -361,6 +373,7 @@ func (c *Controller) closeRows() {
 // extrapolated as the steady-state access rate.
 func (c *Controller) ResetCounters() {
 	c.mirrorable = false
+	c.sweep.ok = false
 	c.wbQueue = c.wbQueue[:0]
 	for _, i := range c.touched {
 		c.acts[i] = 0
@@ -392,10 +405,10 @@ func (c *Controller) ResetCounters() {
 // to rank 0's, cut to Ways; and clean loads queue no write-backs.
 //
 // It panics, before changing any state, unless since the last ResetStats
-// nothing but loads was issued (no write, bare ResetCounters, AdvanceNs or
-// earlier MirrorRank0), no write-back is queued, no tag word is dirty and
-// every touched row and cached line is on rank 0, or if a rank does not
-// span a whole number of cache lines.
+// nothing but loads was issued (LoadSweeps's among them; no write, bare
+// ResetCounters, AdvanceNs or earlier MirrorRank0), no write-back is
+// queued, no tag word is dirty and every touched row and cached line is on
+// rank 0, or if a rank does not span a whole number of cache lines.
 func (c *Controller) MirrorRank0() {
 	g := c.geom
 	rankRows := g.Banks * g.Rows
@@ -431,4 +444,5 @@ func (c *Controller) MirrorRank0() {
 	c.cache.hits += (ranks - 1) * (c.cache.hits - c.hits0)
 	c.cache.misses += (ranks - 1) * (c.cache.misses - c.misses0)
 	c.mirrorable = false
+	c.sweep.ok = false
 }

@@ -238,25 +238,6 @@ func TestActsPerWindowEmptyWhenIdle(t *testing.T) {
 	}
 }
 
-func TestFillRegionBypassesCache(t *testing.T) {
-	c := testController(t)
-	if err := c.FillRegion(0, 8192, 0x3333333333333333); err != nil {
-		t.Fatal(err)
-	}
-	if c.Activations() != 0 || c.ElapsedNs() != 0 {
-		t.Fatal("fill consumed measured time or activations")
-	}
-	if v, ok := c.Device().ReadWord(c.Device().Geometry().Map(4096)); !ok || v != 0x3333333333333333 {
-		t.Fatalf("fill data missing: %x ok=%v", v, ok)
-	}
-	if err := c.FillRegion(4, 8, 0); err == nil {
-		t.Fatal("unaligned fill accepted")
-	}
-	if err := c.FillRegion(0, -8, 0); err == nil {
-		t.Fatal("negative fill accepted")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	c := testController(t)
 	if err := c.SetTREFP(2.283); err != nil {
@@ -430,15 +411,14 @@ func TestResetCountersKeepsCache(t *testing.T) {
 }
 
 // TestDataOnlyControllerNeverAllocatesActs: a data virus's deploy fills
-// memory, resets the statistics and reads the activation rates, but never
-// issues a load, so the dense activation array (8 MiB at the 65536-row
-// cap) is never allocated. The first load allocates it.
+// memory through the device, resets the statistics and reads the
+// activation rates, but never issues a load, so the dense activation
+// array (8 MiB at the 65536-row cap) is never allocated. The first load
+// allocates it.
 func TestDataOnlyControllerNeverAllocatesActs(t *testing.T) {
 	c := testController(t)
 	for i := 0; i < 3; i++ {
-		if err := c.FillRegion(0, 64<<10, 0x3333333333333333); err != nil {
-			t.Fatal(err)
-		}
+		c.Device().FillAllUniform(0x3333333333333333)
 		c.ResetStats()
 		if acts := c.ActsPerWindow(); acts != nil {
 			t.Fatalf("data-only deploy has activation rates %v", acts)

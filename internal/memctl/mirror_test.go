@@ -40,8 +40,8 @@ func rank0Loads(rng *xrand.Rand, cfg diffConfig, n int) []diffOp {
 }
 
 // mirrorState is everything a mirror must leave as a full replay would:
-// the tag words in set and recency order, the open rows, the per-row rates
-// and the seven counters.
+// the tag words in set and recency order (with the sets LoadSweeps owes
+// written), the open rows, the per-row rates and the seven counters.
 type mirrorState struct {
 	tags     []uint64
 	openRow  []int32
@@ -53,12 +53,21 @@ func snapshotMirror(c *Controller) mirrorState {
 	reads, writes := c.DRAMTraffic()
 	hits, misses, wbs := c.CacheStats()
 	return mirrorState{
-		tags:    slices.Clone(c.cache.tags),
+		tags:    settledTags(c.cache),
 		openRow: slices.Clone(c.openRow),
 		acts:    maps.Clone(c.ActsPerWindow()), // the controller refills its map
 		counters: [7]uint64{c.Activations(), c.ElapsedNs(), reads, writes,
 			hits, misses, wbs},
 	}
+}
+
+// settledTags is c's tag words with the sets LoadSweeps owes written,
+// leaving c's own as they are.
+func settledTags(c *Cache) []uint64 {
+	cp := *c
+	cp.tags = slices.Clone(c.tags)
+	cp.settle()
+	return cp.tags
 }
 
 // mirrorConfigs are the differential configs plus set counts that do not

@@ -231,6 +231,12 @@ const (
 	// then MirrorRank0 on the Controller, while the reference issues seg
 	// on every rank in turn. The whole cache is compared after it.
 	opMirror
+	// opSweeps is a swept segment: ResetStats, then seg's rank-0 loads as
+	// LoadSweeps calls of the shape val encodes (sweepsShape), then
+	// MirrorRank0 if the shape says so, while the reference issues every
+	// sweep's loads one by one, on every rank in turn if mirrored. The
+	// whole cache is compared after it.
+	opSweeps
 	numOps
 )
 
@@ -238,7 +244,10 @@ type diffOp struct {
 	kind int
 	addr int64
 	val  uint64
-	seg  []diffOp // opMirror's loads: opLoad, opLoadCol or opReadWordUncached
+	// seg is opMirror's loads (opLoad, opLoadCol or opReadWordUncached),
+	// or opSweeps's pass-0 loads (opLoadCol), each with val 1 if it
+	// starts a LoadSweeps call.
+	seg []diffOp
 }
 
 // diffPair is a Controller and the reference, driven in lockstep.
@@ -367,6 +376,44 @@ func (p *diffPair) apply(i int, op diffOp) {
 			p.t.Fatalf("%s op %d: mirrored tags\n got %#x\nwant %#x",
 				p.cfg.name, i, got, want)
 		}
+	case opSweeps:
+		geom := p.cfg.geom
+		sweeps, stride, mirror := sweepsShape(op.val, p.cfg)
+		calls := sweepSegCalls(op.seg)
+		ranks := 1
+		if mirror {
+			ranks = geom.Ranks
+		}
+		r.resetStats()
+		for rank := 0; rank < ranks; rank++ {
+			shift := int64(rank) * geom.RankBytes()
+			for _, call := range calls {
+				for x := range sweeps {
+					for _, l := range call {
+						col := geom.Map(l.addr).Col
+						next := (col + x*stride) % geom.WordsPerRow()
+						r.cached(l.addr+shift+int64(next-col)*8, false)
+					}
+				}
+			}
+		}
+		c.ResetStats()
+		for _, call := range calls {
+			rows := make([]RowRef, len(call))
+			cols := make([]int32, len(call))
+			for j, l := range call {
+				loc := geom.Map(l.addr)
+				rows[j], cols[j] = c.RowAt(0, geom.ChunkIndex(loc)), int32(loc.Col)
+			}
+			c.LoadSweeps(rows, cols, sweeps, stride)
+		}
+		if mirror {
+			c.MirrorRank0()
+		}
+		if got, want := settledTags(c.cache), r.tagWords(); !slices.Equal(got, want) {
+			p.t.Fatalf("%s op %d: swept tags\n got %#x\nwant %#x",
+				p.cfg.name, i, got, want)
+		}
 	}
 	l := p.cfg.geom.Map(op.addr)
 	var rowActs uint64
@@ -456,12 +503,53 @@ func TestControllerMatchesReference(t *testing.T) {
 // mirrorLoads are the load kinds of an opMirror segment.
 var mirrorLoads = []int{opLoad, opLoadCol, opReadWordUncached}
 
+// sweepsShape decodes an opSweeps val: bits 6-9 are the sweeps less one,
+// bits 10-12 the stride in cache lines and bit 13 one more word, and bit 14
+// asks for MirrorRank0.
+func sweepsShape(val uint64, cfg diffConfig) (sweeps, stride int, mirror bool) {
+	return 1 + int(val>>6%16), int(val>>10%8)*cfg.cache.LineBytes/8 + int(val>>13%2),
+		val>>14%2 == 1
+}
+
+// sweepSegCalls splits an opSweeps segment into its LoadSweeps calls.
+func sweepSegCalls(seg []diffOp) [][]diffOp {
+	var calls [][]diffOp
+	for i, l := range seg {
+		if i == 0 || l.val == 1 {
+			calls = append(calls, nil)
+		}
+		calls[len(calls)-1] = append(calls[len(calls)-1], l)
+	}
+	return calls
+}
+
+// sweepSegment draws an opSweeps segment of n calls into line 0 of
+// rank-0 rows (sweepCalls), at most 8n loads, with val (sweeps 2, a
+// one-line stride, mirrored), which the shortcut fits wherever g is at
+// least 2.
+func sweepSegment(rng *xrand.Rand, cfg diffConfig, n int) diffOp {
+	op := diffOp{kind: opSweeps, val: 1<<6 | 1<<10 | 1<<14}
+	line0 := sweepShape{window: func(int) (int, int) { return 0, cfg.cache.LineBytes / 8 }}
+	for _, call := range sweepCalls(rng, cfg.geom, line0, n) {
+		for j, chunk := range call.chunks {
+			l := diffOp{kind: opLoadCol, addr: cfg.geom.ChunkAddr(0, chunk) + int64(call.cols[j])*8}
+			if j == 0 {
+				l.val = 1 // starts a call
+			}
+			op.seg = append(op.seg, l)
+		}
+	}
+	return op
+}
+
 // decodeOps turns arbitrary bytes into a config choice and an op stream
 // with in-range addresses: one config byte, then 9 bytes per op (kind,
 // then a little-endian word index folded into the address space). An
-// opMirror record's word, mod 64, is its segment length k, and the next k
-// records are its loads: kind mod 3 picks the load and the word index is
-// folded into rank 0.
+// opMirror or opSweeps record's word, mod 64, is its segment length k,
+// and the next k records are its loads, each word index folded into rank
+// 0: an opMirror load's kind mod 3 picks the load, and an opSweeps
+// load's kind mod 2 is 1 if it starts a call. The rest of an opSweeps
+// word is its shape (sweepsShape).
 func decodeOps(data []byte) (diffConfig, []diffOp) {
 	if len(data) == 0 {
 		return diffConfigs[0], nil
@@ -474,16 +562,19 @@ func decodeOps(data []byte) (diffConfig, []diffOp) {
 	for b := data[1:]; len(b) >= 9; b = b[9:] {
 		w := binary.LittleEndian.Uint64(b[1:9])
 		if seg != nil {
-			seg.seg = append(seg.seg, diffOp{kind: mirrorLoads[int(b[0])%len(mirrorLoads)],
-				addr: int64(w%rankWords) * 8})
+			l := diffOp{kind: mirrorLoads[int(b[0])%len(mirrorLoads)], addr: int64(w%rankWords) * 8}
+			if seg.kind == opSweeps {
+				l.kind, l.val = opLoadCol, uint64(b[0]%2)
+			}
+			seg.seg = append(seg.seg, l)
 			if len(seg.seg) == cap(seg.seg) {
 				seg = nil
 			}
 			continue
 		}
 		op := diffOp{kind: int(b[0]) % numOps, addr: int64(w%words) * 8, val: w}
-		if op.kind == opMirror {
-			op.addr = 0
+		if op.kind == opMirror || op.kind == opSweeps {
+			op.addr, op.val = 0, w&^63
 			if k := int(w % 64); k > 0 {
 				op.seg = make([]diffOp, 0, k)
 			}
@@ -497,15 +588,20 @@ func decodeOps(data []byte) (diffConfig, []diffOp) {
 }
 
 // encodeOp appends decodeOps's records for op: its kind byte and word
-// index, then, for opMirror, one record per load of its segment.
+// index, then, for opMirror and opSweeps, one record per load of its
+// segment.
 func encodeOp(b []byte, op diffOp) []byte {
 	w := uint64(op.addr / 8)
-	if op.kind == opMirror {
-		w = uint64(len(op.seg))
+	if op.kind == opMirror || op.kind == opSweeps {
+		w = op.val | uint64(len(op.seg))
 	}
 	b = appendRecord(b, byte(op.kind), w)
 	for _, l := range op.seg {
-		b = appendRecord(b, byte(slices.Index(mirrorLoads, l.kind)), uint64(l.addr/8))
+		kind := byte(slices.Index(mirrorLoads, l.kind))
+		if op.kind == opSweeps {
+			kind = byte(l.val)
+		}
+		b = appendRecord(b, kind, uint64(l.addr/8))
 	}
 	return b
 }
@@ -515,7 +611,7 @@ func appendRecord(b []byte, kind byte, w uint64) []byte {
 }
 
 // FuzzControllerTrace runs the differential comparison on fuzzer-chosen op
-// streams, mirrored segments among them.
+// streams, mirrored and swept segments among them.
 func FuzzControllerTrace(f *testing.F) {
 	for i, cfg := range diffConfigs {
 		seed := []byte{byte(i)}
@@ -524,6 +620,10 @@ func FuzzControllerTrace(f *testing.F) {
 			seed = encodeOp(seed, op)
 		}
 		seed = encodeOp(seed, diffOp{kind: opMirror, seg: rank0Loads(rng, cfg, 48)})
+		for _, op := range randomOps(rng, cfg, 16) {
+			seed = encodeOp(seed, op)
+		}
+		seed = encodeOp(seed, sweepSegment(rng, cfg, 6))
 		for _, op := range randomOps(rng, cfg, 16) {
 			seed = encodeOp(seed, op)
 		}
