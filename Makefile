@@ -161,12 +161,18 @@ resume-test:
 
 # Distributed-fabric integration: a coordinator daemon plus two real worker
 # subprocesses, one SIGKILLed mid-job (its shard must re-queue onto the
-# survivor), and the in-process 1/2/4-worker fleet — every configuration
-# required to finish bit-identical to the purely local farm.Pool run.
+# survivor), the in-process 1/2/4-worker fleet, and workers splitting
+# their shards across 1, 2 and 3 server clones on data64, data24k and
+# access-rows — every configuration required to finish bit-identical to
+# the purely local farm.Pool run. Then the coordinator's lazily built
+# pool clones (none when a worker serves the search, all of them once on
+# orphan reclaim), and ten -race iterations of the fleet unit tests, the
+# worker's concurrent shard path among them.
 fleet-test:
 	$(GO) test -v -run 'TestFleetKillWorkerIntegration' ./cmd/dstressd
-	$(GO) test -run 'TestFleetEndToEndBitIdentical' ./cmd/dstressd
-	$(GO) test -race ./internal/fleet
+	$(GO) test -run 'TestFleetEndToEndBitIdentical|TestBatchDetV2FleetBitIdentical' ./cmd/dstressd
+	$(GO) test -race -run 'TestEvalPoolClonesLazily' ./internal/core
+	$(GO) test -race -count=10 ./internal/fleet
 
 # The benchmark story: the top-level figure benchmarks (one quick-scale
 # regeneration each) plus the evaluation-path micro-benchmarks (dram fast

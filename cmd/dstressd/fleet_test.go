@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -302,22 +303,40 @@ func TestFleetEndToEndBitIdentical(t *testing.T) {
 
 // TestBatchDetV2FleetBitIdentical: the fleet leg of the batch differential
 // matrix. Under determinism v2 every fleet worker evaluates its shards
-// through the chunked batch engine (buildFleetEvaluators), so the same v2
-// search at 0, 1 and 2 fleet nodes — local fallback included — must produce
-// the result of the purely local per-genome run. The kill-mid-job leg rides
-// in TestFleetEndToEndBitIdentical; this pins the batched evaluation.
+// through the chunked batch engine (buildFleetEvaluators), split across one
+// server clone per GOMAXPROCS, so the same v2 search at 0, 1 and 2 fleet
+// nodes — local fallback included — and at 1, 2 and 3 clones per node must
+// produce the result of the purely local run. data24k and access-rows cover
+// the specs whose Prepare writes state their deploys read, which clones
+// evaluating side by side must not share. The kill-mid-job leg rides in
+// TestFleetEndToEndBitIdentical; this pins the batched evaluation.
 func TestBatchDetV2FleetBitIdentical(t *testing.T) {
-	req := jobRequest{
-		Template: "data64", Criterion: "max-ce", TempC: 55,
-		Generations: 3, Population: 8, Workers: 2, Seed: 1234, Rows: 4, Runs: 2,
-		Determinism: "v2",
-	}
-	ref := fleetVariant(t, req, 0, false)
-	for _, n := range []int{1, 2} {
-		if got := fleetVariant(t, req, n, false); got != ref {
-			t.Fatalf("%d fleet workers (v2 batched) diverged from local:\n got %+v\nwant %+v",
-				n, got, ref)
-		}
+	for _, tc := range []struct {
+		template string
+		rows     int
+	}{{"data64", 4}, {"data24k", 4}, {"access-rows", 16}} {
+		t.Run(tc.template, func(t *testing.T) {
+			req := jobRequest{
+				Template: tc.template, Criterion: "max-ce", TempC: 55,
+				Generations: 3, Population: 8, Workers: 2, Seed: 1234,
+				Rows: tc.rows, Runs: 2, Determinism: "v2",
+			}
+			ref := fleetVariant(t, req, 0, false)
+			if got := fleetVariant(t, req, 2, false); got != ref {
+				t.Fatalf("2 fleet workers (v2 batched) diverged from local:\n got %+v\nwant %+v",
+					got, ref)
+			}
+			for _, clones := range []int{1, 2, 3} {
+				// A worker reads its clone count from GOMAXPROCS when built.
+				prev := runtime.GOMAXPROCS(clones)
+				got := fleetVariant(t, req, 1, false)
+				runtime.GOMAXPROCS(prev)
+				if got != ref {
+					t.Fatalf("1 fleet worker at %d clones diverged from local:\n got %+v\nwant %+v",
+						clones, got, ref)
+				}
+			}
+		})
 	}
 }
 

@@ -28,9 +28,6 @@ func (c *Coordinator) NewSession(evalCtx json.RawMessage, pool *farm.Pool) *Sess
 	return &Session{c: c, pool: pool, evalCtx: evalCtx}
 }
 
-// Pool returns the wrapped local pool.
-func (s *Session) Pool() *farm.Pool { return s.pool }
-
 // Batch exposes the session as a pluggable engine evaluator.
 func (s *Session) Batch() ga.BatchFitness { return s.EvaluateBatch }
 
