@@ -344,6 +344,60 @@ func TestPoolChunkFactoryAfterWorkers(t *testing.T) {
 	}
 }
 
+// TestPoolPrepareBeforeChunks: the prepare hook runs before any chunk of a
+// dispatch, not for a batch with nothing to evaluate, and outside the busy
+// time the metrics record; its error fails the batch before any chunk runs.
+func TestPoolPrepareBeforeChunks(t *testing.T) {
+	const pause = 100 * time.Millisecond
+	var prepared, early atomic.Int64
+	fail := false
+	prepare := func() error {
+		if fail {
+			return fmt.Errorf("no servers")
+		}
+		time.Sleep(pause)
+		prepared.Add(1)
+		return nil
+	}
+	chunks := WithChunkFactory(func(w int) (ChunkEvalFunc, error) {
+		return func(tasks []Assigned, out []float64) error {
+			if prepared.Load() == 0 {
+				early.Add(1)
+			}
+			return Sequential(noisyEval)(tasks, out)
+		}, nil
+	})
+	met := NewMetrics()
+	pool, err := NewPool(3, xrand.New(4), noisyFactory, chunks,
+		WithPrepare(prepare), WithMetrics(met))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.EvaluateBatch(context.Background(), nil); err != nil ||
+		prepared.Load() != 0 {
+		t.Fatalf("an empty batch prepared %d times (err %v), want 0",
+			prepared.Load(), err)
+	}
+	if _, err := pool.EvaluateBatch(context.Background(), intPopulation(6, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if early.Load() != 0 || prepared.Load() != 1 {
+		t.Fatalf("%d chunks ran before prepare; prepared %d times, want 1",
+			early.Load(), prepared.Load())
+	}
+	if busy := met.Snapshot(0).BusySeconds; busy >= pause.Seconds() {
+		t.Fatalf("busy time %.3fs includes the %v prepare", busy, pause)
+	}
+	fail = true
+	if _, err := pool.EvaluateBatch(context.Background(), intPopulation(6, 5)); err == nil ||
+		!strings.Contains(err.Error(), "no servers") {
+		t.Fatalf("a failed prepare did not fail the batch: %v", err)
+	}
+	if n := met.Snapshot(0).Chunks; n != 3 {
+		t.Fatalf("%d chunks ran, want the first batch's 3 only", n)
+	}
+}
+
 // TestPoolChunkPanicBecomesError: a panic inside a chunk evaluator comes
 // back as an error naming the chunk's task range, and the pool keeps
 // working afterwards.
