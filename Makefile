@@ -21,7 +21,9 @@ test-short:
 # failures surface before the long campaign tests run, a focused
 # checkpoint/resume pass over the durability-critical packages, and one
 # iteration of each dram micro-benchmark under -race so the evaluation fast
-# path stays race-clean against farm workers sharing cloned servers. The
+# path stays race-clean against farm workers sharing cloned servers, and
+# server clones evaluated and aged concurrently over their shared defect
+# maps. The
 # full pass needs an explicit -timeout: the campaign test runs ~90s
 # natively, and the race detector's slowdown pushes it past go test's 600s
 # default.
@@ -31,6 +33,7 @@ check:
 	$(GO) test -race -run 'Checkpoint|Resume|Journal|Snapshot' \
 		./internal/ga ./internal/core ./internal/farm
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x ./internal/dram
+	$(GO) test -race -count 1 -run 'TestClone' ./internal/server
 	$(MAKE) access-test
 	$(MAKE) detv2-test
 	$(MAKE) store-test
@@ -46,11 +49,14 @@ check:
 # rows, every cache shape) and its rejection of any state but rank-0 loads,
 # the repeated-sweep shortcut against a load-by-load replay (the same
 # ranks, rows and shapes, mirrored or not, with the shapes it must not
-# take) and its rejection of any state but sweeps of one shape, the
-# mirrored table-driven replay against a per-address one over every rank
-# at 1, 3, 16 and 17 sweeps, and Fig 11's access-over-data gain. Then once
-# more under the race detector.
-ACCESS_TESTS = 'TestAccessDeployActsGolden|TestControllerMatchesReference|TestMirrorMatchesFullReplay|TestMirrorRejectsBadState|TestSweepsMatchLoads|TestSweepsRejectBadState|TestAccessReplayMatchesLoads|TestAccessRowsBeatsDataOnly'
+# take) and its rejection of any state but sweeps of one shape, the tags a
+# mirror leaves owed (loads and writes after it against eagerly written
+# twins, flushes, and ResetStats dropping the debt), the dense activation
+# rates against the rate map, a data virus's deploys leaving the cache's
+# tags unallocated, the mirrored table-driven replay against a
+# per-address one over every rank at 1, 3, 16 and 17 sweeps, and Fig 11's
+# access-over-data gain. Then once more under the race detector.
+ACCESS_TESTS = 'TestAccessDeployActsGolden|TestControllerMatchesReference|TestMirrorMatchesFullReplay|TestMirrorRejectsBadState|TestMirrorOwed|TestDenseActsMatchMap|TestDataVirusLeavesCacheUnallocated|TestSweepsMatchLoads|TestSweepsRejectBadState|TestAccessReplayMatchesLoads|TestAccessRowsBeatsDataOnly'
 
 access-test:
 	$(GO) test -count 1 -run $(ACCESS_TESTS) ./internal/memctl ./internal/core

@@ -97,9 +97,12 @@ func (f *Framework) NewEvalPool(cfg SearchConfig, workers int,
 // runs: the per-genome evaluator and its chunked companion. It is shared
 // between the local pool factory (which hands it a server clone) and a
 // fleet worker process (which hands it a server freshly built from the
-// shipped configuration — identical by construction, since server.Clone
-// rebuilds from config): both paths produce the same value for the same
-// (genome, rng), which is the fleet's determinism contract. det is set
+// shipped configuration — identical by construction, since a server.Clone
+// is the server New builds from the same configuration: it shares the
+// frozen defect maps that New samples from the config seeds, and carries
+// none of the parent's data, wear or settings): both paths produce the
+// same value for the same (genome, rng), which is the fleet's determinism
+// contract. det is set
 // explicitly rather than inherited because the fleet path's server is built
 // from a shipped config that predates the search's contract choice.
 //

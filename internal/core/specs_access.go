@@ -26,7 +26,19 @@ type accessSpecBase struct {
 	SweepLen int
 
 	targets []int // rank-0 error-prone chunk indexes
+	// window[t*windowLen+targetWindow+off] is the row of chunk
+	// targets[t]+off, for off in [-targetWindow, targetWindow] with the
+	// chunk inside rank 0.
+	window []memctl.RowRef
 }
+
+// targetWindow bounds the chunk offsets a virus reads around a target:
+// access-rows reaches 32 chunks each way, access-coeffs 8. prepare
+// resolves every target's window once, so a deploy decodes no address.
+const (
+	targetWindow = 32
+	windowLen    = 2*targetWindow + 1
+)
 
 func (b *accessSpecBase) prepare(f *Framework) error {
 	ctl := f.Srv.MCU(f.MCU)
@@ -44,6 +56,15 @@ func (b *accessSpecBase) prepare(f *Framework) error {
 	if len(b.targets) == 0 {
 		return fmt.Errorf("core: no error-prone rows to target")
 	}
+	nchunks := geom.Banks * geom.Rows
+	b.window = make([]memctl.RowRef, len(b.targets)*windowLen)
+	for t, target := range b.targets {
+		for off := -targetWindow; off <= targetWindow; off++ {
+			if c := target + off; c >= 0 && c < nchunks {
+				b.window[t*windowLen+targetWindow+off] = ctl.RowAt(0, c)
+			}
+		}
+	}
 	if b.SweepLen <= 0 {
 		b.SweepLen = 16
 	}
@@ -54,8 +75,8 @@ func (b *accessSpecBase) prepare(f *Framework) error {
 // (rank, target, x, offset) order. wordIdx receives (offset index, x) and
 // returns the word index to read within the chunk; replay tabulates it once
 // per deploy, checking every entry against the row length. Only the reads'
-// traffic matters, so they are issued as loads into rows resolved once per
-// target, through memctl.Controller.LoadSweeps. When every x reads the
+// traffic matters, so they are issued as loads into the rows prepare
+// resolved, through memctl.Controller.LoadSweeps. When every x reads the
 // x = 0 words shifted by one stride (mod the row length), as the
 // access-rows sweep does, a target is one call of SweepLen sweeps, which
 // the controller simulates once and repeats; any other table, such as
@@ -69,6 +90,12 @@ func (b *accessSpecBase) replay(f *Framework,
 	nchunks := geom.Banks * geom.Rows
 	wordsPerRow := geom.WordsPerRow()
 	n := len(offsets)
+	for _, off := range offsets {
+		if off < -targetWindow || off > targetWindow {
+			return fmt.Errorf("core: access pattern reads chunk offset %d, outside ±%d",
+				off, targetWindow)
+		}
+	}
 	// The buffers hold the default sweep over all 64 access-rows offsets on
 	// the stack, so a deploy allocates nothing for its tables.
 	var wordsBuf [16 * 64]int32
@@ -99,11 +126,12 @@ func (b *accessSpecBase) replay(f *Framework,
 		}
 	}
 	ctl.ResetStats()
-	for _, target := range b.targets {
+	for t, target := range b.targets {
 		rows, idx := rowsBuf[:0], idxBuf[:0] // in-range chunks, in offset order
+		base := t*windowLen + targetWindow
 		for i, off := range offsets {
 			if c := target + off; c >= 0 && c < nchunks {
-				rows = append(rows, ctl.RowAt(0, c))
+				rows = append(rows, b.window[base+off])
 				idx = append(idx, i)
 			}
 		}

@@ -49,11 +49,14 @@ type BatchItem struct {
 	// per-genome state even when the refresh/temperature/voltage conditions
 	// are shared. It is called once, directly after Apply — controller-level
 	// producers drain pending writebacks into the device at that point, so
-	// the call must precede the plan splice. The returned map must not be
+	// the call must precede the plan splice. It returns the rates laid out
+	// densely, entry (rank*Banks+bank)*Rows+row for each row and 0 for a
+	// row with no activations, or nil for none at all: the map
+	// ActsPerWindow holds, indexed instead of hashed. The slice must not be
 	// mutated, and is read only while this item is evaluated: a memory
-	// controller's map is valid until its next ActsPerWindow or reset, and
-	// it refills the same map for the next item.
-	Acts func() map[RowKey]float64
+	// controller's slice is valid until its next rates call or reset, and
+	// it refills the same slice for the next item.
+	Acts func() []float64
 
 	// RNG is the item's pre-split generator — the same generator a
 	// per-genome evaluation would pass to Run (via RunParams.RNG) or
@@ -187,6 +190,9 @@ type batchSession struct {
 	newKeys []RowKey // splice: sorted newly-written keys
 	env     []float64
 	perRank []int
+	// acts is RunParams.ActsPerWindow laid out as BatchItem.Acts returns
+	// rates, for the items without Acts.
+	acts []float64
 }
 
 var batchPool sync.Pool
@@ -267,15 +273,25 @@ func (d *Device) runBatchItems(p RunParams, items []BatchItem,
 		partialBand = 1
 	}
 
+	// Items without Acts read p.ActsPerWindow, laid out once.
+	var shared []float64
+	if p.ActsPerWindow != nil {
+		sess.acts = d.denseActs(p.ActsPerWindow, sess.acts)
+		shared = sess.acts
+	}
 	for i := range items {
 		if err := items[i].Apply(d); err != nil {
 			return fmt.Errorf("dram: batch item %d apply: %w", i, err)
 		}
 		cur := &sess.bufs[i&1]
 		prev := &sess.bufs[1-(i&1)]
-		acts := p.ActsPerWindow
+		acts := shared
 		if items[i].Acts != nil {
 			acts = items[i].Acts()
+			if acts != nil && len(acts) != d.rowCount() {
+				return fmt.Errorf("dram: batch item %d has %d activation rates for %d rows",
+					i, len(acts), d.rowCount())
+			}
 		}
 		if i == 0 || d.trackAll {
 			d.compileBatchFull(sess, cur, p, acts, partialBand)
@@ -293,10 +309,52 @@ func (d *Device) runBatchItems(p RunParams, items []BatchItem,
 	return nil
 }
 
+// rowCount is the number of rows of the device, across ranks and banks.
+func (d *Device) rowCount() int {
+	return d.geom.Ranks * d.geom.Banks * d.geom.Rows
+}
+
+// denseActs lays acts out as BatchItem.Acts returns rates, in dst's
+// storage when it is large enough. Keys outside the geometry are dropped:
+// no row's hammer pressure reads them.
+func (d *Device) denseActs(acts map[RowKey]float64, dst []float64) []float64 {
+	n := d.rowCount()
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	g := d.geom
+	for k, v := range acts {
+		if uint(k.Rank) < uint(g.Ranks) && uint(k.Bank) < uint(g.Banks) &&
+			uint(k.Row) < uint(g.Rows) {
+			dst[(int(k.Rank)*g.Banks+int(k.Bank))*g.Rows+int(k.Row)] = v
+		}
+	}
+	return dst
+}
+
+// hammerAt is hammerFor over dense rates: the same two terms, summed in
+// the same order, so the same float.
+func (d *Device) hammerAt(key RowKey, acts []float64) float64 {
+	if acts == nil {
+		return 0
+	}
+	i := (int(key.Rank)*d.geom.Banks+int(key.Bank))*d.geom.Rows + int(key.Row)
+	h := 0.0
+	if key.Row > 0 {
+		h += acts[i-1]
+	}
+	if int(key.Row) < d.geom.Rows-1 {
+		h += acts[i+1]
+	}
+	return h
+}
+
 // compileBatchFull compiles the device's entire written state into cur —
 // the once-per-generation compile the splices amortize.
 func (d *Device) compileBatchFull(sess *batchSession, cur *batchBuf,
-	p RunParams, acts map[RowKey]float64, partialBand float64) {
+	p RunParams, acts []float64, partialBand float64) {
 	cur.reset(partialBand)
 	// The written defect rows in sorted order, as in compilePlan.
 	for ri, key := range d.weakRows {
@@ -313,7 +371,7 @@ func (d *Device) compileBatchFull(sess *batchSession, cur *batchBuf,
 // rows written since the previous item (dilated ±1 for neighbour couplings)
 // and copying every other row-span from prev.
 func (d *Device) spliceBatch(sess *batchSession, cur, prev *batchBuf,
-	p RunParams, acts map[RowKey]float64, partialBand float64) {
+	p RunParams, acts []float64, partialBand float64) {
 	cur.reset(partialBand)
 	evalMet.planSplices.Add(1)
 
@@ -391,7 +449,7 @@ func (d *Device) spliceBatch(sess *batchSession, cur, prev *batchBuf,
 // finishBatchRow derives the SoA constants and conditions of the freshly
 // compiled plan row ri.
 func (d *Device) finishBatchRow(sess *batchSession, cur *batchBuf, ri int,
-	p RunParams, acts map[RowKey]float64) {
+	p RunParams, acts []float64) {
 	phys := &d.cfg.Physics
 	pl := &cur.plan
 	row := &pl.rows[ri]
@@ -410,7 +468,7 @@ func (d *Device) finishBatchRow(sess *batchSession, cur *batchBuf, ri int,
 		cur.clKey = append(cur.clKey, 2*uint64(k.src)+1)
 	}
 
-	hammer := d.hammerFor(row.key, acts)
+	hammer := d.hammerAt(row.key, acts)
 	cur.hammer = append(cur.hammer, hammer)
 	d.condRowInto(sess, cur, ri, hammer, p)
 }
@@ -477,7 +535,7 @@ func (d *Device) condRowInto(sess *batchSession, cur *batchBuf, ri int,
 // is also unchanged its conditions spans copy too; otherwise they are
 // re-derived from the copied plan spans.
 func (d *Device) copyBatchRow(sess *batchSession, cur, prev *batchBuf,
-	pi int, p RunParams, acts map[RowKey]float64) {
+	pi int, p RunParams, acts []float64) {
 	evalMet.rowsCopied.Add(1)
 	pr := &prev.plan.rows[pi]
 	pl := &cur.plan
@@ -517,7 +575,7 @@ func (d *Device) copyBatchRow(sess *batchSession, cur, prev *batchBuf,
 		wordLo: wordLo, wordHi: int32(len(pl.words)),
 	})
 
-	hammer := d.hammerFor(pr.key, acts)
+	hammer := d.hammerAt(pr.key, acts)
 	cur.hammer = append(cur.hammer, hammer)
 	if hammer != prev.hammer[pi] {
 		evalMet.condRebuilds.Add(1)

@@ -75,12 +75,14 @@ func batchConditions(weak []RowKey, pop int) (RunParams, []map[RowKey]float64) {
 }
 
 // actsFn lifts a static per-item activation map into the BatchItem.Acts
-// callback shape (nil stays nil, selecting the shared map).
-func actsFn(m map[RowKey]float64) func() map[RowKey]float64 {
+// callback shape, laid out densely for d once (nil stays nil, selecting
+// the shared map). Every batch test feeds its per-item maps through it.
+func actsFn(d *Device, m map[RowKey]float64) func() []float64 {
 	if m == nil {
 		return nil
 	}
-	return func() map[RowKey]float64 { return m }
+	dense := d.denseActs(m, nil)
+	return func() []float64 { return dense }
 }
 
 func TestBatchDetV2RunBatchBitIdentical(t *testing.T) {
@@ -97,7 +99,7 @@ func TestBatchDetV2RunBatchBitIdentical(t *testing.T) {
 	for gi := range items {
 		items[gi] = BatchItem{
 			Apply: batchGenome(weak, gi),
-			Acts:  actsFn(acts[gi]),
+			Acts:  actsFn(batched, acts[gi]),
 			RNG:   rootB.Split(),
 		}
 	}
@@ -142,7 +144,7 @@ func TestBatchDetV2AverageRunsBitIdentical(t *testing.T) {
 	for gi := range items {
 		items[gi] = BatchItem{
 			Apply: batchGenome(weak, gi),
-			Acts:  actsFn(acts[gi]),
+			Acts:  actsFn(batched, acts[gi]),
 			RNG:   rootB.Split(),
 		}
 	}
@@ -217,7 +219,7 @@ func TestBatchDetV2RepeatedGenerations(t *testing.T) {
 		for gi := range items {
 			items[gi] = BatchItem{
 				Apply: batchGenome(weak, gen*pop+gi),
-				Acts:  actsFn(acts[gi]),
+				Acts:  actsFn(batched, acts[gi]),
 				RNG:   rootB.Split(),
 			}
 		}
@@ -309,7 +311,7 @@ func TestBatchAllocsSteadyState(t *testing.T) {
 	for gi := range items {
 		items[gi] = BatchItem{
 			Apply: batchGenome(weak, gi%7), // avoid the Age genome
-			Acts:  actsFn(acts[gi]),
+			Acts:  actsFn(d, acts[gi]),
 			RNG:   root.Split(),
 		}
 	}

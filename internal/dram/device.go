@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"slices"
 
 	"dstress/internal/addrmap"
 	"dstress/internal/xrand"
@@ -93,20 +94,12 @@ type Device struct {
 	// deploy-per-evaluation loop stops churning row-sized allocations.
 	spare [][]uint64
 
+	// weak and clusters are the device's own copy of the defect map's
+	// cells, whose retention times Age rescales.
 	weak     []WeakCell
 	clusters []Cluster
 
-	remap map[int32]map[int]int // bank -> logical word col -> physical col
-
-	scrambleSalt uint64
-	phaseSalt    uint64
-
-	// weakRows are the rows holding defects, sorted; defectRows[i] is what
-	// the defect map decides about weakRows[i], and sites[i] resolves weak
-	// cell i's position (sites.go). All three are frozen after NewDevice.
-	weakRows   []RowKey
-	defectRows []defectRow
-	sites      []cellSite
+	*defectMap
 
 	// gen counts mutations of evaluation-relevant state (row images via
 	// WriteWord/FillRow/FillRowWords/FillAllUniform/Reset, defect
@@ -125,6 +118,28 @@ type Device struct {
 	tracking  bool
 	trackAll  bool
 	trackRows map[RowKey]struct{}
+}
+
+// defectMap is what NewDevice samples from Config.Seed and resolves from
+// the sample. It is frozen once built, so every device Fresh makes shares
+// it, and devices that share it may run concurrently.
+type defectMap struct {
+	// sampledWeak and sampledClusters are the cells as sampled. Age
+	// rescales a device's own copies, never these.
+	sampledWeak     []WeakCell
+	sampledClusters []Cluster
+
+	remap map[int32]map[int]int // bank -> logical word col -> physical col
+
+	scrambleSalt uint64
+	phaseSalt    uint64
+
+	// weakRows are the rows holding defects, sorted; defectRows[i] is what
+	// the defect map decides about weakRows[i], and sites[i] resolves weak
+	// cell i's position (sites.go). None of it depends on retention times.
+	weakRows   []RowKey
+	defectRows []defectRow
+	sites      []cellSite
 }
 
 // dirty invalidates the compiled evaluation plan. Every mutator of state
@@ -188,10 +203,10 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg.StrengthScale = 1
 	}
 	d := &Device{
-		cfg:   cfg,
-		geom:  cfg.Geometry,
-		rows:  make(map[uint64][]uint64),
-		remap: make(map[int32]map[int]int),
+		cfg:       cfg,
+		geom:      cfg.Geometry,
+		rows:      make(map[uint64][]uint64),
+		defectMap: &defectMap{remap: make(map[int32]map[int]int)},
 	}
 	root := xrand.New(cfg.Seed)
 	d.scrambleSalt = root.Uint64()
@@ -201,7 +216,25 @@ func NewDevice(cfg Config) (*Device, error) {
 	d.sampleRemaps(root.Split())
 	d.weakRows = d.computeWeakRows()
 	d.resolveDefects()
+	d.sampledWeak = slices.Clone(d.weak)
+	d.sampledClusters = slices.Clone(d.clusters)
 	return d, nil
+}
+
+// Fresh returns the device NewDevice(d.Config()) would build: nothing
+// written, no wear. It shares d's frozen defect map and copies only the
+// sampled cells, whose retention times its own Age rescales, so it costs
+// a copy instead of a sampling. d and the fresh device may run
+// concurrently.
+func (d *Device) Fresh() *Device {
+	return &Device{
+		cfg:       d.cfg,
+		geom:      d.geom,
+		rows:      make(map[uint64][]uint64),
+		weak:      slices.Clone(d.sampledWeak),
+		clusters:  slices.Clone(d.sampledClusters),
+		defectMap: d.defectMap,
+	}
 }
 
 // MustNewDevice is NewDevice that panics on error; for tests and examples.

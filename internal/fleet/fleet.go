@@ -18,9 +18,10 @@
 // remote, measuring (genome, stream) on an identically constructed server
 // produces the same value. Results are therefore bit-identical at any node
 // count, through any re-queueing, and identical to the purely local
-// farm.Pool run (server.Clone rebuilds from config, so a remote worker
-// constructing the server from the shipped description starts from the same
-// machine a local farm clone does).
+// farm.Pool run (a server.Clone is the server New builds from the same
+// config, sharing its frozen defect maps, so a remote worker constructing
+// the server from the shipped description starts from the same machine a
+// local farm clone does).
 //
 // Failure handling: a worker that stops heartbeating is deregistered and its
 // leased shards re-queued onto survivors; a leased shard not reported within

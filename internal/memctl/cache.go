@@ -47,6 +47,8 @@ func (c CacheConfig) Validate() error {
 // or an invalid way while the set is not yet full), shifts the rest down
 // and inserts the new line at the front. Invalid ways therefore only ever
 // sit at a set's tail, and which way holds a line is never observable.
+// The first access allocates the tags: until then every way is invalid,
+// so a cache nothing loads through (a data virus's) never holds them.
 type Cache struct {
 	cfg       CacheConfig
 	tags      []uint64
@@ -56,10 +58,13 @@ type Cache struct {
 	pow2Sets  bool
 	// mirrorSrc is mirror's copy of the tags, allocated by its first call.
 	mirrorSrc []uint64
-	// spread is the tag words the controller's sweep shortcut still owes;
-	// written is set by any write since the last invalidate.
-	spread  sweepSpread
-	written bool
+	// mirrored is the tag rebuild Controller.MirrorRank0 still owes and
+	// spread the tag words the controller's sweep shortcut still owes;
+	// settle writes both. written is set by any write since the last
+	// invalidate.
+	mirrored mirrorDebt
+	spread   sweepSpread
+	written  bool
 
 	hits, misses, writebacks uint64
 }
@@ -71,6 +76,15 @@ type Cache struct {
 type sweepSpread struct {
 	sweeps           int
 	lines, lo, class uint64
+}
+
+// mirrorDebt describes the rebuild Cache.mirror leaves to be written: the
+// tags as a replay of rank 0's lines on ranks ranks-1 down to 1 would
+// leave them, each rank stride lines on from the one before. A zero
+// ranks owes nothing.
+type mirrorDebt struct {
+	ranks  int
+	stride uint64
 }
 
 // Tag word bits below the line number.
@@ -91,7 +105,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	numSets := uint64(cfg.SizeBytes / (cfg.LineBytes * cfg.Ways))
 	return &Cache{
 		cfg:       cfg,
-		tags:      make([]uint64, cfg.SizeBytes/cfg.LineBytes),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		numSets:   numSets,
 		setMask:   numSets - 1,
@@ -109,11 +122,15 @@ type AccessResult struct {
 
 // Access looks up (and on miss, fills) the line containing addr, which
 // must lie in [0, 2^61). Writes allocate and mark the line dirty. It does
-// not write the sets a sweep owes (settle): the controller writes them
-// before any access but its sweeps' own, which never reach them.
+// not write the tags a mirror or a sweep owes (settle): the controller
+// writes them before any access but its sweeps' own, which never reach
+// them and never follow a mirror.
 func (c *Cache) Access(addr int64, write bool) AccessResult {
 	if uint64(addr) >= maxCacheAddr {
 		panic(fmt.Sprintf("memctl: cache address %#x out of range", addr))
+	}
+	if c.tags == nil {
+		c.tags = make([]uint64, c.cfg.SizeBytes/c.cfg.LineBytes)
 	}
 	lineNo := uint64(addr) >> c.lineShift
 	var set uint64
@@ -157,7 +174,9 @@ func (c *Cache) Access(addr int64, write bool) AccessResult {
 }
 
 // Flush invalidates the whole cache, returning the addresses of dirty lines
-// (in no particular order) so the controller can write them back.
+// (in no particular order) so the controller can write them back. It
+// writes none of the tags owed: they are all clean, and invalidate drops
+// them.
 func (c *Cache) Flush() []int64 {
 	var dirty []int64
 	for _, w := range c.tags {
@@ -169,15 +188,28 @@ func (c *Cache) Flush() []int64 {
 	return dirty
 }
 
-// mirror rebuilds the tags as Controller.MirrorRank0 describes: set s
-// holds, for r from ranks-1 down to 0, the lines of set s - r·stride (mod
-// the set count) shifted by r·stride, each set's in recency order, cut to
-// Ways. It panics, before changing the tags, on a dirty word or a line at
-// or above stride. Sets a sweep owes stay owed: a rank is a whole number
-// of rows, so moving a line by ranks keeps it in its sweep's set class,
-// and writing the owed sets after the mirror leaves what writing them
-// before it would.
+// mirror owes the tag rebuild Controller.MirrorRank0 describes, which
+// settle writes before anything next reads the tags; invalidate drops it
+// unwritten. An access-virus deploy ends with the mirror and the next one
+// starts with ResetStats, so no deploy writes it. Tags no access has
+// allocated are all invalid, and mirror to themselves.
 func (c *Cache) mirror(ranks int, stride uint64) {
+	if c.tags != nil {
+		c.mirrored = mirrorDebt{ranks: ranks, stride: stride}
+	}
+}
+
+// writeMirror writes the rebuild c.mirrored owes: set s holds, for r from
+// ranks-1 down to 0, the lines of set s - r·stride (mod the set count)
+// shifted by r·stride, each set's in recency order, cut to Ways. It
+// panics on a dirty word or a line at or above stride, which
+// MirrorRank0's checks rule out. It runs before the sets a sweep owes are
+// written: a rank is a whole number of rows, so moving a line by ranks
+// keeps it in its sweep's set class, and writing the owed sets after the
+// mirror leaves what writing them before it would.
+func (c *Cache) writeMirror() {
+	ranks, stride := c.mirrored.ranks, c.mirrored.stride
+	c.mirrored = mirrorDebt{}
 	if c.mirrorSrc == nil {
 		c.mirrorSrc = make([]uint64, len(c.tags))
 	}
@@ -207,8 +239,12 @@ func (c *Cache) mirror(ranks int, stride uint64) {
 	}
 }
 
-// settle writes the sets c.spread owes, if any.
+// settle writes the tags c owes, if any: the mirror's rebuild, then the
+// sets c.spread owes.
 func (c *Cache) settle() {
+	if c.mirrored.ranks != 0 {
+		c.writeMirror()
+	}
 	if c.spread.sweeps != 0 {
 		c.writeSpread()
 	}
@@ -241,6 +277,7 @@ func (c *Cache) writeSpread() {
 // invalidate drops every line, dirty or not, without writing any back.
 func (c *Cache) invalidate() {
 	clear(c.tags)
+	c.mirrored = mirrorDebt{}
 	c.spread = sweepSpread{}
 	c.written = false
 }

@@ -55,7 +55,11 @@ type Controller struct {
 	touched []int
 	wbQueue []int64
 	// rates is ActsPerWindow's result, cleared and refilled by each call.
-	rates map[dram.RowKey]float64
+	// denseRates is DenseActsPerWindow's, laid out as acts and allocated
+	// by its first call; it is zero outside touched, which ResetCounters
+	// keeps by zeroing the touched entries.
+	rates      map[dram.RowKey]float64
+	denseRates []float64
 
 	clockNs     uint64
 	activations uint64
@@ -214,8 +218,9 @@ func (c *Controller) activate(i int, n uint64) {
 }
 
 // cached routes one access at addr (in row r) through the cache, once the
-// sets a LoadSweeps stream owes are written: a hit costs HitLatencyNs; a
-// miss queues the victim's write-back and fills the line from DRAM.
+// tags a mirror or a LoadSweeps stream owes are written: a hit costs
+// HitLatencyNs; a miss queues the victim's write-back and fills the line
+// from DRAM.
 func (c *Controller) cached(addr int64, r RowRef, write bool) {
 	c.cache.settle()
 	res := c.cache.Access(addr, write)
@@ -342,9 +347,39 @@ func (c *Controller) ActsPerWindow() map[dram.RowKey]float64 {
 			Bank: int32(bank % c.geom.Banks),
 			Row:  int32(i % c.geom.Rows),
 		}
-		out[k] = float64(c.acts[i]) / seconds * c.trefp
+		out[k] = c.rate(i, seconds)
 	}
 	return out
+}
+
+// rate is the per-window activations of the row at acts index i over
+// seconds of simulated time.
+func (c *Controller) rate(i int, seconds float64) float64 {
+	return float64(c.acts[i]) / seconds * c.trefp
+}
+
+// DenseActsPerWindow is ActsPerWindow laid out as the activation counters
+// are: entry (rank*Banks+bank)*Rows+row is the row's rate, bit for bit
+// the map's value, and 0 for every row the map lacks, rows an earlier
+// deploy touched among them. It returns nil when ActsPerWindow would. The
+// slice is the controller's own and refilled by every call: it is valid
+// until the controller's next DenseActsPerWindow, ResetStats or
+// ResetCounters, and callers must not keep or mutate it. The dram batch
+// kernel reads its hammer pressure from it by index, where the map would
+// hash a RowKey per lookup.
+func (c *Controller) DenseActsPerWindow() []float64 {
+	c.drainWritebacks()
+	if c.clockNs == 0 || len(c.touched) == 0 {
+		return nil
+	}
+	seconds := float64(c.clockNs) * 1e-9
+	if c.denseRates == nil {
+		c.denseRates = make([]float64, len(c.acts))
+	}
+	for _, i := range c.touched {
+		c.denseRates[i] = c.rate(i, seconds)
+	}
+	return c.denseRates
 }
 
 // ResetStats clears the clock, activation counters and row-buffer state and
@@ -378,6 +413,11 @@ func (c *Controller) ResetCounters() {
 	for _, i := range c.touched {
 		c.acts[i] = 0
 	}
+	if c.denseRates != nil {
+		for _, i := range c.touched {
+			c.denseRates[i] = 0
+		}
+	}
 	c.touched = c.touched[:0]
 	c.clockNs = 0
 	c.activations = 0
@@ -404,11 +444,19 @@ func (c *Controller) ResetCounters() {
 // as the last rank's lines in recency order, then the rank before's, down
 // to rank 0's, cut to Ways; and clean loads queue no write-backs.
 //
+// The counters and row state are updated at once. The tag words are
+// owed (Cache.mirror): nothing reads them before the next deploy's
+// ResetStats drops them, so a deploy never rebuilds them, and any later
+// access writes them first.
+//
 // It panics, before changing any state, unless since the last ResetStats
 // nothing but loads was issued (LoadSweeps's among them; no write, bare
 // ResetCounters, AdvanceNs or earlier MirrorRank0), no write-back is
-// queued, no tag word is dirty and every touched row and cached line is on
-// rank 0, or if a rank does not span a whole number of cache lines.
+// queued and every touched row is on rank 0, or if a rank does not span a
+// whole number of cache lines. Such loads leave no tag word dirty and no
+// line off rank 0: a load into a row of rank r opens a bank of rank r,
+// which every ResetStats closes, so it touches a row of rank r when it
+// misses.
 func (c *Controller) MirrorRank0() {
 	g := c.geom
 	rankRows := g.Banks * g.Rows

@@ -3,6 +3,7 @@ package memctl
 import (
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -61,11 +62,16 @@ func snapshotMirror(c *Controller) mirrorState {
 	}
 }
 
-// settledTags is c's tag words with the sets LoadSweeps owes written,
-// leaving c's own as they are.
+// settledTags is c's tag words with everything owed written (the mirror's
+// rebuild and the sets LoadSweeps owes), leaving c's own as they are. Tags
+// no access has allocated read as all invalid words.
 func settledTags(c *Cache) []uint64 {
 	cp := *c
 	cp.tags = slices.Clone(c.tags)
+	cp.mirrorSrc = nil
+	if cp.tags == nil {
+		cp.tags = make([]uint64, c.cfg.SizeBytes/c.cfg.LineBytes)
+	}
 	cp.settle()
 	return cp.tags
 }
@@ -183,5 +189,301 @@ func TestMirrorRejectsBadState(t *testing.T) {
 	}()
 	if after := snapshotMirror(c); !reflect.DeepEqual(after, before) {
 		t.Errorf("straddling lines: a rejected MirrorRank0 moved the state")
+	}
+}
+
+// anyRankOps draws n seeded loads and writes over every rank of geom:
+// loads by address and by decoded row, reads and writes, half of them
+// into a hot set, so they hit lines a mirror left on every rank.
+func anyRankOps(rng *xrand.Rand, geom addrmap.Geometry, n int) []diffOp {
+	words := uint64(geom.TotalBytes() / 8)
+	hot := make([]int64, 16)
+	for i := range hot {
+		hot[i] = int64(rng.Uint64()%words) * 8
+	}
+	ops := make([]diffOp, n)
+	for i := range ops {
+		op := diffOp{addr: int64(rng.Uint64()%words) * 8, val: rng.Uint64()}
+		if rng.Uint64()%2 == 0 {
+			op.addr = hot[rng.Uint64()%uint64(len(hot))]
+		}
+		op.kind = []int{opLoad, opLoadCol, opReadWord, opWriteWord}[rng.Uint64()%4]
+		ops[i] = op
+	}
+	return ops
+}
+
+// issueAny issues a load or write of anyRankOps on c.
+func issueAny(c *Controller, op diffOp) {
+	switch op.kind {
+	case opReadWord:
+		c.ReadWord(op.addr)
+	case opWriteWord:
+		c.WriteWord(op.addr, op.val)
+	default:
+		issueLoad(c, op, 0)
+	}
+}
+
+// owedStates builds, on controllers of cfg's cache over geom, the two
+// states a mirror can leave owed: rank-0 loads one by one (the mirror
+// owed alone) and, when the shortcut fits cfg, LoadSweeps calls (the
+// mirror and the sweeps' sets owed). Each state is a function that runs
+// it on a controller after ResetStats, up to and including MirrorRank0;
+// with settleFirst it writes the sweeps' sets just before the mirror.
+func owedStates(cfg diffConfig, geom addrmap.Geometry) map[string]func(c *Controller, settleFirst bool) {
+	c := diffConfig{cfg.name, geom, cfg.cache}
+	loads := rank0Loads(xrand.New(3), c, 3*cfg.cache.SizeBytes/cfg.cache.LineBytes)
+	states := map[string]func(c *Controller, settleFirst bool){
+		"loads": func(c *Controller, _ bool) {
+			for _, l := range loads {
+				issueLoad(c, l, 0)
+			}
+			c.MirrorRank0()
+		},
+	}
+	for _, s := range sweepShapes(cfg) {
+		if s.took && !s.fell {
+			calls := sweepCalls(xrand.New(5), geom, s, 24)
+			states["sweeps/"+s.name] = func(c *Controller, settleFirst bool) {
+				issueSweeps(c, calls, s.sweeps, s.stride)
+				if settleFirst {
+					c.cache.settle()
+				}
+				c.MirrorRank0()
+			}
+			break
+		}
+	}
+	return states
+}
+
+// TestMirrorOwedLoads leaves a mirror owed, alone and after LoadSweeps
+// calls whose sets are owed too, and then issues loads and writes on
+// every rank. Three twins wrote the tags eagerly: one the mirror's
+// rebuild alone after MirrorRank0, leaving the sweeps' sets owed (what
+// MirrorRank0 did when it rebuilt the tags itself), one everything after
+// it, mirror first, and one the sweeps' sets before MirrorRank0 and the
+// mirror after it. The loads must see the eagerly written tags: the four
+// controllers agree on every tag word, open row, rate and counter after
+// the first load and after the last, on every sweep config at 2 to 4
+// ranks.
+func TestMirrorOwedLoads(t *testing.T) {
+	sweptStates := 0
+	for _, cfg := range sweepConfigs {
+		for ranks := 2; ranks <= 4; ranks++ {
+			geom := cfg.geom
+			geom.Ranks, geom.Rows = ranks, 16
+			for name, state := range owedStates(cfg, geom) {
+				name := fmt.Sprintf("%s/ranks%d/%s", cfg.name, ranks, name)
+				// owed, mirror written, all written, sweeps then mirror written
+				ctls := make([]*Controller, 4)
+				for i := range ctls {
+					ctls[i] = newDiffController(t, geom, cfg.cache)
+					ctls[i].ResetStats()
+					state(ctls[i], i == 3)
+				}
+				owed := ctls[0]
+				if owed.cache.mirrored.ranks == 0 {
+					t.Fatalf("%s: MirrorRank0 wrote the tags", name)
+				}
+				if owed.cache.spread.sweeps != 0 {
+					sweptStates++
+				}
+				ctls[1].cache.writeMirror()
+				ctls[2].cache.settle()
+				ctls[3].cache.settle()
+				for i, op := range anyRankOps(xrand.New(uint64(ranks)), geom, 400) {
+					for _, c := range ctls {
+						issueAny(c, op)
+					}
+					if i != 0 && i != 399 {
+						continue
+					}
+					want := snapshotMirror(ctls[2])
+					for j, c := range ctls {
+						if j == 2 {
+							continue
+						}
+						if !slices.Equal(c.cache.tags, ctls[2].cache.tags) {
+							t.Fatalf("%s op %d: controller %d's tags differ", name, i, j)
+						}
+						if got := snapshotMirror(c); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s op %d: controller %d left\n%+v\nthe eager one\n%+v",
+								name, i, j, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if sweptStates == 0 {
+		t.Fatal("no state owed a mirror and a sweep at once")
+	}
+}
+
+// TestMirrorOwedFlush flushes caches whose mirror is owed. A flush right
+// after MirrorRank0 returns no line, as on a full replay, and leaves the
+// cache empty: the loads after it all miss. A write into every line the
+// mirror placed, on every rank, hits it and dirties it, so the flush
+// after those writes returns exactly the mirrored lines, as the full
+// replay's does.
+func TestMirrorOwedFlush(t *testing.T) {
+	for _, cfg := range mirrorConfigs {
+		geom := cfg.geom
+		geom.Ranks, geom.Rows = 3, 16
+		loads := rank0Loads(xrand.New(7), diffConfig{cfg.name, geom, cfg.cache},
+			2*cfg.cache.SizeBytes/cfg.cache.LineBytes)
+		owed := func() *Controller {
+			c := newDiffController(t, geom, cfg.cache)
+			c.ResetStats()
+			for _, l := range loads {
+				issueLoad(c, l, 0)
+			}
+			c.MirrorRank0()
+			return c
+		}
+		full := newDiffController(t, geom, cfg.cache)
+		for rank := 0; rank < geom.Ranks; rank++ {
+			for _, l := range loads {
+				issueLoad(full, l, int64(rank)*geom.RankBytes())
+			}
+		}
+
+		c := owed()
+		if dirty := c.cache.Flush(); len(dirty) != 0 {
+			t.Fatalf("%s: flushing an owed mirror returned %#x", cfg.name, dirty)
+		}
+		_, misses0, _ := c.CacheStats()
+		for _, l := range loads {
+			issueLoad(c, l, int64(geom.Ranks-1)*geom.RankBytes())
+		}
+		if _, misses, _ := c.CacheStats(); misses-misses0 == 0 {
+			t.Fatalf("%s: no load missed after the flush", cfg.name)
+		}
+
+		c = owed()
+		var lines []int64
+		for _, w := range settledTags(c.cache) {
+			if w != 0 {
+				lines = append(lines, int64(w>>2)<<c.cache.lineShift)
+			}
+		}
+		hits0, _, _ := c.CacheStats()
+		for _, ctl := range []*Controller{c, full} {
+			for _, a := range lines {
+				ctl.WriteWord(a, 1)
+			}
+		}
+		if hits, _, _ := c.CacheStats(); hits-hits0 != uint64(len(lines)) {
+			t.Fatalf("%s: %d of %d writes into mirrored lines hit",
+				cfg.name, hits-hits0, len(lines))
+		}
+		got, want := c.cache.Flush(), full.cache.Flush()
+		slices.Sort(got)
+		slices.Sort(want)
+		slices.Sort(lines)
+		if !slices.Equal(got, lines) || !slices.Equal(want, lines) {
+			t.Fatalf("%s: flush after writing the mirrored lines returned\n%#x\nthe full replay's\n%#x\nthe lines\n%#x",
+				cfg.name, got, want, lines)
+		}
+	}
+}
+
+// TestMirrorOwedReset checks that ResetStats drops an owed mirror, and the
+// sweeps' sets owed with it, without writing either: the controller
+// never builds the mirror's scratch copy, and what follows runs as on a
+// controller that never mirrored.
+func TestMirrorOwedReset(t *testing.T) {
+	for _, cfg := range sweepConfigs {
+		geom := cfg.geom
+		geom.Ranks, geom.Rows = 2, 16
+		for name, state := range owedStates(cfg, geom) {
+			name := cfg.name + "/" + name
+			c := newDiffController(t, geom, cfg.cache)
+			twin := newDiffController(t, geom, cfg.cache)
+			for i := 0; i < 3; i++ {
+				c.ResetStats()
+				state(c, false)
+			}
+			c.ResetStats()
+			twin.ResetStats()
+			if c.cache.mirrored != (mirrorDebt{}) || c.cache.spread != (sweepSpread{}) {
+				t.Fatalf("%s: ResetStats kept a debt: mirror %+v, sweeps %+v",
+					name, c.cache.mirrored, c.cache.spread)
+			}
+			if c.cache.mirrorSrc != nil {
+				t.Fatalf("%s: a mirror was written", name)
+			}
+			for _, op := range anyRankOps(xrand.New(9), geom, 200) {
+				issueAny(c, op)
+				issueAny(twin, op)
+			}
+			// The twin's counters never saw the three deploys.
+			c.hits0, c.misses0 = twin.hits0, twin.misses0
+			c.cache.hits, c.cache.misses = twin.cache.hits, twin.cache.misses
+			if got, want := snapshotMirror(c), snapshotMirror(twin); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: after a dropped mirror\n%+v\nwant\n%+v", name, got, want)
+			}
+		}
+	}
+}
+
+// TestDenseActsMatchMap runs a sequence of deploys on every mirror config
+// at 1 to 4 ranks — mirrored rank-0 loads, then loads and writes on every
+// rank, whose drained write-backs activate rows too — and after each
+// requires DenseActsPerWindow to hold, for every row, the bits of
+// ActsPerWindow's value, and 0 for every row the map lacks, among them
+// rows the previous deploy touched.
+func TestDenseActsMatchMap(t *testing.T) {
+	stale := 0
+	for _, cfg := range mirrorConfigs {
+		for ranks := 1; ranks <= 4; ranks++ {
+			geom := cfg.geom
+			geom.Ranks, geom.Rows = ranks, 16
+			c := newDiffController(t, geom, cfg.cache)
+			c.ResetStats()
+			if c.DenseActsPerWindow() != nil || c.ActsPerWindow() != nil {
+				t.Fatalf("%s/ranks%d: rates before any load", cfg.name, ranks)
+			}
+			prev := map[dram.RowKey]float64{}
+			for d := 0; d < 6; d++ {
+				rng := xrand.New(uint64(ranks*10 + d))
+				c.ResetStats()
+				if d%2 == 0 {
+					for _, l := range rank0Loads(rng, diffConfig{cfg.name, geom, cfg.cache}, 96) {
+						issueLoad(c, l, 0)
+					}
+					c.MirrorRank0()
+				} else {
+					for _, op := range anyRankOps(rng, geom, 96) {
+						issueAny(c, op)
+					}
+				}
+				dense := c.DenseActsPerWindow()
+				m := maps.Clone(c.ActsPerWindow())
+				if len(dense) != geom.Ranks*geom.Banks*geom.Rows || len(m) == 0 {
+					t.Fatalf("%s/ranks%d deploy %d: %d dense rates, %d mapped",
+						cfg.name, ranks, d, len(dense), len(m))
+				}
+				for i, v := range dense {
+					bank := i / geom.Rows
+					k := dram.RowKey{Rank: int32(bank / geom.Banks),
+						Bank: int32(bank % geom.Banks), Row: int32(i % geom.Rows)}
+					want, ok := m[k]
+					if math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("%s/ranks%d deploy %d: row %+v rate %v, map %v (present %v)",
+							cfg.name, ranks, d, k, v, want, ok)
+					}
+					if _, was := prev[k]; was && !ok {
+						stale++
+					}
+				}
+				prev = m
+			}
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no deploy left a row of the previous one untouched")
 	}
 }

@@ -372,7 +372,7 @@ func (p *diffPair) apply(i int, op diffOp) {
 			issueLoad(c, l, 0)
 		}
 		c.MirrorRank0()
-		if got, want := c.cache.tags, r.tagWords(); !slices.Equal(got, want) {
+		if got, want := settledTags(c.cache), r.tagWords(); !slices.Equal(got, want) {
 			p.t.Fatalf("%s op %d: mirrored tags\n got %#x\nwant %#x",
 				p.cfg.name, i, got, want)
 		}

@@ -39,7 +39,7 @@ func (s *Server) EvaluateBatch(mcu, runs int, deploys []func() error,
 		deploy := deploys[i]
 		items[i] = dram.BatchItem{
 			Apply: func(*dram.Device) error { return deploy() },
-			Acts:  ctl.ActsPerWindow,
+			Acts:  ctl.DenseActsPerWindow,
 			RNG:   rngs[i],
 		}
 	}

@@ -83,14 +83,22 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Determinism.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, pwr: cfg.Power}
-	for i := 0; i < NumMCUs; i++ {
+	return assemble(cfg, func(i int) (*dram.Device, error) {
 		dcfg := dram.DefaultConfig(cfg.RowsPerBank, cfg.Seeds[i])
 		if cfg.RowBytes != 0 {
 			dcfg.Geometry.RowBytes = cfg.RowBytes
 		}
 		dcfg.StrengthScale = cfg.Strengths[i]
-		dev, err := dram.NewDevice(dcfg)
+		return dram.NewDevice(dcfg)
+	})
+}
+
+// assemble builds a server of configuration cfg around the DIMM devs(i)
+// returns for each MCU i.
+func assemble(cfg Config, devs func(i int) (*dram.Device, error)) (*Server, error) {
+	s := &Server{cfg: cfg, pwr: cfg.Power}
+	for i := 0; i < NumMCUs; i++ {
+		dev, err := devs(i)
 		if err != nil {
 			return nil, fmt.Errorf("server: DIMM%d: %w", i, err)
 		}
@@ -136,12 +144,19 @@ func (s *Server) SetDeterminism(v dram.DeterminismVersion) error {
 	return nil
 }
 
-// Clone builds a factory-fresh copy of the server from its configuration:
-// bit-identical DIMMs (the defect maps derive from the config seeds),
-// nominal operating parameters and an ambient-temperature testbed. The
-// evaluation farm clones the machine once per worker so a generation's
-// viruses can be deployed and measured concurrently.
-func (s *Server) Clone() (*Server, error) { return New(s.cfg) }
+// Clone builds a factory-fresh copy of the server: the server New(cfg)
+// would build from its configuration, with nominal operating parameters,
+// an ambient-temperature testbed and DIMMs that hold no data and no wear,
+// whatever s has been through. Each DIMM is dram.Device.Fresh of s's, so
+// the clone shares s's frozen defect maps instead of sampling them again
+// and copies only the cells Age rescales; s and its clones may run
+// concurrently. The evaluation farm clones the machine once per worker so
+// a generation's viruses can be deployed and measured concurrently.
+func (s *Server) Clone() (*Server, error) {
+	return assemble(s.cfg, func(i int) (*dram.Device, error) {
+		return s.mcus[i].Device().Fresh(), nil
+	})
+}
 
 // MCU returns controller i (0..3).
 func (s *Server) MCU(i int) *memctl.Controller {

@@ -4,7 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dstress/internal/addrmap"
@@ -344,5 +347,204 @@ func TestDetV2EvaluateGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != detV2EvaluateGolden {
 		t.Fatalf("v2 evaluate digest %s, want %s", got, detV2EvaluateGolden)
+	}
+}
+
+// cloneProbe runs what an access-virus evaluation runs on one relaxed MCU
+// of s: the v2 contract at a relaxed point, a uniform fill, then a batch
+// of deploys that each load two rows of every rank-0 bank through the
+// cache, measured by EvaluateBatch.
+func cloneProbe(s *Server) ([]EvalResult, error) {
+	if err := s.SetDeterminism(dram.DeterminismV2); err != nil {
+		return nil, err
+	}
+	if err := s.SetRelaxedParams(2.283, 1.428); err != nil {
+		return nil, err
+	}
+	ctl := s.MCU(MCU2)
+	g := ctl.Device().Geometry()
+	ctl.Device().FillAllUniform(0x3333333333333333)
+	deploys := make([]func() error, 6)
+	rngs := make([]*xrand.Rand, len(deploys))
+	for i := range deploys {
+		deploys[i] = func() error {
+			ctl.ResetStats()
+			for bank := 0; bank < g.Banks; bank++ {
+				a := g.Unmap(addrmap.Loc{Rank: 0, Bank: bank, Row: 1 + i%3})
+				b := g.Unmap(addrmap.Loc{Rank: 0, Bank: bank, Row: 5 + i%2})
+				for k := 0; k < 64; k++ {
+					ctl.Load(a + int64(k%g.WordsPerRow())*8)
+					ctl.Load(b + int64(k%g.WordsPerRow())*8)
+				}
+			}
+			return nil
+		}
+		rngs[i] = xrand.New(uint64(40 + i))
+	}
+	return s.EvaluateBatch(MCU2, 4, deploys, rngs)
+}
+
+// mustProbe is cloneProbe on the test goroutine.
+func mustProbe(t *testing.T, s *Server) []EvalResult {
+	t.Helper()
+	res, err := cloneProbe(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameDefects reports where two servers' DIMMs differ in their weak
+// cells, clusters or weak rows, or "" when they agree on every one.
+func sameDefects(a, b *Server) string {
+	for i := 0; i < NumMCUs; i++ {
+		da, db := a.MCU(i).Device(), b.MCU(i).Device()
+		switch {
+		case !reflect.DeepEqual(da.WeakCells(), db.WeakCells()):
+			return fmt.Sprintf("DIMM%d weak cells", i)
+		case !reflect.DeepEqual(da.Clusters(), db.Clusters()):
+			return fmt.Sprintf("DIMM%d clusters", i)
+		case !reflect.DeepEqual(da.WeakRows(), db.WeakRows()):
+			return fmt.Sprintf("DIMM%d weak rows", i)
+		}
+	}
+	return ""
+}
+
+// TestCloneIsFresh ages, fills, heats and hammers a server, clones it, and
+// requires the clone to equal server.New of the same configuration DIMM
+// for DIMM — weak cells, clusters and weak rows — and to measure a v2
+// batch exactly as that server does.
+func TestCloneIsFresh(t *testing.T) {
+	s := testServer(t)
+	for i := 0; i < NumMCUs; i++ {
+		if err := s.MCU(i).Device().Age(0.7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fillMCU(s, MCU2, 0xCCCCCCCCCCCCCCCC)
+	if err := s.SetRelaxedParams(1.5, 1.45); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetTemperature(60); err != nil {
+		t.Fatal(err)
+	}
+	s.MCU(MCU2).Load(0)
+	clone, err := s.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := testServer(t)
+	if diff := sameDefects(clone, fresh); diff != "" {
+		t.Fatalf("the clone of an aged server differs from a new one in its %s", diff)
+	}
+	if diff := sameDefects(s, fresh); diff == "" {
+		t.Fatal("aging the server changed no weak cell; the test pins nothing")
+	}
+	got, want := mustProbe(t, clone), mustProbe(t, fresh)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the clone measured\n%+v\na new server\n%+v", got, want)
+	}
+	if got[0].MeanCE == 0 {
+		t.Fatal("the probe saw no CE; the comparison pins nothing")
+	}
+}
+
+// TestCloneAgingIsIndependent ages one of two clones and then the parent,
+// and requires each to leave the others' DIMMs as they were: the clones
+// share the parent's frozen defect map but age their own cells.
+func TestCloneAgingIsIndependent(t *testing.T) {
+	s := testServer(t)
+	a, err := s.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := testServer(t)
+	if err := a.MCU(MCU2).Device().Age(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameDefects(a, fresh); diff == "" {
+		t.Fatal("aging a clone changed nothing")
+	}
+	for name, srv := range map[string]*Server{"parent": s, "sibling": b} {
+		if diff := sameDefects(srv, fresh); diff != "" {
+			t.Fatalf("aging a clone changed the %s's %s", name, diff)
+		}
+	}
+	aged := a.MCU(MCU2).Device().WeakCells()[0].Tau0
+	if err := s.MCU(MCU2).Device().Age(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameDefects(b, fresh); diff != "" {
+		t.Fatalf("aging the parent changed a clone's %s", diff)
+	}
+	if got := a.MCU(MCU2).Device().WeakCells()[0].Tau0; got != aged {
+		t.Fatalf("aging the parent moved an aged clone's cell from %v to %v", aged, got)
+	}
+}
+
+// TestCloneConcurrentEvaluate evaluates two clones of one server at once,
+// as two farm workers do, while each ages another of its DIMMs and the
+// parent ages too; each must measure what a new server measures. Under
+// the race detector it also checks that the shared defect map is only
+// read and that no two servers share the cells Age writes.
+func TestCloneConcurrentEvaluate(t *testing.T) {
+	s := testServer(t)
+	want := mustProbe(t, testServer(t))
+	clones := make([]*Server, 2)
+	for i := range clones {
+		c, err := s.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clones[i] = c
+	}
+	got := make([][]EvalResult, len(clones))
+	errs := make([]error, len(clones))
+	var wg sync.WaitGroup
+	for i, c := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[i] = c.MCU(MCU3).Device().Age(0.9); errs[i] == nil {
+				got[i], errs[i] = cloneProbe(c)
+			}
+		}()
+	}
+	if err := s.MCU(MCU2).Device().Age(0.9); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("clone %d measured\n%+v\nwant\n%+v", i, got[i], want)
+		}
+	}
+}
+
+// BenchmarkServerClone is the cost of one farm worker's server: a clone
+// of a server at the benchmark workloads' row counts.
+func BenchmarkServerClone(b *testing.B) {
+	for _, rows := range []int{16, 64} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			s, err := New(DefaultConfig(rows, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Clone(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
