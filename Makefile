@@ -24,9 +24,9 @@ test-short:
 # path stays race-clean against farm workers sharing cloned servers, and
 # server clones evaluated and aged concurrently over their shared defect
 # maps. The
-# full pass needs an explicit -timeout: the campaign test runs ~90s
-# natively, and the race detector's slowdown pushes it past go test's 600s
-# default.
+# full pass keeps an explicit -timeout for the race detector's slowdown;
+# natively the campaign test (internal/experiments TestFullCampaign) runs
+# in 7.0 s on a 2-vCPU VM (measured at 4254f37).
 check:
 	$(GO) vet ./...
 	$(GO) test -race -short ./internal/farm ./internal/fleet ./internal/ga ./internal/virusdb
@@ -114,17 +114,19 @@ batch-test:
 # surface, fleet worker pass-through), the job guard (another tenant's live
 # or evicted job is a 404), per-tenant quotas (429 + accounting),
 # SSE progress streaming, admission-queue ordering (priority bands, FIFO,
-# anti-starvation, cancel-from-queue), the scheduler-leak regressions
-# (context-per-timed-job, bounded terminal retention, Drain timer), and
-# journal-preserved admission identity across a restart — then one -race
+# anti-starvation, cancel-from-queue, queueing at submit rather than when
+# the job's goroutine runs), the scheduler-leak regressions
+# (context-per-timed-job, bounded terminal retention, Drain timer),
+# journal-preserved admission identity across a restart, and a two-tenant
+# storm over HTTP (no dropped job under 429 retries, client 429s equal to
+# the metrics' rejections, neither tenant starved) — then one -race
 # iteration of the same surface, since admission and finish are the
 # scheduler's hottest lock paths.
+SERVICE_TESTS = 'TestScheduler|TestAuth|TestQuota|TestPriority|TestSSE|TestEvicted|TestFleetWorkerAuth|TestServiceStorm'
+
 service-test:
-	$(GO) test -run 'TestScheduler|TestAuth|TestQuota|TestPriority|TestSSE|TestEvicted|TestFleetWorkerAuth' \
-		./internal/farm ./cmd/dstressd
-	$(GO) test -race -count 1 \
-		-run 'TestScheduler|TestAuth|TestQuota|TestPriority|TestSSE|TestEvicted|TestFleetWorkerAuth' \
-		./internal/farm ./cmd/dstressd
+	$(GO) test -run $(SERVICE_TESTS) ./internal/farm ./cmd/dstressd
+	$(GO) test -race -count 1 -run $(SERVICE_TESTS) ./internal/farm ./cmd/dstressd
 
 # Static analysis over the persistence/batch-evaluation subsystems and the
 # farm and core they plug into: vet, gofmt cleanliness,
@@ -136,12 +138,12 @@ LINT_PKGS  = ./internal/predict ./internal/seglog \
 	./internal/fleet ./internal/ga ./internal/bitvec ./internal/virusdb \
 	./internal/memctl ./internal/addrmap ./internal/dram ./internal/server \
 	./internal/xrand ./internal/farm ./internal/core ./cmd/benchjson \
-	./cmd/loadgen ./cmd/dstressd
+	./cmd/dstressd
 LINT_DIRS  = internal/predict internal/seglog \
 	internal/fleet internal/ga internal/bitvec internal/virusdb \
 	internal/memctl internal/addrmap internal/dram internal/server \
 	internal/xrand internal/farm internal/core cmd/benchjson \
-	cmd/loadgen cmd/dstressd
+	cmd/dstressd
 
 lint:
 	$(GO) vet $(LINT_PKGS)
@@ -197,13 +199,11 @@ bench:
 	$(BENCH_FIGS)
 	$(BENCH_MICRO)
 
-# bench-json also runs the batched-evaluation comparison (cmd/benchjson/
-# batch.go) so every snapshot carries the speedup_batch_pop* /
-# batch-allocation ratios.
+# cmd/benchjson derives the speedup_batch_pop* / batch-allocation ratios
+# from internal/dram's BenchmarkBatchEval pairs among the micro-benchmarks.
 bench-json:
 	{ $(BENCH_FIGS) ; $(BENCH_MICRO) ; } \
-		| $(GO) run ./cmd/benchjson -batch \
-			-out BENCH_$$(date +%Y%m%d).json
+		| $(GO) run ./cmd/benchjson -out BENCH_$$(date +%Y%m%d).json
 
 # Quick-scale campaign: every figure in a couple of minutes.
 experiments:

@@ -9,19 +9,14 @@
 // derived speedup ratio is added; "v2" variants additionally get their
 // ratio over both the reference and the fast path (speedup_v2,
 // speedup_v2_vs_fast), so regressions of the dram evaluation plan are one
-// `git diff BENCH_*.json` away.
-//
-// With -batch the tool runs the population-batched evaluation comparison (see
-// batch.go): per-genome v2 evaluation vs AverageRunsBatch at populations
-// 32/128/512, recorded as a "batch" section plus speedup_batch_pop* and
-// batch_{allocs,bytes}_ratio_pop* derived keys.
-// -merge grafts that section into an existing BENCH_*.json instead of
-// parsing stdin, leaving its benchmark records untouched.
+// `git diff BENCH_*.json` away. The population-batched evaluation pairs of
+// internal/dram's BenchmarkBatchEval (single/pop=N, per-genome calls that
+// are batches of one, against batch/pop=N) give speedup_batch_popN and the
+// batch_allocs_ratio_popN / batch_bytes_ratio_popN reductions.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . ./... | benchjson [-out file] [-indent]
-//	benchjson -batch [-batch-runs n] -merge BENCH_2026.json
+//	go test -run '^$' -bench . -benchmem ./... | benchjson [-out file] [-indent]
 package main
 
 import (
@@ -51,67 +46,24 @@ type Snapshot struct {
 	GOARCH     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// Derived holds fast-vs-reference speedup ratios keyed by the shared
-	// benchmark name (reference ns/op divided by fast ns/op), plus the
-	// batch ratios when -batch ran.
+	// Derived holds the ratios derive computes, keyed by the benchmark
+	// name they compare.
 	Derived map[string]float64 `json:"derived,omitempty"`
-	// Campaign is the search-strategy comparison earlier snapshots carry
-	// (DESIGN.md §11). Nothing measures it any more; it is kept raw so that
-	// -merge round-trips it untouched.
-	Campaign json.RawMessage `json:"campaign,omitempty"`
-	// Store is the virusdb persistence comparison earlier snapshots carry
-	// (whole-file rewrites against seglog appends). Nothing measures it any
-	// more; it is kept raw so that -merge round-trips it untouched.
-	Store json.RawMessage `json:"store,omitempty"`
-	// Batch is the population-batched vs per-genome evaluation comparison
-	// (-batch) at growing population sizes.
-	Batch *BatchBench `json:"batch,omitempty"`
-	// Loadgen is the multi-tenant service load report written by
-	// `loadgen -bench` (submit/wait latency percentiles, fairness ratios,
-	// quota rejections). Kept raw: loadgen owns the schema and merges the
-	// section itself; -merge on other sections must round-trip it untouched.
-	Loadgen json.RawMessage `json:"loadgen,omitempty"`
 }
 
 func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	indent := flag.Bool("indent", true, "indent the JSON output")
-	batch := flag.Bool("batch", false,
-		"run the batched-vs-per-genome evaluation benchmark and record its ratios")
-	batchRuns := flag.Int("batch-runs", 10,
-		"evaluation runs averaged per genome in the batch benchmark")
-	merge := flag.String("merge", "",
-		"graft the extra sections into this existing snapshot instead of reading stdin")
 	flag.Parse()
 
-	var snap *Snapshot
-	var err error
-	if *merge != "" {
-		snap, err = loadSnapshot(*merge)
-		if *out == "" {
-			out = merge // -merge without -out updates the file in place
-		}
-	} else {
-		snap, err = parse(bufio.NewScanner(os.Stdin))
-	}
+	snap, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-	// An empty benchmark set is only an error when benchmarks are the point;
-	// a batch run carries its own payload.
-	if len(snap.Benchmarks) == 0 && !*batch {
+	if len(snap.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
-	}
-	if *batch {
-		bb, derived, err := runBatchBench([]int{32, 128, 512}, *batchRuns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		snap.Batch = bb
-		mergeDerived(snap, derived)
 	}
 
 	var data []byte
@@ -135,29 +87,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n",
 		len(snap.Benchmarks), *out)
-}
-
-// mergeDerived folds extra derived keys into the snapshot.
-func mergeDerived(snap *Snapshot, derived map[string]float64) {
-	if snap.Derived == nil && len(derived) > 0 {
-		snap.Derived = map[string]float64{}
-	}
-	for k, v := range derived {
-		snap.Derived[k] = v
-	}
-}
-
-// loadSnapshot reads an existing BENCH_*.json for -merge.
-func loadSnapshot(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &snap, nil
 }
 
 func parse(sc *bufio.Scanner) (*Snapshot, error) {
@@ -221,13 +150,12 @@ func parseBenchLine(pkg, line string) (Benchmark, bool) {
 }
 
 // derive computes reference/fast ns/op ratios for benchmark pairs whose
-// names differ only in a "fast" vs "reference" path element.
+// names differ only in a "fast" vs "reference" path element, and the batch
+// ratios of BenchmarkBatchEval's single/batch pairs.
 func derive(bs []Benchmark) map[string]float64 {
-	nsOf := map[string]float64{}
+	metricsOf := map[string]map[string]float64{}
 	for _, b := range bs {
-		if ns, ok := b.Metrics["ns/op"]; ok {
-			nsOf[b.Pkg+"."+b.Name] = ns
-		}
+		metricsOf[b.Pkg+"."+b.Name] = b.Metrics
 	}
 	out := map[string]float64{}
 	for _, b := range bs {
@@ -236,8 +164,8 @@ func derive(bs []Benchmark) map[string]float64 {
 			continue
 		}
 		refName := strings.Replace(full, "/fast", "/reference", 1)
-		fastNs, okF := nsOf[full]
-		refNs, okR := nsOf[refName]
+		fastNs, okF := metricsOf[full]["ns/op"]
+		refNs, okR := metricsOf[refName]["ns/op"]
 		if okF && okR && fastNs > 0 {
 			key := "speedup:" + strings.Replace(full, "/fast", "", 1)
 			out[key] = refNs / fastNs
@@ -251,16 +179,34 @@ func derive(bs []Benchmark) map[string]float64 {
 		if !strings.Contains(full, "/v2") {
 			continue
 		}
-		v2Ns, ok := nsOf[full]
+		v2Ns, ok := metricsOf[full]["ns/op"]
 		if !ok || v2Ns <= 0 {
 			continue
 		}
 		base := strings.Replace(full, "/v2", "", 1)
-		if refNs, ok := nsOf[strings.Replace(full, "/v2", "/reference", 1)]; ok {
+		if refNs, ok := metricsOf[strings.Replace(full, "/v2", "/reference", 1)]["ns/op"]; ok {
 			out["speedup_v2:"+base] = refNs / v2Ns
 		}
-		if fastNs, ok := nsOf[strings.Replace(full, "/v2", "/fast", 1)]; ok {
+		if fastNs, ok := metricsOf[strings.Replace(full, "/v2", "/fast", 1)]["ns/op"]; ok {
 			out["speedup_v2_vs_fast:"+base] = fastNs / v2Ns
+		}
+	}
+	// A batched generation against per-genome calls at one population:
+	// throughput, and how many fewer allocations and bytes it takes.
+	for _, b := range bs {
+		pop, ok := strings.CutPrefix(b.Name, "BenchmarkBatchEval/batch/pop=")
+		if !ok {
+			continue
+		}
+		single := metricsOf[b.Pkg+".BenchmarkBatchEval/single/pop="+pop]
+		for _, r := range []struct{ key, metric string }{
+			{"speedup_batch_pop", "ns/op"},
+			{"batch_allocs_ratio_pop", "allocs/op"},
+			{"batch_bytes_ratio_pop", "B/op"},
+		} {
+			if v, ok := single[r.metric]; ok && b.Metrics[r.metric] > 0 {
+				out[r.key+pop] = v / b.Metrics[r.metric]
+			}
 		}
 	}
 	if len(out) == 0 {

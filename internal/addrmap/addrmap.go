@@ -121,17 +121,3 @@ func (g Geometry) ChunkLoc(rank, i int) Loc {
 func (g Geometry) ChunkAddr(rank, i int) int64 {
 	return g.Unmap(g.ChunkLoc(rank, i))
 }
-
-// SameBankNeighbours returns the locations of the rows physically adjacent
-// to l within its bank (row-1 and row+1), which are the rows whose cells
-// can interfere with l's cells. Either may be absent at the bank edge.
-func (g Geometry) SameBankNeighbours(l Loc) []Loc {
-	var out []Loc
-	if l.Row > 0 {
-		out = append(out, Loc{Rank: l.Rank, Bank: l.Bank, Row: l.Row - 1})
-	}
-	if l.Row < g.Rows-1 {
-		out = append(out, Loc{Rank: l.Rank, Bank: l.Bank, Row: l.Row + 1})
-	}
-	return out
-}

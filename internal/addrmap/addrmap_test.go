@@ -136,27 +136,6 @@ func TestChunkIndexing(t *testing.T) {
 	}
 }
 
-func TestSameBankNeighbours(t *testing.T) {
-	g := testGeom()
-	mid := g.SameBankNeighbours(Loc{Bank: 3, Row: 10})
-	if len(mid) != 2 || mid[0].Row != 9 || mid[1].Row != 11 {
-		t.Fatalf("mid neighbours %+v", mid)
-	}
-	for _, n := range mid {
-		if n.Bank != 3 {
-			t.Fatal("neighbour crossed banks")
-		}
-	}
-	top := g.SameBankNeighbours(Loc{Bank: 0, Row: 0})
-	if len(top) != 1 || top[0].Row != 1 {
-		t.Fatalf("top neighbours %+v", top)
-	}
-	bot := g.SameBankNeighbours(Loc{Bank: 0, Row: g.Rows - 1})
-	if len(bot) != 1 || bot[0].Row != g.Rows-2 {
-		t.Fatalf("bottom neighbours %+v", bot)
-	}
-}
-
 func TestWordsPerRow(t *testing.T) {
 	if got := testGeom().WordsPerRow(); got != 1024 {
 		t.Fatalf("WordsPerRow = %d, want 1024", got)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dstress/internal/dram"
 	"dstress/internal/power"
@@ -125,28 +124,4 @@ func (f *Framework) EvaluatePlan(plan *RefreshPlan, fillWord uint64,
 	n := float64(runs)
 	return Measurement{MeanCE: ceSum / n, MeanSDC: sdcSum / n,
 		UEFrac: float64(ues) / n}, nil
-}
-
-// PlanBins summarises a plan as (period, row-count) bins, strongest first —
-// the retention-bin table RAIDR-style schemes maintain.
-func (p *RefreshPlan) PlanBins() []struct {
-	TREFP float64
-	Rows  int
-} {
-	counts := map[float64]int{}
-	for _, t := range p.PerRow {
-		counts[t]++
-	}
-	out := make([]struct {
-		TREFP float64
-		Rows  int
-	}, 0, len(counts))
-	for t, n := range counts {
-		out = append(out, struct {
-			TREFP float64
-			Rows  int
-		}{t, n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TREFP < out[j].TREFP })
-	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"dstress/internal/dram"
 	"dstress/internal/ga"
 	"dstress/internal/memctl"
 	"dstress/internal/virusdb"
@@ -72,79 +71,64 @@ func (b *accessSpecBase) prepare(f *Framework) error {
 }
 
 // replay issues the virus's reads for every target chunk on every rank, in
-// (rank, target, x, offset) order. wordIdx receives (offset index, x) and
-// returns the word index to read within the chunk; replay tabulates it once
-// per deploy, checking every entry against the row length. Only the reads'
-// traffic matters, so they are issued as loads into the rows prepare
-// resolved, through memctl.Controller.LoadSweeps. When every x reads the
-// x = 0 words shifted by one stride (mod the row length), as the
-// access-rows sweep does, a target is one call of SweepLen sweeps, which
-// the controller simulates once and repeats; any other table, such as
-// access-coeffs' aᵢ·x+bᵢ, is SweepLen calls of one sweep each. Every rank
-// reads the same chunks, so replay loads rank 0's and the controller
-// mirrors them onto the others (memctl.Controller.MirrorRank0).
-func (b *accessSpecBase) replay(f *Framework,
-	offsets []int, wordIdx func(i, x int) int) error {
+// (rank, target, pass, offset) order. words holds whole passes of n =
+// len(offsets) word indexes, words[p*n+i] the word read in chunk
+// target+offsets[i] on pass p; each pass is one LoadSweeps call per
+// target of sweeps sweeps, each stride words further on than the last.
+// Only the reads' traffic matters, so they are loads into the rows
+// prepare resolved: each call hands the controller the target's window
+// and the window slots of the offsets inside rank 0. Every rank reads the
+// same chunks, so replay loads rank 0's and the controller mirrors them
+// onto the others (memctl.Controller.MirrorRank0).
+func (b *accessSpecBase) replay(f *Framework, offsets []int, words []int32,
+	sweeps, stride int) error {
 	ctl := f.Srv.MCU(f.MCU)
 	geom := ctl.Device().Geometry()
 	nchunks := geom.Banks * geom.Rows
 	wordsPerRow := geom.WordsPerRow()
 	n := len(offsets)
+	// The buffers hold all 64 access-rows offsets on the stack, so a deploy
+	// allocates nothing for its slots.
+	var slotsBuf, inBuf, idxBuf [64]int
+	var colsBuf [64]int32
+	slots := slotsBuf[:0] // slots[i] is offsets[i]'s index in a target's window
+	lo, hi := 0, 0
 	for _, off := range offsets {
 		if off < -targetWindow || off > targetWindow {
 			return fmt.Errorf("core: access pattern reads chunk offset %d, outside ±%d",
 				off, targetWindow)
 		}
+		lo, hi = min(lo, off), max(hi, off)
+		slots = append(slots, targetWindow+off)
 	}
-	// The buffers hold the default sweep over all 64 access-rows offsets on
-	// the stack, so a deploy allocates nothing for its tables.
-	var wordsBuf [16 * 64]int32
-	var rowsBuf [64]memctl.RowRef
-	var idxBuf [64]int
-	var colsBuf [64]int32
-	words := wordsBuf[:0] // words[x*n+i] is the word wordIdx gives
-	for x := 0; x < b.SweepLen; x++ {
-		for i := range offsets {
-			w := wordIdx(i, x)
-			if w < 0 || w >= wordsPerRow {
-				return fmt.Errorf("core: access pattern reads word %d of a %d-word row",
-					w, wordsPerRow)
-			}
-			words = append(words, int32(w))
-		}
-	}
-	// When every x reads x-1's words one stride on, a target is one call of
-	// SweepLen sweeps; otherwise it is SweepLen calls of one sweep.
-	sweeps, reps, stride := b.SweepLen, 1, 0
-	if n > 0 && sweeps > 1 {
-		stride = (int(words[n]) - int(words[0]) + wordsPerRow) % wordsPerRow
-	}
-	for k := n; k < len(words); k++ {
-		if int(words[k]) != (int(words[k-n])+stride)%wordsPerRow {
-			sweeps, reps, stride = 1, b.SweepLen, 0
-			break
+	for _, w := range words {
+		if w < 0 || int(w) >= wordsPerRow {
+			return fmt.Errorf("core: access pattern reads word %d of a %d-word row",
+				w, wordsPerRow)
 		}
 	}
 	ctl.ResetStats()
 	for t, target := range b.targets {
-		rows, idx := rowsBuf[:0], idxBuf[:0] // in-range chunks, in offset order
-		base := t*windowLen + targetWindow
-		for i, off := range offsets {
-			if c := target + off; c >= 0 && c < nchunks {
-				rows = append(rows, b.window[base+off])
-				idx = append(idx, i)
-			}
-		}
-		for x := 0; x < reps; x++ {
-			cols := words[x*n : (x+1)*n]
-			if len(rows) < n { // some offsets fall outside the rank
-				xw := cols
-				cols = colsBuf[:0]
-				for _, i := range idx {
-					cols = append(cols, xw[i])
+		window := b.window[t*windowLen : (t+1)*windowLen]
+		in, idx := slots, idxBuf[:0]
+		edge := target+lo < 0 || target+hi >= nchunks
+		if edge { // some offsets fall outside the rank: idx lists the others
+			in = inBuf[:0]
+			for i, off := range offsets {
+				if c := target + off; c >= 0 && c < nchunks {
+					in, idx = append(in, slots[i]), append(idx, i)
 				}
 			}
-			ctl.LoadSweeps(rows, cols, sweeps, stride)
+		}
+		for p := 0; p < len(words); p += n {
+			cols := words[p : p+n]
+			if edge {
+				cols = colsBuf[:0]
+				for _, i := range idx {
+					cols = append(cols, words[p+i])
+				}
+			}
+			ctl.LoadSweeps(window, in, cols, sweeps, stride)
 		}
 	}
 	ctl.MirrorRank0()
@@ -192,28 +176,23 @@ func rowOffsets(g *ga.BitGenome) []int {
 	return offs
 }
 
-// Deploy implements Spec.
+// Deploy implements Spec. It is a full-row sweep: offset i is read at word
+// x·64 + i on pass x, so each pass visits different columns, and with many
+// rows in flight every same-bank revisit reopens the row. The pass-0 words
+// and a 64-word stride describe all SweepLen passes.
 func (s *AccessRowsSpec) Deploy(f *Framework, g ga.Genome) error {
-	offsets, wordIdx, err := s.pattern(f, g)
-	if err != nil {
-		return err
-	}
-	return s.replay(f, offsets, wordIdx)
-}
-
-// pattern decodes the chromosome into replay's chunk offsets and word
-// function.
-func (s *AccessRowsSpec) pattern(f *Framework, g ga.Genome) ([]int, func(i, x int) int, error) {
 	bg, ok := g.(*ga.BitGenome)
 	if !ok || bg.Bits.Len() != 64 {
-		return nil, nil, fmt.Errorf("core: access-rows needs a 64-bit genome")
+		return fmt.Errorf("core: access-rows needs a 64-bit genome")
 	}
 	wordsPerRow := f.Srv.MCU(f.MCU).Device().Geometry().WordsPerRow()
-	// Full-row sweep: each x visits a different column; with many rows in
-	// flight, every same-bank revisit reopens the row.
-	return rowOffsets(bg), func(i, x int) int {
-		return (x*64 + i) % wordsPerRow
-	}, nil
+	offsets := rowOffsets(bg)
+	var wordsBuf [64]int32
+	words := wordsBuf[:len(offsets)]
+	for i := range words {
+		words[i] = int32(i % wordsPerRow)
+	}
+	return s.replay(f, offsets, words, s.SweepLen, 64%wordsPerRow)
 }
 
 // Encode implements Spec.
@@ -266,26 +245,23 @@ var coeffOffsets = func() []int {
 	return offs
 }()
 
-// Deploy implements Spec.
+// Deploy implements Spec. Offset i is read at word aᵢ·x + bᵢ on pass x, so
+// the passes are no shift of one another and each is its own sweep.
 func (s *AccessCoeffsSpec) Deploy(f *Framework, g ga.Genome) error {
-	offsets, wordIdx, err := s.pattern(f, g)
-	if err != nil {
-		return err
-	}
-	return s.replay(f, offsets, wordIdx)
-}
-
-// pattern decodes the chromosome into replay's chunk offsets and word
-// function.
-func (s *AccessCoeffsSpec) pattern(f *Framework, g ga.Genome) ([]int, func(i, x int) int, error) {
 	ig, ok := g.(*ga.IntGenome)
 	if !ok || len(ig.Vals) != 32 {
-		return nil, nil, fmt.Errorf("core: access-coeffs needs a 32-int genome")
+		return fmt.Errorf("core: access-coeffs needs a 32-int genome")
 	}
 	wordsPerRow := f.Srv.MCU(f.MCU).Device().Geometry().WordsPerRow()
-	return coeffOffsets, func(i, x int) int {
-		return (ig.Vals[i]*x + ig.Vals[i+16]) % wordsPerRow
-	}, nil
+	n := len(coeffOffsets)
+	var wordsBuf [16 * 16]int32
+	words := wordsBuf[:0] // words[x*n+i] is offset i's word on pass x
+	for x := 0; x < s.SweepLen; x++ {
+		for i := 0; i < n; i++ {
+			words = append(words, int32((ig.Vals[i]*x+ig.Vals[i+n])%wordsPerRow))
+		}
+	}
+	return s.replay(f, coeffOffsets, words, 1, 0)
 }
 
 // Encode implements Spec.
@@ -303,19 +279,4 @@ func (*AccessCoeffsSpec) Decode(rec virusdb.Record) (ga.Genome, error) {
 func (b *accessSpecBase) HammerlessBaseline(f *Framework) (Measurement, error) {
 	f.Srv.MCU(f.MCU).ResetStats()
 	return f.Measure()
-}
-
-// TargetRows exposes the targeted chunks (rank-0 indexes) for analysis.
-func (b *accessSpecBase) TargetRows() []int {
-	return append([]int(nil), b.targets...)
-}
-
-// VictimKeys returns the row keys of the targeted error-prone rows.
-func (b *accessSpecBase) VictimKeys(f *Framework) []dram.RowKey {
-	geom := f.Srv.MCU(f.MCU).Device().Geometry()
-	keys := make([]dram.RowKey, 0, len(b.targets))
-	for _, c := range b.targets {
-		keys = append(keys, dram.Key(geom.ChunkLoc(0, c)))
-	}
-	return keys
 }

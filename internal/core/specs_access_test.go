@@ -136,9 +136,20 @@ func snapshotController(f *Framework) controllerState {
 // the row's end, so its table is no longer a shift of its first sweep.
 func TestAccessReplayMatchesLoads(t *testing.T) {
 	const seed = 3
-	type accessSpec interface {
-		Spec
-		pattern(*Framework, ga.Genome) ([]int, func(i, x int) int, error)
+	// The plain word functions: offset i of an access-rows genome is read at
+	// word x·64 + i of pass x, and of an access-coeffs genome at aᵢ·x + bᵢ.
+	rowsPattern := func(f *Framework, g ga.Genome) ([]int, func(i, x int) int) {
+		wordsPerRow := f.Srv.MCU(f.MCU).Device().Geometry().WordsPerRow()
+		return rowOffsets(g.(*ga.BitGenome)), func(i, x int) int {
+			return (x*64 + i) % wordsPerRow
+		}
+	}
+	coeffsPattern := func(f *Framework, g ga.Genome) ([]int, func(i, x int) int) {
+		wordsPerRow := f.Srv.MCU(f.MCU).Device().Geometry().WordsPerRow()
+		vals := g.(*ga.IntGenome).Vals
+		return coeffOffsets, func(i, x int) int {
+			return (vals[i]*x + vals[i+16]) % wordsPerRow
+		}
 	}
 	for _, sweepLen := range []int{16, 1, 3, 17} {
 		for _, rows := range []int{16, 64} {
@@ -146,11 +157,12 @@ func TestAccessReplayMatchesLoads(t *testing.T) {
 			coeffsSpec := NewAccessCoeffsSpec(0x3333333333333333)
 			rowsSpec.SweepLen, coeffsSpec.SweepLen = sweepLen, sweepLen
 			for _, c := range []struct {
-				spec accessSpec
-				base *accessSpecBase
+				spec    Spec
+				base    *accessSpecBase
+				pattern func(*Framework, ga.Genome) ([]int, func(i, x int) int)
 			}{
-				{rowsSpec, &rowsSpec.accessSpecBase},
-				{coeffsSpec, &coeffsSpec.accessSpecBase},
+				{rowsSpec, &rowsSpec.accessSpecBase, rowsPattern},
+				{coeffsSpec, &coeffsSpec.accessSpecBase, coeffsPattern},
 			} {
 				name := fmt.Sprintf("%d sweeps, %d rows, %s", sweepLen, rows, c.spec.Name())
 				var fs [2]*Framework
@@ -177,10 +189,7 @@ func TestAccessReplayMatchesLoads(t *testing.T) {
 					if err := c.spec.Deploy(fs[0], g); err != nil {
 						t.Fatal(err)
 					}
-					offsets, wordIdx, err := c.spec.pattern(fs[1], g)
-					if err != nil {
-						t.Fatal(err)
-					}
+					offsets, wordIdx := c.pattern(fs[1], g)
 					loadReplay(fs[1], c.base, offsets, wordIdx)
 					got, want := snapshotController(fs[0]), snapshotController(fs[1])
 					if !reflect.DeepEqual(got, want) {

@@ -189,21 +189,40 @@ func TestAccessSpecEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestVictimKeysMatchTargets: Prepare targets exactly the device's rank-0
+// weak rows, in order, and resolves each target's window so that slot
+// targetWindow+off holds the row of chunk target+off wherever that chunk is
+// inside the rank.
 func TestVictimKeysMatchTargets(t *testing.T) {
 	f := testFramework(t, 85)
 	spec := NewAccessRowsSpec(0x3333333333333333)
 	if err := spec.Prepare(f); err != nil {
 		t.Fatal(err)
 	}
-	keys := spec.VictimKeys(f)
-	targets := spec.TargetRows()
-	if len(keys) != len(targets) {
-		t.Fatalf("%d keys vs %d targets", len(keys), len(targets))
+	ctl := f.Srv.MCU(f.MCU)
+	geom := ctl.Device().Geometry()
+	var victims []dram.RowKey
+	for _, k := range ctl.Device().WeakRows() {
+		if k.Rank == 0 {
+			victims = append(victims, k)
+		}
 	}
-	geom := f.Srv.MCU(f.MCU).Device().Geometry()
+	targets := spec.targets
+	if len(victims) == 0 || len(targets) != len(victims) {
+		t.Fatalf("%d targets for %d rank-0 weak rows", len(targets), len(victims))
+	}
+	nchunks := geom.Banks * geom.Rows
 	for i, c := range targets {
-		if dram.Key(geom.ChunkLoc(0, c)) != keys[i] {
-			t.Fatalf("target %d mismatch", i)
+		if dram.Key(geom.ChunkLoc(0, c)) != victims[i] {
+			t.Fatalf("target %d is chunk %d, not weak row %+v", i, c, victims[i])
+		}
+		for off := -targetWindow; off <= targetWindow; off++ {
+			if c+off < 0 || c+off >= nchunks {
+				continue
+			}
+			if got, want := spec.window[i*windowLen+targetWindow+off], ctl.RowAt(0, c+off); got != want {
+				t.Fatalf("target %d offset %d: window row %+v, want %+v", i, off, got, want)
+			}
 		}
 	}
 }

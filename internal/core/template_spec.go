@@ -98,9 +98,6 @@ func (s *TemplateSpec) Prepare(f *Framework) error {
 	return nil
 }
 
-// GenomeLength returns the chromosome length after Prepare.
-func (s *TemplateSpec) GenomeLength() int { return len(s.lo) }
-
 // NewPopulation implements Spec.
 func (s *TemplateSpec) NewPopulation(_ *Framework, size int,
 	rng *xrand.Rand) []ga.Genome {

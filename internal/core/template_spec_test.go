@@ -16,8 +16,8 @@ func TestTemplateSpecPrepareAndLayout(t *testing.T) {
 	if err := spec.Prepare(f); err != nil {
 		t.Fatal(err)
 	}
-	if spec.GenomeLength() != 64 {
-		t.Fatalf("genome length %d, want 64", spec.GenomeLength())
+	if len(spec.lo) != 64 {
+		t.Fatalf("genome length %d, want 64", len(spec.lo))
 	}
 	pop := spec.NewPopulation(f, 5, f.RNG.Split())
 	if len(pop) != 5 {

@@ -335,9 +335,10 @@ func TestBatchAllocsSteadyState(t *testing.T) {
 
 // BenchmarkBatchEval compares a whole batched generation against
 // per-genome AverageRuns calls — batches of one — at several population
-// sizes. cmd/benchjson -batch
-// derives speedup_batch and the B/op / allocs/op ratios from the
-// single/batch pairs; the committed snapshot pins the pop=512 ratios.
+// sizes. `make bench-json` pipes its output to cmd/benchjson, which derives
+// speedup_batch_popN and the allocs/op and B/op ratios
+// (batch_allocs_ratio_popN, batch_bytes_ratio_popN) from each single/batch
+// pair.
 func BenchmarkBatchEval(b *testing.B) {
 	const runs = 10
 	for _, pop := range []int{32, 128, 512} {

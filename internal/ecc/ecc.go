@@ -187,10 +187,3 @@ func Decode(w Word) Result {
 	}
 	return Result{Status: Uncorrectable, Bit: -1, Data: w.Data}
 }
-
-// IsSDC reports whether decoding w yields data different from original while
-// not signalling an uncorrectable error — silent data corruption.
-func IsSDC(w Word, original uint64) bool {
-	r := Decode(w)
-	return r.Status != Uncorrectable && r.Data != original
-}

@@ -123,7 +123,7 @@ outer:
 				s := colSyn[i] ^ colSyn[j] ^ colSyn[k]
 				if synToCol[s] >= 0 {
 					bad := w.FlipBit(i).FlipBit(j).FlipBit(k)
-					if !IsSDC(bad, data) {
+					if !isSDC(bad, data) {
 						t.Fatalf("expected SDC for flips (%d,%d,%d)", i, j, k)
 					}
 					found = true
@@ -147,12 +147,19 @@ func TestCheckBitErrorLeavesDataIntact(t *testing.T) {
 	}
 }
 
+// isSDC reports whether decoding w yields data other than original without
+// flagging an uncorrectable error: silent data corruption.
+func isSDC(w Word, original uint64) bool {
+	r := Decode(w)
+	return r.Status != Uncorrectable && r.Data != original
+}
+
 func TestIsSDCFalseForCleanAndCE(t *testing.T) {
 	data := uint64(42)
-	if IsSDC(Encode(data), data) {
+	if isSDC(Encode(data), data) {
 		t.Fatal("clean word reported as SDC")
 	}
-	if IsSDC(Encode(data).FlipBit(3), data) {
+	if isSDC(Encode(data).FlipBit(3), data) {
 		t.Fatal("correctable word reported as SDC")
 	}
 }

@@ -21,8 +21,9 @@ func Example() {
 
 	// Three flips can alias to a single-bit syndrome and be miscorrected:
 	// silent data corruption.
-	sdc := word.FlipBit(17).FlipBit(18).FlipBit(21)
-	fmt.Printf("3 flips: SDC = %v\n", ecc.IsSDC(sdc, 0x3333333333333333))
+	sdc := ecc.Decode(word.FlipBit(17).FlipBit(18).FlipBit(21))
+	fmt.Printf("3 flips: SDC = %v\n",
+		sdc.Status != ecc.Uncorrectable && sdc.Data != 0x3333333333333333)
 
 	// Output:
 	// 1 flip:  CE, data restored: true

@@ -216,6 +216,56 @@ func TestSchedulerLargeJobNotStarved(t *testing.T) {
 	}
 }
 
+// TestSchedulerAdmitsInSubmitOrder: a job joins the admission queue when it
+// is submitted, not when its goroutine first runs. Under GOMAXPROCS(1) the
+// Go scheduler runs the most recently started goroutine first, so with
+// budget 2, a job B wanting 1 worker submitted right after a job A wanting
+// 2 reaches the queue first if queueing waits for the goroutine, and takes
+// a token A is owed: B would start before A. The durable pass queues each
+// job once its journal entry is written.
+func TestSchedulerAdmitsInSubmitOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, durable := range []bool{false, true} {
+		s, err := NewScheduler(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit := s.SubmitJob
+		if durable {
+			jl, err := OpenJournal(t.TempDir() + "/jobs.journal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jl.Close()
+			s.SetJournal(jl)
+			submit = s.SubmitDurable
+		}
+		var mu sync.Mutex
+		var order []string
+		record := func(ctx context.Context, j *Job) (any, error) {
+			mu.Lock()
+			order = append(order, j.name)
+			mu.Unlock()
+			return nil, nil
+		}
+		a, err := submit(JobSpec{Name: "A", Workers: 2}, record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := submit(JobSpec{Name: "B", Workers: 1}, record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-a.Done()
+		<-b.Done()
+		s.Close()
+		s.Wait()
+		if fmt.Sprint(order) != "[A B]" {
+			t.Fatalf("durable=%v: jobs started in order %v, want [A B]", durable, order)
+		}
+	}
+}
+
 // TestSchedulerQuotaRejection: per-tenant job and worker caps reject at
 // submit with ErrQuotaExceeded, never consume budget or queue positions,
 // and are released as the tenant's jobs drain.

@@ -340,28 +340,19 @@ type JobSpec struct {
 	Recovered bool
 }
 
-// Submit queues a job requesting the given number of workers (clamped to
-// the budget so it can always start; the clamp is surfaced through
-// JobStatus.RequestedWorkers) and returns immediately. A positive timeout
-// cancels the job that long after it starts running. The job is accounted
-// under AnonymousTenant at priority 0; use SubmitJob for the full spec.
-func (s *Scheduler) Submit(name string, workers int, timeout time.Duration,
-	fn JobFunc) (*Job, error) {
-	return s.submit(JobSpec{Name: name, Workers: workers, Timeout: timeout},
-		fn, false)
-}
-
-// SubmitJob is Submit with the full spec — tenant and priority included —
-// for callers that don't need durability.
+// SubmitJob queues a job requesting spec.Workers workers (clamped to the
+// budget so it can always start; the clamp is surfaced through
+// JobStatus.RequestedWorkers) and returns immediately. A positive
+// spec.Timeout cancels the job that long after it starts running.
 func (s *Scheduler) SubmitJob(spec JobSpec, fn JobFunc) (*Job, error) {
 	return s.submit(spec, fn, false)
 }
 
-// SubmitDurable is Submit for a job that must survive a daemon restart: the
+// SubmitDurable is SubmitJob for a job that must survive a daemon restart: the
 // spec is journaled before the job is visible, updated with every
 // Job.Checkpoint, and retired when the job reaches a terminal state — except
 // a shutdown, which leaves the entry behind for the next process to re-queue.
-// Unlike Submit, a worker request exceeding the budget is rejected with
+// Unlike SubmitJob, a worker request exceeding the budget is rejected with
 // ErrBudgetExceeded instead of clamped, so the journal never records a
 // silently reduced worker count.
 func (s *Scheduler) SubmitDurable(spec JobSpec, fn JobFunc) (*Job, error) {
@@ -402,21 +393,23 @@ func (s *Scheduler) submit(spec JobSpec, fn JobFunc, durable bool) (*Job, error)
 	// Quotas are enforced here, before the job exists anywhere: a rejected
 	// submission must not hold a queue position, budget tokens or a journal
 	// entry. Recovery re-submissions skip the check — they were admitted by
-	// the previous process and must not be lost to a tightened quota.
+	// the previous process and must not be lost to a tightened quota. The
+	// error is built before the unlock: the ledger it quotes is s.mu's.
 	ts := s.tenantLocked(tenant)
 	if !spec.Recovered {
+		var err error
 		if lim := ts.limits.MaxJobs; lim > 0 && ts.live >= lim {
-			ts.rejections++
-			s.mu.Unlock()
-			return nil, fmt.Errorf("farm: tenant %q already has %d live jobs (cap %d): %w",
+			err = fmt.Errorf("farm: tenant %q already has %d live jobs (cap %d): %w",
 				tenant, ts.live, lim, ErrQuotaExceeded)
-		}
-		if lim := ts.limits.MaxWorkers; lim > 0 && ts.demand+workers > lim {
-			ts.rejections++
-			s.mu.Unlock()
-			return nil, fmt.Errorf("farm: tenant %q job %q wants %d workers with %d "+
+		} else if lim := ts.limits.MaxWorkers; lim > 0 && ts.demand+workers > lim {
+			err = fmt.Errorf("farm: tenant %q job %q wants %d workers with %d "+
 				"already committed (quota %d): %w",
 				tenant, spec.Name, workers, ts.demand, lim, ErrQuotaExceeded)
+		}
+		if err != nil {
+			ts.rejections++
+			s.mu.Unlock()
+			return nil, err
 		}
 	}
 	s.nextID++
@@ -440,6 +433,16 @@ func (s *Scheduler) submit(spec JobSpec, fn JobFunc, durable bool) (*Job, error)
 	ts.live++
 	ts.demand += workers
 	s.wg.Add(1)
+	w := &waiter{
+		j:     j,
+		n:     workers,
+		prio:  j.priority + ts.limits.Weight,
+		seq:   j.seq,
+		ready: make(chan struct{}),
+	}
+	if !durable {
+		s.admitLocked(w)
+	}
 	s.mu.Unlock()
 
 	if durable {
@@ -468,15 +471,18 @@ func (s *Scheduler) submit(spec JobSpec, fn JobFunc, durable bool) (*Job, error)
 			s.wg.Done()
 			return nil, err
 		}
+		s.mu.Lock()
+		s.admitLocked(w)
+		s.mu.Unlock()
 	}
 
-	go s.run(j, spec.Timeout, fn)
+	go s.run(j, w, spec.Timeout, fn)
 	return j, nil
 }
 
-func (s *Scheduler) run(j *Job, timeout time.Duration, fn JobFunc) {
+func (s *Scheduler) run(j *Job, w *waiter, timeout time.Duration, fn JobFunc) {
 	defer s.wg.Done()
-	if !s.acquire(j) {
+	if !s.acquire(w) {
 		s.finish(j, nil, context.Canceled, true)
 		return
 	}
@@ -585,34 +591,33 @@ func (s *Scheduler) finish(j *Job, res any, err error, canceled bool) {
 	close(j.done)
 }
 
-// acquire blocks until the job's budget tokens are granted, the scheduler
-// closes, or the waiting job is cancelled — a cancelled pending job must
-// terminate immediately, not once earlier jobs release the budget.
+// admitLocked puts a submitted job's waiter in the admission queue and
+// grants whatever now fits. submit calls it before returning — for a
+// durable job, once the journal holds its entry — so a job queues in
+// submission order, never when its goroutine first runs: a later
+// submission cannot take budget an earlier one is owed. A scheduler closed
+// or a job cancelled while its entry was being journaled wakes the waiter
+// ungranted instead.
 //
 // Admission is an ordered queue, not a free-for-all: every job enters the
 // queue at (priority + tenant weight, arrival order) and dispatchLocked
-// grants strictly from the front. The old unordered cond.Wait admission
-// let whichever waiter woke first take the tokens, so a large job could
-// starve forever behind a stream of small ones; here the queue head blocks
-// everything behind it until it fits.
-func (s *Scheduler) acquire(j *Job) bool {
-	s.mu.Lock()
-	if s.closed || j.isCanceled() {
-		s.mu.Unlock()
-		return false
-	}
-	w := &waiter{
-		j:     j,
-		n:     j.workers,
-		prio:  j.priority + s.tenantLocked(j.tenant).limits.Weight,
-		seq:   j.seq,
-		ready: make(chan struct{}),
+// grants strictly from the front, so the queue head blocks everything
+// behind it until it fits and a large job is never starved by a stream of
+// smaller ones.
+func (s *Scheduler) admitLocked(w *waiter) {
+	if s.closed || w.j.isCanceled() {
+		close(w.ready)
+		return
 	}
 	s.enqueueLocked(w)
-	s.tenantLocked(j.tenant).queued++
+	s.tenantLocked(w.j.tenant).queued++
 	s.dispatchLocked()
-	s.mu.Unlock()
+}
 
+// acquire blocks until the job's budget tokens are granted, the scheduler
+// closes, or the waiting job is cancelled — a cancelled pending job must
+// terminate immediately, not once earlier jobs release the budget.
+func (s *Scheduler) acquire(w *waiter) bool {
 	<-w.ready
 	s.mu.Lock()
 	granted := w.granted
@@ -621,9 +626,9 @@ func (s *Scheduler) acquire(j *Job) bool {
 }
 
 // enqueueLocked keeps the queue sorted by (priority desc, seq asc) — FIFO
-// within a priority band. Seq is assigned under the scheduler lock at submit,
-// not when the job's goroutine happens to reach the queue, so two jobs
-// submitted in order admit in order even if their goroutines race here.
+// within a priority band. Seq is assigned under the scheduler lock at
+// submit; a durable job queues only once its journal entry is written, so
+// it may arrive after a later job and still take its place ahead of it.
 func (s *Scheduler) enqueueLocked(w *waiter) {
 	i := len(s.queue)
 	for k, q := range s.queue {

@@ -19,7 +19,7 @@ func TestSchedulerBudgetCap(t *testing.T) {
 	defer s.Close()
 	var inUse, maxInUse atomic.Int64
 	for i := 0; i < 6; i++ {
-		_, err := s.Submit(fmt.Sprintf("job%d", i), 2, 0,
+		_, err := s.SubmitJob(JobSpec{Name: fmt.Sprintf("job%d", i), Workers: 2},
 			func(ctx context.Context, j *Job) (any, error) {
 				cur := inUse.Add(2)
 				for {
@@ -56,7 +56,7 @@ func TestSchedulerOversizedJobClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	j, err := s.Submit("big", 16, 0, func(ctx context.Context, j *Job) (any, error) {
+	j, err := s.SubmitJob(JobSpec{Name: "big", Workers: 16}, func(ctx context.Context, j *Job) (any, error) {
 		return nil, nil
 	})
 	if err != nil {
@@ -87,7 +87,7 @@ func TestSchedulerUnclampedJobOmitsRequested(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	j, err := s.Submit("fits", 2, 0, func(ctx context.Context, j *Job) (any, error) {
+	j, err := s.SubmitJob(JobSpec{Name: "fits", Workers: 2}, func(ctx context.Context, j *Job) (any, error) {
 		return nil, nil
 	})
 	if err != nil {
@@ -144,10 +144,10 @@ func TestSchedulerPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	bad, _ := s.Submit("bad", 1, 0, func(ctx context.Context, j *Job) (any, error) {
+	bad, _ := s.SubmitJob(JobSpec{Name: "bad", Workers: 1}, func(ctx context.Context, j *Job) (any, error) {
 		panic("evaluation exploded")
 	})
-	good, _ := s.Submit("good", 1, 0, func(ctx context.Context, j *Job) (any, error) {
+	good, _ := s.SubmitJob(JobSpec{Name: "good", Workers: 1}, func(ctx context.Context, j *Job) (any, error) {
 		j.Progress(3, 10, 42.5)
 		return "fine", nil
 	})
@@ -171,7 +171,7 @@ func TestSchedulerTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	j, _ := s.Submit("slow", 1, 20*time.Millisecond,
+	j, _ := s.SubmitJob(JobSpec{Name: "slow", Workers: 1, Timeout: 20 * time.Millisecond},
 		func(ctx context.Context, j *Job) (any, error) {
 			<-ctx.Done()
 			return "partial", ctx.Err()
@@ -192,13 +192,13 @@ func TestSchedulerCancelPending(t *testing.T) {
 	}
 	defer s.Close()
 	release := make(chan struct{})
-	running, _ := s.Submit("holder", 1, 0,
+	running, _ := s.SubmitJob(JobSpec{Name: "holder", Workers: 1},
 		func(ctx context.Context, j *Job) (any, error) {
 			<-release
 			return nil, nil
 		})
 	var ran atomic.Bool
-	pending, _ := s.Submit("queued", 1, 0,
+	pending, _ := s.SubmitJob(JobSpec{Name: "queued", Workers: 1},
 		func(ctx context.Context, j *Job) (any, error) {
 			ran.Store(true)
 			return nil, nil
@@ -236,7 +236,7 @@ func TestSchedulerCancelRunning(t *testing.T) {
 	}
 	defer s.Close()
 	started := make(chan struct{})
-	j, _ := s.Submit("run", 1, 0, func(ctx context.Context, j *Job) (any, error) {
+	j, _ := s.SubmitJob(JobSpec{Name: "run", Workers: 1}, func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return "best-so-far", nil
@@ -258,13 +258,13 @@ func TestSchedulerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	started := make(chan struct{})
-	running, _ := s.Submit("r", 1, 0, func(ctx context.Context, j *Job) (any, error) {
+	running, _ := s.SubmitJob(JobSpec{Name: "r", Workers: 1}, func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
 	<-started
-	pending, _ := s.Submit("p", 1, 0, func(ctx context.Context, j *Job) (any, error) {
+	pending, _ := s.SubmitJob(JobSpec{Name: "p", Workers: 1}, func(ctx context.Context, j *Job) (any, error) {
 		return nil, nil
 	})
 	s.Close()
@@ -274,7 +274,7 @@ func TestSchedulerClose(t *testing.T) {
 			t.Fatalf("job %q finished %v", st.Name, st.State)
 		}
 	}
-	if _, err := s.Submit("late", 1, 0,
+	if _, err := s.SubmitJob(JobSpec{Name: "late", Workers: 1},
 		func(ctx context.Context, j *Job) (any, error) { return nil, nil }); err == nil {
 		t.Fatal("submission after Close accepted")
 	}
@@ -286,7 +286,7 @@ func TestSchedulerValidation(t *testing.T) {
 	}
 	s, _ := NewScheduler(1)
 	defer s.Close()
-	if _, err := s.Submit("nil", 1, 0, nil); err == nil {
+	if _, err := s.SubmitJob(JobSpec{Name: "nil", Workers: 1}, nil); err == nil {
 		t.Error("nil job accepted")
 	}
 	if _, ok := s.Job(7); ok {

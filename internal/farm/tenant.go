@@ -3,9 +3,9 @@ package farm
 import "sort"
 
 // AnonymousTenant is the tenant every unattributed submission is accounted
-// under: the daemon runs with auth off, or a pre-tenancy caller used the
-// plain Submit entry point. It exists so that "no tenant" still has quotas,
-// fairness weight and metrics like any named tenant.
+// under: the daemon runs with auth off, or the job spec named no tenant.
+// It exists so that "no tenant" still has quotas, fairness weight and
+// metrics like any named tenant.
 const AnonymousTenant = "anonymous"
 
 // TenantLimits caps one tenant's share of the scheduler. Zero fields mean

@@ -74,11 +74,6 @@ type Worker struct {
 // WorkerOption configures a Worker.
 type WorkerOption func(*Worker)
 
-// WithHTTPClient replaces the transport (tests inject short timeouts).
-func WithHTTPClient(c *http.Client) WorkerOption {
-	return func(w *Worker) { w.client = c }
-}
-
 // WithLogf routes the worker's progress lines.
 func WithLogf(f func(string, ...any)) WorkerOption {
 	return func(w *Worker) { w.logf = f }

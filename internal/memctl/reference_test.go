@@ -405,7 +405,7 @@ func (p *diffPair) apply(i int, op diffOp) {
 				loc := geom.Map(l.addr)
 				rows[j], cols[j] = c.RowAt(0, geom.ChunkIndex(loc)), int32(loc.Col)
 			}
-			c.LoadSweeps(rows, cols, sweeps, stride)
+			c.LoadSweeps(rows, inOrder(len(rows)), cols, sweeps, stride)
 		}
 		if mirror {
 			c.MirrorRank0()

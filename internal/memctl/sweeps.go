@@ -2,12 +2,15 @@ package memctl
 
 import "fmt"
 
-// LoadSweeps issues sweeps passes of clean loads over rows: pass x loads
-// word (cols[j] + x·stride) mod WordsPerRow of rows[j], for each j in
-// order. It leaves the controller exactly as issuing those loads one by
-// one through LoadCol would. An access virus sweeps the same rows many
-// times, each pass a fixed number of words further along them, and the
-// controller simulates one pass and repeats it.
+// LoadSweeps issues sweeps passes of clean loads over rows picked from
+// window: pass x loads word (cols[j] + x·stride) mod WordsPerRow of
+// window[at[j]], for each j in order. It leaves the controller exactly as
+// issuing those loads one by one through LoadCol would. An access virus
+// sweeps the same rows many times, each pass a fixed number of words
+// further along them, and the controller simulates one pass and repeats
+// it. An access virus passes the rows it may reach around one target as
+// window and the ones its genome reads as at, so a deploy builds no row
+// list.
 //
 // Pass x is pass 0 shifted by x·stride words. When that is d whole cache
 // lines the shift is exact: rows start on line boundaries, so a line's set
@@ -44,14 +47,15 @@ import "fmt"
 // nothing but LoadSweeps calls of the same sweeps and stride ran (no other
 // load, write, bare ResetCounters, AdvanceNs or MirrorRank0) and no line
 // was written, and on a column outside [0, WordsPerRow), a negative
-// stride, fewer than one sweep or a column count other than the row
-// count. MirrorRank0 may follow: the loads are rank 0's if the rows are.
-func (c *Controller) LoadSweeps(rows []RowRef, cols []int32, sweeps, stride int) {
+// stride, fewer than one sweep, an index outside window or a column count
+// other than the index count. MirrorRank0 may follow: the loads are rank
+// 0's if the rows are.
+func (c *Controller) LoadSweeps(window []RowRef, at []int, cols []int32, sweeps, stride int) {
 	sw := &c.sweep
 	switch {
-	case len(cols) != len(rows) || sweeps < 1 || stride < 0:
+	case len(cols) != len(at) || sweeps < 1 || stride < 0:
 		panic(fmt.Sprintf("memctl: LoadSweeps of %d sweeps by %d words over %d rows and %d columns",
-			sweeps, stride, len(rows), len(cols)))
+			sweeps, stride, len(at), len(cols)))
 	case !sw.ok:
 		panic("memctl: LoadSweeps after another load, a write, a bare ResetCounters, idle time or a mirror")
 	case sw.sweeps != 0 && (sw.sweeps != sweeps || sw.stride != stride):
@@ -60,17 +64,20 @@ func (c *Controller) LoadSweeps(rows []RowRef, cols []int32, sweeps, stride int)
 	case c.cache.written:
 		panic("memctl: LoadSweeps over a written cache line")
 	}
-	for _, col := range cols {
+	for j, col := range cols {
 		if uint(col) >= uint(c.words) {
 			panic(fmt.Sprintf("memctl: column %d outside a %d-word row", col, c.words))
 		}
+		if uint(at[j]) >= uint(len(window)) {
+			panic(fmt.Sprintf("memctl: row %d outside a %d-row window", at[j], len(window)))
+		}
 	}
 	sw.sweeps, sw.stride = sweeps, stride
-	if sweeps > 1 && len(rows) > 0 && !sw.plain {
+	if sweeps > 1 && len(at) > 0 && !sw.plain {
 		if sp, ok := c.sweepClasses(cols, sweeps, stride); ok &&
 			(sw.spread.sweeps == 0 || sw.spread == sp) {
 			sw.spread = sp
-			c.sweepOnce(rows, cols, sweeps)
+			c.sweepOnce(window, at, cols, sweeps)
 			c.cache.spread = sp
 			return
 		}
@@ -79,7 +86,8 @@ func (c *Controller) LoadSweeps(rows []RowRef, cols []int32, sweeps, stride int)
 	words := c.words
 	for x := 0; x < sweeps; x++ {
 		shift := x * (stride % words)
-		for j, r := range rows {
+		for j, i := range at {
+			r := window[i]
 			col := int(cols[j]) + shift
 			if col >= words {
 				col %= words
@@ -113,16 +121,16 @@ func (c *Controller) sweepClasses(cols []int32, sweeps, stride int) (sweepSpread
 
 // sweepOnce is LoadSweeps's shortcut: pass 0 through the cache, its miss
 // rows through the row buffer twice, and the counters of every pass.
-func (c *Controller) sweepOnce(rows []RowRef, cols []int32, sweeps int) {
+func (c *Controller) sweepOnce(window []RowRef, at []int, cols []int32, sweeps int) {
 	misses := c.missRows[:0]
-	for j, r := range rows {
-		if !c.cache.Access(r.base+int64(cols[j])*8, false).Hit {
+	for j, i := range at {
+		if r := window[i]; !c.cache.Access(r.base+int64(cols[j])*8, false).Hit {
 			misses = append(misses, r)
 		}
 	}
 	c.missRows = misses
 	n, m := uint64(sweeps), uint64(len(misses))
-	h := uint64(len(rows)) - m
+	h := uint64(len(at)) - m
 	c.clockNs += n * (h*HitLatencyNs + m*MissLatencyNs)
 	c.dramReads += n * m
 	c.cache.hits += (n - 1) * h

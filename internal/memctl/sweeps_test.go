@@ -108,8 +108,18 @@ func issueSweeps(c *Controller, calls []sweepCall, sweeps, stride int) {
 		for j, chunk := range call.chunks {
 			rows[j] = c.RowAt(0, chunk)
 		}
-		c.LoadSweeps(rows, call.cols, sweeps, stride)
+		c.LoadSweeps(rows, inOrder(len(rows)), call.cols, sweeps, stride)
 	}
+}
+
+// inOrder is LoadSweeps's index list that loads each of n rows once, in
+// order.
+func inOrder(n int) []int {
+	at := make([]int, n)
+	for i := range at {
+		at[i] = i
+	}
+	return at
 }
 
 // replaySweeps issues calls' loads one by one through LoadCol on the given
@@ -201,9 +211,9 @@ func TestSweepsRejectBadState(t *testing.T) {
 	cfg := diffConfigs[0]
 	geom := cfg.geom
 	rows := []RowRef{{}, {}, {}}
-	cols := []int32{0, 3, 7}
+	at, cols := inOrder(len(rows)), []int32{0, 3, 7}
 	call := func(sweeps, stride int, cols []int32) func(c *Controller) {
-		return func(c *Controller) { c.LoadSweeps(rows, cols, sweeps, stride) }
+		return func(c *Controller) { c.LoadSweeps(rows, at, cols, sweeps, stride) }
 	}
 	good, nop := call(16, 64, cols), func(*Controller) {}
 	bad := map[string]struct{ before, call func(c *Controller) }{
@@ -223,6 +233,9 @@ func TestSweepsRejectBadState(t *testing.T) {
 		"negative stride":    {nop, call(16, -64, cols)},
 		"no sweep":           {nop, call(0, 64, cols)},
 		"short columns":      {nop, call(16, 64, cols[:2])},
+		"row past window": {nop, func(c *Controller) {
+			c.LoadSweeps(rows, []int{0, 1, len(rows)}, cols, 16, 64)
+		}},
 	}
 	for name, b := range bad {
 		c := newDiffController(t, geom, cfg.cache)

@@ -27,7 +27,7 @@ func Example() {
 		}
 	`)
 	mem := wordsMemory{}
-	m, err := minicc.NewMachine(mem, minicc.Region{Base: 0, Size: 1 << 12}, 1<<12)
+	m, err := minicc.NewMachineWithHeap(mem, minicc.Region{Base: 0, Size: 1 << 12}, 0, 1<<12)
 	if err != nil {
 		panic(err)
 	}

@@ -81,7 +81,7 @@ func FuzzInterpreter(f *testing.F) {
 			t.Fatal(err)
 		}
 		mem := newMapMemory()
-		m, err := NewMachine(mem, Region{Base: 0, Size: 1 << 16}, 4096)
+		m, err := NewMachineWithHeap(mem, Region{Base: 0, Size: 1 << 16}, 0, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,19 +56,15 @@ type Machine struct {
 	budgetHit bool
 }
 
-// NewMachine builds a machine over mem, restricted to region, with an
-// execution budget in abstract steps (one step per statement or loop
+// NewMachineWithHeap builds a machine over mem, restricted to region, with
+// an execution budget in abstract steps (one step per statement or loop
 // iteration). A virus body that loops forever — as stress kernels do — is
-// stopped cleanly when the budget runs out; Stopped() reports it.
-func NewMachine(mem Memory, region Region, maxSteps uint64) (*Machine, error) {
-	return NewMachineWithHeap(mem, region, region.Base, maxSteps)
-}
-
-// NewMachineWithHeap is NewMachine with an explicit heap start: global
+// stopped cleanly when the budget runs out; Stopped() reports it. Global
 // arrays and malloc allocations are placed from heapStart upward, leaving
 // [region.Base, heapStart) untouched. The DStress runner uses this to keep
 // a virus's bookkeeping arrays out of the chunk-aligned test region its
-// body addresses directly.
+// body addresses directly; heapStart = region.Base puts the heap at the
+// region's start.
 func NewMachineWithHeap(mem Memory, region Region, heapStart int64,
 	maxSteps uint64) (*Machine, error) {
 	if mem == nil {

@@ -32,7 +32,7 @@ func run(t *testing.T, globals, locals, body string) (*Machine, *mapMemory) {
 
 func tryRun(globals, locals, body string, budget uint64) (*Machine, *mapMemory, error) {
 	mem := newMapMemory()
-	mach, err := NewMachine(mem, Region{Base: 0, Size: 1 << 20}, budget)
+	mach, err := NewMachineWithHeap(mem, Region{Base: 0, Size: 1 << 20}, 0, budget)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -342,15 +342,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseExprStandalone runs the parser's expression rule on lone
+// expressions: a whole one is read to the end of its input, a truncated one
+// is an error, and the rule stops at the end of the first expression.
 func TestParseExprStandalone(t *testing.T) {
-	if _, err := ParseExpr("(a + b) * 3"); err != nil {
-		t.Fatal(err)
+	expr := func(src string) (*parser, error) {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &parser{toks: toks}
+		_, err = p.expr()
+		return p, err
 	}
-	if _, err := ParseExpr("a +"); err == nil {
+	if p, err := expr("(a + b) * 3"); err != nil || !p.at(TokEOF, "") {
+		t.Fatalf("whole expression: err %v, stopped before the end: %v", err, err == nil)
+	}
+	if _, err := expr("a +"); err == nil {
 		t.Fatal("bad expression accepted")
 	}
-	if _, err := ParseExpr("a; b"); err == nil {
-		t.Fatal("trailing input accepted")
+	if p, err := expr("a; b"); err != nil || p.at(TokEOF, "") {
+		t.Fatalf("first of two: err %v, read past the first: %v", err, err == nil)
 	}
 }
 
@@ -373,23 +385,23 @@ func TestScoping(t *testing.T) {
 }
 
 func TestMachineValidation(t *testing.T) {
-	if _, err := NewMachine(nil, Region{Size: 8}, 1); err == nil {
+	if _, err := NewMachineWithHeap(nil, Region{Size: 8}, 0, 1); err == nil {
 		t.Fatal("nil memory accepted")
 	}
-	if _, err := NewMachine(newMapMemory(), Region{Size: 0}, 1); err == nil {
+	if _, err := NewMachineWithHeap(newMapMemory(), Region{Size: 0}, 0, 1); err == nil {
 		t.Fatal("empty region accepted")
 	}
-	if _, err := NewMachine(newMapMemory(), Region{Base: 4, Size: 64}, 1); err == nil {
+	if _, err := NewMachineWithHeap(newMapMemory(), Region{Base: 4, Size: 64}, 4, 1); err == nil {
 		t.Fatal("unaligned region accepted")
 	}
-	if _, err := NewMachine(newMapMemory(), Region{Size: 64}, 0); err == nil {
+	if _, err := NewMachineWithHeap(newMapMemory(), Region{Size: 64}, 0, 0); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 }
 
 func TestOutOfVirusMemory(t *testing.T) {
 	mem := newMapMemory()
-	mach, err := NewMachine(mem, Region{Base: 0, Size: 64}, 1000)
+	mach, err := NewMachineWithHeap(mem, Region{Base: 0, Size: 64}, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +438,7 @@ func TestExpressionSemanticsMatchGo(t *testing.T) {
 	f := func(a, b uint64) bool {
 		for _, c := range cases {
 			mem := newMapMemory()
-			mach, err := NewMachine(mem, Region{Size: 1 << 12}, 1<<12)
+			mach, err := NewMachineWithHeap(mem, Region{Size: 1 << 12}, 0, 1<<12)
 			if err != nil {
 				return false
 			}
@@ -476,7 +488,7 @@ func uitoa(v uint64) string {
 
 func BenchmarkInterpretLoop(b *testing.B) {
 	mem := newMapMemory()
-	mach, err := NewMachine(mem, Region{Size: 1 << 16}, 1<<62)
+	mach, err := NewMachineWithHeap(mem, Region{Size: 1 << 16}, 0, 1<<62)
 	if err != nil {
 		b.Fatal(err)
 	}

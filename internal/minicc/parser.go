@@ -27,24 +27,6 @@ func ParseStmts(src string) ([]Stmt, error) {
 	return stmts, nil
 }
 
-// ParseExpr parses a single expression (used by tests and by the template
-// tool to validate placeholder substitutions).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(TokEOF, "") {
-		return nil, errf(p.cur().Pos, "trailing input after expression")
-	}
-	return e, nil
-}
-
 func (p *parser) cur() Token  { return p.toks[p.pos] }
 func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 

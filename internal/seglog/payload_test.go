@@ -112,12 +112,13 @@ func TestPayloadRejects(t *testing.T) {
 	}
 	st, _ := openT(t, filepath.Join(t.TempDir(), "store"), Options{})
 	defer st.Close()
+	size := st.Size()
 	for _, p := range []Payload{{}, {Header: []byte(`[]`), Tail: []byte{1}}, {Tail: []byte{1}}} {
 		if _, err := st.AppendPayloads(p); err == nil {
 			t.Fatalf("appended %q + %q", p.Header, p.Tail)
 		}
 	}
-	if st.Appended() != 0 {
-		t.Fatalf("refused payloads appended %d frames", st.Appended())
+	if st.Size() != size {
+		t.Fatalf("refused payloads grew the store from %d to %d bytes", size, st.Size())
 	}
 }

@@ -158,7 +158,6 @@ type Store struct {
 	activeSize int64
 	pending    int    // frames written since the last fsync
 	wbuf       []byte // AppendPayloads' write buffer, kept between calls
-	appended   int    // frames appended over this handle's lifetime
 	closed     bool
 	// poisoned is set when a failed write left bytes in the active segment
 	// that could not be cut back off; further appends would land beyond the
@@ -543,7 +542,6 @@ func (s *Store) AppendPayloads(ps ...Payload) ([]Loc, error) {
 	}
 	s.activeSize += size
 	s.pending += len(ps)
-	s.appended += len(ps)
 	if s.opts.SyncEvery <= 1 || s.pending >= s.opts.SyncEvery ||
 		s.activeSize >= s.opts.RotateBytes {
 		if err := s.syncLocked(); err != nil {
@@ -867,14 +865,6 @@ func segmentHasFrames(path string) bool {
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Appended returns how many frames this handle has appended since Open —
-// compaction-trigger bookkeeping for callers.
-func (s *Store) Appended() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appended
-}
 
 // Size returns the total on-disk size of the live segments.
 func (s *Store) Size() int64 {

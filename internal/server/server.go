@@ -67,7 +67,6 @@ type Server struct {
 	cfg     Config
 	mcus    [NumMCUs]*memctl.Controller
 	testbed *thermal.Testbed
-	pwr     power.Model
 }
 
 // New builds the server: one device + controller per MCU, a testbed channel
@@ -96,7 +95,7 @@ func New(cfg Config) (*Server, error) {
 // assemble builds a server of configuration cfg around the DIMM devs(i)
 // returns for each MCU i.
 func assemble(cfg Config, devs func(i int) (*dram.Device, error)) (*Server, error) {
-	s := &Server{cfg: cfg, pwr: cfg.Power}
+	s := &Server{cfg: cfg}
 	for i := 0; i < NumMCUs; i++ {
 		dev, err := devs(i)
 		if err != nil {
@@ -115,15 +114,6 @@ func assemble(cfg Config, devs func(i int) (*dram.Device, error)) (*Server, erro
 	}
 	s.testbed = tb
 	return s, nil
-}
-
-// MustNew is New that panics on error; for tests and examples.
-func MustNew(cfg Config) *Server {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Config returns the server's construction configuration.
@@ -165,9 +155,6 @@ func (s *Server) MCU(i int) *memctl.Controller {
 	}
 	return s.mcus[i]
 }
-
-// Testbed exposes the thermal rig.
-func (s *Server) Testbed() *thermal.Testbed { return s.testbed }
 
 // SetRelaxedParams programs the refresh period of both relaxed-domain MCUs
 // and the shared MCB1 supply voltage. MCU0/MCU1 stay at nominal settings,
@@ -300,46 +287,4 @@ func (s *Server) runParams(mcu int) (dram.RunParams, error) {
 		VDD:        ctl.VDD(),
 		Version:    s.cfg.Determinism,
 	}, nil
-}
-
-// DRAMPower returns the current power draw of each DIMM, using each MCU's
-// operating point and the activation rate implied by its counters.
-func (s *Server) DRAMPower() ([NumMCUs]float64, error) {
-	var out [NumMCUs]float64
-	for i, ctl := range s.mcus {
-		actsPerSec := 0.0
-		if ns := ctl.ElapsedNs(); ns > 0 {
-			actsPerSec = float64(ctl.Activations()) / (float64(ns) * 1e-9)
-		}
-		p, err := s.pwr.DIMM(ctl.TREFP(), ctl.VDD(), actsPerSec)
-		if err != nil {
-			return out, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// SystemPower returns total system power.
-func (s *Server) SystemPower() (float64, error) {
-	dimms, err := s.DRAMPower()
-	if err != nil {
-		return 0, err
-	}
-	return s.pwr.System(dimms[:]), nil
-}
-
-// BootKernel fills the first megabyte of MCU0 with a pseudo-random image,
-// standing in for the kernel data the paper pins to the nominal domain.
-func (s *Server) BootKernel(rng *xrand.Rand) error {
-	ctl := s.mcus[0]
-	geom := ctl.Device().Geometry()
-	limit := int64(1 << 20)
-	if t := geom.TotalBytes(); t < limit {
-		limit = t
-	}
-	for a := int64(0); a < limit; a += 8 {
-		ctl.Device().WriteWord(geom.Map(a), rng.Uint64())
-	}
-	return nil
 }

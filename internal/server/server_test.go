@@ -185,57 +185,43 @@ func TestStrongDIMMHasFewerErrors(t *testing.T) {
 	}
 }
 
+// TestPowerReadings: relaxing MCU2's refresh period and voltage lowers its
+// DIMM's power under the server's power model and leaves MCU0's nominal.
 func TestPowerReadings(t *testing.T) {
 	s := testServer(t)
-	nomDimms, err := s.DRAMPower()
-	if err != nil {
-		t.Fatal(err)
+	dimmPower := func() [NumMCUs]float64 {
+		var out [NumMCUs]float64
+		for i, ctl := range s.mcus {
+			actsPerSec := 0.0
+			if ns := ctl.ElapsedNs(); ns > 0 {
+				actsPerSec = float64(ctl.Activations()) / (float64(ns) * 1e-9)
+			}
+			p, err := s.cfg.Power.DIMM(ctl.TREFP(), ctl.VDD(), actsPerSec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = p
+		}
+		return out
 	}
-	nomSys, err := s.SystemPower()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nomDimms := dimmPower()
 	if err := s.SetRelaxedParams(2.283, 1.428); err != nil {
 		t.Fatal(err)
 	}
-	relDimms, err := s.DRAMPower()
-	if err != nil {
-		t.Fatal(err)
-	}
-	relSys, err := s.SystemPower()
-	if err != nil {
-		t.Fatal(err)
-	}
+	relDimms := dimmPower()
 	if relDimms[MCU2] >= nomDimms[MCU2] {
 		t.Fatal("relaxed params did not reduce DIMM2 power")
 	}
 	if relDimms[0] != nomDimms[0] {
 		t.Fatal("nominal DIMM0 power changed")
 	}
-	if relSys >= nomSys {
-		t.Fatal("system power did not drop")
+	var nomSum, relSum float64
+	for i := range nomDimms {
+		nomSum, relSum = nomSum+nomDimms[i], relSum+relDimms[i]
 	}
-}
-
-func TestBootKernelFillsMCU0(t *testing.T) {
-	s := testServer(t)
-	if err := s.BootKernel(xrand.New(5)); err != nil {
-		t.Fatal(err)
+	if relSum >= nomSum {
+		t.Fatal("total DIMM power did not drop")
 	}
-	dev := s.MCU(0).Device()
-	if !dev.RowWritten(dram.RowKey{}) {
-		t.Fatal("kernel image missing from MCU0")
-	}
-	g := dev.Geometry()
-	if _, ok := dev.ReadWord(g.Map(0)); !ok {
-		t.Fatal("first kernel word unwritten")
-	}
-	if v, _ := dev.ReadWord(g.Map(0)); v == 0 {
-		if w, _ := dev.ReadWord(g.Map(8)); w == 0 {
-			t.Fatal("kernel image looks zeroed, expected pseudo-random data")
-		}
-	}
-	_ = addrmap.Loc{}
 }
 
 // TestPerRankHeating drives one rank's heater hotter through the testbed
@@ -246,14 +232,14 @@ func TestPerRankHeating(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rank 0 of DIMM2 at 66°C, rank 1 at 55°C.
-	if err := s.Testbed().SetTarget(MCU2, 0, 66); err != nil {
+	if err := s.testbed.SetTarget(MCU2, 0, 66); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Testbed().SetTarget(MCU2, 1, 55); err != nil {
+	if err := s.testbed.SetTarget(MCU2, 1, 55); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3600; i++ {
-		s.Testbed().Step(2)
+		s.testbed.Step(2)
 	}
 	fillMCU(s, MCU2, 0x3333333333333333)
 	res, err := s.Evaluate(MCU2, 10, xrand.New(8))
@@ -282,15 +268,15 @@ func TestDetV2EvaluateGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mcu := range []int{MCU2, MCU3} {
-		if err := s.Testbed().SetTarget(mcu, 0, 64); err != nil {
+		if err := s.testbed.SetTarget(mcu, 0, 64); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Testbed().SetTarget(mcu, 1, 57); err != nil {
+		if err := s.testbed.SetTarget(mcu, 1, 57); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3600; i++ {
-		s.Testbed().Step(2)
+		s.testbed.Step(2)
 	}
 
 	h := sha256.New()

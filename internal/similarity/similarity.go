@@ -2,7 +2,7 @@
 // uses as its GA convergence criteria: the Sokal & Michener simple matching
 // function for binary chromosomes, built on Operational Taxonomic Unit
 // (OTU) contingency tables, and the weighted Jaccard similarity for
-// chromosomes of real/integer features (the memory-access coefficient
+// chromosomes of integer features (the memory-access coefficient
 // vectors). The search stops when the mean pairwise similarity of the final
 // population exceeds a threshold (0.85 in the paper).
 package similarity
@@ -16,55 +16,11 @@ import (
 	"dstress/internal/bitvec"
 )
 
-// OTU is the 2x2 contingency table of two binary feature vectors:
-//
-//	           y_i = 1   y_i = 0
-//	x_i = 1       A         C
-//	x_i = 0       B         D
-//
-// A counts positions where both features are 1, D where both are 0, and B/C
-// the mismatches.
-type OTU struct {
-	A, B, C, D int
-}
-
-// OTUOf builds the contingency table of two equal-length bit vectors.
-func OTUOf(x, y *bitvec.Vec) (OTU, error) {
-	if x.Len() != y.Len() {
-		return OTU{}, fmt.Errorf("similarity: length mismatch %d vs %d",
-			x.Len(), y.Len())
-	}
-	var o OTU
-	for i := 0; i < x.Len(); i++ {
-		switch {
-		case x.Get(i) && y.Get(i):
-			o.A++
-		case !x.Get(i) && y.Get(i):
-			o.B++
-		case x.Get(i) && !y.Get(i):
-			o.C++
-		default:
-			o.D++
-		}
-	}
-	return o, nil
-}
-
-// N returns the total number of features.
-func (o OTU) N() int { return o.A + o.B + o.C + o.D }
-
-// SokalMichener returns (A+D)/(A+B+C+D): the fraction of matching binary
-// features. It is 1 for identical vectors and 0 for complements.
-func (o OTU) SokalMichener() float64 {
-	n := o.N()
-	if n == 0 {
-		return 1 // two empty vectors match trivially
-	}
-	return float64(o.A+o.D) / float64(n)
-}
-
-// SokalMichener computes the simple matching similarity of two bit vectors
-// directly from their packed words, avoiding the per-bit OTU walk.
+// SokalMichener returns the simple matching similarity (A+D)/(A+B+C+D) of
+// two equal-length bit vectors, where A counts positions at which both are
+// 1, D both 0, and B and C the mismatches (their Operational Taxonomic Unit
+// table): the fraction of matching features, 1 for identical vectors and 0
+// for complements. It counts the matches from the packed words.
 func SokalMichener(x, y *bitvec.Vec) (float64, error) {
 	if x.Len() != y.Len() {
 		return 0, fmt.Errorf("similarity: length mismatch %d vs %d",
@@ -76,18 +32,12 @@ func SokalMichener(x, y *bitvec.Vec) (float64, error) {
 	return float64(x.MatchCount(y)) / float64(x.Len()), nil
 }
 
-// WeightedJaccard returns Σ min(x_i,y_i) / Σ max(x_i,y_i) for two
-// non-negative real vectors. Two identical vectors score 1; the score
-// decreases as the vectors diverge. A pair of all-zero vectors scores 1.
-func WeightedJaccard(x, y []float64) (float64, error) { return weightedJaccard(x, y) }
-
-// WeightedJaccardInts is WeightedJaccard over integer features, as used for
-// the access-coefficient chromosomes.
-func WeightedJaccardInts(x, y []int) (float64, error) { return weightedJaccard(x, y) }
-
-// weightedJaccard converts each feature to float64 as it reads it, so both
-// element types take the same float operations in the same order.
-func weightedJaccard[T int | float64](x, y []T) (float64, error) {
+// WeightedJaccardInts returns Σ min(x_i,y_i) / Σ max(x_i,y_i) for two
+// non-negative integer vectors, the access-coefficient chromosomes. Two
+// identical vectors score 1; the score decreases as the vectors diverge. A
+// pair of all-zero vectors scores 1. The sums are taken in float64, each
+// feature converted as it is read.
+func WeightedJaccardInts(x, y []int) (float64, error) {
 	if len(x) != len(y) {
 		return 0, fmt.Errorf("similarity: length mismatch %d vs %d",
 			len(x), len(y))

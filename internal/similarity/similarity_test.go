@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,10 +10,51 @@ import (
 	"dstress/internal/xrand"
 )
 
+// OTU is the 2x2 contingency table of two binary feature vectors:
+//
+//	           y_i = 1   y_i = 0
+//	x_i = 1       A         C
+//	x_i = 0       B         D
+//
+// otuOf builds it bit by bit; its SokalMichener is the plain formula the
+// packed SokalMichener is checked against.
+type OTU struct {
+	A, B, C, D int
+}
+
+func otuOf(x, y *bitvec.Vec) (OTU, error) {
+	if x.Len() != y.Len() {
+		return OTU{}, fmt.Errorf("length mismatch %d vs %d", x.Len(), y.Len())
+	}
+	var o OTU
+	for i := 0; i < x.Len(); i++ {
+		switch {
+		case x.Get(i) && y.Get(i):
+			o.A++
+		case !x.Get(i) && y.Get(i):
+			o.B++
+		case x.Get(i) && !y.Get(i):
+			o.C++
+		default:
+			o.D++
+		}
+	}
+	return o, nil
+}
+
+func (o OTU) N() int { return o.A + o.B + o.C + o.D }
+
+func (o OTU) SokalMichener() float64 {
+	if o.N() == 0 {
+		return 1
+	}
+	return float64(o.A+o.D) / float64(o.N())
+}
+
 func TestOTUCounts(t *testing.T) {
 	x := bitvec.MustParse("110100")
 	y := bitvec.MustParse("101100")
-	o, err := OTUOf(x, y)
+	o, err := otuOf(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +72,7 @@ func TestOTUCounts(t *testing.T) {
 }
 
 func TestOTULengthMismatch(t *testing.T) {
-	if _, err := OTUOf(bitvec.New(3), bitvec.New(4)); err == nil {
+	if _, err := otuOf(bitvec.New(3), bitvec.New(4)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	if _, err := SokalMichener(bitvec.New(3), bitvec.New(4)); err == nil {
@@ -62,7 +104,7 @@ func TestSokalMichenerMatchesOTU(t *testing.T) {
 		n := 1 + r.Intn(300)
 		x := bitvec.Random(n, 0.5, rng)
 		y := bitvec.Random(n, 0.5, rng)
-		o, err := OTUOf(x, y)
+		o, err := otuOf(x, y)
 		if err != nil {
 			return false
 		}
@@ -99,28 +141,28 @@ func TestEmptyVectors(t *testing.T) {
 }
 
 func TestWeightedJaccardBasic(t *testing.T) {
-	s, err := WeightedJaccard([]float64{1, 2, 3}, []float64{1, 2, 3})
+	s, err := WeightedJaccardInts([]int{1, 2, 3}, []int{1, 2, 3})
 	if err != nil || s != 1 {
 		t.Fatalf("identical WJ = %v err %v", s, err)
 	}
-	s, err = WeightedJaccard([]float64{2, 0}, []float64{0, 2})
+	s, err = WeightedJaccardInts([]int{2, 0}, []int{0, 2})
 	if err != nil || s != 0 {
 		t.Fatalf("disjoint WJ = %v err %v", s, err)
 	}
-	s, err = WeightedJaccard([]float64{1, 1}, []float64{2, 2})
+	s, err = WeightedJaccardInts([]int{1, 1}, []int{2, 2})
 	if err != nil || math.Abs(s-0.5) > 1e-12 {
 		t.Fatalf("WJ = %v, want 0.5", s)
 	}
 }
 
 func TestWeightedJaccardEdgeCases(t *testing.T) {
-	if _, err := WeightedJaccard([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := WeightedJaccardInts([]int{1}, []int{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := WeightedJaccard([]float64{-1}, []float64{1}); err == nil {
+	if _, err := WeightedJaccardInts([]int{-1}, []int{1}); err == nil {
 		t.Fatal("negative feature accepted")
 	}
-	s, err := WeightedJaccard([]float64{0, 0}, []float64{0, 0})
+	s, err := WeightedJaccardInts([]int{0, 0}, []int{0, 0})
 	if err != nil || s != 1 {
 		t.Fatalf("all-zero WJ = %v err %v", s, err)
 	}
@@ -130,14 +172,14 @@ func TestWeightedJaccardProperties(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		n := 1 + r.Intn(40)
-		x := make([]float64, n)
-		y := make([]float64, n)
+		x := make([]int, n)
+		y := make([]int, n)
 		for i := range x {
-			x[i] = r.Float64() * 10
-			y[i] = r.Float64() * 10
+			x[i] = r.Intn(21)
+			y[i] = r.Intn(21)
 		}
-		a, err1 := WeightedJaccard(x, y)
-		b, err2 := WeightedJaccard(y, x)
+		a, err1 := WeightedJaccardInts(x, y)
+		b, err2 := WeightedJaccardInts(y, x)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds the sample moments of a data set.
@@ -58,17 +57,6 @@ func Summarize(xs []float64) (Summary, error) {
 		s.Kurtosis = 3 // degenerate constant sample: treat as mesokurtic
 	}
 	return s, nil
-}
-
-// NormalCDF returns P(X <= x) for X ~ N(mean, sigma).
-func NormalCDF(x, mean, sigma float64) float64 {
-	if sigma <= 0 {
-		if x < mean {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc((mean-x)/(sigma*math.Sqrt2))
 }
 
 // NormalTail returns P(X > x) for X ~ N(mean, sigma): the probability mass
@@ -181,27 +169,4 @@ func DAgostinoPearson(xs []float64) (NormalityResult, error) {
 		KSquared: k2,
 		PValue:   math.Exp(-k2 / 2), // chi²(2) survival function
 	}, nil
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between order statistics.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: empty sample")
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac, nil
 }

@@ -69,6 +69,8 @@ func TestSummarizeConstantSample(t *testing.T) {
 	}
 }
 
+// TestNormalCDFKnownValues checks the standard normal CDF at known points,
+// read as 1 - NormalTail.
 func TestNormalCDFKnownValues(t *testing.T) {
 	cases := []struct{ x, want float64 }{
 		{0, 0.5},
@@ -77,18 +79,19 @@ func TestNormalCDFKnownValues(t *testing.T) {
 		{1, 0.841344746},
 	}
 	for _, c := range cases {
-		if got := NormalCDF(c.x, 0, 1); math.Abs(got-c.want) > 1e-6 {
+		if got := 1 - NormalTail(c.x, 0, 1); math.Abs(got-c.want) > 1e-6 {
 			t.Errorf("CDF(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
 }
 
+// TestNormalTailComplement: the normal is symmetric about its mean, so the
+// tails above x and above its mirror image 2·mean - x sum to 1.
 func TestNormalTailComplement(t *testing.T) {
 	for _, x := range []float64{-3, -1, 0, 0.5, 2, 4.9} {
-		cdf := NormalCDF(x, 1, 2)
-		tail := NormalTail(x, 1, 2)
-		if math.Abs(cdf+tail-1) > 1e-12 {
-			t.Fatalf("CDF+tail != 1 at %v: %v", x, cdf+tail)
+		tail, mirror := NormalTail(x, 1, 2), NormalTail(2-x, 1, 2)
+		if math.Abs(tail+mirror-1) > 1e-12 {
+			t.Fatalf("tail+mirrored tail != 1 at %v: %v", x, tail+mirror)
 		}
 	}
 }
@@ -103,9 +106,6 @@ func TestNormalTailPaperMagnitudes(t *testing.T) {
 }
 
 func TestDegenerateSigma(t *testing.T) {
-	if NormalCDF(1, 2, 0) != 0 || NormalCDF(3, 2, 0) != 1 {
-		t.Fatal("zero-sigma CDF wrong")
-	}
 	if NormalTail(1, 2, 0) != 1 || NormalTail(3, 2, 0) != 0 {
 		t.Fatal("zero-sigma tail wrong")
 	}
@@ -203,30 +203,5 @@ func TestDAgostinoPearsonRejectsExponential(t *testing.T) {
 func TestDAgostinoPearsonRequiresSamples(t *testing.T) {
 	if _, err := DAgostinoPearson(make([]float64, 10)); err == nil {
 		t.Fatal("small sample accepted")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, c := range []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2},
-	} {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Fatal("empty percentile accepted")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Fatal("out-of-range percentile accepted")
-	}
-	one, err := Percentile([]float64{7}, 33)
-	if err != nil || one != 7 {
-		t.Fatal("singleton percentile wrong")
 	}
 }

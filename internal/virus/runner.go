@@ -107,15 +107,3 @@ func (r *Runner) Execute(a *vpl.Analyzed, values map[string]vpl.Value) (*minicc.
 	}
 	return m, nil
 }
-
-// BitsValue converts a 0/1 slice into a vpl vector value.
-func BitsValue(bits []int64) vpl.Value { return vpl.Value{Vector: bits} }
-
-// IntsValue converts an int slice into a vpl vector value.
-func IntsValue(vals []int) vpl.Value {
-	v := make([]int64, len(vals))
-	for i, x := range vals {
-		v[i] = int64(x)
-	}
-	return vpl.Value{Vector: v}
-}

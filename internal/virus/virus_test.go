@@ -60,7 +60,7 @@ func TestData64VirusFillsRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := r.Execute(a, map[string]vpl.Value{
-		"PATTERN": BitsValue(bits64(0x3333333333333333)),
+		"PATTERN": vpl.Value{Vector: bits64(0x3333333333333333)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestData64MatchesNativeFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := r.Execute(a, map[string]vpl.Value{
-		"PATTERN": BitsValue(bits64(word)),
+		"PATTERN": vpl.Value{Vector: bits64(word)},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +161,13 @@ func TestAccessCoeffsVirus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coeffs := make([]int, 32)
+	coeffs := make([]int64, 32)
 	for i := 0; i < 16; i++ {
 		coeffs[i] = 3    // a_i
 		coeffs[16+i] = 5 // b_i
 	}
 	m, err := r.Execute(a, map[string]vpl.Value{
-		"COEFFS":  IntsValue(coeffs),
+		"COEFFS":  vpl.Value{Vector: coeffs},
 		"TARGETS": vpl.Value{Vector: []int64{16}},
 	})
 	if err != nil {
@@ -199,9 +199,9 @@ func TestZeroCoefficientStaysCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coeffs := make([]int, 32) // all a_i = b_i = 0
+	coeffs := make([]int64, 32) // all a_i = b_i = 0
 	if _, err := r.Execute(a, map[string]vpl.Value{
-		"COEFFS":  IntsValue(coeffs),
+		"COEFFS":  vpl.Value{Vector: coeffs},
 		"TARGETS": vpl.Value{Vector: []int64{16}},
 	}); err != nil {
 		t.Fatal(err)

@@ -39,17 +39,6 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// NewStream builds a stream keyed on seed, with optional sub-keys folded in
-// (NewStream(seed, run, cell) is the (seed, run, cell) stream of the v2
-// determinism contract).
-func NewStream(seed uint64, subs ...uint64) Stream {
-	s := Stream{key: mix64(seed + streamGamma)}
-	for _, sub := range subs {
-		s = s.Derive(sub)
-	}
-	return s
-}
-
 // StreamFrom keys a stream off the next value of a sequential generator,
 // advancing it by exactly one draw. This is how the v2 evaluation bridges
 // the existing split-per-run plumbing (farm/fleet ship Rand states) into
@@ -120,9 +109,4 @@ func (s Stream) State() [2]uint64 { return [2]uint64{s.key, s.ctr} }
 // Restore overwrites the stream with a previously captured State.
 func (s *Stream) Restore(st [2]uint64) {
 	s.key, s.ctr = st[0], st[1]
-}
-
-// StreamFromState rebuilds a stream positioned at a captured State.
-func StreamFromState(st [2]uint64) Stream {
-	return Stream{key: st[0], ctr: st[1]}
 }

@@ -5,10 +5,20 @@ import (
 	"testing"
 )
 
+// streamOf builds a stream as the evaluation does: keyed off one draw of a
+// sequential generator (StreamFrom), then derived by each sub-key.
+func streamOf(seed uint64, subs ...uint64) Stream {
+	s := StreamFrom(New(seed))
+	for _, sub := range subs {
+		s = s.Derive(sub)
+	}
+	return s
+}
+
 // TestDetV2StreamCounterIsPure: At is a pure function — any access order,
 // repeated access and a freshly re-derived stream all agree.
 func TestDetV2StreamCounterIsPure(t *testing.T) {
-	s := NewStream(2020, 3, 17)
+	s := streamOf(2020, 3, 17)
 	forward := make([]uint64, 64)
 	for i := range forward {
 		forward[i] = s.At(uint64(i))
@@ -18,7 +28,7 @@ func TestDetV2StreamCounterIsPure(t *testing.T) {
 			t.Fatalf("At(%d) reverse = %#x, forward %#x", i, got, forward[i])
 		}
 	}
-	again := NewStream(2020, 3, 17)
+	again := streamOf(2020, 3, 17)
 	for i := range forward {
 		if got := again.At(uint64(i)); got != forward[i] {
 			t.Fatalf("re-derived At(%d) = %#x, want %#x", i, got, forward[i])
@@ -29,7 +39,7 @@ func TestDetV2StreamCounterIsPure(t *testing.T) {
 // TestDetV2StreamSequentialMatchesIndexed: the sequential API is exactly a
 // counter walk over At.
 func TestDetV2StreamSequentialMatchesIndexed(t *testing.T) {
-	s := NewStream(7)
+	s := streamOf(7)
 	seq := s // copy: sequential draws advance only the copy's counter
 	for i := 0; i < 32; i++ {
 		if got, want := seq.Uint64(), s.At(uint64(i)); got != want {
@@ -37,7 +47,7 @@ func TestDetV2StreamSequentialMatchesIndexed(t *testing.T) {
 		}
 	}
 	// Norm consumes two counter positions, like its indexed twin.
-	n := NewStream(9)
+	n := streamOf(9)
 	seqN := n
 	if got, want := seqN.Norm(1, 2), n.NormAt(0, 1, 2); got != want {
 		t.Fatalf("Norm = %v, NormAt(0) = %v", got, want)
@@ -54,7 +64,7 @@ func TestDetV2StreamKeyIndependence(t *testing.T) {
 	const runs, cells, draws = 4, 64, 8
 	seen := make(map[uint64][2]uint64)
 	var bitAgree, bitTotal int
-	root := NewStream(1)
+	root := streamOf(1)
 	var prev *Stream
 	for run := uint64(0); run < runs; run++ {
 		for cell := uint64(0); cell < cells; cell++ {
@@ -87,7 +97,7 @@ func TestDetV2StreamKeyIndependence(t *testing.T) {
 // TestDetV2StreamUniformity: sequential Float64 draws have the mean and
 // variance of U[0,1) and Norm has the requested moments, loosely.
 func TestDetV2StreamUniformity(t *testing.T) {
-	s := NewStream(42)
+	s := streamOf(42)
 	const n = 20000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
@@ -106,7 +116,7 @@ func TestDetV2StreamUniformity(t *testing.T) {
 		t.Fatalf("uniform variance = %v", v)
 	}
 
-	g := NewStream(43)
+	g := streamOf(43)
 	sum, sumSq = 0, 0
 	for i := 0; i < n; i++ {
 		v := g.Norm(3, 2)
@@ -122,10 +132,10 @@ func TestDetV2StreamUniformity(t *testing.T) {
 	}
 }
 
-// TestDetV2StreamStateRoundTrip: State/Restore and StreamFromState resume
-// the exact sequential walk, and Derive does not disturb the parent.
+// TestDetV2StreamStateRoundTrip: State/Restore resume the exact sequential
+// walk, and Derive does not disturb the parent.
 func TestDetV2StreamStateRoundTrip(t *testing.T) {
-	s := NewStream(99)
+	s := streamOf(99)
 	for i := 0; i < 5; i++ {
 		s.Uint64()
 	}
@@ -134,16 +144,10 @@ func TestDetV2StreamStateRoundTrip(t *testing.T) {
 
 	var r Stream
 	r.Restore(st)
+	_ = r.Derive(123) // pure: must not advance or re-key r
 	for i, w := range want {
 		if got := r.Uint64(); got != w {
 			t.Fatalf("restored draw %d = %#x, want %#x", i, got, w)
-		}
-	}
-	f := StreamFromState(st)
-	_ = f.Derive(123) // pure: must not advance or re-key f
-	for i, w := range want {
-		if got := f.Uint64(); got != w {
-			t.Fatalf("from-state draw %d = %#x, want %#x", i, got, w)
 		}
 	}
 }
@@ -158,8 +162,8 @@ func TestDetV2StreamFromAdvancesRandByOne(t *testing.T) {
 	if a.State() != b.State() {
 		t.Fatal("StreamFrom advanced the parent by more than one draw")
 	}
-	if want := NewStream(key); s.At(0) != want.At(0) {
-		t.Fatal("StreamFrom key does not match NewStream of the drawn word")
+	if want := (Stream{key: mix64(key + streamGamma)}); s.At(0) != want.At(0) {
+		t.Fatal("StreamFrom is not keyed on the drawn word")
 	}
 }
 
@@ -202,9 +206,15 @@ func TestV1StreamRegression(t *testing.T) {
 
 	r4 := New(123)
 	wantPerm := []int{4, 3, 7, 2, 0, 5, 6, 1}
-	for i, p := range r4.Perm(8) {
+	// A Fisher-Yates shuffle of 0..7 pins Intn's draws.
+	perm := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := r4.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	for i, p := range perm {
 		if p != wantPerm[i] {
-			t.Fatalf("Perm = %v, want %v", p, wantPerm)
+			t.Fatalf("shuffle = %v, want %v", perm, wantPerm)
 		}
 	}
 	if got := r4.Intn(1000); got != 5 {

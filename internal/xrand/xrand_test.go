@@ -155,23 +155,6 @@ func TestLogNormMedian(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(29)
-	for n := 0; n < 20; n++ {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(31)
 	hits := 0
@@ -184,20 +167,6 @@ func TestBoolProbability(t *testing.T) {
 	frac := float64(hits) / n
 	if math.Abs(frac-0.25) > 0.01 {
 		t.Fatalf("Bool(0.25) frequency %v", frac)
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(37)
-	s := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), s...)
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: %v (was %v)", s, orig)
 	}
 }
 
